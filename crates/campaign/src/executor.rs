@@ -30,7 +30,7 @@ use specstab_kernel::harness::{HarnessState, ProtocolHarness};
 use specstab_kernel::measure::MeasurementContext;
 use specstab_kernel::protocol::{random_configuration, Protocol};
 use specstab_protocols::registry::{self, HarnessVisitor, ProtocolInfo};
-use specstab_telemetry::{BatchDaemonClass, Heartbeat, RunCounters};
+use specstab_telemetry::{Heartbeat, RunCounters};
 use specstab_topology::metrics::DistanceMatrix;
 use specstab_topology::spec::parse_spec;
 use specstab_topology::Graph;
@@ -574,28 +574,18 @@ fn run_harness_group<H: ProtocolHarness>(
 ) -> Vec<CellResult> {
     let harness = H::build(graph, diam);
     // Group keys include the daemon, so one shared check covers the chunk:
-    // synchronous and central round-robin groups of batch-capable
+    // sync, central-rr, central-rand and dist:p groups of batch-capable
     // protocols step all their seed replicas lane-parallel through the
-    // packed engine. Any reason the batched path can't serve the chunk
-    // bit-identically (protocol not packed, toggle off, or a per-cell
-    // setup error that the scalar path reports cell by cell) falls back
-    // to the scalar loop below and is counted per daemon class in the
-    // process-wide telemetry.
+    // packed engine. Any reason the batched path can't serve such a chunk
+    // bit-identically (protocol not packed, size gate, toggle off, or a
+    // per-cell setup error that the scalar path reports cell by cell)
+    // falls back to the scalar loop below and is counted per daemon class
+    // in the process-wide telemetry. Groups of unbatchable daemons run
+    // scalar uncounted.
     if let Ok(h) = &harness {
         let spec = cells.first().expect("group runs are nonempty").daemon.as_str();
-        let mode = match spec {
-            "sync" => Some((BatchDaemon::Sync, BatchDaemonClass::Sync)),
-            "central-rr" => Some((BatchDaemon::CentralRr, BatchDaemonClass::CentralRr)),
-            "central-rand" => Some((BatchDaemon::CentralRand, BatchDaemonClass::CentralRand)),
-            _ => spec
-                .strip_prefix("dist:")
-                .and_then(|p| p.parse::<f64>().ok())
-                .filter(|p| (0.0..=1.0).contains(p))
-                .map(|p| {
-                    (BatchDaemon::RandomDistributed { p }, BatchDaemonClass::RandomDistributed)
-                }),
-        };
-        if let Some((mode, class)) = mode {
+        if let Some(mode) = BatchDaemon::from_spec(spec) {
+            let class = mode.routing_class();
             let central = matches!(mode, BatchDaemon::CentralRr | BatchDaemon::CentralRand);
             // Central groups commit one move per lane per pass, so they
             // only amortize below the harness's measured crossover size
@@ -637,10 +627,10 @@ fn run_harness_group<H: ProtocolHarness>(
         .collect()
 }
 
-/// Runs one group chunk (synchronous or central round-robin) through the
-/// lane-packed batched engine: every cell's initial configuration becomes
-/// one replica lane of a single structure-of-arrays run (see
-/// `specstab_kernel::batch`).
+/// Runs one group chunk of a batchable daemon (sync, central-rr,
+/// central-rand or dist:p) through the lane-packed batched engine: every
+/// cell's initial configuration becomes one replica lane of a single
+/// structure-of-arrays run (see `specstab_kernel::batch`).
 ///
 /// Per-lane seeding, initial-configuration construction and measurement
 /// semantics replicate [`run_harness_cell`] exactly, so the per-cell

@@ -11,16 +11,31 @@
 //! over the lane axis. The CSR topology is walked **once per step for
 //! all replicas** by [`PackedProtocol::step_lanes`].
 //!
-//! # Which daemons batch
+//! # One loop, two schedules, two monitors
 //!
-//! Four daemon classes batch ([`BatchDaemon`]), in two families:
+//! Every batched run is the same step loop ([`run_batch`]). Each pass
+//! does, in this order and for every daemon: the per-lane stop checks
+//! (the scalar engine's loop-top order — terminal, step limit, observer
+//! request), step-slot charging, select + commit, per-lane step/move
+//! accounting, the monitor's post-step check, and the guard refresh.
+//! What varies is plugged in:
 //!
-//! - **Synchronous** ([`BatchDaemon::Sync`]): the activated set *is* the
+//! - a **schedule** — how a pass picks its moves and re-evaluates
+//!   guards, chosen by the [`BatchDaemon`];
+//! - a **monitor** ([`BatchMonitor`]) — what the run measures beyond
+//!   steps, moves and stop reasons: [`NoMonitor`] for plain runs (it
+//!   compiles away) or [`PredicateMonitor`] for measured runs.
+//!
+//! ## Schedules
+//!
+//! - **Dense** ([`BatchDaemon::Sync`]): the activated set *is* the
 //!   enabled set — no RNG, no selection state — so every lane's move
-//!   sequence is bit-identical to its scalar run by construction. Sync
-//!   takes the dense path: one whole-graph `step_lanes` per step, every
-//!   fired entry committed with a branch-free blend.
-//! - **Lane-divergent** ([`BatchDaemon::CentralRr`],
+//!   sequence is bit-identical to its scalar run by construction. A pass
+//!   is one whole-graph `step_lanes`, then every fired entry committed
+//!   with a branch-free blend. It stays dense on purpose: sync commits
+//!   every enabled vertex, so an incremental bitset refresh would touch
+//!   all n rows every pass and only add row-diff work.
+//! - **Divergent** ([`BatchDaemon::CentralRr`],
 //!   [`BatchDaemon::CentralRand`], [`BatchDaemon::RandomDistributed`]):
 //!   each lane runs its own schedule — a round-robin cursor, or an RNG
 //!   stream seeded exactly as the scalar daemon for that replica would
@@ -36,8 +51,22 @@
 //!   scalar engine's select-after-stop-checks order.
 //!
 //! Daemons whose schedules read history (`kbounded`, `central-oldest`)
-//! or adversarial search state still take the scalar fallback (counted
-//! by `batch_scalar_fallbacks` in the telemetry snapshot).
+//! or adversarial search state have no batched schedule
+//! ([`BatchDaemon::from_spec`] maps them to `None`): their groups always
+//! run scalar and are not routing-counted. `batch_scalar_fallbacks` in
+//! the telemetry snapshot counts only groups of the four batchable
+//! classes that still ran scalar (protocol not packed, size gate,
+//! batching disabled).
+//!
+//! ## Monitors
+//!
+//! A monitor sees the packed initial state, a commit hook
+//! `(lane, vertex, new word)` for every committed move and a post-step
+//! check per executed lane step, and it answers the loop's stop query.
+//! [`PredicateMonitor`] replicates the
+//! [`MeasurementContext`](crate::measure::MeasurementContext) stack per
+//! lane over a mirror configuration the commit hook keeps current; final
+//! configurations are unpacked from the SoA state under every monitor.
 //!
 //! # The transposed incremental enabled-bitset
 //!
@@ -84,17 +113,16 @@
 //!
 //! # Equivalence contract
 //!
-//! [`run_batch_with`] reproduces, per lane, exactly what
+//! [`run_batch`] reproduces, per lane, exactly what
 //! [`Simulator::run`](crate::engine::Simulator::run) produces under the
 //! matching scalar daemon: the same step/move counts, the same
-//! [`StopReason`] (checked in the scalar engine's order — terminal, step
-//! limit, observer request), the same final configuration — for the
-//! random daemons, the same RNG draws from the same seed.
-//! [`run_batch_measured`] additionally replicates the
-//! [`MeasurementContext`](crate::measure::MeasurementContext) monitor
-//! stack (safety monitor, legitimacy monitor, optional
-//! `StopAfterStable`) per lane, index for index. The differential
-//! proptest suites assert both claims against the scalar engine, and
+//! [`StopReason`], the same final configuration — for the random
+//! daemons, the same RNG draws from the same seed. Under
+//! [`PredicateMonitor`] each lane additionally gets the
+//! [`StabilizationReport`] a scalar
+//! [`MeasurementContext`](crate::measure::MeasurementContext) yields,
+//! index for index. The differential proptest suites assert both claims
+//! against the scalar engine for every daemon, and
 //! [`run_batch_with_dense_sweep`] pins the incremental bitset against a
 //! forced full re-evaluation every pass.
 
@@ -105,7 +133,7 @@ use crate::observer::ConfigPredicate;
 use crate::protocol::Protocol;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use specstab_telemetry::RunCounters;
+use specstab_telemetry::{BatchDaemonClass, RunCounters};
 use specstab_topology::{Graph, VertexId};
 
 /// A fixed-width integer lane word: the primitive the SoA engine can
@@ -230,10 +258,22 @@ pub enum BatchDaemon {
 
 impl BatchDaemon {
     /// Whether this daemon needs one RNG seed per lane
-    /// (`lane_seeds.len() == inits.len()` in the batch entry points).
+    /// (`lane_seeds.len() == inits.len()` in [`run_batch`]).
     #[must_use]
     pub fn needs_lane_seeds(self) -> bool {
         matches!(self, BatchDaemon::CentralRand | BatchDaemon::RandomDistributed { .. })
+    }
+
+    /// The telemetry class this daemon's groups are routing-counted
+    /// under.
+    #[must_use]
+    pub fn routing_class(self) -> BatchDaemonClass {
+        match self {
+            BatchDaemon::Sync => BatchDaemonClass::Sync,
+            BatchDaemon::CentralRr => BatchDaemonClass::CentralRr,
+            BatchDaemon::CentralRand => BatchDaemonClass::CentralRand,
+            BatchDaemon::RandomDistributed { .. } => BatchDaemonClass::RandomDistributed,
+        }
     }
 }
 
@@ -285,10 +325,162 @@ fn choose_index(rng: &mut StdRng, span: u64) -> u64 {
     ((u128::from(rng.next_u64()) * u128::from(span)) >> 64) as u64
 }
 
-/// Per-lane divergent-daemon state: the transposed enabled-bitset, exact
-/// per-lane enabled counts, per-lane schedules (rr cursors / RNG
-/// streams), selection scratch and the touched-set bookkeeping for the
-/// incremental refresh.
+/// The replica-major SoA state plus the guard-evaluation buffers both
+/// schedules share: `state[v * lanes + l]` is vertex `v` of lane `l`, and
+/// `fired`/`next` hold the latest guard evaluation over it.
+struct Soa<P: PackedProtocol> {
+    lanes: usize,
+    state: Vec<P::Lane>,
+    next: Vec<P::Lane>,
+    fired: Vec<bool>,
+    scratch: P::LaneScratch,
+}
+
+impl<P: PackedProtocol> Soa<P> {
+    /// Packs `inits` replica-major.
+    fn pack(protocol: &P, n: usize, inits: &[Configuration<P::State>]) -> Self {
+        let lanes = inits.len();
+        let mut state = Vec::with_capacity(n * lanes);
+        for v in 0..n {
+            for init in inits {
+                state.push(protocol.pack(init.get(VertexId::new(v))));
+            }
+        }
+        Self {
+            lanes,
+            next: state.clone(),
+            state,
+            fired: vec![false; n * lanes],
+            scratch: P::LaneScratch::default(),
+        }
+    }
+
+    /// Evaluates every guard in every lane: one whole-graph `step_lanes`.
+    fn step_all(&mut self, graph: &Graph, protocol: &P) {
+        protocol.step_lanes(
+            graph,
+            self.lanes,
+            &self.state,
+            &mut self.next,
+            &mut self.fired,
+            &mut self.scratch,
+        );
+    }
+}
+
+/// Unpacks lane `l` of replica-major `soa` into a scalar configuration.
+fn unpack_lane<P: PackedProtocol>(
+    protocol: &P,
+    soa: &[P::Lane],
+    lanes: usize,
+    l: usize,
+) -> Configuration<P::State> {
+    Configuration::from_fn(soa.len() / lanes, |v| protocol.unpack(soa[v.index() * lanes + l]))
+}
+
+/// How a pass picks its moves: the dense synchronous sweep or the
+/// lane-divergent bitset engine. The step loop calls `start` once, then
+/// per pass `enabled` (stop checks), `commit`, `moved` (accounting) and
+/// `refresh`.
+trait Schedule<P: PackedProtocol> {
+    /// The initial whole-graph guard evaluation.
+    fn start(&mut self, graph: &Graph, protocol: &P, soa: &mut Soa<P>);
+
+    /// Lane `l`'s enabled-vertex count in its current configuration.
+    fn enabled(&self, l: usize) -> u32;
+
+    /// Selects and commits this pass's moves in every lane with
+    /// `commit[l]`, reporting each to `on_commit(lane, vertex, new_word)`.
+    fn commit(
+        &mut self,
+        graph: &Graph,
+        commit: &[bool],
+        soa: &mut Soa<P>,
+        on_commit: impl FnMut(usize, usize, P::Lane),
+    );
+
+    /// Moves the last commit executed in lane `l`.
+    fn moved(&self, l: usize) -> u64;
+
+    /// Re-evaluates the guards the last commit may have changed.
+    fn refresh(&mut self, graph: &Graph, protocol: &P, soa: &mut Soa<P>);
+}
+
+/// The synchronous schedule: each pass commits the whole fired set of
+/// one whole-graph evaluation with a branch-free blend.
+struct Dense {
+    /// Per-lane enabled (= activated) counts of the latest evaluation.
+    fired_count: Vec<u32>,
+}
+
+/// Per-lane enabled/activated counts of the lane-major `fired` matrix.
+fn count_fired(lanes: usize, fired: &[bool], out: &mut [u32]) {
+    out.fill(0);
+    for row in fired.chunks_exact(lanes) {
+        for (cnt, &f) in out.iter_mut().zip(row) {
+            *cnt += u32::from(f);
+        }
+    }
+}
+
+impl<P: PackedProtocol> Schedule<P> for Dense {
+    fn start(&mut self, graph: &Graph, protocol: &P, soa: &mut Soa<P>) {
+        self.refresh(graph, protocol, soa);
+    }
+
+    #[inline]
+    fn enabled(&self, l: usize) -> u32 {
+        self.fired_count[l]
+    }
+
+    fn commit(
+        &mut self,
+        _graph: &Graph,
+        commit: &[bool],
+        soa: &mut Soa<P>,
+        mut on_commit: impl FnMut(usize, usize, P::Lane),
+    ) {
+        // Branch-free blend per element: the fired mask changes every step,
+        // so a per-element `if` mispredicts its way through the whole matrix;
+        // the bitwise select is data-independent and vectorizes. The
+        // chunk/zip shape matters — indexed accesses against a runtime
+        // `lanes` keep per-element bounds checks alive and block the
+        // vectorizer (measured ~10x slower than this form).
+        let lanes = soa.lanes;
+        let commit = &commit[..lanes];
+        let rows = soa.next.chunks_exact(lanes).zip(soa.fired.chunks_exact(lanes));
+        for (srow, (nrow, frow)) in soa.state.chunks_exact_mut(lanes).zip(rows) {
+            for (((s, &nx), &f), &c) in srow.iter_mut().zip(nrow).zip(frow).zip(commit) {
+                *s = s.blend(nx, f & c);
+            }
+        }
+        // The hook walk has the same bounds-check-free shape, so under a
+        // monitor with an empty commit hook it is dead code.
+        let rows = soa.next.chunks_exact(lanes).zip(soa.fired.chunks_exact(lanes));
+        for (v, (nrow, frow)) in rows.enumerate() {
+            for (l, ((&nx, &f), &c)) in nrow.iter().zip(frow).zip(commit).enumerate() {
+                if f & c {
+                    on_commit(l, v, nx);
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn moved(&self, l: usize) -> u64 {
+        u64::from(self.fired_count[l])
+    }
+
+    fn refresh(&mut self, graph: &Graph, protocol: &P, soa: &mut Soa<P>) {
+        soa.step_all(graph, protocol);
+        count_fired(soa.lanes, &soa.fired, &mut self.fired_count);
+    }
+}
+
+/// The lane-divergent schedule (rr / rand / dist): the transposed
+/// enabled-bitset, exact per-lane enabled counts, per-lane schedules (rr
+/// cursors / RNG streams), selection scratch and the touched-set
+/// bookkeeping for the incremental refresh.
 struct DivergentState {
     mode: BatchDaemon,
     n: usize,
@@ -452,7 +644,7 @@ impl DivergentState {
     /// select-after-stop-checks order.
     fn select(&mut self, commit: &[bool]) {
         match self.mode {
-            BatchDaemon::Sync => unreachable!("sync rides the dense path"),
+            BatchDaemon::Sync => unreachable!("sync rides the dense schedule"),
             BatchDaemon::CentralRr => self.select_rr(commit),
             BatchDaemon::CentralRand => self.select_rand(commit),
             BatchDaemon::RandomDistributed { p } => self.select_dist(commit, p),
@@ -639,28 +831,31 @@ impl DivergentState {
             }
         }
     }
+}
 
-    /// Moves one committed step executes in lane `l`.
-    #[inline]
-    fn moved(&self, l: usize) -> u64 {
-        match self.mode {
-            BatchDaemon::RandomDistributed { .. } => u64::from(self.sel_count[l]),
-            _ => 1,
-        }
+impl<P: PackedProtocol> Schedule<P> for DivergentState {
+    /// The initial whole-graph evaluation builds the transposed bitset.
+    fn start(&mut self, graph: &Graph, protocol: &P, soa: &mut Soa<P>) {
+        soa.step_all(graph, protocol);
+        self.diff_all_rows(&soa.fired);
     }
 
-    /// Commits every selected (vertex, lane) pair into `soa`, records the
-    /// touched neighborhoods for the incremental refresh, and reports
-    /// each commit to `on_commit(lane, vertex, new_word)` (the measured
-    /// runner's mirror-repair hook).
-    fn commit<L: LaneWord>(
+    #[inline]
+    fn enabled(&self, l: usize) -> u32 {
+        self.cnt[l]
+    }
+
+    /// Selects with word scans, then commits every selected (vertex,
+    /// lane) pair and records the touched neighborhoods for the
+    /// incremental refresh.
+    fn commit(
         &mut self,
         graph: &Graph,
         commit: &[bool],
-        next: &[L],
-        soa: &mut [L],
-        mut on_commit: impl FnMut(usize, usize, L),
+        soa: &mut Soa<P>,
+        mut on_commit: impl FnMut(usize, usize, P::Lane),
     ) {
+        self.select(commit);
         self.generation += 1;
         self.touched.clear();
         if matches!(self.mode, BatchDaemon::RandomDistributed { .. }) {
@@ -672,8 +867,8 @@ impl DivergentState {
                     any |= hit != 0;
                     while hit != 0 {
                         let l = w * 64 + hit.trailing_zeros() as usize;
-                        let val = next[v * self.lanes + l];
-                        soa[v * self.lanes + l] = val;
+                        let val = soa.next[v * self.lanes + l];
+                        soa.state[v * self.lanes + l] = val;
                         on_commit(l, v, val);
                         hit &= hit - 1;
                     }
@@ -683,11 +878,11 @@ impl DivergentState {
                 }
             }
         } else {
-            for l in 0..self.lanes {
-                if commit[l] {
+            for (l, &committing) in commit.iter().enumerate() {
+                if committing {
                     let v = self.pick[l] as usize;
-                    let val = next[v * self.lanes + l];
-                    soa[v * self.lanes + l] = val;
+                    let val = soa.next[v * self.lanes + l];
+                    soa.state[v * self.lanes + l] = val;
                     on_commit(l, v, val);
                     self.touch(graph, v);
                 }
@@ -695,21 +890,21 @@ impl DivergentState {
         }
     }
 
+    #[inline]
+    fn moved(&self, l: usize) -> u64 {
+        match self.mode {
+            BatchDaemon::RandomDistributed { .. } => u64::from(self.sel_count[l]),
+            _ => 1,
+        }
+    }
+
     /// Re-evaluates the guard rows invalidated by this pass's commits and
     /// patches `bits`/`cnt` from the word diffs (whole-graph sweep + full
     /// rebuild when the reference dense-sweep mode is forced).
-    fn refresh<P: PackedProtocol>(
-        &mut self,
-        graph: &Graph,
-        protocol: &P,
-        soa: &[P::Lane],
-        next: &mut [P::Lane],
-        fired: &mut [bool],
-        scratch: &mut P::LaneScratch,
-    ) {
+    fn refresh(&mut self, graph: &Graph, protocol: &P, soa: &mut Soa<P>) {
         if self.dense_sweep {
-            protocol.step_lanes(graph, self.lanes, soa, next, fired, scratch);
-            self.diff_all_rows(fired);
+            soa.step_all(graph, protocol);
+            self.diff_all_rows(&soa.fired);
             return;
         }
         // Enablement can only have changed where a guard input changed —
@@ -719,14 +914,23 @@ impl DivergentState {
         // degree · lanes).
         let touched = std::mem::take(&mut self.touched);
         for &v in &touched {
-            protocol.eval_vertex_lanes(graph, v as usize, self.lanes, soa, next, fired, scratch);
-            self.diff_row(v as usize, fired);
+            protocol.eval_vertex_lanes(
+                graph,
+                v as usize,
+                self.lanes,
+                &soa.state,
+                &mut soa.next,
+                &mut soa.fired,
+                &mut soa.scratch,
+            );
+            self.diff_row(v as usize, &soa.fired);
         }
         self.touched = touched;
     }
 }
 
-/// Per-lane outcome of a plain (monitor-free) batched run.
+/// Per-lane outcome of a batched run: what the loop hands the monitor,
+/// and what plain runs return.
 #[derive(Clone, Debug)]
 pub struct LaneSummary<S> {
     /// The lane's final configuration (frozen at its stop step).
@@ -737,149 +941,196 @@ pub struct LaneSummary<S> {
     pub moves: u64,
     /// Why the lane stopped.
     pub stop: StopReason,
+    /// The lane's deterministic engine counters (already flushed to the
+    /// global telemetry aggregate).
+    pub counters: RunCounters,
 }
 
-/// Packs `inits` into replica-major SoA state.
-fn pack_soa<P: PackedProtocol>(
-    protocol: &P,
-    n: usize,
-    inits: &[Configuration<P::State>],
-) -> Vec<P::Lane> {
-    let lanes = inits.len();
-    let mut soa = Vec::with_capacity(n * lanes);
-    for v in 0..n {
-        for init in inits {
-            soa.push(protocol.pack(init.get(VertexId::new(v))));
-        }
-    }
-    soa
+/// What a batched run observes per lane beyond steps, moves and stop
+/// reasons — the seam the step loop is generic over.
+///
+/// The loop calls [`BatchMonitor::start`] once with the packed initial
+/// state. Each pass it then asks [`BatchMonitor::wants_stop`] for every
+/// live lane (after the terminal and step-limit checks: the scalar
+/// engine's observer-request slot), reports every committed move to
+/// [`BatchMonitor::commit`], and calls [`BatchMonitor::step`] once per
+/// executed lane step with the post-commit configuration index.
+pub trait BatchMonitor<P: PackedProtocol> {
+    /// Per-lane result of a run under this monitor.
+    type Report;
+
+    /// Observes the initial state: `soa` is replica-major with `lanes`
+    /// lanes (`soa[v * lanes + l]`).
+    fn start(&mut self, graph: &Graph, protocol: &P, lanes: usize, soa: &[P::Lane]);
+
+    /// Commit hook: lane `lane` moved vertex `v` to the lane word `word`.
+    fn commit(&mut self, protocol: &P, lane: usize, v: usize, word: P::Lane);
+
+    /// Lane `lane` finished a step; its configuration index is now
+    /// `index` (the scalar observers' `event.step`).
+    fn step(&mut self, graph: &Graph, lane: usize, index: usize);
+
+    /// Whether lane `lane` requests a stop before its next step.
+    fn wants_stop(&self, lane: usize) -> bool;
+
+    /// Turns the per-lane summaries into the run's reports.
+    fn finish(self, lanes: Vec<LaneSummary<P::State>>) -> Vec<Self::Report>;
 }
 
-/// Per-lane enabled/activated counts for this iteration.
-fn count_fired(_n: usize, lanes: usize, fired: &[bool], out: &mut [u32]) {
-    out.fill(0);
-    for row in fired.chunks_exact(lanes) {
-        for (cnt, &f) in out.iter_mut().zip(row) {
-            *cnt += u32::from(f);
+/// The monitor of a plain run: observes nothing and never stops a lane,
+/// so the step loop compiles down to the bare engine. Its reports are
+/// the [`LaneSummary`]s themselves.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct NoMonitor;
+
+impl<P: PackedProtocol> BatchMonitor<P> for NoMonitor {
+    type Report = LaneSummary<P::State>;
+
+    #[inline]
+    fn start(&mut self, _graph: &Graph, _protocol: &P, _lanes: usize, _soa: &[P::Lane]) {}
+
+    #[inline]
+    fn commit(&mut self, _protocol: &P, _lane: usize, _v: usize, _word: P::Lane) {}
+
+    #[inline]
+    fn step(&mut self, _graph: &Graph, _lane: usize, _index: usize) {}
+
+    #[inline]
+    fn wants_stop(&self, _lane: usize) -> bool {
+        false
+    }
+
+    fn finish(self, lanes: Vec<LaneSummary<P::State>>) -> Vec<LaneSummary<P::State>> {
+        lanes
+    }
+}
+
+/// One lane's slice of the measurement stack: the safety monitor, the
+/// legitimacy monitor and the early-stop run length, updated with the
+/// exact indices and order the scalar observers see.
+#[derive(Clone, Default)]
+struct LaneRecord {
+    violations: usize,
+    last_violation: Option<usize>,
+    first_legitimate: Option<usize>,
+    last_illegitimate: Option<usize>,
+    /// Consecutive legitimate configurations ending at the latest one.
+    consecutive: usize,
+}
+
+/// The measured-run monitor: per lane, the stack a scalar
+/// [`MeasurementContext`](crate::measure::MeasurementContext) runs —
+/// safety monitor, legitimacy monitor and, with an early-stop margin,
+/// [`MeasurementContext::with_early_stop`](crate::measure::MeasurementContext::with_early_stop)
+/// on the legitimacy predicate. The predicates read a per-lane mirror
+/// configuration that the commit hook keeps equal to the lane's packed
+/// state, O(moves) per step.
+///
+/// Each lane's report is a [`StabilizationReport`] plus its final
+/// configuration.
+pub struct PredicateMonitor<S> {
+    safety: ConfigPredicate<S>,
+    legitimacy: ConfigPredicate<S>,
+    early_stop_margin: Option<usize>,
+    mirrors: Vec<Configuration<S>>,
+    records: Vec<LaneRecord>,
+}
+
+impl<S> PredicateMonitor<S> {
+    /// Measures `safety` and `legitimacy`; `early_stop_margin: Some(m)`
+    /// stops a lane once legitimacy has held for `m + 1` consecutive
+    /// configurations. Legitimacy is evaluated once per lane step and
+    /// feeds both the legitimacy record and the early-stop count.
+    #[must_use]
+    pub fn new(
+        safety: ConfigPredicate<S>,
+        legitimacy: ConfigPredicate<S>,
+        early_stop_margin: Option<usize>,
+    ) -> Self {
+        Self { safety, legitimacy, early_stop_margin, mirrors: Vec::new(), records: Vec::new() }
+    }
+
+    /// Checks lane `l`'s mirror as configuration `index`.
+    fn check(&mut self, graph: &Graph, l: usize, index: usize) {
+        let config = &self.mirrors[l];
+        let r = &mut self.records[l];
+        if !(self.safety)(config, graph) {
+            r.violations += 1;
+            r.last_violation = Some(index);
+        }
+        if (self.legitimacy)(config, graph) {
+            r.first_legitimate.get_or_insert(index);
+            r.consecutive += 1;
+        } else {
+            r.last_illegitimate = Some(index);
+            r.consecutive = 0;
         }
     }
 }
 
-/// Commits fired successor states for unmasked lanes (`commit[l]`),
-/// leaving masked lanes' state frozen.
-fn commit_fired<L: LaneWord>(
-    _n: usize,
-    lanes: usize,
-    commit: &[bool],
-    fired: &[bool],
-    next: &[L],
-    soa: &mut [L],
-) {
-    // Branch-free blend per element: the fired mask changes every step,
-    // so a per-element `if` mispredicts its way through the whole matrix;
-    // the bitwise select is data-independent and vectorizes. The
-    // chunk/zip shape matters — indexed accesses against a runtime
-    // `lanes` keep per-element bounds checks alive and block the
-    // vectorizer (measured ~10x slower than this form).
-    let commit = &commit[..lanes];
-    for (srow, (nrow, frow)) in
-        soa.chunks_exact_mut(lanes).zip(next.chunks_exact(lanes).zip(fired.chunks_exact(lanes)))
-    {
-        for (((s, &nx), &f), &c) in srow.iter_mut().zip(nrow).zip(frow).zip(commit) {
-            *s = s.blend(nx, f & c);
-        }
-    }
-}
+impl<P: PackedProtocol> BatchMonitor<P> for PredicateMonitor<P::State> {
+    type Report = (StabilizationReport, Configuration<P::State>);
 
-/// Shared per-lane bookkeeping for both batch runners.
-struct LaneState {
-    steps: Vec<usize>,
-    moves: Vec<u64>,
-    stop: Vec<Option<StopReason>>,
-    commit: Vec<bool>,
-    fired_count: Vec<u32>,
-    counters: Vec<RunCounters>,
-    active: usize,
-    /// Scheduled lane-step slots: `lanes` per pass that committed at
-    /// least one lane (the final all-stop drain pass charges nothing).
-    lane_step_slots: u64,
-    /// Slots where a lane was scheduled but rode masked — per logical
-    /// step, so `lane_step_slots − idle_lane_steps == Σ steps[l]`.
-    idle_lane_steps: u64,
-}
-
-impl LaneState {
-    fn new(lanes: usize) -> Self {
-        Self {
-            steps: vec![0; lanes],
-            moves: vec![0; lanes],
-            stop: vec![None; lanes],
-            commit: vec![false; lanes],
-            fired_count: vec![0; lanes],
-            counters: vec![RunCounters::new(); lanes],
-            active: lanes,
-            lane_step_slots: 0,
-            idle_lane_steps: 0,
-        }
-    }
-
-    /// Charges this pass's step-slot accounting: one slot per lane when
-    /// any lane committed, idle for the lanes that did not. Counting per
-    /// logical step (instead of per evaluation pass) keeps occupancy
-    /// comparable across lane widths — a u8-packed batch runs 64 replicas
-    /// per cache line where an i32-packed one runs 16 — and makes
-    /// `lane_step_slots − idle_lane_steps` exactly the steps executed.
-    fn charge_pass(&mut self, lanes: usize, committed: usize) {
-        if committed > 0 {
-            self.lane_step_slots += lanes as u64;
-            self.idle_lane_steps += (lanes - committed) as u64;
-        }
-    }
-
-    /// Flushes per-lane counters and the batch occupancy tallies to the
-    /// global telemetry aggregate (one batched flush per lane, mirroring
-    /// the scalar engine's once-per-run discipline).
-    fn flush_telemetry(&mut self, lanes: usize) {
-        let telemetry = specstab_telemetry::global();
+    fn start(&mut self, graph: &Graph, protocol: &P, lanes: usize, soa: &[P::Lane]) {
+        self.mirrors = (0..lanes).map(|l| unpack_lane(protocol, soa, lanes, l)).collect();
+        self.records = vec![LaneRecord::default(); lanes];
         for l in 0..lanes {
-            self.counters[l].steps = self.steps[l] as u64;
-            self.counters[l].moves = self.moves[l];
-            telemetry.record_run(&self.counters[l]);
+            self.check(graph, l, 0);
         }
-        telemetry.record_batch(lanes as u64, self.lane_step_slots, self.idle_lane_steps);
     }
-}
 
-/// [`run_batch_with`] under the synchronous daemon (the original batched
-/// entry point, kept as the common case's short name).
-///
-/// # Panics
-///
-/// Panics when `inits` is empty or a configuration's size does not match
-/// the graph.
-#[must_use]
-pub fn run_batch<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    inits: &[Configuration<P::State>],
-    max_steps: usize,
-) -> Vec<LaneSummary<P::State>> {
-    run_batch_with(graph, protocol, BatchDaemon::Sync, &[], inits, max_steps)
+    #[inline]
+    fn commit(&mut self, protocol: &P, lane: usize, v: usize, word: P::Lane) {
+        self.mirrors[lane].set(VertexId::new(v), protocol.unpack(word));
+    }
+
+    fn step(&mut self, graph: &Graph, lane: usize, index: usize) {
+        self.check(graph, lane, index);
+    }
+
+    fn wants_stop(&self, lane: usize) -> bool {
+        self.early_stop_margin.is_some_and(|m| self.records[lane].consecutive > m)
+    }
+
+    fn finish(self, lanes: Vec<LaneSummary<P::State>>) -> Vec<Self::Report> {
+        lanes
+            .into_iter()
+            .zip(self.records)
+            .map(|(s, r)| {
+                let report = StabilizationReport {
+                    steps_run: s.steps,
+                    moves: s.moves,
+                    stop: s.stop,
+                    last_violation: r.last_violation,
+                    violation_count: r.violations,
+                    stabilization_steps: r.last_violation.map_or(0, |i| i + 1),
+                    first_legitimate: r.first_legitimate,
+                    legitimacy_entry: r.last_illegitimate.map_or(0, |i| i + 1),
+                    ended_legitimate: r.consecutive > 0,
+                    counters: s.counters,
+                };
+                (report, s.final_config)
+            })
+            .collect()
+    }
 }
 
 /// Runs `inits.len()` replicas of `protocol` to termination (or
-/// `max_steps`) under `daemon`, batched.
+/// `max_steps`, or the monitor's stop request) under `daemon`, batched,
+/// and returns one `monitor` report per lane.
 ///
-/// Per lane, the result is exactly what a scalar
+/// Per lane, the run is exactly what a scalar
 /// [`Simulator::run`](crate::engine::Simulator::run) with the matching
 /// daemon ([`SynchronousDaemon`](crate::daemon::SynchronousDaemon), a
 /// freshly `reset()` [`CentralDaemon`](crate::daemon::CentralDaemon)
 /// round-robin or random, or a
 /// [`RandomDistributedDaemon`](crate::daemon::RandomDistributedDaemon))
-/// and no observers produces from the same initial configuration. For
-/// the random daemons, `lane_seeds[l]` must be the seed the scalar
-/// daemon for replica `l` was constructed with; the deterministic
-/// daemons ignore `lane_seeds` (pass `&[]`).
+/// produces from the same initial configuration — with no observers
+/// under [`NoMonitor`], with the
+/// [`MeasurementContext`](crate::measure::MeasurementContext) stack under
+/// [`PredicateMonitor`]. For the random daemons, `lane_seeds[l]` must be
+/// the seed the scalar daemon for replica `l` was constructed with; the
+/// deterministic daemons ignore `lane_seeds` (pass `&[]`).
 ///
 /// # Panics
 ///
@@ -887,30 +1138,38 @@ pub fn run_batch<P: PackedProtocol>(
 /// the graph, or a random daemon's `lane_seeds` length does not match
 /// `inits.len()`.
 #[must_use]
-pub fn run_batch_with<P: PackedProtocol>(
+pub fn run_batch<P: PackedProtocol, M: BatchMonitor<P>>(
     graph: &Graph,
     protocol: &P,
     daemon: BatchDaemon,
     lane_seeds: &[u64],
     inits: &[Configuration<P::State>],
     max_steps: usize,
-) -> Vec<LaneSummary<P::State>> {
+    monitor: M,
+) -> Vec<M::Report> {
+    let lanes = check_batch_args(graph, inits);
     match daemon {
-        BatchDaemon::Sync => run_batch_sync(graph, protocol, inits, max_steps),
-        _ => run_batch_divergent(graph, protocol, daemon, lane_seeds, inits, max_steps, false),
+        BatchDaemon::Sync => {
+            let dense = Dense { fired_count: vec![0; lanes] };
+            step_loop(graph, protocol, inits, max_steps, dense, monitor)
+        }
+        _ => {
+            let ds = DivergentState::new(daemon, graph.n(), lanes, lane_seeds, false);
+            step_loop(graph, protocol, inits, max_steps, ds, monitor)
+        }
     }
 }
 
-/// [`run_batch_with`] with the incremental enabled-bitset disabled: the
-/// divergent engine re-evaluates every guard with a whole-graph
-/// `step_lanes` sweep every pass. Selection, RNG streams and commits are
-/// shared with the incremental path, so comparing the two isolates
-/// exactly the touched-neighborhood bitset maintenance. Test-only
-/// reference; not part of the public API surface.
+/// [`run_batch`] (unmonitored) with the incremental enabled-bitset
+/// disabled: the divergent engine re-evaluates every guard with a
+/// whole-graph `step_lanes` sweep every pass. Selection, RNG streams and
+/// commits are shared with the incremental path, so comparing the two
+/// isolates exactly the touched-neighborhood bitset maintenance.
+/// Test-only reference; not part of the public API surface.
 ///
 /// # Panics
 ///
-/// As [`run_batch_with`]; additionally panics under [`BatchDaemon::Sync`]
+/// As [`run_batch`]; additionally panics under [`BatchDaemon::Sync`]
 /// (which has no divergent path to compare).
 #[doc(hidden)]
 #[must_use]
@@ -923,523 +1182,109 @@ pub fn run_batch_with_dense_sweep<P: PackedProtocol>(
     max_steps: usize,
 ) -> Vec<LaneSummary<P::State>> {
     assert!(daemon != BatchDaemon::Sync, "the dense-sweep reference is for divergent daemons");
-    run_batch_divergent(graph, protocol, daemon, lane_seeds, inits, max_steps, true)
+    let lanes = check_batch_args(graph, inits);
+    let ds = DivergentState::new(daemon, graph.n(), lanes, lane_seeds, true);
+    step_loop(graph, protocol, inits, max_steps, ds, NoMonitor)
 }
 
-fn check_batch_args<S>(graph: &Graph, inits: &[Configuration<S>]) -> (usize, usize) {
-    let n = graph.n();
-    let lanes = inits.len();
-    assert!(lanes > 0, "a batch needs at least one replica lane");
+/// Validates the batch shape and returns the lane count.
+fn check_batch_args<S>(graph: &Graph, inits: &[Configuration<S>]) -> usize {
+    assert!(!inits.is_empty(), "a batch needs at least one replica lane");
     for init in inits {
-        assert_eq!(init.len(), n, "configuration size must match graph");
+        assert_eq!(init.len(), graph.n(), "configuration size must match graph");
     }
-    (n, lanes)
+    inits.len()
 }
 
-/// The synchronous dense path: whole-graph `step_lanes` every pass, the
-/// whole fired set committed per lane with branch-free blends.
-fn run_batch_sync<P: PackedProtocol>(
+/// The one batched step loop. Every pass: stop checks, step-slot
+/// charging, select + commit (each move reported to the monitor's commit
+/// hook), per-lane accounting with the monitor's post-step check, then
+/// the schedule's guard refresh.
+fn step_loop<P: PackedProtocol, D: Schedule<P>, M: BatchMonitor<P>>(
     graph: &Graph,
     protocol: &P,
     inits: &[Configuration<P::State>],
     max_steps: usize,
-) -> Vec<LaneSummary<P::State>> {
-    let (n, lanes) = check_batch_args(graph, inits);
-    let mut soa = pack_soa(protocol, n, inits);
-    let mut next = soa.clone();
-    let mut fired = vec![false; n * lanes];
-    let mut scratch = P::LaneScratch::default();
-    let mut ls = LaneState::new(lanes);
+    mut schedule: D,
+    mut monitor: M,
+) -> Vec<M::Report> {
+    let n = graph.n();
+    let mut soa = Soa::pack(protocol, n, inits);
+    let lanes = soa.lanes;
+    let mut stop: Vec<Option<StopReason>> = vec![None; lanes];
+    let mut commit = vec![false; lanes];
+    let mut counters = vec![RunCounters::new(); lanes];
+    let mut lane_step_slots = 0u64;
+    let mut idle_lane_steps = 0u64;
+    schedule.start(graph, protocol, &mut soa);
+    monitor.start(graph, protocol, lanes, &soa.state);
 
-    while ls.active > 0 {
-        protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
-        count_fired(n, lanes, &fired, &mut ls.fired_count);
+    loop {
+        // The scalar engine's loop-top order: terminal first, then the
+        // step limit, then an observer request.
         let mut committed = 0usize;
         for l in 0..lanes {
-            ls.commit[l] = false;
-            if ls.stop[l].is_some() {
+            commit[l] = false;
+            if stop[l].is_some() {
                 continue;
             }
-            ls.counters[l].guard_evals += n as u64;
-            // The scalar engine's loop-top order: terminal first, then the
-            // step limit (no observers on the plain path).
-            if ls.fired_count[l] == 0 {
-                ls.stop[l] = Some(StopReason::Terminal);
-                ls.active -= 1;
-            } else if ls.steps[l] >= max_steps {
-                ls.stop[l] = Some(StopReason::MaxSteps);
-                ls.active -= 1;
+            counters[l].guard_evals += n as u64;
+            stop[l] = if schedule.enabled(l) == 0 {
+                Some(StopReason::Terminal)
+            } else if counters[l].steps >= max_steps as u64 {
+                Some(StopReason::MaxSteps)
+            } else if monitor.wants_stop(l) {
+                Some(StopReason::ObserverRequest)
             } else {
-                ls.commit[l] = true;
+                commit[l] = true;
                 committed += 1;
-            }
-        }
-        ls.charge_pass(lanes, committed);
-        commit_fired(n, lanes, &ls.commit, &fired, &next, &mut soa);
-        for l in 0..lanes {
-            if ls.commit[l] {
-                // A committed pass is one step; it moves the whole fired
-                // set under the synchronous daemon.
-                let moved = u64::from(ls.fired_count[l]);
-                ls.steps[l] += 1;
-                ls.moves[l] += moved;
-                ls.counters[l].delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
-            }
-        }
-    }
-
-    ls.flush_telemetry(lanes);
-    collect_summaries(protocol, n, lanes, &soa, &ls)
-}
-
-/// The divergent path (rr / rand / dist): initial whole-graph evaluation
-/// builds the transposed bitset, then every pass selects from it with
-/// word scans, commits per lane, and re-evaluates only the commit's
-/// touched neighborhood.
-fn run_batch_divergent<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    daemon: BatchDaemon,
-    lane_seeds: &[u64],
-    inits: &[Configuration<P::State>],
-    max_steps: usize,
-    dense_sweep: bool,
-) -> Vec<LaneSummary<P::State>> {
-    let (n, lanes) = check_batch_args(graph, inits);
-    let mut soa = pack_soa(protocol, n, inits);
-    let mut next = soa.clone();
-    let mut fired = vec![false; n * lanes];
-    let mut scratch = P::LaneScratch::default();
-    let mut ls = LaneState::new(lanes);
-    let mut ds = DivergentState::new(daemon, n, lanes, lane_seeds, dense_sweep);
-    protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
-    ds.diff_all_rows(&fired);
-
-    while ls.active > 0 {
-        let mut committed = 0usize;
-        for l in 0..lanes {
-            ls.commit[l] = false;
-            if ls.stop[l].is_some() {
-                continue;
-            }
-            ls.counters[l].guard_evals += n as u64;
-            // The scalar engine's loop-top order: terminal first, then the
-            // step limit (no observers on the plain path).
-            if ds.cnt[l] == 0 {
-                ls.stop[l] = Some(StopReason::Terminal);
-                ls.active -= 1;
-            } else if ls.steps[l] >= max_steps {
-                ls.stop[l] = Some(StopReason::MaxSteps);
-                ls.active -= 1;
-            } else {
-                ls.commit[l] = true;
-                committed += 1;
-            }
+                None
+            };
         }
         if committed == 0 {
             break;
         }
-        ls.charge_pass(lanes, committed);
-        ds.select(&ls.commit);
-        ds.commit(graph, &ls.commit, &next, &mut soa, |_, _, _| {});
-        for l in 0..lanes {
-            if ls.commit[l] {
-                let moved = ds.moved(l);
-                ls.steps[l] += 1;
-                ls.moves[l] += moved;
-                ls.counters[l].delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
-            }
-        }
-        ds.refresh(graph, protocol, &soa, &mut next, &mut fired, &mut scratch);
-    }
-
-    ls.flush_telemetry(lanes);
-    collect_summaries(protocol, n, lanes, &soa, &ls)
-}
-
-fn collect_summaries<P: PackedProtocol>(
-    protocol: &P,
-    n: usize,
-    lanes: usize,
-    soa: &[P::Lane],
-    ls: &LaneState,
-) -> Vec<LaneSummary<P::State>> {
-    (0..lanes)
-        .map(|l| LaneSummary {
-            final_config: Configuration::from_fn(n, |v| {
-                protocol.unpack(soa[v.index() * lanes + l])
-            }),
-            steps: ls.steps[l],
-            moves: ls.moves[l],
-            stop: ls.stop[l].expect("every lane stopped"),
-        })
-        .collect()
-}
-
-/// Per-lane replica of the `MeasurementContext` monitor stack: safety
-/// monitor, legitimacy monitor and optional `StopAfterStable` counter,
-/// updated with the exact indices and order the scalar observers see.
-struct LaneMonitors {
-    violations: usize,
-    first_violation: Option<usize>,
-    last_violation: Option<usize>,
-    first_legitimate: Option<usize>,
-    last_illegitimate: Option<usize>,
-    seen: usize,
-    consecutive: usize,
-}
-
-impl LaneMonitors {
-    fn start<S>(
-        config: &Configuration<S>,
-        graph: &Graph,
-        safety: &ConfigPredicate<S>,
-        legitimacy: &ConfigPredicate<S>,
-        early_stop: Option<&(&ConfigPredicate<S>, usize)>,
-    ) -> Self {
-        let mut m = Self {
-            violations: 0,
-            first_violation: None,
-            last_violation: None,
-            first_legitimate: None,
-            last_illegitimate: None,
-            seen: 0,
-            consecutive: 0,
-        };
-        m.check(0, config, graph, safety, legitimacy);
-        if let Some((pred, _)) = early_stop {
-            m.consecutive = usize::from(pred(config, graph));
-        }
-        m
-    }
-
-    fn check<S>(
-        &mut self,
-        index: usize,
-        config: &Configuration<S>,
-        graph: &Graph,
-        safety: &ConfigPredicate<S>,
-        legitimacy: &ConfigPredicate<S>,
-    ) {
-        if !safety(config, graph) {
-            self.violations += 1;
-            self.first_violation.get_or_insert(index);
-            self.last_violation = Some(index);
-        }
-        self.seen = index + 1;
-        if legitimacy(config, graph) {
-            self.first_legitimate.get_or_insert(index);
-        } else {
-            self.last_illegitimate = Some(index);
-        }
-    }
-
-    fn step<S>(
-        &mut self,
-        index: usize,
-        config: &Configuration<S>,
-        graph: &Graph,
-        safety: &ConfigPredicate<S>,
-        legitimacy: &ConfigPredicate<S>,
-        early_stop: Option<&(&ConfigPredicate<S>, usize)>,
-    ) {
-        self.check(index, config, graph, safety, legitimacy);
-        if let Some((pred, _)) = early_stop {
-            if pred(config, graph) {
-                self.consecutive += 1;
-            } else {
-                self.consecutive = 0;
-            }
-        }
-    }
-
-    fn should_stop(&self, margin: Option<usize>) -> bool {
-        margin.is_some_and(|m| self.consecutive > m)
-    }
-
-    fn ended_legitimate(&self) -> bool {
-        match (self.first_legitimate, self.last_illegitimate) {
-            (Some(_), None) => true,
-            (Some(f), Some(l)) => f > l || self.seen > l + 1,
-            _ => false,
-        }
-    }
-
-    fn into_report(
-        self,
-        steps: usize,
-        moves: u64,
-        stop: StopReason,
-        counters: RunCounters,
-    ) -> StabilizationReport {
-        StabilizationReport {
-            steps_run: steps,
-            moves,
-            stop,
-            last_violation: self.last_violation,
-            violation_count: self.violations,
-            stabilization_steps: self.last_violation.map_or(0, |i| i + 1),
-            first_legitimate: self.first_legitimate,
-            legitimacy_entry: self.last_illegitimate.map_or(0, |i| i + 1),
-            ended_legitimate: self.ended_legitimate(),
-            counters,
-        }
-    }
-}
-
-/// [`run_batch_measured_with`] under the synchronous daemon (the original
-/// measured entry point, kept as the common case's short name).
-///
-/// # Panics
-///
-/// Panics when `inits` is empty or a configuration's size does not match
-/// the graph.
-#[must_use]
-pub fn run_batch_measured<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    inits: Vec<Configuration<P::State>>,
-    max_steps: usize,
-    safety: &ConfigPredicate<P::State>,
-    legitimacy: &ConfigPredicate<P::State>,
-    early_stop: Option<(&ConfigPredicate<P::State>, usize)>,
-) -> Vec<(StabilizationReport, Configuration<P::State>)> {
-    run_batch_measured_with(
-        graph,
-        protocol,
-        BatchDaemon::Sync,
-        &[],
-        inits,
-        max_steps,
-        safety,
-        legitimacy,
-        early_stop,
-    )
-}
-
-/// [`run_batch_with`] with the full per-lane measurement stack: each lane
-/// gets the [`StabilizationReport`] a scalar
-/// [`MeasurementContext`](crate::measure::MeasurementContext) (optionally
-/// with early stop) would produce from the same initial configuration
-/// under the matching daemon, plus its final configuration. For the
-/// random daemons, `lane_seeds[l]` must be the seed the scalar daemon
-/// for replica `l` was constructed with (deterministic daemons pass
-/// `&[]`).
-///
-/// `early_stop` mirrors
-/// [`MeasurementContext::with_early_stop`](crate::measure::MeasurementContext::with_early_stop):
-/// `(predicate, margin)` stops a lane once the predicate has held for
-/// `margin + 1` consecutive configurations.
-///
-/// # Panics
-///
-/// Panics when `inits` is empty, a configuration's size does not match
-/// the graph, or a random daemon's `lane_seeds` length does not match
-/// `inits.len()`.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_batch_measured_with<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    daemon: BatchDaemon,
-    lane_seeds: &[u64],
-    inits: Vec<Configuration<P::State>>,
-    max_steps: usize,
-    safety: &ConfigPredicate<P::State>,
-    legitimacy: &ConfigPredicate<P::State>,
-    early_stop: Option<(&ConfigPredicate<P::State>, usize)>,
-) -> Vec<(StabilizationReport, Configuration<P::State>)> {
-    match daemon {
-        BatchDaemon::Sync => run_batch_measured_sync(
-            graph, protocol, inits, max_steps, safety, legitimacy, early_stop,
-        ),
-        _ => run_batch_measured_divergent(
-            graph, protocol, daemon, lane_seeds, inits, max_steps, safety, legitimacy, early_stop,
-        ),
-    }
-}
-
-fn run_batch_measured_sync<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    inits: Vec<Configuration<P::State>>,
-    max_steps: usize,
-    safety: &ConfigPredicate<P::State>,
-    legitimacy: &ConfigPredicate<P::State>,
-    early_stop: Option<(&ConfigPredicate<P::State>, usize)>,
-) -> Vec<(StabilizationReport, Configuration<P::State>)> {
-    let (n, lanes) = check_batch_args(graph, &inits);
-    let mut soa = pack_soa(protocol, n, &inits);
-    let mut next = soa.clone();
-    let mut fired = vec![false; n * lanes];
-    let mut scratch = P::LaneScratch::default();
-    let mut ls = LaneState::new(lanes);
-    // The init configurations double as per-lane mirrors for predicate
-    // evaluation, repaired incrementally from the fired set each commit —
-    // O(moves) per step per lane, no clones.
-    let mut mirrors = inits;
-    let mut monitors: Vec<LaneMonitors> = mirrors
-        .iter()
-        .map(|m| LaneMonitors::start(m, graph, safety, legitimacy, early_stop.as_ref()))
-        .collect();
-
-    while ls.active > 0 {
-        protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
-        count_fired(n, lanes, &fired, &mut ls.fired_count);
-        let margin = early_stop.as_ref().map(|&(_, m)| m);
-        let committed = measured_stop_checks(&mut ls, &monitors, n, max_steps, margin);
-        ls.charge_pass(lanes, committed);
-        // Commit, then repair the per-lane mirrors to match, then run the
-        // monitor checks at the post-commit step index (the scalar
-        // observers see `event.step` = steps-after-increment). Under Sync
-        // the repair covers the whole fired set.
-        commit_fired(n, lanes, &ls.commit, &fired, &next, &mut soa);
-        for v in 0..n {
-            let base = v * lanes;
-            for l in 0..lanes {
-                if fired[base + l] && ls.commit[l] {
-                    mirrors[l].set(VertexId::new(v), protocol.unpack(next[base + l]));
-                }
-            }
-        }
-        for l in 0..lanes {
-            if ls.commit[l] {
-                let moved = u64::from(ls.fired_count[l]);
-                ls.steps[l] += 1;
-                ls.moves[l] += moved;
-                ls.counters[l].delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
-                monitors[l].step(
-                    ls.steps[l],
-                    &mirrors[l],
-                    graph,
-                    safety,
-                    legitimacy,
-                    early_stop.as_ref(),
-                );
-            }
-        }
-    }
-
-    ls.flush_telemetry(lanes);
-    collect_measured(monitors, mirrors, ls)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batch_measured_divergent<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    daemon: BatchDaemon,
-    lane_seeds: &[u64],
-    inits: Vec<Configuration<P::State>>,
-    max_steps: usize,
-    safety: &ConfigPredicate<P::State>,
-    legitimacy: &ConfigPredicate<P::State>,
-    early_stop: Option<(&ConfigPredicate<P::State>, usize)>,
-) -> Vec<(StabilizationReport, Configuration<P::State>)> {
-    let (n, lanes) = check_batch_args(graph, &inits);
-    let mut soa = pack_soa(protocol, n, &inits);
-    let mut next = soa.clone();
-    let mut fired = vec![false; n * lanes];
-    let mut scratch = P::LaneScratch::default();
-    let mut ls = LaneState::new(lanes);
-    let mut ds = DivergentState::new(daemon, n, lanes, lane_seeds, false);
-    let mut mirrors = inits;
-    let mut monitors: Vec<LaneMonitors> = mirrors
-        .iter()
-        .map(|m| LaneMonitors::start(m, graph, safety, legitimacy, early_stop.as_ref()))
-        .collect();
-    protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
-    ds.diff_all_rows(&fired);
-
-    while ls.active > 0 {
-        ls.fired_count.copy_from_slice(&ds.cnt);
-        let margin = early_stop.as_ref().map(|&(_, m)| m);
-        let committed = measured_stop_checks(&mut ls, &monitors, n, max_steps, margin);
-        if committed == 0 {
-            break;
-        }
-        ls.charge_pass(lanes, committed);
-        ds.select(&ls.commit);
-        // Commit and repair each lane's mirror in one walk, then run the
-        // monitor checks at the post-commit step index — the scalar
-        // observers see every move of the step applied before the check.
-        ds.commit(graph, &ls.commit, &next, &mut soa, |l, v, val| {
-            mirrors[l].set(VertexId::new(v), protocol.unpack(val));
+        // Charge the pass one step-slot per lane, idle for the lanes that
+        // do not commit. Counting per logical step (instead of per
+        // evaluation pass) keeps occupancy comparable across lane widths —
+        // a u8-packed batch runs 64 replicas per cache line where an
+        // i32-packed one runs 16 — and makes `lane_step_slots −
+        // idle_lane_steps` exactly the steps executed.
+        lane_step_slots += lanes as u64;
+        idle_lane_steps += (lanes - committed) as u64;
+        schedule.commit(graph, &commit, &mut soa, |l, v, word| {
+            monitor.commit(protocol, l, v, word);
         });
+        // The monitor checks run at the post-commit step index: the scalar
+        // observers see every move of the step applied.
         for l in 0..lanes {
-            if ls.commit[l] {
-                let moved = ds.moved(l);
-                ls.steps[l] += 1;
-                ls.moves[l] += moved;
-                ls.counters[l].delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
-                monitors[l].step(
-                    ls.steps[l],
-                    &mirrors[l],
-                    graph,
-                    safety,
-                    legitimacy,
-                    early_stop.as_ref(),
-                );
+            if commit[l] {
+                let moved = schedule.moved(l);
+                let c = &mut counters[l];
+                c.steps += 1;
+                c.moves += moved;
+                c.delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
+                monitor.step(graph, l, c.steps as usize);
             }
         }
-        ds.refresh(graph, protocol, &soa, &mut next, &mut fired, &mut scratch);
+        schedule.refresh(graph, protocol, &mut soa);
     }
 
-    ls.flush_telemetry(lanes);
-    collect_measured(monitors, mirrors, ls)
-}
-
-/// The measured runners' shared stop-check pass: terminal, step limit,
-/// observer request — the scalar engine's loop-top order. Returns how
-/// many lanes will commit a step this pass.
-fn measured_stop_checks(
-    ls: &mut LaneState,
-    monitors: &[LaneMonitors],
-    n: usize,
-    max_steps: usize,
-    margin: Option<usize>,
-) -> usize {
-    let mut committed = 0usize;
-    for (l, monitor) in monitors.iter().enumerate() {
-        ls.commit[l] = false;
-        if ls.stop[l].is_some() {
-            continue;
-        }
-        ls.counters[l].guard_evals += n as u64;
-        if ls.fired_count[l] == 0 {
-            ls.stop[l] = Some(StopReason::Terminal);
-            ls.active -= 1;
-        } else if ls.steps[l] >= max_steps {
-            ls.stop[l] = Some(StopReason::MaxSteps);
-            ls.active -= 1;
-        } else if monitor.should_stop(margin) {
-            ls.stop[l] = Some(StopReason::ObserverRequest);
-            ls.active -= 1;
-        } else {
-            ls.commit[l] = true;
-            committed += 1;
-        }
-    }
-    committed
-}
-
-fn collect_measured<S>(
-    monitors: Vec<LaneMonitors>,
-    mirrors: Vec<Configuration<S>>,
-    ls: LaneState,
-) -> Vec<(StabilizationReport, Configuration<S>)> {
-    monitors
-        .into_iter()
-        .zip(mirrors)
-        .enumerate()
-        .map(|(l, (m, final_config))| {
-            let report = m.into_report(
-                ls.steps[l],
-                ls.moves[l],
-                ls.stop[l].expect("every lane stopped"),
-                ls.counters[l],
-            );
-            (report, final_config)
+    // One telemetry flush per lane, mirroring the scalar engine's
+    // once-per-run discipline, plus the batch occupancy tallies.
+    let telemetry = specstab_telemetry::global();
+    telemetry.record_batch(lanes as u64, lane_step_slots, idle_lane_steps);
+    let summaries = (0..lanes)
+        .map(|l| {
+            telemetry.record_run(&counters[l]);
+            LaneSummary {
+                final_config: unpack_lane(protocol, &soa.state, lanes, l),
+                steps: counters[l].steps as usize,
+                moves: counters[l].moves,
+                stop: stop[l].expect("every lane stopped"),
+                counters: counters[l],
+            }
         })
-        .collect()
+        .collect();
+    monitor.finish(summaries)
 }

@@ -14,6 +14,7 @@
 //! is the maximum, the *synchronous* daemon `sd` and the *central* daemon
 //! `cd` are strictly below it, and `sd`/`cd` are incomparable.
 
+use crate::batch::BatchDaemon;
 use crate::config::Configuration;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -611,6 +612,27 @@ pub fn parse_daemon_spec<S: 'static>(spec: &str, seed: u64) -> Result<BoxedDaemo
     }
 }
 
+impl BatchDaemon {
+    /// The batched schedule replaying the daemon a textual spec names
+    /// (the [`parse_daemon_spec`] syntax): `sync`, `central-rr`,
+    /// `central-rand` and `dist:<p>` with `p` in `[0, 1]`. Every other
+    /// spec — history-reading or adversarial daemons, and malformed
+    /// specs — has no batched schedule and maps to `None`.
+    #[must_use]
+    pub fn from_spec(spec: &str) -> Option<BatchDaemon> {
+        match spec {
+            "sync" => Some(BatchDaemon::Sync),
+            "central-rr" => Some(BatchDaemon::CentralRr),
+            "central-rand" => Some(BatchDaemon::CentralRand),
+            _ => spec
+                .strip_prefix("dist:")
+                .and_then(|p| p.parse::<f64>().ok())
+                .filter(|p| (0.0..=1.0).contains(p))
+                .map(|p| BatchDaemon::RandomDistributed { p }),
+        }
+    }
+}
+
 /// Scoring function for [`GreedyAdversary`]: **lower scores are better for
 /// the protocol**, so the adversary picks the action whose successor
 /// configuration has the *highest* score (least progress). `Send` so
@@ -865,6 +887,42 @@ mod tests {
             let ctx = SelectionContext::new(&enabled, &c, &g, step, &preview);
             let sel = select_into(&mut daemon, &ctx);
             assert_eq!(sel, vec![expected], "pick diverged at step {step}");
+        }
+    }
+
+    #[test]
+    fn batch_daemon_specs_agree_with_the_scalar_parser() {
+        let specs = [
+            "sync",
+            "central-rr",
+            "central-rand",
+            "dist:0",
+            "dist:0.5",
+            "dist:1",
+            "dist:1.5",
+            "dist:x",
+            "kbounded:3",
+            "central-oldest",
+            "central-min",
+            "bogus",
+        ];
+        for spec in specs {
+            let Some(batch) = BatchDaemon::from_spec(spec) else { continue };
+            let scalar = parse_daemon_spec::<u8>(spec, 7).expect("batchable specs parse");
+            let class = match batch {
+                BatchDaemon::Sync => DaemonClass::synchronous(),
+                BatchDaemon::CentralRr => DaemonClass::central_weakly_fair(),
+                BatchDaemon::CentralRand => DaemonClass::central_unfair(),
+                BatchDaemon::RandomDistributed { .. } => DaemonClass::unfair_distributed(),
+            };
+            assert_eq!(scalar.class(), class, "{spec}");
+        }
+        assert_eq!(
+            BatchDaemon::from_spec("dist:0.5"),
+            Some(BatchDaemon::RandomDistributed { p: 0.5 })
+        );
+        for spec in ["dist:1.5", "dist:x", "kbounded:3", "central-oldest"] {
+            assert_eq!(BatchDaemon::from_spec(spec), None, "{spec}");
         }
     }
 

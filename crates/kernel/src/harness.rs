@@ -273,9 +273,9 @@ pub trait ProtocolHarness: Sized {
     /// `None` (the default) means "no packed implementation — use the
     /// scalar path". Harnesses whose protocols implement
     /// [`PackedProtocol`](crate::batch::PackedProtocol) override this to
-    /// call
-    /// [`run_batch_measured_with`](crate::batch::run_batch_measured_with)
-    /// with their own predicates.
+    /// call [`run_batch`](crate::batch::run_batch) with a
+    /// [`PredicateMonitor`](crate::batch::PredicateMonitor) over their own
+    /// predicates.
     #[must_use]
     fn batched_measure(
         &self,

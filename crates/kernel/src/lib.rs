@@ -20,7 +20,8 @@
 //!   greedy adversarial, ...);
 //! * [`engine::Simulator`] — the step loop with pluggable [`observer`]s;
 //! * [`batch`] — replica-parallel batched stepping: K seed-replicas in
-//!   structure-of-arrays lanes under the synchronous daemon;
+//!   structure-of-arrays lanes through one step loop, under the
+//!   synchronous, central and random distributed daemons;
 //! * [`measure`] — stabilization-time measurement (Def. 3);
 //! * [`search`] — exhaustive worst-case analysis on small instances by
 //!   materializing the configuration game graph;
@@ -75,7 +76,9 @@ pub mod protocol;
 pub mod search;
 pub mod spec;
 
-pub use batch::{run_batch, run_batch_measured, LaneSummary, PackedProtocol};
+pub use batch::{
+    run_batch, BatchMonitor, LaneSummary, NoMonitor, PackedProtocol, PredicateMonitor,
+};
 pub use config::Configuration;
 pub use daemon::{Daemon, DaemonClass};
 pub use engine::{RunLimits, RunSummary, Simulator, StepScratch};

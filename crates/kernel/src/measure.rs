@@ -14,9 +14,7 @@
 use crate::config::Configuration;
 use crate::daemon::Daemon;
 use crate::engine::{RunLimits, Simulator, StepScratch, StopReason};
-use crate::observer::{
-    ConfigPredicate, LegitimacyMonitor, MoveCounter, Observer, SafetyMonitor, StopAfterStable,
-};
+use crate::observer::{ConfigPredicate, LegitimacyMonitor, SafetyMonitor, StopAfterStable};
 use crate::protocol::Protocol;
 use specstab_topology::Graph;
 
@@ -61,12 +59,12 @@ impl MeasureSettings {
     }
 }
 
-/// The reusable per-run measurement context: safety + legitimacy monitors,
-/// move accounting and optional early stopping, bundled so every caller
-/// (the `measure_*` helpers here, the campaign executor's workers, ad-hoc
-/// tools) assembles identical [`StabilizationReport`]s.
+/// The reusable per-run measurement context: safety + legitimacy monitors
+/// and optional early stopping, bundled so every caller (the `measure_*`
+/// helpers here, the campaign executor's workers, ad-hoc tools) assembles
+/// identical [`StabilizationReport`]s. Moves come from the run summary.
 ///
-/// All four monitors observe borrowed configurations and the step delta —
+/// All three monitors observe borrowed configurations and the step delta —
 /// none of them clones, so a measured run keeps the engine's
 /// zero-allocation steady state (see [`crate::engine`]).
 ///
@@ -76,7 +74,6 @@ impl MeasureSettings {
 pub struct MeasurementContext<S> {
     safety_mon: SafetyMonitor<S>,
     legit_mon: LegitimacyMonitor<S>,
-    moves: MoveCounter,
     stopper: Option<StopAfterStable<S>>,
 }
 
@@ -87,7 +84,6 @@ impl<S> MeasurementContext<S> {
         Self {
             safety_mon: SafetyMonitor::new(safety),
             legit_mon: LegitimacyMonitor::new(legitimacy),
-            moves: MoveCounter::new(),
             stopper: None,
         }
     }
@@ -123,19 +119,13 @@ impl<S> MeasurementContext<S> {
         max_steps: usize,
         scratch: &mut StepScratch<S>,
     ) -> StabilizationReport {
-        let summary = {
-            let mut observers: Vec<&mut dyn Observer<S>> =
-                vec![&mut self.safety_mon, &mut self.legit_mon, &mut self.moves];
-            if let Some(stopper) = self.stopper.as_mut() {
-                observers.push(stopper);
+        let limits = RunLimits::with_max_steps(max_steps);
+        let (safety, legit) = (&mut self.safety_mon, &mut self.legit_mon);
+        let summary = match self.stopper.as_mut() {
+            Some(stopper) => {
+                sim.run_with_scratch(init, daemon, limits, &mut [safety, legit, stopper], scratch)
             }
-            sim.run_with_scratch(
-                init,
-                daemon,
-                RunLimits::with_max_steps(max_steps),
-                &mut observers,
-                scratch,
-            )
+            None => sim.run_with_scratch(init, daemon, limits, &mut [safety, legit], scratch),
         };
         StabilizationReport {
             steps_run: summary.steps,

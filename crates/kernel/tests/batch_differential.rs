@@ -1,27 +1,26 @@
 //! Differential suite for replica-parallel batched stepping: every lane
-//! of [`run_batch`] / [`run_batch_measured`] (and their `_with` variants
-//! under the central round-robin, central-rand and random-distributed
-//! daemons) must be observationally identical to an independent scalar
-//! run of the same initial configuration under the matching scalar
-//! daemon — same step/move counts, same stop reason, same final
-//! configuration, and (for the measured runner) the same
-//! [`StabilizationReport`] monitor fields index for index, across
-//! topologies × seeds × lane counts K ∈ {1, 3, 64, 100}. The random
-//! daemons additionally pin the per-lane RNG streams: lane `l` seeded
-//! with `s` replays the scalar daemon seeded with `s` draw for draw.
-//! A final property holds the transposed incremental enabled-bitset to
-//! the dense full-sweep reference it replaced.
+//! of [`run_batch`] — under each of the four batchable daemons (sync,
+//! central round-robin, central-rand and random-distributed), with the
+//! no-op and the predicate monitor — must be observationally identical to
+//! an independent scalar run of the same initial configuration under the
+//! matching scalar daemon: same step/move counts, same stop reason, same
+//! final configuration, and (measured) the same [`StabilizationReport`]
+//! monitor fields index for index, across topologies × seeds × lane
+//! counts K ∈ {1, 3, 64, 100}. The random daemons additionally pin the
+//! per-lane RNG streams: lane `l` seeded with `s` replays the scalar
+//! daemon seeded with `s` draw for draw. A final property holds the
+//! transposed incremental enabled-bitset to the dense full-sweep
+//! reference it replaced.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use specstab_kernel::batch::{
-    run_batch, run_batch_measured, run_batch_measured_with, run_batch_with,
-    run_batch_with_dense_sweep, BatchDaemon, PackedProtocol,
+    run_batch, run_batch_with_dense_sweep, BatchDaemon, NoMonitor, PackedProtocol, PredicateMonitor,
 };
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::{
-    CentralDaemon, CentralStrategy, RandomDistributedDaemon, SynchronousDaemon,
+    CentralDaemon, CentralStrategy, Daemon, RandomDistributedDaemon, SynchronousDaemon,
 };
 use specstab_kernel::engine::{RunLimits, Simulator};
 use specstab_kernel::measure::{MeasurementContext, StabilizationReport};
@@ -141,13 +140,15 @@ fn random_inits(graph: &Graph, k: usize, seed: u64) -> Vec<Configuration<u32>> {
         .collect()
 }
 
-/// Legitimacy: the maximum has flooded (all states equal).
+/// Safety: the maximum has flooded (all states equal) — violated until the
+/// run terminates, so violation tracking has something to record mid-run.
 fn all_equal() -> ConfigPredicate<u32> {
     Box::new(|c, _| c.states().windows(2).all(|w| w[0] == w[1]))
 }
 
-/// Safety: an arbitrary nontrivial predicate (vertex 0 holds the global
-/// maximum), so violation tracking has something to record mid-run.
+/// Legitimacy: vertex 0 holds the global maximum. Closed (vertex 0 is
+/// then never enabled and the maximum never grows), and often reached
+/// well before termination, so early stop cuts runs short mid-run.
 fn zero_holds_max() -> ConfigPredicate<u32> {
     Box::new(|c, _| {
         let max = c.states().iter().copied().max().unwrap_or(0);
@@ -167,90 +168,118 @@ fn assert_reports_match(lane: &StabilizationReport, scalar: &StabilizationReport
     assert_eq!(lane.ended_legitimate, scalar.ended_legitimate);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Every batchable daemon, the random-distributed one at three inclusion
+/// probabilities.
+const MODES: [BatchDaemon; 6] = [
+    BatchDaemon::Sync,
+    BatchDaemon::CentralRr,
+    BatchDaemon::CentralRand,
+    BatchDaemon::RandomDistributed { p: 0.25 },
+    BatchDaemon::RandomDistributed { p: 0.5 },
+    BatchDaemon::RandomDistributed { p: 1.0 },
+];
 
-    /// Plain batched runs equal K independent scalar engine runs.
+/// One daemon seed per lane for the random daemons; the deterministic
+/// ones take none.
+fn lane_seeds(mode: BatchDaemon, k: usize, seed: u64) -> Vec<u64> {
+    if mode.needs_lane_seeds() {
+        (0..k as u64).map(|l| seed ^ (0x5EED * l + 7)).collect()
+    } else {
+        Vec::new()
+    }
+}
+
+/// The scalar daemon lane `l` of a `mode` batch replays.
+fn scalar_daemon(mode: BatchDaemon, seeds: &[u64], l: usize) -> Box<dyn Daemon<u32>> {
+    match mode {
+        BatchDaemon::Sync => Box::new(SynchronousDaemon::new()),
+        BatchDaemon::CentralRr => Box::new(CentralDaemon::new(CentralStrategy::RoundRobin)),
+        BatchDaemon::CentralRand => Box::new(CentralDaemon::new(CentralStrategy::Random(seeds[l]))),
+        BatchDaemon::RandomDistributed { p } => Box::new(RandomDistributedDaemon::new(p, seeds[l])),
+    }
+}
+
+/// Runs a plain batch of `k` lanes under `mode` and holds every lane to
+/// an independent scalar engine run of the same initial configuration.
+fn check_plain(mode: BatchDaemon, case: u8, seed: u64, k: usize, max_steps: usize) {
+    let graph = graph_for(case);
+    let inits = random_inits(&graph, k, seed);
+    let seeds = lane_seeds(mode, k, seed);
+    let lanes = run_batch(&graph, &MaxProto, mode, &seeds, &inits, max_steps, NoMonitor);
+    prop_assert_eq!(lanes.len(), k);
+    let sim = Simulator::new(&graph, &MaxProto);
+    for (l, (lane, init)) in lanes.iter().zip(&inits).enumerate() {
+        let mut daemon = scalar_daemon(mode, &seeds, l);
+        let limits = RunLimits::with_max_steps(max_steps);
+        let scalar = sim.run(init.clone(), daemon.as_mut(), limits, &mut []);
+        prop_assert_eq!(lane.steps, scalar.steps);
+        prop_assert_eq!(lane.moves, scalar.moves);
+        prop_assert_eq!(lane.stop, scalar.stop);
+        prop_assert_eq!(&lane.final_config, &scalar.final_config);
+    }
+}
+
+/// Runs a measured batch of `k` lanes under `mode` and holds every lane's
+/// report and final configuration to the scalar `MeasurementContext`.
+fn check_measured(mode: BatchDaemon, case: u8, seed: u64, k: usize, early: bool) {
+    let graph = graph_for(case);
+    let inits = random_inits(&graph, k, seed);
+    let seeds = lane_seeds(mode, k, seed);
+    let monitor = PredicateMonitor::new(all_equal(), zero_holds_max(), early.then_some(2));
+    let measured = run_batch(&graph, &MaxProto, mode, &seeds, &inits, 1_000, monitor);
+    prop_assert_eq!(measured.len(), k);
+    let sim = Simulator::new(&graph, &MaxProto);
+    for (l, ((report, final_config), init)) in measured.iter().zip(&inits).enumerate() {
+        let mut ctx = MeasurementContext::new(all_equal(), zero_holds_max());
+        if early {
+            ctx = ctx.with_early_stop(zero_holds_max(), 2);
+        }
+        let mut daemon = scalar_daemon(mode, &seeds, l);
+        let scalar = ctx.run(&sim, daemon.as_mut(), init.clone(), 1_000);
+        assert_reports_match(report, &scalar);
+        // The scalar measurement context doesn't expose its final
+        // configuration, so cross-check against a plain scalar run
+        // truncated to the measured step count: a fresh daemon draws
+        // (if at all) only for executed steps, so it replays the same
+        // schedule up to there regardless of why each run stopped.
+        let mut daemon = scalar_daemon(mode, &seeds, l);
+        let limits = RunLimits::with_max_steps(report.steps_run);
+        let plain = sim.run(init.clone(), daemon.as_mut(), limits, &mut []);
+        prop_assert_eq!(final_config, &plain.final_config);
+    }
+}
+
+/// Alternates between a tight step budget (most lanes hit MaxSteps) and a
+/// generous one (every lane reaches Terminal).
+fn step_budget(tight: u8) -> usize {
+    if tight == 0 {
+        3
+    } else {
+        2_000
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Plain batched runs equal K independent scalar engine runs under
+    /// every batchable daemon — for the divergent ones, lanes disagree
+    /// about which vertices move from the very first step.
     #[test]
     fn batch_equals_scalar_runs(
         case in 0u8..4,
         seed in 0u64..1_000,
         k_pick in 0usize..4,
+        mode_pick in 0usize..6,
         tight in 0u8..2,
     ) {
-        // Alternate between a tight step budget (every lane hits MaxSteps)
-        // and a generous one (every lane reaches Terminal).
-        let max_steps = if tight == 0 { 2 } else { 300 };
         let k = [1, 3, 64, 100][k_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let lanes = run_batch(&graph, &MaxProto, &inits, max_steps);
-        prop_assert_eq!(lanes.len(), k);
-        for (lane, init) in lanes.iter().zip(&inits) {
-            let mut daemon = SynchronousDaemon::new();
-            let sim = Simulator::new(&graph, &MaxProto);
-            let scalar =
-                sim.run(init.clone(), &mut daemon, RunLimits::with_max_steps(max_steps), &mut []);
-            prop_assert_eq!(lane.steps, scalar.steps);
-            prop_assert_eq!(lane.moves, scalar.moves);
-            prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(&lane.final_config, &scalar.final_config);
-        }
-    }
-
-    /// Measured batched runs replicate the scalar `MeasurementContext`
-    /// monitor stack (with and without early stop) lane for lane.
-    #[test]
-    fn batch_measured_equals_scalar_measurement(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..4,
-        early_pick in 0u8..2,
-    ) {
-        let early = early_pick == 1;
-        let k = [1, 3, 64, 100][k_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let stop_pred = all_equal();
-        let early_stop = early.then_some((&stop_pred, 2usize));
-        let measured = run_batch_measured(
-            &graph,
-            &MaxProto,
-            inits.clone(),
-            200,
-            &zero_holds_max(),
-            &all_equal(),
-            early_stop,
-        );
-        prop_assert_eq!(measured.len(), k);
-        for ((report, final_config), init) in measured.iter().zip(&inits) {
-            let sim = Simulator::new(&graph, &MaxProto);
-            let mut ctx = MeasurementContext::new(zero_holds_max(), all_equal());
-            if early {
-                ctx = ctx.with_early_stop(all_equal(), 2);
-            }
-            let scalar = ctx.run(&sim, &mut SynchronousDaemon::new(), init.clone(), 200);
-            assert_reports_match(report, &scalar);
-            // The measured runner also hands back the lane's final
-            // configuration. The scalar measurement context doesn't expose
-            // its final configuration, so cross-check against a plain run
-            // truncated to the measured run's step count: the synchronous
-            // daemon is deterministic, so equal step counts mean equal
-            // configurations regardless of why each run stopped.
-            let plain = sim.run(
-                init.clone(),
-                &mut SynchronousDaemon::new(),
-                RunLimits::with_max_steps(report.steps_run),
-                &mut [],
-            );
-            prop_assert_eq!(final_config, &plain.final_config);
-        }
+        check_plain(MODES[mode_pick], case, seed, k, step_budget(tight));
     }
 
     /// Lane-divergent batched central round-robin runs equal K independent
     /// scalar runs under the scalar `central-rr` daemon — each lane keeps
-    /// its own cursor and commits one vertex per pass, so lanes disagree
-    /// about which vertex moves from the very first step.
+    /// its own cursor and commits one vertex per pass.
     #[test]
     fn batch_central_rr_equals_scalar_runs(
         case in 0u8..4,
@@ -258,23 +287,57 @@ proptest! {
         k_pick in 0usize..4,
         tight in 0u8..2,
     ) {
-        let max_steps = if tight == 0 { 5 } else { 2_000 };
         let k = [1, 3, 64, 100][k_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let lanes =
-            run_batch_with(&graph, &MaxProto, BatchDaemon::CentralRr, &[], &inits, max_steps);
-        prop_assert_eq!(lanes.len(), k);
-        for (lane, init) in lanes.iter().zip(&inits) {
-            let mut daemon = CentralDaemon::new(CentralStrategy::RoundRobin);
-            let sim = Simulator::new(&graph, &MaxProto);
-            let scalar =
-                sim.run(init.clone(), &mut daemon, RunLimits::with_max_steps(max_steps), &mut []);
-            prop_assert_eq!(lane.steps, scalar.steps);
-            prop_assert_eq!(lane.moves, scalar.moves);
-            prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(&lane.final_config, &scalar.final_config);
-        }
+        check_plain(BatchDaemon::CentralRr, case, seed, k, step_budget(tight));
+    }
+
+    /// Lane-divergent batched central-rand runs equal K independent scalar
+    /// runs under the seeded `CentralStrategy::Random` daemon: lane `l`
+    /// carries its own RNG stream seeded exactly like scalar replica `l`,
+    /// so the per-lane pick sequences replay draw for draw.
+    #[test]
+    fn batch_central_rand_equals_scalar_runs(
+        case in 0u8..4,
+        seed in 0u64..1_000,
+        k_pick in 0usize..4,
+        tight in 0u8..2,
+    ) {
+        let k = [1, 3, 64, 100][k_pick];
+        check_plain(BatchDaemon::CentralRand, case, seed, k, step_budget(tight));
+    }
+
+    /// Lane-divergent batched random-distributed runs equal K independent
+    /// scalar runs under `RandomDistributedDaemon` with the same per-lane
+    /// seeds: each lane replays its scalar replica's `gen_bool` coin
+    /// sequence plus the uniform fallback draw on empty samples.
+    #[test]
+    fn batch_random_distributed_equals_scalar_runs(
+        case in 0u8..4,
+        seed in 0u64..1_000,
+        k_pick in 0usize..4,
+        p_pick in 0usize..3,
+        tight in 0u8..2,
+    ) {
+        let k = [1, 3, 64, 100][k_pick];
+        let p = [0.25, 0.5, 1.0][p_pick];
+        let mode = BatchDaemon::RandomDistributed { p };
+        check_plain(mode, case, seed, k, step_budget(tight));
+    }
+
+    /// Measured batched runs replicate the scalar `MeasurementContext`
+    /// monitor stack (with and without early stop) lane for lane under
+    /// every batchable daemon, with safety violated mid-run and
+    /// legitimacy (hence early stop) reachable before termination.
+    #[test]
+    fn batch_measured_equals_scalar_measurement(
+        case in 0u8..4,
+        seed in 0u64..1_000,
+        k_pick in 0usize..4,
+        mode_pick in 0usize..6,
+        early_pick in 0u8..2,
+    ) {
+        let k = [1, 3, 64, 100][k_pick];
+        check_measured(MODES[mode_pick], case, seed, k, early_pick == 1);
     }
 
     /// Measured batched central round-robin runs replicate the scalar
@@ -286,120 +349,33 @@ proptest! {
         k_pick in 0usize..4,
         early_pick in 0u8..2,
     ) {
-        let early = early_pick == 1;
+        let k = [1, 3, 64, 100][k_pick];
+        check_measured(BatchDaemon::CentralRr, case, seed, k, early_pick == 1);
+    }
+
+    /// The monitor never perturbs the run: without early stop, the no-op
+    /// and predicate monitors agree on steps, moves, stop reason and
+    /// final configuration lane for lane under every batchable daemon.
+    #[test]
+    fn predicate_monitor_without_early_stop_matches_no_monitor(
+        case in 0u8..4,
+        seed in 0u64..1_000,
+        k_pick in 0usize..4,
+        mode_pick in 0usize..6,
+    ) {
+        let mode = MODES[mode_pick];
         let k = [1, 3, 64, 100][k_pick];
         let graph = graph_for(case);
         let inits = random_inits(&graph, k, seed);
-        let stop_pred = all_equal();
-        let early_stop = early.then_some((&stop_pred, 2usize));
-        let measured = run_batch_measured_with(
-            &graph,
-            &MaxProto,
-            BatchDaemon::CentralRr,
-            &[],
-            inits.clone(),
-            1_000,
-            &zero_holds_max(),
-            &all_equal(),
-            early_stop,
-        );
-        prop_assert_eq!(measured.len(), k);
-        for ((report, final_config), init) in measured.iter().zip(&inits) {
-            let sim = Simulator::new(&graph, &MaxProto);
-            let mut ctx = MeasurementContext::new(zero_holds_max(), all_equal());
-            if early {
-                ctx = ctx.with_early_stop(all_equal(), 2);
-            }
-            let scalar = ctx.run(
-                &sim,
-                &mut CentralDaemon::new(CentralStrategy::RoundRobin),
-                init.clone(),
-                1_000,
-            );
-            assert_reports_match(report, &scalar);
-            // Same truncated-replay cross-check as the synchronous case:
-            // the round-robin daemon is deterministic, so equal step
-            // counts mean equal configurations.
-            let plain = sim.run(
-                init.clone(),
-                &mut CentralDaemon::new(CentralStrategy::RoundRobin),
-                RunLimits::with_max_steps(report.steps_run),
-                &mut [],
-            );
-            prop_assert_eq!(final_config, &plain.final_config);
-        }
-    }
-
-    /// Lane-divergent batched central-rand runs equal K independent
-    /// scalar runs under the scalar seeded `CentralStrategy::Random`
-    /// daemon: lane `l` carries its own RNG stream seeded exactly like
-    /// scalar replica `l`, so the per-lane pick sequences — and with them
-    /// every step/move count and final configuration — replay draw for
-    /// draw.
-    #[test]
-    fn batch_central_rand_equals_scalar_runs(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..3,
-        tight in 0u8..2,
-    ) {
-        let max_steps = if tight == 0 { 5 } else { 2_000 };
-        let k = [1, 3, 64][k_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let seeds: Vec<u64> = (0..k as u64).map(|l| seed ^ (0x5EED * l + 7)).collect();
-        let lanes =
-            run_batch_with(&graph, &MaxProto, BatchDaemon::CentralRand, &seeds, &inits, max_steps);
-        prop_assert_eq!(lanes.len(), k);
-        for ((lane, init), &s) in lanes.iter().zip(&inits).zip(&seeds) {
-            let mut daemon = CentralDaemon::new(CentralStrategy::Random(s));
-            let sim = Simulator::new(&graph, &MaxProto);
-            let scalar =
-                sim.run(init.clone(), &mut daemon, RunLimits::with_max_steps(max_steps), &mut []);
-            prop_assert_eq!(lane.steps, scalar.steps);
-            prop_assert_eq!(lane.moves, scalar.moves);
-            prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(&lane.final_config, &scalar.final_config);
-        }
-    }
-
-    /// Lane-divergent batched random-distributed runs equal K independent
-    /// scalar runs under the scalar `RandomDistributedDaemon` with the
-    /// same per-lane seeds: each lane replays its scalar replica's
-    /// `gen_bool` coin sequence (ascending vertex order over the enabled
-    /// set) plus the uniform fallback draw on empty samples.
-    #[test]
-    fn batch_random_distributed_equals_scalar_runs(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..3,
-        p_pick in 0usize..3,
-        tight in 0u8..2,
-    ) {
-        let max_steps = if tight == 0 { 5 } else { 2_000 };
-        let k = [1, 3, 64][k_pick];
-        let p = [0.25, 0.5, 1.0][p_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let seeds: Vec<u64> = (0..k as u64).map(|l| seed ^ (0xD157 * l + 3)).collect();
-        let lanes = run_batch_with(
-            &graph,
-            &MaxProto,
-            BatchDaemon::RandomDistributed { p },
-            &seeds,
-            &inits,
-            max_steps,
-        );
-        prop_assert_eq!(lanes.len(), k);
-        for ((lane, init), &s) in lanes.iter().zip(&inits).zip(&seeds) {
-            let mut daemon = RandomDistributedDaemon::new(p, s);
-            let sim = Simulator::new(&graph, &MaxProto);
-            let scalar =
-                sim.run(init.clone(), &mut daemon, RunLimits::with_max_steps(max_steps), &mut []);
-            prop_assert_eq!(lane.steps, scalar.steps);
-            prop_assert_eq!(lane.moves, scalar.moves);
-            prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(&lane.final_config, &scalar.final_config);
+        let seeds = lane_seeds(mode, k, seed);
+        let plain = run_batch(&graph, &MaxProto, mode, &seeds, &inits, 1_000, NoMonitor);
+        let monitor = PredicateMonitor::new(all_equal(), zero_holds_max(), None);
+        let measured = run_batch(&graph, &MaxProto, mode, &seeds, &inits, 1_000, monitor);
+        for (lane, (report, final_config)) in plain.iter().zip(&measured) {
+            prop_assert_eq!(lane.steps, report.steps_run);
+            prop_assert_eq!(lane.moves, report.moves);
+            prop_assert_eq!(lane.stop, report.stop);
+            prop_assert_eq!(&lane.final_config, final_config);
         }
     }
 
@@ -412,23 +388,15 @@ proptest! {
     fn incremental_bitset_matches_dense_sweep(
         case in 0u8..4,
         seed in 0u64..1_000,
-        mode_pick in 0usize..3,
+        mode_pick in 1usize..6,
         k_pick in 0usize..3,
     ) {
         let k = [1, 3, 64][k_pick];
-        let mode = [
-            BatchDaemon::CentralRr,
-            BatchDaemon::CentralRand,
-            BatchDaemon::RandomDistributed { p: 0.5 },
-        ][mode_pick];
+        let mode = MODES[mode_pick];
         let graph = graph_for(case);
         let inits = random_inits(&graph, k, seed);
-        let seeds: Vec<u64> = if mode.needs_lane_seeds() {
-            (0..k as u64).map(|l| seed ^ (0xB175 * l + 5)).collect()
-        } else {
-            Vec::new()
-        };
-        let incremental = run_batch_with(&graph, &MaxProto, mode, &seeds, &inits, 1_000);
+        let seeds = lane_seeds(mode, k, seed);
+        let incremental = run_batch(&graph, &MaxProto, mode, &seeds, &inits, 1_000, NoMonitor);
         let dense = run_batch_with_dense_sweep(&graph, &MaxProto, mode, &seeds, &inits, 1_000);
         prop_assert_eq!(incremental.len(), dense.len());
         for (a, b) in incremental.iter().zip(&dense) {

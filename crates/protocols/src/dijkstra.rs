@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn packed_runs_match_scalar_lane_for_lane_under_both_daemons() {
-        use specstab_kernel::batch::{run_batch_with, BatchDaemon};
+        use specstab_kernel::batch::{run_batch, BatchDaemon, NoMonitor};
         let (g, p) = ring_proto(7);
         let inits: Vec<_> = (0..9)
             .map(|s| {
@@ -473,7 +473,7 @@ mod tests {
             })
             .collect();
         for daemon in [BatchDaemon::Sync, BatchDaemon::CentralRr] {
-            let lanes = run_batch_with(&g, &p, daemon, &[], &inits, 400);
+            let lanes = run_batch(&g, &p, daemon, &[], &inits, 400, NoMonitor);
             for (lane, init) in lanes.iter().zip(&inits) {
                 let sim = Simulator::new(&g, &p);
                 let limits = RunLimits::with_max_steps(400);

@@ -22,7 +22,7 @@ use specstab_core::bounds;
 use specstab_core::spec_me::SpecMe;
 use specstab_core::speculation::ssme_disorder_metric;
 use specstab_core::ssme::{IdAssignment, Ssme};
-use specstab_kernel::batch::{run_batch_measured_with, BatchDaemon};
+use specstab_kernel::batch::{run_batch, BatchDaemon, PredicateMonitor};
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::{parse_daemon_spec, AdversaryMoves, BoxedDaemon, GreedyAdversary};
 use specstab_kernel::harness::{BoundMetric, HarnessError, ProtocolHarness, TheoremBound};
@@ -49,6 +49,15 @@ where
 {
     let spec = spec.clone();
     Box::new(move |c, g| spec.is_legitimate(c, g))
+}
+
+/// The measured batched runs' monitor: the specification's predicates,
+/// early-stopping on legitimacy like the scalar cell path.
+fn batch_monitor<S, Sp>(spec: &Sp, early_stop_margin: usize) -> PredicateMonitor<S>
+where
+    Sp: Specification<S> + Clone + Send + 'static,
+{
+    PredicateMonitor::new(safety_of(spec), legitimacy_of(spec), Some(early_stop_margin))
 }
 
 /// SSME (Algorithm 1) under `specME` — the paper's speculatively
@@ -170,17 +179,14 @@ impl ProtocolHarness for SsmeHarness {
         max_steps: usize,
         early_stop_margin: usize,
     ) -> Option<Vec<(StabilizationReport, Configuration<ClockValue>)>> {
-        let stop = self.legitimacy_predicate();
-        Some(run_batch_measured_with(
+        Some(run_batch(
             graph,
             &self.ssme,
             daemon,
             lane_seeds,
-            inits,
+            &inits,
             max_steps,
-            &self.safety_predicate(),
-            &self.legitimacy_predicate(),
-            Some((&stop, early_stop_margin)),
+            batch_monitor(&self.spec, early_stop_margin),
         ))
     }
 }
@@ -268,17 +274,14 @@ impl ProtocolHarness for DijkstraHarness {
         if !self.supports_batch() {
             return None;
         }
-        let stop = self.legitimacy_predicate();
-        Some(run_batch_measured_with(
+        Some(run_batch(
             graph,
             &self.proto,
             daemon,
             lane_seeds,
-            inits,
+            &inits,
             max_steps,
-            &self.safety_predicate(),
-            &self.legitimacy_predicate(),
-            Some((&stop, early_stop_margin)),
+            batch_monitor(&self.spec, early_stop_margin),
         ))
     }
 }
@@ -346,17 +349,14 @@ impl ProtocolHarness for Dijkstra3Harness {
         max_steps: usize,
         early_stop_margin: usize,
     ) -> Option<Vec<(StabilizationReport, Configuration<u8>)>> {
-        let stop = self.legitimacy_predicate();
-        Some(run_batch_measured_with(
+        Some(run_batch(
             graph,
             &self.proto,
             daemon,
             lane_seeds,
-            inits,
+            &inits,
             max_steps,
-            &self.safety_predicate(),
-            &self.legitimacy_predicate(),
-            Some((&stop, early_stop_margin)),
+            batch_monitor(&self.spec, early_stop_margin),
         ))
     }
 }
@@ -426,17 +426,14 @@ impl ProtocolHarness for Dijkstra4Harness {
         max_steps: usize,
         early_stop_margin: usize,
     ) -> Option<Vec<(StabilizationReport, Configuration<FourState>)>> {
-        let stop = self.legitimacy_predicate();
-        Some(run_batch_measured_with(
+        Some(run_batch(
             graph,
             &self.proto,
             daemon,
             lane_seeds,
-            inits,
+            &inits,
             max_steps,
-            &self.safety_predicate(),
-            &self.legitimacy_predicate(),
-            Some((&stop, early_stop_margin)),
+            batch_monitor(&self.spec, early_stop_margin),
         ))
     }
 }

@@ -122,10 +122,11 @@ pub struct CounterSnapshot {
     /// Lane-steps spent masked idle: batch iterations where an
     /// already-stopped lane rode along while siblings kept stepping.
     pub batch_idle_lane_steps: u64,
-    /// Batch-eligible cell groups (synchronous or central round-robin
-    /// daemon) that fell back to the scalar path because the protocol has
-    /// no packed implementation, the instance falls outside the packed
-    /// domain, or batching was disabled.
+    /// Batch-eligible cell groups (sync, central-rr, central-rand or
+    /// dist:p daemon) that fell back to the scalar path because the
+    /// protocol has no packed implementation, the instance falls outside
+    /// the packed domain or the central size gate, or batching was
+    /// disabled. Groups of other daemons are not counted.
     pub batch_scalar_fallbacks: u64,
     /// Synchronous-daemon groups routed through the batched engine.
     pub batch_routed_sync_groups: u64,

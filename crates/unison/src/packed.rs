@@ -148,7 +148,7 @@ mod tests {
     use crate::clock::CherryClock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use specstab_kernel::batch::run_batch;
+    use specstab_kernel::batch::{run_batch, BatchDaemon, NoMonitor};
     use specstab_kernel::daemon::SynchronousDaemon;
     use specstab_kernel::engine::{RunLimits, Simulator};
     use specstab_kernel::protocol::random_configuration;
@@ -165,7 +165,7 @@ mod tests {
                 random_configuration(&g, &unison, &mut rng)
             })
             .collect();
-        let lanes = run_batch(&g, &unison, &inits, 300);
+        let lanes = run_batch(&g, &unison, BatchDaemon::Sync, &[], &inits, 300, NoMonitor);
         for (lane, init) in lanes.iter().zip(&inits) {
             let mut d = SynchronousDaemon::new();
             let sim = Simulator::new(&g, &unison);

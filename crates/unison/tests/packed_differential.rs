@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specstab_kernel::batch::{run_batch, run_batch_measured};
+use specstab_kernel::batch::{run_batch, BatchDaemon, NoMonitor, PredicateMonitor};
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::SynchronousDaemon;
 use specstab_kernel::engine::{RunLimits, Simulator};
@@ -69,7 +69,7 @@ proptest! {
         let clock = CherryClock::new(alpha, alpha + k_extra).unwrap();
         let unison = AsyncUnison::new(clock);
         let inits = random_inits(&graph, &unison, k_lanes, seed);
-        let lanes = run_batch(&graph, &unison, &inits, 400);
+        let lanes = run_batch(&graph, &unison, BatchDaemon::Sync, &[], &inits, 400, NoMonitor);
         for (lane, init) in lanes.iter().zip(&inits) {
             let mut daemon = SynchronousDaemon::new();
             let sim = Simulator::new(&graph, &unison);
@@ -99,16 +99,8 @@ proptest! {
         let unison = AsyncUnison::new(clock);
         let spec = SpecAu::new(clock);
         let inits = random_inits(&graph, &unison, k_lanes, seed);
-        let stop_pred = legitimacy_of(spec);
-        let measured = run_batch_measured(
-            &graph,
-            &unison,
-            inits.clone(),
-            400,
-            &safety_of(spec),
-            &legitimacy_of(spec),
-            Some((&stop_pred, 3)),
-        );
+        let monitor = PredicateMonitor::new(safety_of(spec), legitimacy_of(spec), Some(3));
+        let measured = run_batch(&graph, &unison, BatchDaemon::Sync, &[], &inits, 400, monitor);
         for ((report, _), init) in measured.iter().zip(&inits) {
             let sim = Simulator::new(&graph, &unison);
             let scalar = MeasurementContext::new(safety_of(spec), legitimacy_of(spec))
