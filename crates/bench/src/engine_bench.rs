@@ -7,7 +7,9 @@
 //! trajectory: unison step throughput on tori from 4x5 up to the campaign
 //! grid's large instances (`ring:1024`, `torus:32x32`), central-daemon
 //! stepping, and full synchronous convergence of the registry's BFS and
-//! matching protocols.
+//! matching protocols. Those ids time bare engines with no observers; the
+//! `measured_*` ids add the campaign executor's measurement observer, the
+//! path large scalar campaign cells actually run.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use rand::SeedableRng;
@@ -17,8 +19,12 @@ use specstab_kernel::daemon::{
     CentralDaemon, CentralStrategy, RandomDistributedDaemon, SynchronousDaemon,
 };
 use specstab_kernel::engine::{RunLimits, Simulator, StepScratch, StopReason};
+use specstab_kernel::harness::ProtocolHarness;
+use specstab_kernel::measure::SpecMonitor;
 use specstab_kernel::protocol::{random_configuration, Protocol};
+use specstab_protocols::harness::SsmeHarness;
 use specstab_protocols::{DijkstraThreeState, MaximalMatching, MinPlusOneBfs};
+use specstab_topology::metrics::DistanceMatrix;
 use specstab_topology::{generators, Graph, VertexId};
 use specstab_unison::clock::CherryClock;
 use specstab_unison::AsyncUnison;
@@ -301,6 +307,43 @@ fn bench_dijkstra3_on(group: &mut criterion::BenchmarkGroup<'_>, n: usize) {
     }
 }
 
+/// The campaign's measured scalar cell: ssme under the central-rand daemon
+/// with the executor's measurement observer (`SpecMonitor` over specME,
+/// early stop on legitimacy) attached — what `campaign` runs on the cells
+/// past ssme's central batch gate. From a pinned full random burst the
+/// run stays far from legitimacy, so every sample executes the whole step
+/// budget.
+fn bench_measured_ssme_on(group: &mut criterion::BenchmarkGroup<'_>, g: &Graph, label: &str) {
+    const STEPS: usize = 20_000;
+    let h = SsmeHarness::build(g, DistanceMatrix::new(g).diameter()).expect("ssme builds");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let init = random_configuration(g, h.protocol(), &mut rng);
+    group.throughput(Throughput::Elements(STEPS as u64));
+    group.bench_with_input(
+        BenchmarkId::new("measured_central_rand_ssme_steps", label),
+        g,
+        |b, g| {
+            let sim = Simulator::new(g, h.protocol());
+            let mut scratch = StepScratch::new();
+            b.iter(|| {
+                let mut d = h.daemon("central-rand", 0xBEEF).expect("daemon spec");
+                let report = SpecMonitor::new(h.spec(), 3).run_with_scratch(
+                    &sim,
+                    d.as_mut(),
+                    init.clone(),
+                    STEPS,
+                    &mut scratch,
+                );
+                assert_eq!(
+                    report.steps_run, STEPS,
+                    "the burst must not stabilize within the budget"
+                );
+                report.moves
+            });
+        },
+    );
+}
+
 /// Unison engine throughput across the size ladder, ending at the campaign
 /// grid's large instances.
 pub fn bench_engine(c: &mut Criterion) {
@@ -333,9 +376,11 @@ pub fn bench_engine(c: &mut Criterion) {
     let g = generators::ring(1024).expect("valid ring");
     bench_unison_on(&mut group, &g, "ring-1024");
     bench_batched_unison_on(&mut group, &g, "ring-1024");
+    bench_measured_ssme_on(&mut group, &g, "ring-1024");
     let g = generators::torus(32, 32).expect("valid torus");
     bench_unison_on(&mut group, &g, "torus-32x32");
     bench_batched_unison_on(&mut group, &g, "torus-32x32");
+    bench_measured_ssme_on(&mut group, &g, "torus-32x32");
     group.finish();
 }
 

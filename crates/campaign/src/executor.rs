@@ -27,7 +27,7 @@ use specstab_kernel::daemon::DaemonClass;
 use specstab_kernel::engine::{Simulator, StepScratch};
 use specstab_kernel::fault::inject_faults_in_place;
 use specstab_kernel::harness::{HarnessState, ProtocolHarness};
-use specstab_kernel::measure::MeasurementContext;
+use specstab_kernel::measure::SpecMonitor;
 use specstab_kernel::protocol::{random_configuration, Protocol};
 use specstab_protocols::registry::{self, HarnessVisitor, ProtocolInfo};
 use specstab_telemetry::{Heartbeat, RunCounters};
@@ -722,6 +722,11 @@ fn run_batched_group<H: ProtocolHarness>(
 /// legitimate configuration, or the adversarial witness where supported),
 /// execute one measured run on pooled scratch buffers, and check the
 /// harness's synchronous theorem bound.
+///
+/// The run is measured by the kernel's incremental [`SpecMonitor`] over
+/// the harness's specification: per step it re-evaluates only the
+/// vertices near the step's moves, and its report equals the full-scan
+/// `MeasurementContext` with early stop on legitimacy.
 fn run_harness_cell<H: ProtocolHarness>(
     harness: &H,
     cell: &Cell,
@@ -754,16 +759,13 @@ fn run_harness_cell<H: ProtocolHarness>(
         },
     };
     let sim = Simulator::new(graph, harness.protocol());
-    let report =
-        MeasurementContext::new(harness.safety_predicate(), harness.legitimacy_predicate())
-            .with_early_stop(harness.legitimacy_predicate(), config.early_stop_margin)
-            .run_with_scratch(
-                &sim,
-                daemon.as_mut(),
-                init,
-                config.max_steps,
-                scratch.get::<HarnessState<H>>(),
-            );
+    let report = SpecMonitor::new(harness.spec(), config.early_stop_margin).run_with_scratch(
+        &sim,
+        daemon.as_mut(),
+        init,
+        config.max_steps,
+        scratch.get::<HarnessState<H>>(),
+    );
     let bound = (cell.daemon == "sync").then(|| harness.sync_bound(graph, diam)).flatten();
     (
         class,

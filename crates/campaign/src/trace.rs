@@ -78,24 +78,7 @@ pub fn sum_shard_counters(events: &[Event]) -> CounterSnapshot {
     let mut total = CounterSnapshot::default();
     for e in events {
         if let EventKind::ShardEnd { counters, .. } = &e.kind {
-            total.steps += counters.steps;
-            total.moves += counters.moves;
-            total.guard_evals += counters.guard_evals;
-            total.delta_bytes += counters.delta_bytes;
-            total.scratch_reuses += counters.scratch_reuses;
-            total.config_clones += counters.config_clones;
-            total.batch_lanes += counters.batch_lanes;
-            total.batch_lane_steps += counters.batch_lane_steps;
-            total.batch_idle_lane_steps += counters.batch_idle_lane_steps;
-            total.batch_scalar_fallbacks += counters.batch_scalar_fallbacks;
-            total.batch_routed_sync_groups += counters.batch_routed_sync_groups;
-            total.batch_routed_rr_groups += counters.batch_routed_rr_groups;
-            total.batch_routed_rand_groups += counters.batch_routed_rand_groups;
-            total.batch_routed_dist_groups += counters.batch_routed_dist_groups;
-            total.batch_fallback_sync_groups += counters.batch_fallback_sync_groups;
-            total.batch_fallback_rr_groups += counters.batch_fallback_rr_groups;
-            total.batch_fallback_rand_groups += counters.batch_fallback_rand_groups;
-            total.batch_fallback_dist_groups += counters.batch_fallback_dist_groups;
+            total.add(counters);
         }
     }
     total
@@ -149,6 +132,7 @@ mod tests {
             moves: 2 * k,
             guard_evals: 3 * k,
             delta_bytes: 4 * k,
+            monitor_evals: 19 * k,
             scratch_reuses: 5 * k,
             config_clones: 6 * k,
             batch_lanes: 7 * k,

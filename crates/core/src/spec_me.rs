@@ -13,7 +13,7 @@
 use crate::ssme::Ssme;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::observer::{Observer, StepEvent};
-use specstab_kernel::spec::Specification;
+use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
 use specstab_topology::{Graph, VertexId};
 use specstab_unison::clock::ClockValue;
 use specstab_unison::spec::SpecAu;
@@ -23,6 +23,9 @@ use specstab_unison::spec::SpecAu;
 pub struct SpecMe {
     ssme: Ssme,
     au: SpecAu,
+    /// Every vertex's privilege value ([`Ssme::privilege_value`]),
+    /// computed once so the predicates compare states directly.
+    slots: Vec<ClockValue>,
 }
 
 impl SpecMe {
@@ -30,7 +33,8 @@ impl SpecMe {
     #[must_use]
     pub fn new(ssme: Ssme) -> Self {
         let au = SpecAu::new(ssme.clock());
-        Self { ssme, au }
+        let slots = (0..ssme.n()).map(|i| ssme.privilege_value(VertexId::new(i))).collect();
+        Self { ssme, au, slots }
     }
 
     /// The underlying SSME instance.
@@ -42,7 +46,7 @@ impl SpecMe {
     /// Number of privileged vertices in `config`.
     #[must_use]
     pub fn privileged_count(&self, config: &Configuration<ClockValue>) -> usize {
-        self.ssme.privileged_vertices(config).len()
+        config.states().iter().zip(&self.slots).filter(|(r, slot)| r == slot).count()
     }
 }
 
@@ -60,6 +64,34 @@ impl Specification<ClockValue> for SpecMe {
     /// paper's clock parameters — validated by tests).
     fn is_legitimate(&self, config: &Configuration<ClockValue>, graph: &Graph) -> bool {
         self.au.in_gamma_one(config, graph)
+    }
+}
+
+/// Safety counts privileged vertices (radius 0, at most one); legitimacy
+/// counts vertices violating `Γ1` locally (radius 1, none).
+impl LocalSpecification<ClockValue> for SpecMe {
+    fn radius(&self) -> u32 {
+        1
+    }
+
+    fn local_counts(
+        &self,
+        v: VertexId,
+        config: &Configuration<ClockValue>,
+        graph: &Graph,
+    ) -> LocalCounts {
+        LocalCounts {
+            safety: u32::from(*config.get(v) == self.slots[v.index()]),
+            legitimacy: u32::from(self.au.violates_gamma_one_at(v, config, graph)),
+        }
+    }
+
+    fn safety_rule(&self) -> Aggregate {
+        Aggregate::AtMost(1)
+    }
+
+    fn legitimacy_rule(&self) -> Aggregate {
+        Aggregate::AtMost(0)
     }
 }
 

@@ -128,7 +128,7 @@
 
 use crate::config::Configuration;
 use crate::engine::StopReason;
-use crate::measure::StabilizationReport;
+use crate::measure::{MeasureRecord, StabilizationReport};
 use crate::observer::ConfigPredicate;
 use crate::protocol::Protocol;
 use rand::rngs::StdRng;
@@ -1005,35 +1005,25 @@ impl<P: PackedProtocol> BatchMonitor<P> for NoMonitor {
     }
 }
 
-/// One lane's slice of the measurement stack: the safety monitor, the
-/// legitimacy monitor and the early-stop run length, updated with the
-/// exact indices and order the scalar observers see.
-#[derive(Clone, Default)]
-struct LaneRecord {
-    violations: usize,
-    last_violation: Option<usize>,
-    first_legitimate: Option<usize>,
-    last_illegitimate: Option<usize>,
-    /// Consecutive legitimate configurations ending at the latest one.
-    consecutive: usize,
-}
-
 /// The measured-run monitor: per lane, the stack a scalar
 /// [`MeasurementContext`](crate::measure::MeasurementContext) runs —
 /// safety monitor, legitimacy monitor and, with an early-stop margin,
 /// [`MeasurementContext::with_early_stop`](crate::measure::MeasurementContext::with_early_stop)
 /// on the legitimacy predicate. The predicates read a per-lane mirror
 /// configuration that the commit hook keeps equal to the lane's packed
-/// state, O(moves) per step.
+/// state, O(moves) per step; each lane's verdicts go into the same
+/// measurement record the scalar [`SpecMonitor`](crate::measure::SpecMonitor)
+/// keeps.
 ///
 /// Each lane's report is a [`StabilizationReport`] plus its final
-/// configuration.
+/// configuration; its `counters.monitor_evals` counts n vertex
+/// evaluations per predicate call.
 pub struct PredicateMonitor<S> {
     safety: ConfigPredicate<S>,
     legitimacy: ConfigPredicate<S>,
     early_stop_margin: Option<usize>,
     mirrors: Vec<Configuration<S>>,
-    records: Vec<LaneRecord>,
+    records: Vec<MeasureRecord>,
 }
 
 impl<S> PredicateMonitor<S> {
@@ -1053,18 +1043,9 @@ impl<S> PredicateMonitor<S> {
     /// Checks lane `l`'s mirror as configuration `index`.
     fn check(&mut self, graph: &Graph, l: usize, index: usize) {
         let config = &self.mirrors[l];
-        let r = &mut self.records[l];
-        if !(self.safety)(config, graph) {
-            r.violations += 1;
-            r.last_violation = Some(index);
-        }
-        if (self.legitimacy)(config, graph) {
-            r.first_legitimate.get_or_insert(index);
-            r.consecutive += 1;
-        } else {
-            r.last_illegitimate = Some(index);
-            r.consecutive = 0;
-        }
+        let safe = (self.safety)(config, graph);
+        let legitimate = (self.legitimacy)(config, graph);
+        self.records[l].observe(index, safe, legitimate);
     }
 }
 
@@ -1073,7 +1054,7 @@ impl<P: PackedProtocol> BatchMonitor<P> for PredicateMonitor<P::State> {
 
     fn start(&mut self, graph: &Graph, protocol: &P, lanes: usize, soa: &[P::Lane]) {
         self.mirrors = (0..lanes).map(|l| unpack_lane(protocol, soa, lanes, l)).collect();
-        self.records = vec![LaneRecord::default(); lanes];
+        self.records = vec![MeasureRecord::default(); lanes];
         for l in 0..lanes {
             self.check(graph, l, 0);
         }
@@ -1089,29 +1070,24 @@ impl<P: PackedProtocol> BatchMonitor<P> for PredicateMonitor<P::State> {
     }
 
     fn wants_stop(&self, lane: usize) -> bool {
-        self.early_stop_margin.is_some_and(|m| self.records[lane].consecutive > m)
+        self.records[lane].stable_for(self.early_stop_margin)
     }
 
     fn finish(self, lanes: Vec<LaneSummary<P::State>>) -> Vec<Self::Report> {
-        lanes
+        let mut total_evals = 0;
+        let reports = lanes
             .into_iter()
             .zip(self.records)
             .map(|(s, r)| {
-                let report = StabilizationReport {
-                    steps_run: s.steps,
-                    moves: s.moves,
-                    stop: s.stop,
-                    last_violation: r.last_violation,
-                    violation_count: r.violations,
-                    stabilization_steps: r.last_violation.map_or(0, |i| i + 1),
-                    first_legitimate: r.first_legitimate,
-                    legitimacy_entry: r.last_illegitimate.map_or(0, |i| i + 1),
-                    ended_legitimate: r.consecutive > 0,
-                    counters: s.counters,
-                };
-                (report, s.final_config)
+                // Two full-scan predicate calls per configuration.
+                let monitor_evals = 2 * (s.steps as u64 + 1) * s.final_config.len() as u64;
+                total_evals += monitor_evals;
+                let counters = RunCounters { monitor_evals, ..s.counters };
+                (r.report(s.steps, s.moves, s.stop, counters), s.final_config)
             })
-            .collect()
+            .collect();
+        specstab_telemetry::global().record_monitor_evals(total_evals);
+        reports
     }
 }
 

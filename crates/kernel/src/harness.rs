@@ -15,9 +15,11 @@
 //! * the **adversarial witness** initial configuration where one exists
 //!   ([`HarnessError::UnsupportedScenario`] otherwise — witness injection
 //!   is a *capability*, not an assumption);
-//! * the **safety** and **legitimacy** [`ConfigPredicate`]s of the
-//!   protocol's specification, plus a closure self-check validating that
-//!   the constructed legitimate set really is closed under one step;
+//! * the protocol's **specification** in its local form
+//!   ([`LocalSpecification`]), which the campaign measures incrementally
+//!   and whose full-scan safety and legitimacy [`ConfigPredicate`]s the
+//!   reference paths use, plus a closure self-check validating that the
+//!   constructed legitimate set really is closed under one step;
 //! * **daemon resolution**, so protocols can extend the shared daemon zoo
 //!   with protocol-specific adversaries;
 //! * the applicable **theorem bound** under the synchronous daemon, when
@@ -36,6 +38,7 @@ use crate::engine::Simulator;
 use crate::measure::StabilizationReport;
 use crate::observer::ConfigPredicate;
 use crate::protocol::Protocol;
+use crate::spec::{LocalSpecification, Specification};
 use rand::rngs::StdRng;
 use specstab_topology::Graph;
 use std::error::Error;
@@ -141,6 +144,9 @@ pub trait ProtocolHarness: Sized {
     /// The protocol this harness constructs.
     type Protocol: Protocol;
 
+    /// The specification the protocol is measured against.
+    type Spec: LocalSpecification<HarnessState<Self>> + Clone + Send + 'static;
+
     /// Registry name of the protocol (e.g. `"ssme"`).
     const NAME: &'static str;
 
@@ -157,6 +163,9 @@ pub trait ProtocolHarness: Sized {
 
     /// The protocol instance.
     fn protocol(&self) -> &Self::Protocol;
+
+    /// The specification instance (built alongside the protocol).
+    fn spec(&self) -> &Self::Spec;
 
     /// Constructs a configuration inside the protocol's legitimate set —
     /// the resting point that fault bursts corrupt. May consult `rng`
@@ -197,13 +206,19 @@ pub trait ProtocolHarness: Sized {
         })
     }
 
-    /// The specification's safety predicate (e.g. "at most one privileged
-    /// vertex").
-    fn safety_predicate(&self) -> ConfigPredicate<HarnessState<Self>>;
+    /// The specification's full-scan safety predicate (e.g. "at most one
+    /// privileged vertex"), boxed over a clone of [`ProtocolHarness::spec`].
+    fn safety_predicate(&self) -> ConfigPredicate<HarnessState<Self>> {
+        let spec = self.spec().clone();
+        Box::new(move |c, g| spec.is_safe(c, g))
+    }
 
-    /// The specification's legitimacy predicate (a closed set — validated
-    /// by [`ProtocolHarness::closure_self_check`]).
-    fn legitimacy_predicate(&self) -> ConfigPredicate<HarnessState<Self>>;
+    /// The specification's full-scan legitimacy predicate (a closed set —
+    /// validated by [`ProtocolHarness::closure_self_check`]).
+    fn legitimacy_predicate(&self) -> ConfigPredicate<HarnessState<Self>> {
+        let spec = self.spec().clone();
+        Box::new(move |c, g| spec.is_legitimate(c, g))
+    }
 
     /// Resolves a textual daemon spec. The default is the shared kernel
     /// zoo ([`parse_daemon_spec`]); protocols with bespoke adversaries
@@ -361,6 +376,7 @@ pub trait ProtocolHarness: Sized {
 mod tests {
     use super::*;
     use crate::protocol::{RuleId, RuleInfo, View};
+    use crate::spec::{Aggregate, LocalCounts};
     use rand::{Rng, SeedableRng};
     use specstab_topology::{generators, VertexId};
 
@@ -386,40 +402,57 @@ mod tests {
         }
     }
 
-    struct DecHarness(Decrement);
-    impl ProtocolHarness for DecHarness {
-        type Protocol = Decrement;
-        const NAME: &'static str = "dec";
-        fn build(_graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
-            Ok(Self(Decrement))
+    /// Safe: every state ≤ `safe_max`. Legitimate: every state equals
+    /// `legit`. Both count per vertex (radius 0).
+    #[derive(Clone)]
+    struct Bounds {
+        safe_max: u8,
+        legit: u8,
+    }
+    impl Specification<u8> for Bounds {
+        fn name(&self) -> String {
+            "bounds".into()
         }
-        fn protocol(&self) -> &Decrement {
-            &self.0
+        fn is_safe(&self, c: &Configuration<u8>, _g: &Graph) -> bool {
+            c.states().iter().all(|&s| s <= self.safe_max)
         }
-        fn legitimate_configuration(
-            &self,
-            graph: &Graph,
-            _rng: &mut StdRng,
-        ) -> Result<Configuration<u8>, HarnessError> {
-            Ok(Configuration::from_fn(graph.n(), |_| 0))
+        fn is_legitimate(&self, c: &Configuration<u8>, _g: &Graph) -> bool {
+            c.states().iter().all(|&s| s == self.legit)
         }
-        fn safety_predicate(&self) -> ConfigPredicate<u8> {
-            Box::new(|c, _| c.states().iter().all(|&s| s <= 1))
+    }
+    impl LocalSpecification<u8> for Bounds {
+        fn radius(&self) -> u32 {
+            0
         }
-        fn legitimacy_predicate(&self) -> ConfigPredicate<u8> {
-            Box::new(|c, _| c.states().iter().all(|&s| s == 0))
+        fn local_counts(&self, v: VertexId, c: &Configuration<u8>, _g: &Graph) -> LocalCounts {
+            let s = *c.get(v);
+            LocalCounts {
+                safety: u32::from(s > self.safe_max),
+                legitimacy: u32::from(s != self.legit),
+            }
+        }
+        fn safety_rule(&self) -> Aggregate {
+            Aggregate::AtMost(0)
+        }
+        fn legitimacy_rule(&self) -> Aggregate {
+            Aggregate::AtMost(0)
         }
     }
 
-    /// Broken harness: claims a non-closed "legitimate" set.
-    struct Broken(Decrement);
-    impl ProtocolHarness for Broken {
+    /// Toy harness whose legitimate set is "every state equals `LEGIT`":
+    /// closed under DEC for 0, not closed for 2.
+    struct DecHarness<const LEGIT: u8>(Bounds);
+    impl<const LEGIT: u8> ProtocolHarness for DecHarness<LEGIT> {
         type Protocol = Decrement;
-        const NAME: &'static str = "broken";
+        type Spec = Bounds;
+        const NAME: &'static str = "dec";
         fn build(_graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
-            Ok(Self(Decrement))
+            Ok(Self(Bounds { safe_max: 1, legit: LEGIT }))
         }
         fn protocol(&self) -> &Decrement {
+            &Decrement
+        }
+        fn spec(&self) -> &Bounds {
             &self.0
         }
         fn legitimate_configuration(
@@ -427,22 +460,17 @@ mod tests {
             graph: &Graph,
             _rng: &mut StdRng,
         ) -> Result<Configuration<u8>, HarnessError> {
-            Ok(Configuration::from_fn(graph.n(), |_| 2))
-        }
-        fn safety_predicate(&self) -> ConfigPredicate<u8> {
-            Box::new(|_, _| true)
-        }
-        fn legitimacy_predicate(&self) -> ConfigPredicate<u8> {
-            // "Exactly 2 everywhere": not closed under DEC.
-            Box::new(|c, _| c.states().iter().all(|&s| s == 2))
+            Ok(Configuration::from_fn(graph.n(), |_| LEGIT))
         }
     }
+
+    type Broken = DecHarness<2>;
 
     #[test]
     fn default_witness_is_a_typed_unsupported_scenario() {
         let g = generators::ring(4).unwrap();
-        let h = DecHarness::build(&g, 2).unwrap();
-        assert!(!DecHarness::supports_witness());
+        let h = DecHarness::<0>::build(&g, 2).unwrap();
+        assert!(!DecHarness::<0>::supports_witness());
         let err = h.witness_configuration(&g).unwrap_err();
         assert_eq!(
             err,
@@ -457,7 +485,7 @@ mod tests {
     #[test]
     fn closure_self_check_accepts_a_closed_legitimate_set() {
         let g = generators::path(5).unwrap();
-        let h = DecHarness::build(&g, 4).unwrap();
+        let h = DecHarness::<0>::build(&g, 4).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         h.closure_self_check(&g, &mut rng, 3).unwrap();
     }

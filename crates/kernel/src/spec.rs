@@ -8,9 +8,18 @@
 //!
 //! The kernel keeps this abstract; `specstab-unison` instantiates it for
 //! `specAU` and `specstab-core` for `specME`.
+//!
+//! Every specification the campaign measures also has a **local form**
+//! ([`LocalSpecification`]): its safety and legitimacy predicates are
+//! totals of per-vertex counts, each read from the states within a fixed
+//! radius of its vertex, compared against an [`Aggregate`] rule (e.g.
+//! specME safety: "privileged vertices ≤ 1"). A monitor that knows the
+//! counts of the previous configuration then re-evaluates only the
+//! vertices near the ones a step changed — see
+//! [`crate::measure::SpecMonitor`].
 
 use crate::config::Configuration;
-use specstab_topology::Graph;
+use specstab_topology::{Graph, VertexId};
 
 /// A problem specification over per-vertex states `S`.
 pub trait Specification<S> {
@@ -25,6 +34,63 @@ pub trait Specification<S> {
     /// every execution satisfies the specification. Legitimacy implies
     /// safety for well-formed specifications.
     fn is_legitimate(&self, config: &Configuration<S>, graph: &Graph) -> bool;
+}
+
+/// How per-vertex counts aggregate into a verdict: the predicate holds iff
+/// the total over all vertices satisfies the rule.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Aggregate {
+    /// The total is at most the bound (e.g. "at most one privilege").
+    AtMost(u64),
+    /// The total equals the bound (e.g. "exactly one privilege").
+    Exactly(u64),
+}
+
+impl Aggregate {
+    /// Whether `total` satisfies the rule.
+    #[must_use]
+    pub fn holds(self, total: u64) -> bool {
+        match self {
+            Aggregate::AtMost(bound) => total <= bound,
+            Aggregate::Exactly(bound) => total == bound,
+        }
+    }
+}
+
+/// One vertex's contribution to the safety and legitimacy totals of a
+/// [`LocalSpecification`].
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub struct LocalCounts {
+    /// Contribution to the safety total (e.g. 1 if the vertex is
+    /// privileged).
+    pub safety: u32,
+    /// Contribution to the legitimacy total (e.g. 1 if the vertex
+    /// violates a local legitimacy condition).
+    pub legitimacy: u32,
+}
+
+/// The local form of a [`Specification`]: `is_safe` holds iff the sum of
+/// every vertex's [`LocalCounts::safety`] satisfies
+/// [`LocalSpecification::safety_rule`], and likewise for legitimacy.
+///
+/// Locality is the contract that makes incremental monitoring sound:
+/// `local_counts(v, ..)` reads only states of vertices within graph
+/// distance [`LocalSpecification::radius`] of `v`, so a step that changes
+/// the states of a set `D` of vertices can change only the counts of
+/// vertices within that radius of `D`.
+pub trait LocalSpecification<S>: Specification<S> {
+    /// The radius `r`: vertex `v`'s counts depend only on the states of
+    /// vertices at distance at most `r` from `v`.
+    fn radius(&self) -> u32;
+
+    /// Vertex `v`'s contribution to the safety and legitimacy totals.
+    fn local_counts(&self, v: VertexId, config: &Configuration<S>, graph: &Graph) -> LocalCounts;
+
+    /// The rule the safety total must satisfy.
+    fn safety_rule(&self) -> Aggregate;
+
+    /// The rule the legitimacy total must satisfy.
+    fn legitimacy_rule(&self) -> Aggregate;
 }
 
 /// Checks closure of a specification's legitimacy predicate along one
@@ -79,6 +145,14 @@ mod tests {
         fn is_legitimate(&self, config: &Configuration<u8>, _g: &Graph) -> bool {
             config.states().windows(2).all(|w| w[0] == w[1])
         }
+    }
+
+    #[test]
+    fn aggregate_rules() {
+        assert!(Aggregate::AtMost(1).holds(0) && Aggregate::AtMost(1).holds(1));
+        assert!(!Aggregate::AtMost(1).holds(2));
+        assert!(Aggregate::Exactly(1).holds(1));
+        assert!(!Aggregate::Exactly(1).holds(0) && !Aggregate::Exactly(1).holds(2));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
-use specstab_kernel::spec::Specification;
+use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
 use specstab_topology::metrics::DistanceMatrix;
 use specstab_topology::{Graph, VertexId};
 
@@ -148,6 +148,29 @@ impl Specification<u32> for BfsSpec {
     }
     fn is_legitimate(&self, config: &Configuration<u32>, _graph: &Graph) -> bool {
         config.iter().all(|(v, &l)| l == self.dist[v.index()])
+    }
+}
+
+/// Both totals count vertices whose level differs from the true distance
+/// (radius 0); the predicates hold when none does.
+impl LocalSpecification<u32> for BfsSpec {
+    fn radius(&self) -> u32 {
+        0
+    }
+    fn local_counts(
+        &self,
+        v: VertexId,
+        config: &Configuration<u32>,
+        _graph: &Graph,
+    ) -> LocalCounts {
+        let wrong = u32::from(*config.get(v) != self.dist[v.index()]);
+        LocalCounts { safety: wrong, legitimacy: wrong }
+    }
+    fn safety_rule(&self) -> Aggregate {
+        Aggregate::AtMost(0)
+    }
+    fn legitimacy_rule(&self) -> Aggregate {
+        Aggregate::AtMost(0)
     }
 }
 

@@ -20,7 +20,7 @@ use rand::Rng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
-use specstab_kernel::spec::Specification;
+use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
 use specstab_topology::{Graph, VertexId};
 use std::error::Error;
 use std::fmt;
@@ -132,6 +132,12 @@ impl DijkstraRing {
     #[must_use]
     pub fn privileged_vertices(&self, config: &Configuration<u64>) -> Vec<VertexId> {
         (0..self.n).map(VertexId::new).filter(|&v| self.is_privileged(v, config)).collect()
+    }
+
+    /// Number of privileged machines of `config` (allocation-free).
+    #[must_use]
+    pub fn privileged_count(&self, config: &Configuration<u64>) -> usize {
+        (0..self.n).filter(|&i| self.is_privileged(VertexId::new(i), config)).count()
     }
 }
 
@@ -262,10 +268,33 @@ impl Specification<u64> for DijkstraSpec {
         "specME(dijkstra)".into()
     }
     fn is_safe(&self, config: &Configuration<u64>, _graph: &Graph) -> bool {
-        self.protocol.privileged_vertices(config).len() <= 1
+        self.protocol.privileged_count(config) <= 1
     }
     fn is_legitimate(&self, config: &Configuration<u64>, _graph: &Graph) -> bool {
-        self.protocol.privileged_vertices(config).len() == 1
+        self.protocol.privileged_count(config) == 1
+    }
+}
+
+/// Both totals count privileged machines; a machine's privilege reads its
+/// ring predecessor (radius 1).
+impl LocalSpecification<u64> for DijkstraSpec {
+    fn radius(&self) -> u32 {
+        1
+    }
+    fn local_counts(
+        &self,
+        v: VertexId,
+        config: &Configuration<u64>,
+        _graph: &Graph,
+    ) -> LocalCounts {
+        let privileged = u32::from(self.protocol.is_privileged(v, config));
+        LocalCounts { safety: privileged, legitimacy: privileged }
+    }
+    fn safety_rule(&self) -> Aggregate {
+        Aggregate::AtMost(1)
+    }
+    fn legitimacy_rule(&self) -> Aggregate {
+        Aggregate::Exactly(1)
     }
 }
 

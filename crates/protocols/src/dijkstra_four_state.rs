@@ -22,7 +22,7 @@ use rand::Rng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
-use specstab_kernel::spec::Specification;
+use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
 use specstab_topology::{Graph, VertexId};
 use std::error::Error;
 use std::fmt;
@@ -118,36 +118,39 @@ impl DijkstraFourState {
     /// The guards enabled at `v` (Dijkstra's "privileges").
     #[must_use]
     pub fn privileges(&self, v: VertexId, config: &Configuration<FourState>) -> Vec<RuleId> {
-        let i = v.index();
-        let s = self.canonical(i, *config.get(v));
-        let mut out = Vec::new();
-        if i == 0 {
-            let r = self.canonical(1, *config.get(VertexId::new(1)));
-            if s.x == r.x && !r.up {
-                out.push(rules::BOTTOM);
-            }
-        } else if i == self.n - 1 {
-            let l = self.canonical(i - 1, *config.get(VertexId::new(i - 1)));
-            if s.x != l.x {
-                out.push(rules::TOP);
-            }
-        } else {
-            let l = self.canonical(i - 1, *config.get(VertexId::new(i - 1)));
-            let r = self.canonical(i + 1, *config.get(VertexId::new(i + 1)));
-            if s.x != l.x {
-                out.push(rules::FLIP);
-            }
-            if s.x == r.x && s.up && !r.up {
-                out.push(rules::LOWER);
-            }
-        }
-        out
+        self.guards(v, config).into_iter().flatten().collect()
+    }
+
+    /// Number of guards enabled at `v` (allocation-free
+    /// [`DijkstraFourState::privileges`]).
+    #[must_use]
+    pub fn privileges_at(&self, v: VertexId, config: &Configuration<FourState>) -> usize {
+        self.guards(v, config).iter().flatten().count()
     }
 
     /// Total privilege count of the configuration.
     #[must_use]
     pub fn privilege_count(&self, config: &Configuration<FourState>) -> usize {
-        (0..self.n).map(|i| self.privileges(VertexId::new(i), config).len()).sum()
+        (0..self.n).map(|i| self.privileges_at(VertexId::new(i), config)).sum()
+    }
+
+    /// The guards of `v`, in rule order.
+    fn guards(&self, v: VertexId, config: &Configuration<FourState>) -> [Option<RuleId>; 2] {
+        let i = v.index();
+        let s = self.canonical(i, *config.get(v));
+        let at = |j: usize| self.canonical(j, *config.get(VertexId::new(j)));
+        if i == 0 {
+            let r = at(1);
+            [(s.x == r.x && !r.up).then_some(rules::BOTTOM), None]
+        } else if i == self.n - 1 {
+            [(s.x != at(i - 1).x).then_some(rules::TOP), None]
+        } else {
+            let (l, r) = (at(i - 1), at(i + 1));
+            [
+                (s.x != l.x).then_some(rules::FLIP),
+                (s.x == r.x && s.up && !r.up).then_some(rules::LOWER),
+            ]
+        }
     }
 }
 
@@ -352,6 +355,29 @@ impl Specification<FourState> for FourStateSpec {
     }
     fn is_legitimate(&self, config: &Configuration<FourState>, _graph: &Graph) -> bool {
         self.protocol.privilege_count(config) == 1
+    }
+}
+
+/// Both totals count privileges (enabled guards — up to two per machine);
+/// a machine's guards read its line neighbors (radius 1).
+impl LocalSpecification<FourState> for FourStateSpec {
+    fn radius(&self) -> u32 {
+        1
+    }
+    fn local_counts(
+        &self,
+        v: VertexId,
+        config: &Configuration<FourState>,
+        _graph: &Graph,
+    ) -> LocalCounts {
+        let privileges = self.protocol.privileges_at(v, config) as u32;
+        LocalCounts { safety: privileges, legitimacy: privileges }
+    }
+    fn safety_rule(&self) -> Aggregate {
+        Aggregate::AtMost(1)
+    }
+    fn legitimacy_rule(&self) -> Aggregate {
+        Aggregate::Exactly(1)
     }
 }
 

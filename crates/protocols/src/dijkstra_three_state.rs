@@ -26,7 +26,7 @@ use rand::Rng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
-use specstab_kernel::spec::Specification;
+use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
 use specstab_topology::{Graph, VertexId};
 use std::error::Error;
 use std::fmt;
@@ -104,37 +104,41 @@ impl DijkstraThreeState {
     /// "privileges").
     #[must_use]
     pub fn privileges(&self, v: VertexId, config: &Configuration<u8>) -> Vec<RuleId> {
-        let i = v.index();
-        let s = *config.get(v);
-        let mut out = Vec::new();
-        if i == 0 {
-            let r = *config.get(self.right(i));
-            if (s + 1) % 3 == r {
-                out.push(rules::BOTTOM);
-            }
-        } else if i == self.n - 1 {
-            let l = *config.get(self.left(i));
-            let r = *config.get(self.right(i)); // the bottom machine
-            if l == r && (l + 1) % 3 != s {
-                out.push(rules::TOP);
-            }
-        } else {
-            let l = *config.get(self.left(i));
-            let r = *config.get(self.right(i));
-            if (s + 1) % 3 == l {
-                out.push(rules::FROM_LEFT);
-            }
-            if (s + 1) % 3 == r {
-                out.push(rules::FROM_RIGHT);
-            }
-        }
-        out
+        self.guards(v, config).into_iter().flatten().collect()
+    }
+
+    /// Number of guards enabled at `v` (allocation-free
+    /// [`DijkstraThreeState::privileges`]).
+    #[must_use]
+    pub fn privileges_at(&self, v: VertexId, config: &Configuration<u8>) -> usize {
+        self.guards(v, config).iter().flatten().count()
     }
 
     /// Total privilege count of the configuration.
     #[must_use]
     pub fn privilege_count(&self, config: &Configuration<u8>) -> usize {
-        (0..self.n).map(|i| self.privileges(VertexId::new(i), config).len()).sum()
+        (0..self.n).map(|i| self.privileges_at(VertexId::new(i), config)).sum()
+    }
+
+    /// The guards of `v`, in rule order.
+    fn guards(&self, v: VertexId, config: &Configuration<u8>) -> [Option<RuleId>; 2] {
+        let i = v.index();
+        let s = *config.get(v);
+        let r = *config.get(self.right(i));
+        if i == 0 {
+            [((s + 1) % 3 == r).then_some(rules::BOTTOM), None]
+        } else {
+            let l = *config.get(self.left(i));
+            if i == self.n - 1 {
+                // `r` is the bottom machine.
+                [(l == r && (l + 1) % 3 != s).then_some(rules::TOP), None]
+            } else {
+                [
+                    ((s + 1) % 3 == l).then_some(rules::FROM_LEFT),
+                    ((s + 1) % 3 == r).then_some(rules::FROM_RIGHT),
+                ]
+            }
+        }
     }
 }
 
@@ -312,6 +316,24 @@ impl Specification<u8> for ThreeStateSpec {
     }
     fn is_legitimate(&self, config: &Configuration<u8>, _graph: &Graph) -> bool {
         self.protocol.privilege_count(config) == 1
+    }
+}
+
+/// Both totals count privileges (enabled guards — up to two per machine);
+/// a machine's guards read its two ring neighbors (radius 1).
+impl LocalSpecification<u8> for ThreeStateSpec {
+    fn radius(&self) -> u32 {
+        1
+    }
+    fn local_counts(&self, v: VertexId, config: &Configuration<u8>, _graph: &Graph) -> LocalCounts {
+        let privileges = self.protocol.privileges_at(v, config) as u32;
+        LocalCounts { safety: privileges, legitimacy: privileges }
+    }
+    fn safety_rule(&self) -> Aggregate {
+        Aggregate::AtMost(1)
+    }
+    fn legitimacy_rule(&self) -> Aggregate {
+        Aggregate::Exactly(1)
     }
 }
 

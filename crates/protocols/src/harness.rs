@@ -5,8 +5,9 @@
 //!
 //! Each harness packages the protocol constructor (with its typed
 //! topology-compatibility check), a legitimate-configuration constructor
-//! (the resting point fault bursts corrupt), the specification's safety
-//! and legitimacy predicates, witness injection where a lower-bound
+//! (the resting point fault bursts corrupt), the specification (whose
+//! local form the campaign measures incrementally and whose full-scan
+//! predicates the trait provides), witness injection where a lower-bound
 //! construction exists (SSME's Theorem 4), protocol-specific daemon
 //! extensions (SSME's greedy Γ1-disorder adversaries) and the applicable
 //! synchronous theorem bound.
@@ -25,39 +26,25 @@ use specstab_core::ssme::{IdAssignment, Ssme};
 use specstab_kernel::batch::{run_batch, BatchDaemon, PredicateMonitor};
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::{parse_daemon_spec, AdversaryMoves, BoxedDaemon, GreedyAdversary};
-use specstab_kernel::harness::{BoundMetric, HarnessError, ProtocolHarness, TheoremBound};
+use specstab_kernel::harness::{
+    BoundMetric, HarnessError, HarnessState, ProtocolHarness, TheoremBound,
+};
 use specstab_kernel::measure::StabilizationReport;
-use specstab_kernel::observer::ConfigPredicate;
-use specstab_kernel::spec::Specification;
 use specstab_topology::metrics::DistanceMatrix;
 use specstab_topology::{Graph, VertexId};
 use specstab_unison::clock::ClockValue;
 
-/// Boxes a [`Specification`]'s safety predicate.
-fn safety_of<S, Sp>(spec: &Sp) -> ConfigPredicate<S>
-where
-    Sp: Specification<S> + Clone + Send + 'static,
-{
-    let spec = spec.clone();
-    Box::new(move |c, g| spec.is_safe(c, g))
-}
-
-/// Boxes a [`Specification`]'s legitimacy predicate.
-fn legitimacy_of<S, Sp>(spec: &Sp) -> ConfigPredicate<S>
-where
-    Sp: Specification<S> + Clone + Send + 'static,
-{
-    let spec = spec.clone();
-    Box::new(move |c, g| spec.is_legitimate(c, g))
-}
-
-/// The measured batched runs' monitor: the specification's predicates,
-/// early-stopping on legitimacy like the scalar cell path.
-fn batch_monitor<S, Sp>(spec: &Sp, early_stop_margin: usize) -> PredicateMonitor<S>
-where
-    Sp: Specification<S> + Clone + Send + 'static,
-{
-    PredicateMonitor::new(safety_of(spec), legitimacy_of(spec), Some(early_stop_margin))
+/// The measured batched runs' monitor: the harness's full-scan
+/// predicates, early-stopping on legitimacy like the scalar cell path.
+fn batch_monitor<H: ProtocolHarness>(
+    harness: &H,
+    early_stop_margin: usize,
+) -> PredicateMonitor<HarnessState<H>> {
+    PredicateMonitor::new(
+        harness.safety_predicate(),
+        harness.legitimacy_predicate(),
+        Some(early_stop_margin),
+    )
 }
 
 /// SSME (Algorithm 1) under `specME` — the paper's speculatively
@@ -80,6 +67,7 @@ impl SsmeHarness {
 
 impl ProtocolHarness for SsmeHarness {
     type Protocol = Ssme;
+    type Spec = SpecMe;
     const NAME: &'static str = "ssme";
 
     fn build(graph: &Graph, diam: u32) -> Result<Self, HarnessError> {
@@ -92,6 +80,10 @@ impl ProtocolHarness for SsmeHarness {
 
     fn protocol(&self) -> &Ssme {
         &self.ssme
+    }
+
+    fn spec(&self) -> &SpecMe {
+        &self.spec
     }
 
     fn legitimate_configuration(
@@ -123,14 +115,6 @@ impl ProtocolHarness for SsmeHarness {
                 protocol: Self::NAME.to_string(),
                 reason: e.to_string(),
             })
-    }
-
-    fn safety_predicate(&self) -> ConfigPredicate<ClockValue> {
-        safety_of(&self.spec)
-    }
-
-    fn legitimacy_predicate(&self) -> ConfigPredicate<ClockValue> {
-        legitimacy_of(&self.spec)
     }
 
     /// The shared kernel zoo plus the protocol-specific greedy adversaries
@@ -186,7 +170,7 @@ impl ProtocolHarness for SsmeHarness {
             lane_seeds,
             &inits,
             max_steps,
-            batch_monitor(&self.spec, early_stop_margin),
+            batch_monitor(self, early_stop_margin),
         ))
     }
 }
@@ -200,6 +184,7 @@ pub struct DijkstraHarness {
 
 impl ProtocolHarness for DijkstraHarness {
     type Protocol = DijkstraRing;
+    type Spec = DijkstraSpec;
     const NAME: &'static str = "dijkstra";
 
     fn build(graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
@@ -221,6 +206,10 @@ impl ProtocolHarness for DijkstraHarness {
         &self.proto
     }
 
+    fn spec(&self) -> &DijkstraSpec {
+        &self.spec
+    }
+
     fn legitimate_configuration(
         &self,
         graph: &Graph,
@@ -228,14 +217,6 @@ impl ProtocolHarness for DijkstraHarness {
     ) -> Result<Configuration<u64>, HarnessError> {
         // All counters equal: exactly the root privileged — legitimate.
         Ok(Configuration::from_fn(graph.n(), |_| 0u64))
-    }
-
-    fn safety_predicate(&self) -> ConfigPredicate<u64> {
-        safety_of(&self.spec)
-    }
-
-    fn legitimacy_predicate(&self) -> ConfigPredicate<u64> {
-        legitimacy_of(&self.spec)
     }
 
     /// The exact synchronous law: legitimacy entry within `2n − 3` steps.
@@ -281,7 +262,7 @@ impl ProtocolHarness for DijkstraHarness {
             lane_seeds,
             &inits,
             max_steps,
-            batch_monitor(&self.spec, early_stop_margin),
+            batch_monitor(self, early_stop_margin),
         ))
     }
 }
@@ -295,6 +276,7 @@ pub struct Dijkstra3Harness {
 
 impl ProtocolHarness for Dijkstra3Harness {
     type Protocol = DijkstraThreeState;
+    type Spec = ThreeStateSpec;
     const NAME: &'static str = "dijkstra3";
 
     fn build(graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
@@ -313,6 +295,10 @@ impl ProtocolHarness for Dijkstra3Harness {
         &self.proto
     }
 
+    fn spec(&self) -> &ThreeStateSpec {
+        &self.spec
+    }
+
     fn legitimate_configuration(
         &self,
         graph: &Graph,
@@ -320,14 +306,6 @@ impl ProtocolHarness for Dijkstra3Harness {
     ) -> Result<Configuration<u8>, HarnessError> {
         // All machines at 0: only the top machine holds a privilege.
         Ok(Configuration::from_fn(graph.n(), |_| 0u8))
-    }
-
-    fn safety_predicate(&self) -> ConfigPredicate<u8> {
-        safety_of(&self.spec)
-    }
-
-    fn legitimacy_predicate(&self) -> ConfigPredicate<u8> {
-        legitimacy_of(&self.spec)
     }
 
     fn supports_batch(&self) -> bool {
@@ -356,7 +334,7 @@ impl ProtocolHarness for Dijkstra3Harness {
             lane_seeds,
             &inits,
             max_steps,
-            batch_monitor(&self.spec, early_stop_margin),
+            batch_monitor(self, early_stop_margin),
         ))
     }
 }
@@ -370,6 +348,7 @@ pub struct Dijkstra4Harness {
 
 impl ProtocolHarness for Dijkstra4Harness {
     type Protocol = DijkstraFourState;
+    type Spec = FourStateSpec;
     const NAME: &'static str = "dijkstra4";
 
     fn build(graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
@@ -388,6 +367,10 @@ impl ProtocolHarness for Dijkstra4Harness {
         &self.proto
     }
 
+    fn spec(&self) -> &FourStateSpec {
+        &self.spec
+    }
+
     fn legitimate_configuration(
         &self,
         graph: &Graph,
@@ -398,14 +381,6 @@ impl ProtocolHarness for Dijkstra4Harness {
         Ok(Configuration::from_fn(graph.n(), |v| {
             self.proto.canonical(v.index(), FourState { x: false, up: false })
         }))
-    }
-
-    fn safety_predicate(&self) -> ConfigPredicate<FourState> {
-        safety_of(&self.spec)
-    }
-
-    fn legitimacy_predicate(&self) -> ConfigPredicate<FourState> {
-        legitimacy_of(&self.spec)
     }
 
     fn supports_batch(&self) -> bool {
@@ -433,7 +408,7 @@ impl ProtocolHarness for Dijkstra4Harness {
             lane_seeds,
             &inits,
             max_steps,
-            batch_monitor(&self.spec, early_stop_margin),
+            batch_monitor(self, early_stop_margin),
         ))
     }
 }
@@ -448,6 +423,7 @@ pub struct BfsHarness {
 
 impl ProtocolHarness for BfsHarness {
     type Protocol = MinPlusOneBfs;
+    type Spec = BfsSpec;
     const NAME: &'static str = "bfs";
 
     fn build(graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
@@ -461,6 +437,10 @@ impl ProtocolHarness for BfsHarness {
         &self.proto
     }
 
+    fn spec(&self) -> &BfsSpec {
+        &self.spec
+    }
+
     fn legitimate_configuration(
         &self,
         graph: &Graph,
@@ -470,14 +450,6 @@ impl ProtocolHarness for BfsHarness {
         // (and legitimate) configuration. The distances are the ones the
         // specification already computed.
         Ok(Configuration::from_fn(graph.n(), |v| self.spec.distances()[v.index()]))
-    }
-
-    fn safety_predicate(&self) -> ConfigPredicate<u32> {
-        safety_of(&self.spec)
-    }
-
-    fn legitimacy_predicate(&self) -> ConfigPredicate<u32> {
-        legitimacy_of(&self.spec)
     }
 }
 
@@ -491,6 +463,7 @@ pub struct MatchingHarness {
 
 impl ProtocolHarness for MatchingHarness {
     type Protocol = MaximalMatching;
+    type Spec = MatchingSpec;
     const NAME: &'static str = "matching";
 
     fn build(graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
@@ -501,6 +474,10 @@ impl ProtocolHarness for MatchingHarness {
 
     fn protocol(&self) -> &MaximalMatching {
         &self.proto
+    }
+
+    fn spec(&self) -> &MatchingSpec {
+        &self.spec
     }
 
     /// A greedy maximal matching over an rng-shuffled vertex order —
@@ -529,14 +506,6 @@ impl ProtocolHarness for MatchingHarness {
             pointer: partner[v.index()],
             married: partner[v.index()].is_some(),
         }))
-    }
-
-    fn safety_predicate(&self) -> ConfigPredicate<MatchState> {
-        safety_of(&self.spec)
-    }
-
-    fn legitimacy_predicate(&self) -> ConfigPredicate<MatchState> {
-        legitimacy_of(&self.spec)
     }
 }
 

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
-use specstab_kernel::spec::Specification;
+use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
 use specstab_topology::{Graph, VertexId};
 use std::fmt;
 
@@ -245,6 +245,39 @@ impl Specification<MatchState> for MatchingSpec {
             None => true,
         });
         flags_consistent && no_one_sided && self.is_maximal_matching(config, graph)
+    }
+}
+
+/// Both totals count *bad* vertices: an inconsistent married flag, a
+/// one-sided pointer, or an unmarried flag next to an unmarried flag.
+/// Legitimacy is "no bad vertex". Reading the flags instead of
+/// `PRmarried` keeps the radius at 1 (pointers target neighbors) and is
+/// exact: a zero total forces every flag to equal `PRmarried`, so two
+/// adjacent unmarried flags are exactly an edge left uncovered by the
+/// matching.
+impl LocalSpecification<MatchState> for MatchingSpec {
+    fn radius(&self) -> u32 {
+        1
+    }
+    fn local_counts(
+        &self,
+        v: VertexId,
+        config: &Configuration<MatchState>,
+        graph: &Graph,
+    ) -> LocalCounts {
+        let s = *config.get(v);
+        let one_sided = s.pointer.is_some_and(|u| config.get(u).pointer != Some(v));
+        let bad = s.married != self.protocol.pr_married(v, config)
+            || one_sided
+            || (!s.married && graph.neighbors(v).iter().any(|&u| !config.get(u).married));
+        let bad = u32::from(bad);
+        LocalCounts { safety: bad, legitimacy: bad }
+    }
+    fn safety_rule(&self) -> Aggregate {
+        Aggregate::AtMost(0)
+    }
+    fn legitimacy_rule(&self) -> Aggregate {
+        Aggregate::AtMost(0)
     }
 }
 

@@ -84,12 +84,13 @@ pub mod prelude {
     pub use specstab_kernel::harness::{BoundMetric, HarnessError, ProtocolHarness, TheoremBound};
     pub use specstab_kernel::measure::{
         measure_stabilization, measure_with_early_stop, MeasureSettings, MeasurementContext,
+        SpecMonitor,
     };
     pub use specstab_kernel::observer::{
         ConfigTrace, LegitimacyMonitor, MoveCounter, Observer, SafetyMonitor, TraceRecorder,
     };
     pub use specstab_kernel::protocol::{random_configuration, Protocol, RuleId, View};
-    pub use specstab_kernel::spec::Specification;
+    pub use specstab_kernel::spec::{LocalSpecification, Specification};
     pub use specstab_protocols::bfs::{BfsSpec, MinPlusOneBfs};
     pub use specstab_protocols::dijkstra::{DijkstraRing, DijkstraSpec};
     pub use specstab_protocols::harness::{

@@ -35,6 +35,12 @@ pub struct RunCounters {
     /// Bytes of state moved through step deltas (before + after state per
     /// recorded move).
     pub delta_bytes: u64,
+    /// Vertex evaluations of the measurement monitors: `n` per full-scan
+    /// predicate call (the closure predicates of `MeasurementContext` and
+    /// the batched `PredicateMonitor`), one per recomputed vertex on the
+    /// incremental `SpecMonitor` path. Flushed by the monitor layer
+    /// ([`EngineCounters::record_monitor_evals`]), not by the step loop.
+    pub monitor_evals: u64,
 }
 
 impl RunCounters {
@@ -51,6 +57,7 @@ impl RunCounters {
         self.moves += other.moves;
         self.guard_evals += other.guard_evals;
         self.delta_bytes += other.delta_bytes;
+        self.monitor_evals += other.monitor_evals;
     }
 }
 
@@ -76,6 +83,7 @@ pub struct EngineCounters {
     moves: AtomicU64,
     guard_evals: AtomicU64,
     delta_bytes: AtomicU64,
+    monitor_evals: AtomicU64,
     scratch_reuses: AtomicU64,
     config_clones: AtomicU64,
     batch_lanes: AtomicU64,
@@ -104,6 +112,9 @@ pub struct CounterSnapshot {
     pub guard_evals: u64,
     /// Total delta bytes flushed by finished runs.
     pub delta_bytes: u64,
+    /// Total monitor vertex evaluations flushed by finished measured runs
+    /// (see [`RunCounters::monitor_evals`]).
+    pub monitor_evals: u64,
     /// Runs that entered with already-sized scratch buffers (cross-run
     /// buffer reuse — the amortization the `ScratchPool` exists for).
     pub scratch_reuses: u64,
@@ -148,6 +159,30 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
+    /// Field-wise `self += other`: folds the counters of several processes
+    /// or shards into one total.
+    pub fn add(&mut self, other: &Self) {
+        self.steps += other.steps;
+        self.moves += other.moves;
+        self.guard_evals += other.guard_evals;
+        self.delta_bytes += other.delta_bytes;
+        self.monitor_evals += other.monitor_evals;
+        self.scratch_reuses += other.scratch_reuses;
+        self.config_clones += other.config_clones;
+        self.batch_lanes += other.batch_lanes;
+        self.batch_lane_steps += other.batch_lane_steps;
+        self.batch_idle_lane_steps += other.batch_idle_lane_steps;
+        self.batch_scalar_fallbacks += other.batch_scalar_fallbacks;
+        self.batch_routed_sync_groups += other.batch_routed_sync_groups;
+        self.batch_routed_rr_groups += other.batch_routed_rr_groups;
+        self.batch_routed_rand_groups += other.batch_routed_rand_groups;
+        self.batch_routed_dist_groups += other.batch_routed_dist_groups;
+        self.batch_fallback_sync_groups += other.batch_fallback_sync_groups;
+        self.batch_fallback_rr_groups += other.batch_fallback_rr_groups;
+        self.batch_fallback_rand_groups += other.batch_fallback_rand_groups;
+        self.batch_fallback_dist_groups += other.batch_fallback_dist_groups;
+    }
+
     /// Field-wise `self - earlier` (saturating, so a stale `earlier` from
     /// another epoch degrades to zeros instead of wrapping).
     #[must_use]
@@ -157,6 +192,7 @@ impl CounterSnapshot {
             moves: self.moves.saturating_sub(earlier.moves),
             guard_evals: self.guard_evals.saturating_sub(earlier.guard_evals),
             delta_bytes: self.delta_bytes.saturating_sub(earlier.delta_bytes),
+            monitor_evals: self.monitor_evals.saturating_sub(earlier.monitor_evals),
             scratch_reuses: self.scratch_reuses.saturating_sub(earlier.scratch_reuses),
             config_clones: self.config_clones.saturating_sub(earlier.config_clones),
             batch_lanes: self.batch_lanes.saturating_sub(earlier.batch_lanes),
@@ -196,13 +232,20 @@ impl CounterSnapshot {
 }
 
 impl EngineCounters {
-    /// Flushes one finished run's tallies — four relaxed adds, the only
-    /// global traffic a run generates.
+    /// Flushes one finished run's engine tallies — four relaxed adds, the
+    /// only global traffic a run's step loop generates. `monitor_evals`
+    /// is the monitor layer's to flush ([`Self::record_monitor_evals`]).
     pub fn record_run(&self, run: &RunCounters) {
         self.steps.fetch_add(run.steps, Ordering::Relaxed);
         self.moves.fetch_add(run.moves, Ordering::Relaxed);
         self.guard_evals.fetch_add(run.guard_evals, Ordering::Relaxed);
         self.delta_bytes.fetch_add(run.delta_bytes, Ordering::Relaxed);
+    }
+
+    /// Flushes the monitor vertex evaluations of one finished measured run
+    /// (or batch).
+    pub fn record_monitor_evals(&self, evals: u64) {
+        self.monitor_evals.fetch_add(evals, Ordering::Relaxed);
     }
 
     /// Records a run entering with scratch buffers already sized for its
@@ -261,6 +304,7 @@ impl EngineCounters {
             moves: self.moves.load(Ordering::Relaxed),
             guard_evals: self.guard_evals.load(Ordering::Relaxed),
             delta_bytes: self.delta_bytes.load(Ordering::Relaxed),
+            monitor_evals: self.monitor_evals.load(Ordering::Relaxed),
             scratch_reuses: self.scratch_reuses.load(Ordering::Relaxed),
             config_clones: self.config_clones.load(Ordering::Relaxed),
             batch_lanes: self.batch_lanes.load(Ordering::Relaxed),
@@ -284,6 +328,7 @@ static GLOBAL: EngineCounters = EngineCounters {
     moves: AtomicU64::new(0),
     guard_evals: AtomicU64::new(0),
     delta_bytes: AtomicU64::new(0),
+    monitor_evals: AtomicU64::new(0),
     scratch_reuses: AtomicU64::new(0),
     config_clones: AtomicU64::new(0),
     batch_lanes: AtomicU64::new(0),
@@ -312,15 +357,29 @@ mod tests {
 
     #[test]
     fn run_counters_accumulate() {
-        let mut a = RunCounters { steps: 1, moves: 2, guard_evals: 3, delta_bytes: 4 };
-        a.add(&RunCounters { steps: 10, moves: 20, guard_evals: 30, delta_bytes: 40 });
-        assert_eq!(a, RunCounters { steps: 11, moves: 22, guard_evals: 33, delta_bytes: 44 });
+        let run = |k: u64| RunCounters {
+            steps: k,
+            moves: 2 * k,
+            guard_evals: 3 * k,
+            delta_bytes: 4 * k,
+            monitor_evals: 5 * k,
+        };
+        let mut a = run(1);
+        a.add(&run(10));
+        assert_eq!(a, run(11));
     }
 
     #[test]
     fn global_flush_and_snapshot_deltas() {
         let before = global().snapshot();
-        global().record_run(&RunCounters { steps: 5, moves: 7, guard_evals: 11, delta_bytes: 13 });
+        global().record_run(&RunCounters {
+            steps: 5,
+            moves: 7,
+            guard_evals: 11,
+            delta_bytes: 13,
+            monitor_evals: 0,
+        });
+        global().record_monitor_evals(19);
         global().record_scratch_reuse();
         global().record_config_clone();
         global().record_batch(64, 640, 17);
@@ -336,6 +395,7 @@ mod tests {
         // Other tests in this binary may run concurrently and also flush,
         // so deltas are lower-bounded, not exact.
         assert!(d.steps >= 5 && d.moves >= 7 && d.guard_evals >= 11 && d.delta_bytes >= 13);
+        assert!(d.monitor_evals >= 19);
         assert!(d.scratch_reuses >= 1 && d.config_clones >= 1);
         assert!(d.batch_lanes >= 64 && d.batch_lane_steps >= 640 && d.batch_idle_lane_steps >= 17);
         assert!(d.batch_scalar_fallbacks >= 4);
@@ -343,6 +403,18 @@ mod tests {
         assert!(d.batch_routed_rand_groups >= 1 && d.batch_routed_dist_groups >= 1);
         assert!(d.batch_fallback_sync_groups >= 1 && d.batch_fallback_rr_groups >= 1);
         assert!(d.batch_fallback_rand_groups >= 1 && d.batch_fallback_dist_groups >= 1);
+    }
+
+    #[test]
+    fn snapshot_add_is_the_inverse_of_delta() {
+        let a =
+            CounterSnapshot { steps: 3, monitor_evals: 5, batch_lanes: 7, ..Default::default() };
+        let b =
+            CounterSnapshot { steps: 1, monitor_evals: 2, config_clones: 4, ..Default::default() };
+        let mut sum = a;
+        sum.add(&b);
+        assert_eq!(sum.delta(&b), a);
+        assert_eq!(sum.monitor_evals, 7);
     }
 
     #[test]

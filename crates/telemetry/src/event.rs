@@ -234,6 +234,7 @@ pub(crate) fn counters_json(c: &CounterSnapshot) -> Json {
         ("moves", Json::UInt(c.moves)),
         ("guard_evals", Json::UInt(c.guard_evals)),
         ("delta_bytes", Json::UInt(c.delta_bytes)),
+        ("monitor_evals", Json::UInt(c.monitor_evals)),
         ("scratch_reuses", Json::UInt(c.scratch_reuses)),
         ("config_clones", Json::UInt(c.config_clones)),
         ("batch_lanes", Json::UInt(c.batch_lanes)),
@@ -251,9 +252,9 @@ pub(crate) fn counters_json(c: &CounterSnapshot) -> Json {
     ])
 }
 
-/// Optional counter field: absent in traces written before the batch
-/// counters existed, which still carry the `specstab-events/v1` schema —
-/// absent reads as zero so old traces keep validating.
+/// Optional counter field: absent in traces written before the batch and
+/// monitor counters existed, which still carry the `specstab-events/v1`
+/// schema — absent reads as zero so old traces keep validating.
 fn opt_u64(j: &Json, key: &str) -> Result<u64, String> {
     j.get(key).map_or(Ok(0), Json::as_u64)
 }
@@ -264,6 +265,7 @@ fn counters_from_json(j: &Json) -> Result<CounterSnapshot, String> {
         moves: j.req("moves")?.as_u64()?,
         guard_evals: j.req("guard_evals")?.as_u64()?,
         delta_bytes: j.req("delta_bytes")?.as_u64()?,
+        monitor_evals: opt_u64(j, "monitor_evals")?,
         scratch_reuses: j.req("scratch_reuses")?.as_u64()?,
         config_clones: j.req("config_clones")?.as_u64()?,
         batch_lanes: opt_u64(j, "batch_lanes")?,
@@ -656,6 +658,7 @@ mod tests {
             moves: 2,
             guard_evals: 3,
             delta_bytes: 4,
+            monitor_evals: 19,
             scratch_reuses: 5,
             config_clones: 6,
             batch_lanes: 7,
@@ -758,6 +761,7 @@ mod tests {
         match event.kind {
             EventKind::ShardEnd { counters, .. } => {
                 assert_eq!(counters.moves, 2);
+                assert_eq!(counters.monitor_evals, 0);
                 assert_eq!(counters.batch_lanes, 0);
                 assert_eq!(counters.batch_lane_steps, 0);
                 assert_eq!(counters.batch_idle_lane_steps, 0);

@@ -83,27 +83,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                 ]));
             }
             EventKind::ShardEnd { cells: n, wall_us, counters } => {
-                let mut agg = shard_totals;
-                // CounterSnapshot has no add; fold field-wise.
-                agg.steps += counters.steps;
-                agg.moves += counters.moves;
-                agg.guard_evals += counters.guard_evals;
-                agg.delta_bytes += counters.delta_bytes;
-                agg.scratch_reuses += counters.scratch_reuses;
-                agg.config_clones += counters.config_clones;
-                agg.batch_lanes += counters.batch_lanes;
-                agg.batch_lane_steps += counters.batch_lane_steps;
-                agg.batch_idle_lane_steps += counters.batch_idle_lane_steps;
-                agg.batch_scalar_fallbacks += counters.batch_scalar_fallbacks;
-                agg.batch_routed_sync_groups += counters.batch_routed_sync_groups;
-                agg.batch_routed_rr_groups += counters.batch_routed_rr_groups;
-                agg.batch_routed_rand_groups += counters.batch_routed_rand_groups;
-                agg.batch_routed_dist_groups += counters.batch_routed_dist_groups;
-                agg.batch_fallback_sync_groups += counters.batch_fallback_sync_groups;
-                agg.batch_fallback_rr_groups += counters.batch_fallback_rr_groups;
-                agg.batch_fallback_rand_groups += counters.batch_fallback_rand_groups;
-                agg.batch_fallback_dist_groups += counters.batch_fallback_dist_groups;
-                shard_totals = agg;
+                shard_totals.add(counters);
                 shard_cells += n;
                 shard_wall_max = shard_wall_max.max(*wall_us);
                 shards.push(obj(vec![

@@ -37,6 +37,26 @@ impl SpecAu {
         // The second clause covers isolated vertices (n = 1).
     }
 
+    /// Whether vertex `v` violates `Γ1` locally: its register or a
+    /// neighbor's is incorrect, or it drifts more than 1 from a neighbor.
+    /// `config ∈ Γ1` iff no vertex violates it (the local form of
+    /// [`SpecAu::in_gamma_one`]); like it, correctness is tested before
+    /// `d_K`, which is defined on correct values only.
+    #[must_use]
+    pub fn violates_gamma_one_at(
+        &self,
+        v: VertexId,
+        config: &Configuration<ClockValue>,
+        graph: &Graph,
+    ) -> bool {
+        let rv = *config.get(v);
+        !self.clock.is_stab(rv)
+            || graph.neighbors(v).iter().any(|&u| {
+                let ru = *config.get(u);
+                !self.clock.is_stab(ru) || self.clock.d_k(rv, ru) > 1
+            })
+    }
+
     /// Global drift bound within `Γ1` (paper remark): for any two vertices,
     /// `d_K(r_u, r_v) ≤ dist(u, v) ≤ diam(g)`. Checked explicitly by tests;
     /// exposed for the SSME safety argument.
@@ -148,6 +168,26 @@ mod tests {
         let g = generators::path(3).unwrap();
         assert!(!spec.in_gamma_one(&cfg(&x, &[2, 4, 2]), &g));
         assert!(!spec.in_gamma_one(&cfg(&x, &[-1, 0, 1]), &g));
+    }
+
+    #[test]
+    fn local_gamma_one_violations_agree_with_the_edge_scan() {
+        let x = clock();
+        let spec = SpecAu::new(x);
+        let g = generators::ring(4).unwrap();
+        for raws in [[1i64, 1, 2, 2], [6, 0, 6, 0], [1, 2, 3, 2], [0, -1, 0, 0], [4, 4, 4, 1]] {
+            let c = cfg(&x, &raws);
+            let violators = g.vertices().filter(|&v| spec.violates_gamma_one_at(v, &c, &g)).count();
+            assert_eq!(violators == 0, spec.in_gamma_one(&c, &g), "{raws:?}");
+        }
+        // A lone incorrect register makes it and its neighbors violate.
+        let c = cfg(&x, &[1, -1, 1, 1]);
+        let violators: Vec<usize> = g
+            .vertices()
+            .filter(|&v| spec.violates_gamma_one_at(v, &c, &g))
+            .map(|v| v.index())
+            .collect();
+        assert_eq!(violators, vec![0, 1, 2]);
     }
 
     #[test]
