@@ -6,7 +6,7 @@
 //! `BENCH_engine.json` perf snapshot outside the bench harness.
 
 use criterion::{criterion_group, criterion_main};
-use specstab_bench::engine_bench::{bench_engine, bench_protocol_zoo};
+use specstab_bench::engine_bench::{bench_engine, bench_io, bench_protocol_zoo};
 
-criterion_group!(benches, bench_engine, bench_protocol_zoo);
+criterion_group!(benches, bench_engine, bench_protocol_zoo, bench_io);
 criterion_main!(benches);

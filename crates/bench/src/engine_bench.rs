@@ -9,10 +9,17 @@
 //! stepping, and full synchronous convergence of the registry's BFS and
 //! matching protocols. Those ids time bare engines with no observers; the
 //! `measured_*` ids add the campaign executor's measurement observer, the
-//! path large scalar campaign cells actually run.
+//! path large scalar campaign cells actually run. The `io/*` ids time the
+//! transport reader every sharded or served campaign parses its partials
+//! with.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use rand::SeedableRng;
+use specstab_campaign::artifact::PartialArtifact;
+use specstab_campaign::executor::CampaignConfig;
+use specstab_campaign::matrix::{InitMode, ScenarioMatrix};
+use specstab_campaign::plan::CampaignPlan;
+use specstab_campaign::shard::execute_shard;
 use specstab_kernel::batch::{run_batch, BatchDaemon, NoMonitor};
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::{
@@ -447,9 +454,34 @@ pub fn bench_protocol_zoo(c: &mut Criterion) {
     group.finish();
 }
 
+/// Partial-artifact parse throughput in bytes/s: `PartialArtifact::from_json`
+/// on the partial `execute_shard` writes for the first golden invocation's
+/// matrix (54 ssme cells, one shard) — the read `run --workers`, `merge`
+/// and the `serve` coordinator perform for every partial.
+pub fn bench_io(c: &mut Criterion) {
+    let matrix = ScenarioMatrix::builder()
+        .topologies(["ring:8", "torus:3x4"])
+        .protocols(["ssme"])
+        .daemons(["sync", "central-rand", "dist:0.5"])
+        .init_modes([InitMode::Burst(0), InitMode::Burst(2), InitMode::Witness])
+        .seeds(0..3)
+        .build();
+    let config = CampaignConfig { max_steps: 500_000, seed: 51966, ..CampaignConfig::default() };
+    let plan = CampaignPlan::new(&matrix, &config, 1);
+    let text = execute_shard(&plan, 0, 1).expect("shard 0 exists").to_json();
+    let mut group = c.benchmark_group("io");
+    // Elements are bytes, as the id says (the gate reads elements/s).
+    group.throughput(Throughput::Elements(text.len() as u64));
+    group.bench_function(BenchmarkId::new("partial_parse_bytes", "golden-54-cells"), |b| {
+        b.iter(|| PartialArtifact::from_json(&text).expect("partial parses").cells.len());
+    });
+    group.finish();
+}
+
 /// Runs the full engine suite on one `Criterion` instance (the shared body
 /// of the criterion bench harness and the `bench_engine` binary).
 pub fn run_all(c: &mut Criterion) {
     bench_engine(c);
     bench_protocol_zoo(c);
+    bench_io(c);
 }

@@ -44,7 +44,8 @@ use specstab_campaign::shard::{execute_shard, run_plan_subprocess, shard_trace_p
 use specstab_campaign::trace::{emit_result_events, sum_shard_counters};
 use specstab_protocols::registry;
 use specstab_telemetry::{
-    global, merge_streams, metrics_from_events, parse_ndjson, EventKind, Heartbeat, TraceWriter,
+    global, merge_streams, metrics_from_events, parse_ndjson, EventKind, Heartbeat, ParseTally,
+    TraceWriter,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -549,17 +550,18 @@ fn cmd_run(argv: &[String]) -> ! {
             w.emit_raw(event).unwrap_or_else(|e| fail(&e));
         }
     }
-    let outcome = partials.and_then(|ps| {
+    let outcome = partials.and_then(|(ps, parse)| {
         trace_emit(&mut trace, EventKind::MergeStart { partials: ps.len() as u64 });
-        merge_partials(ps)
+        merge_partials(ps).map(|result| (result, parse))
     });
     let _ = std::fs::remove_dir_all(&work_dir);
-    let result = outcome.unwrap_or_else(|e| fail(&e));
+    let (result, parse) = outcome.unwrap_or_else(|e| fail(&e));
     trace_emit(
         &mut trace,
         EventKind::MergeEnd {
             cells: result.cells.len() as u64,
             groups: result.groups.len() as u64,
+            parse,
         },
     );
     trace_emit(
@@ -817,12 +819,14 @@ fn cmd_merge(argv: &[String]) -> ! {
     if inputs.is_empty() {
         fail("merge needs at least one partial artifact");
     }
+    let mut parse = ParseTally::default();
     let partials: Vec<PartialArtifact> = inputs
         .iter()
         .map(|p| {
             let text = std::fs::read_to_string(p)
                 .unwrap_or_else(|e| fail(&format!("reading {}: {e}", p.display())));
-            PartialArtifact::from_json(&text)
+            parse
+                .time(&text, PartialArtifact::from_json)
                 .unwrap_or_else(|e| fail(&format!("parsing {}: {e}", p.display())))
         })
         .collect();
@@ -835,6 +839,7 @@ fn cmd_merge(argv: &[String]) -> ! {
         EventKind::MergeEnd {
             cells: result.cells.len() as u64,
             groups: result.groups.len() as u64,
+            parse,
         },
     );
     finish_trace(trace, trace_path.as_deref(), None);

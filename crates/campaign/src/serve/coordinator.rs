@@ -20,7 +20,9 @@ use crate::artifact::{write_atomic, PartialArtifact};
 use crate::executor::CampaignResult;
 use crate::merge::{Accepted, MergeAccumulator};
 use crate::plan::CampaignPlan;
-use specstab_telemetry::{obj, EventKind, Json, ServeCounts, ServeHeartbeat, TraceWriter};
+use specstab_telemetry::{
+    obj, EventKind, Json, ParseTally, ServeCounts, ServeHeartbeat, TraceWriter,
+};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -137,6 +139,8 @@ pub struct Coordinator {
     uploads_rejected: u64,
     workers: Vec<WorkerTally>,
     batch_routing: BatchRoutingTally,
+    /// Every partial parse, upload and spool alike (rejected ones too).
+    parse: ParseTally,
     started: Instant,
 }
 
@@ -181,6 +185,7 @@ impl Coordinator {
             uploads_rejected: 0,
             workers: Vec::new(),
             batch_routing: BatchRoutingTally::default(),
+            parse: ParseTally::default(),
             started: Instant::now(),
         };
         coordinator.emit(EventKind::CampaignStart {
@@ -221,7 +226,9 @@ impl Coordinator {
         for path in paths {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("reading spooled {}: {e}", path.display()))?;
-            let partial = PartialArtifact::from_json(&text)
+            let partial = self
+                .parse
+                .time(&text, PartialArtifact::from_json)
                 .map_err(|e| format!("parsing spooled {}: {e}", path.display()))?;
             match self.fold_partial(partial, "spool", BatchRoutingTally::default(), false)? {
                 UploadReply::Accepted { .. } => {}
@@ -485,7 +492,7 @@ impl Coordinator {
                     .map_or_else(BatchRoutingTally::default, BatchRoutingTally::parse);
                 let parsed = std::str::from_utf8(&req.body)
                     .map_err(|_| "non-UTF-8 upload body".to_string())
-                    .and_then(PartialArtifact::from_json);
+                    .and_then(|text| self.parse.time(text, PartialArtifact::from_json));
                 let reply = match parsed {
                     Ok(partial) => self.fold_partial(partial, &worker, routing, true)?,
                     Err(reason) => UploadReply::Rejected { reason },
@@ -583,6 +590,7 @@ impl Coordinator {
             w.emit(EventKind::MergeEnd {
                 cells: result.cells.len() as u64,
                 groups: result.groups.len() as u64,
+                parse: self.parse,
             })?;
             w.emit(EventKind::CampaignEnd {
                 cells: result.cells.len() as u64,

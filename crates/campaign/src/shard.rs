@@ -19,7 +19,7 @@ use crate::artifact::PartialArtifact;
 use crate::executor::run_campaign;
 use crate::matrix::ScenarioMatrix;
 use crate::plan::CampaignPlan;
-use specstab_telemetry::Heartbeat;
+use specstab_telemetry::{Heartbeat, ParseTally};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
@@ -93,7 +93,7 @@ pub struct PoolOptions<'a> {
 /// Runs every shard of the plan at `plan_path` through worker subprocesses
 /// of `exe` (the `campaign` binary), bounded by [`PoolOptions::workers`],
 /// writing partials into `work_dir` and returning them parsed, in shard
-/// order.
+/// order, with the bytes and wall time their parses took.
 ///
 /// # Errors
 ///
@@ -106,7 +106,7 @@ pub fn run_plan_subprocess(
     plan_path: &Path,
     work_dir: &Path,
     opts: PoolOptions<'_>,
-) -> Result<Vec<PartialArtifact>, String> {
+) -> Result<(Vec<PartialArtifact>, ParseTally), String> {
     let jobs: Vec<ShardJob> = plan
         .shards
         .iter()
@@ -219,14 +219,18 @@ pub fn run_plan_subprocess(
         return Err(e);
     }
 
-    jobs.iter()
+    let mut parse = ParseTally::default();
+    let partials = jobs
+        .iter()
         .map(|job| {
             let text = std::fs::read_to_string(&job.out)
                 .map_err(|e| format!("reading {}: {e}", job.out.display()))?;
-            PartialArtifact::from_json(&text)
+            parse
+                .time(&text, PartialArtifact::from_json)
                 .map_err(|e| format!("parsing {}: {e}", job.out.display()))
         })
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok((partials, parse))
 }
 
 #[cfg(test)]

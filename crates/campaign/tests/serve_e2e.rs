@@ -181,6 +181,21 @@ fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
         );
     }
     assert_eq!(w2.executed as usize + resumed_shards.len(), 3);
+
+    // `merge_end` sums the spool replays and the uploads: every partial in
+    // the spool went through the resumed coordinator's parser once.
+    let spooled_bytes: u64 = std::fs::read_dir(dir.join("spool"))
+        .expect("spool")
+        .map(|entry| entry.expect("spool entry").metadata().expect("metadata").len())
+        .sum();
+    let parse = events
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::MergeEnd { parse, .. } => Some(parse),
+            _ => None,
+        })
+        .expect("merge_end event");
+    assert!(parse.bytes >= spooled_bytes, "{} parsed < {spooled_bytes} spooled", parse.bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

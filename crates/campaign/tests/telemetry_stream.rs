@@ -92,6 +92,20 @@ fn traced_workers_run_is_schema_valid_and_keeps_the_golden_byte_identical() {
     assert_eq!(totals.req("errors").unwrap().as_u64().unwrap(), 0);
     assert!(totals.req("counters").unwrap().req("moves").unwrap().as_u64().unwrap() > 0);
 
+    // The transport-read timer: `merge_end` counts every partial byte the
+    // orchestrator parsed, and the sidecar reports the same total.
+    let parse = events
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::MergeEnd { parse, .. } => Some(parse),
+            _ => None,
+        })
+        .expect("merge_end event");
+    assert!(parse.bytes > 0, "the orchestrator parsed three partials");
+    let transport = metrics.req("transport").unwrap();
+    assert_eq!(transport.req("parsed_bytes").unwrap().as_u64().unwrap(), parse.bytes);
+    assert_eq!(transport.req("parse_us").unwrap().as_u64().unwrap(), parse.us);
+
     for p in [&json_path, &trace_path, &metrics_path] {
         let _ = std::fs::remove_file(p);
     }

@@ -175,6 +175,9 @@ pub enum EventKind {
         cells: u64,
         /// Groups in the merged result.
         groups: u64,
+        /// Partial-artifact reads that fed the merge (`parsed_bytes`,
+        /// `parse_us`; zero in traces written before they existed).
+        parse: ParseTally,
     },
     /// `campaign_end`: the sweep finished.
     CampaignEnd {
@@ -211,6 +214,28 @@ impl EventKind {
             EventKind::MergeEnd { .. } => "merge_end",
             EventKind::CampaignEnd { .. } => "campaign_end",
         }
+    }
+}
+
+/// Bytes of partial artifacts a merge site parsed and the wall time those
+/// parses took: the transport-read timer `merge_end` carries.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct ParseTally {
+    /// Input bytes handed to the parser.
+    pub bytes: u64,
+    /// Wall-clock microseconds spent parsing them.
+    pub us: u64,
+}
+
+impl ParseTally {
+    /// Runs `parse` over `text`, adding the text's length and the call's
+    /// wall time to the tally, and returns what `parse` returned.
+    pub fn time<T>(&mut self, text: &str, parse: impl FnOnce(&str) -> T) -> T {
+        let started = Instant::now();
+        let parsed = parse(text);
+        self.bytes += text.len() as u64;
+        self.us += u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        parsed
     }
 }
 
@@ -252,9 +277,10 @@ pub(crate) fn counters_json(c: &CounterSnapshot) -> Json {
     ])
 }
 
-/// Optional counter field: absent in traces written before the batch and
-/// monitor counters existed, which still carry the `specstab-events/v1`
-/// schema — absent reads as zero so old traces keep validating.
+/// Optional counter field: absent in traces written before the batch,
+/// monitor and parse counters existed, which still carry the
+/// `specstab-events/v1` schema — absent reads as zero so old traces keep
+/// validating.
 fn opt_u64(j: &Json, key: &str) -> Result<u64, String> {
     j.get(key).map_or(Ok(0), Json::as_u64)
 }
@@ -369,9 +395,11 @@ impl Event {
             EventKind::MergeStart { partials } => {
                 fields.push(("partials", Json::UInt(*partials)));
             }
-            EventKind::MergeEnd { cells, groups } => {
+            EventKind::MergeEnd { cells, groups, parse } => {
                 fields.push(("cells", Json::UInt(*cells)));
                 fields.push(("groups", Json::UInt(*groups)));
+                fields.push(("parsed_bytes", Json::UInt(parse.bytes)));
+                fields.push(("parse_us", Json::UInt(parse.us)));
             }
             EventKind::CampaignEnd { cells, errors, violations, wall_us, counters } => {
                 fields.push(("cells", Json::UInt(*cells)));
@@ -473,6 +501,10 @@ impl Event {
             "merge_end" => EventKind::MergeEnd {
                 cells: j.req("cells")?.as_u64()?,
                 groups: j.req("groups")?.as_u64()?,
+                parse: ParseTally {
+                    bytes: opt_u64(&j, "parsed_bytes")?,
+                    us: opt_u64(&j, "parse_us")?,
+                },
             },
             "campaign_end" => EventKind::CampaignEnd {
                 cells: j.req("cells")?.as_u64()?,
@@ -725,7 +757,11 @@ mod tests {
                 reason: "plan fingerprint mismatch\n(line two)".into(),
             },
             EventKind::MergeStart { partials: 3 },
-            EventKind::MergeEnd { cells: 108, groups: 9 },
+            EventKind::MergeEnd {
+                cells: 108,
+                groups: 9,
+                parse: ParseTally { bytes: 2_727_366, us: 29_000 },
+            },
             EventKind::CampaignEnd {
                 cells: 108,
                 errors: 0,
@@ -777,6 +813,22 @@ mod tests {
             }
             other => panic!("expected shard_end, got {other:?}"),
         }
+        let merge_end = "{\"event\":\"merge_end\",\"seq\":3,\"t_us\":9,\"cells\":4,\"groups\":2}";
+        assert_eq!(
+            Event::from_json_line(merge_end).expect("legacy merge_end parses").kind,
+            EventKind::MergeEnd { cells: 4, groups: 2, parse: ParseTally::default() }
+        );
+    }
+
+    #[test]
+    fn parse_tally_accumulates_bytes_across_calls() {
+        let mut tally = ParseTally::default();
+        assert_eq!(
+            tally.time("[1,2]", Json::parse),
+            Ok(Json::Arr(vec![Json::UInt(1), Json::UInt(2)]))
+        );
+        assert!(tally.time("{", Json::parse).is_err(), "failed parses still count");
+        assert_eq!(tally.bytes, 6);
     }
 
     #[test]

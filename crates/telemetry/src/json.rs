@@ -10,6 +10,13 @@
 //! bound, because plans, partials and event streams travel between
 //! machines and must fail cleanly on hostile input.
 //!
+//! The reader runs in time linear in the document: every string is read
+//! as runs of plain bytes, each appended in one copy, so a partial or an
+//! upload costs the same per byte whatever its size. Following RFC 8259
+//! §7, raw control bytes (below 0x20) inside a string are a syntax error
+//! with their byte offset; the writer always escapes them, so everything
+//! [`Json::render`] and [`Json::render_compact`] produce parses back.
+//!
 //! This module previously lived in `specstab_campaign::artifact`, which
 //! still re-exports it; it moved down here so the kernel- and bench-level
 //! telemetry can speak the same format without depending on the campaign
@@ -385,6 +392,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect_byte(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Take the run of plain bytes up to the next quote, backslash or
+        // control byte in one slice. The run starts after an ASCII byte and
+        // ends before one (or at the end of the input), so it lies on char
+        // boundaries of the `&str` the bytes came from and is valid UTF-8.
+        let start = *pos;
+        while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20) {
+            *pos += 1;
+        }
+        if *pos > start {
+            out.push_str(
+                std::str::from_utf8(&bytes[start..*pos]).expect("runs lie on char boundaries"),
+            );
+        }
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
@@ -418,14 +438,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err(format!("unescaped control character at byte {}", *pos)),
         }
     }
 }
@@ -523,6 +536,27 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+        // RFC 8259 §7: control bytes inside strings must be escaped.
+        for (bad, at) in [("\"a\nb\"", 2), ("{\"k\u{1}\":1}", 3), ("[\"π\t\"]", 4)] {
+            let err = Json::parse(bad).expect_err(bad);
+            assert!(err.contains(&format!("control character at byte {at}")), "{bad:?}: {err}");
+        }
+        assert_eq!(Json::parse("\"a\u{7f}\\u0001\"").unwrap(), Json::Str("a\u{7f}\u{1}".into()));
+    }
+
+    #[test]
+    fn parser_is_linear_in_string_bytes() {
+        // 1024 one-KiB strings (about 1 MiB): a reader that rescans the
+        // rest of the document per character takes tens of seconds on this
+        // input; a linear one takes milliseconds, even in a debug build.
+        let kib = "aé\u{2603}\u{1f600}\\\"".repeat(1024 / 12);
+        let doc = Json::Arr(vec![Json::Str(kib); 1024]).render();
+        assert!(doc.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).expect("parses");
+        let took = start.elapsed();
+        assert_eq!(parsed.as_arr().unwrap().len(), 1024);
+        assert!(took < std::time::Duration::from_secs(2), "1 MiB parse took {took:?}");
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub mod progress;
 
 pub use counters::{global, BatchDaemonClass, CounterSnapshot, RunCounters};
 pub use event::{
-    merge_streams, parse_ndjson, validate_events, Event, EventKind, TraceWriter, EVENTS_SCHEMA,
+    merge_streams, parse_ndjson, validate_events, Event, EventKind, ParseTally, TraceWriter,
+    EVENTS_SCHEMA,
 };
 pub use json::{obj, Json, MAX_PARSE_DEPTH};
 pub use metrics::{metrics_from_events, METRICS_SCHEMA};

@@ -10,7 +10,7 @@
 //! on the deterministic artifact.
 
 use crate::counters::CounterSnapshot;
-use crate::event::{counters_json, Event, EventKind};
+use crate::event::{counters_json, Event, EventKind, ParseTally};
 use crate::json::{obj, Json};
 
 /// Schema identifier written into every metrics sidecar.
@@ -34,7 +34,10 @@ fn moves_per_sec(moves: u64, wall_us: u64) -> Json {
 /// stream order, which for a merged trace is the deterministic
 /// `(shard, seq)` order. Traces containing lease-lifecycle events (a
 /// `campaign serve` coordinator) additionally get a `serve` object with
-/// lease/upload counts and per-worker accepted-cell tallies.
+/// lease/upload counts and per-worker accepted-cell tallies. Traces with a
+/// `merge_end` event (`run --workers`, `merge`, `serve`) get a `transport`
+/// object: the partial-artifact bytes the merge parsed, the microseconds
+/// the parses took, and their throughput in MiB/s.
 #[must_use]
 pub fn metrics_from_events(events: &[Event]) -> Json {
     let mut cells = Vec::new();
@@ -49,6 +52,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
     let mut leases_expired = 0u64;
     let mut partials_accepted = 0u64;
     let mut partials_rejected = 0u64;
+    let mut transport: Option<ParseTally> = None;
     // Per-worker accepted shard/cell tallies, in first-seen order so the
     // sidecar stays deterministic for a deterministically merged trace.
     let mut workers: Vec<(String, u64, u64)> = Vec::new();
@@ -110,6 +114,11 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                 }
             }
             EventKind::PartialRejected { .. } => partials_rejected += 1,
+            EventKind::MergeEnd { parse, .. } => {
+                let t = transport.get_or_insert_with(ParseTally::default);
+                t.bytes += parse.bytes;
+                t.us += parse.us;
+            }
             _ => {}
         }
     }
@@ -138,6 +147,22 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
         ("groups", Json::Arr(groups)),
         ("cells", Json::Arr(cells)),
     ];
+    if let Some(t) = transport {
+        #[allow(clippy::cast_precision_loss)]
+        let mib_per_s = if t.us == 0 {
+            0.0
+        } else {
+            t.bytes as f64 / (1024.0 * 1024.0) / (t.us as f64 / 1_000_000.0)
+        };
+        fields.push((
+            "transport",
+            obj(vec![
+                ("parsed_bytes", Json::UInt(t.bytes)),
+                ("parse_us", Json::UInt(t.us)),
+                ("parse_mib_per_s", Json::Num(mib_per_s)),
+            ]),
+        ));
+    }
     // Only coordinator traces carry lease-lifecycle events; plain runs keep
     // their sidecar shape unchanged.
     if leases_granted + leases_expired + partials_accepted + partials_rejected > 0 {
@@ -302,6 +327,23 @@ mod tests {
         assert_eq!(workers[0].req("worker").unwrap().as_str().unwrap(), "w2");
         assert_eq!(workers[0].req("shards_accepted").unwrap().as_u64().unwrap(), 2);
         assert_eq!(workers[0].req("cells_accepted").unwrap().as_u64().unwrap(), 12);
+    }
+
+    #[test]
+    fn sidecar_reports_transport_reads_only_for_merge_traces() {
+        assert!(metrics_from_events(&[ev(None, 0, cell(0, 40))]).get("transport").is_none());
+        let merge_end = |seq, bytes, us| {
+            ev(
+                None,
+                seq,
+                EventKind::MergeEnd { cells: 9, groups: 3, parse: ParseTally { bytes, us } },
+            )
+        };
+        let m = metrics_from_events(&[merge_end(0, 3 << 20, 1_000_000), merge_end(1, 1 << 20, 0)]);
+        let t = m.req("transport").unwrap();
+        assert_eq!(t.req("parsed_bytes").unwrap().as_u64().unwrap(), 4 << 20);
+        assert_eq!(t.req("parse_us").unwrap().as_u64().unwrap(), 1_000_000);
+        assert!((t.req("parse_mib_per_s").unwrap().as_f64().unwrap() - 4.0).abs() < 1e-9);
     }
 
     #[test]
