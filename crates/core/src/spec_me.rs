@@ -74,6 +74,7 @@ impl LocalSpecification<ClockValue> for SpecMe {
         1
     }
 
+    #[inline]
     fn local_counts(
         &self,
         v: VertexId,

@@ -248,12 +248,14 @@ impl Protocol for Ssme {
         self.unison.rules()
     }
 
+    #[inline]
     fn enabled_rule(&self, view: &View<'_, ClockValue>) -> Option<RuleId> {
         // The privilege predicate does not interfere with the protocol:
         // SSME *is* the unison with a particular clock.
         self.unison.enabled_rule(view)
     }
 
+    #[inline]
     fn apply(&self, view: &View<'_, ClockValue>, rule: RuleId) -> ClockValue {
         self.unison.apply(view, rule)
     }

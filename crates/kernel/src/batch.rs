@@ -43,8 +43,8 @@
 //!   per-lane masks over a **transposed enabled-bitset** (below) and
 //!   committed per lane (GPU-warp-style divergence, masked not
 //!   branched). The random modes replay the scalar daemon's RNG draw
-//!   sequence bit for bit: `CentralRand` draws one `choose` index per
-//!   step from the lane's sorted enabled set, `RandomDistributed{p}`
+//!   sequence bit for bit: `CentralRand` draws one uniform index per
+//!   step into the lane's enabled set in ascending order, `RandomDistributed{p}`
 //!   draws one `gen_bool(p)` per enabled vertex in ascending vertex
 //!   order plus one `choose` fallback when the sample comes up empty —
 //!   and draws happen *only* for steps that execute, matching the
@@ -313,12 +313,13 @@ fn row_word(fired: &[bool], base: usize, lanes: usize, w: usize) -> u64 {
     word
 }
 
-/// Replays the vendored `SliceRandom::choose` draw on a slice of length
-/// `span`: one `next_u64` mapped onto `0..span` by the fixed-point
-/// multiply. The scalar random daemons pick from their sorted enabled
-/// slice with exactly this draw, so replaying it against the lane's
-/// enabled *count* (resolving the j-th set bit in ascending vertex
-/// order) reproduces the scalar pick bit for bit.
+/// Replays the vendored `gen_range(0..span)` draw (the same draw as
+/// `SliceRandom::choose` on a slice of length `span`): one `next_u64`
+/// mapped onto `0..span` by the fixed-point multiply. The scalar random
+/// daemons pick the member of that rank in their enabled set, so
+/// replaying it against the lane's enabled *count* (resolving the j-th
+/// set bit in ascending vertex order) reproduces the scalar pick bit for
+/// bit.
 #[inline]
 fn choose_index(rng: &mut StdRng, span: u64) -> u64 {
     debug_assert!(span > 0);
@@ -765,8 +766,8 @@ impl DivergentState {
     /// Random distributed: the vertex-major scan draws one `gen_bool(p)`
     /// per (enabled, committing) lane bit — each lane's draws land in
     /// ascending vertex order, exactly the scalar daemon's iteration over
-    /// its sorted enabled slice — then lanes whose sample came up empty
-    /// take the scalar's one-`choose` fallback pick.
+    /// its enabled set — then lanes whose sample came up empty take the
+    /// scalar's one-draw uniform fallback pick.
     fn select_dist(&mut self, commit: &[bool], p: f64) {
         self.build_commit_words(commit);
         self.sel.fill(0);

@@ -16,8 +16,8 @@
 
 use crate::batch::BatchDaemon;
 use crate::config::Configuration;
+use crate::enabled::EnabledSet;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use specstab_topology::{Graph, VertexId};
 use std::cmp::Ordering;
@@ -198,8 +198,8 @@ impl std::str::FromStr for DaemonClass {
 
 /// Everything a daemon may inspect when choosing an activation set.
 pub struct SelectionContext<'a, S> {
-    /// The enabled vertices of the current configuration, sorted.
-    pub enabled: &'a [VertexId],
+    /// The enabled vertices of the current configuration.
+    pub enabled: &'a EnabledSet,
     /// The current configuration.
     pub config: &'a Configuration<S>,
     /// The communication graph.
@@ -217,7 +217,7 @@ impl<'a, S: Clone> SelectionContext<'a, S> {
     /// (the engine passes a buffer-reusing `apply_action_into` closure).
     #[must_use]
     pub fn new(
-        enabled: &'a [VertexId],
+        enabled: &'a EnabledSet,
         config: &'a Configuration<S>,
         graph: &'a Graph,
         step: usize,
@@ -254,7 +254,9 @@ impl<'a, S: Clone> SelectionContext<'a, S> {
 /// A daemon: picks a nonempty subset of the enabled vertices each step.
 ///
 /// The engine guarantees `ctx.enabled` is nonempty and validates the
-/// selection (nonempty, subset of enabled, deduplicated).
+/// selection (nonempty, subset of enabled, deduplicated). Selections
+/// emitted in ascending vertex order — what walking `ctx.enabled` in
+/// order produces — skip the engine's sort.
 pub trait Daemon<S> {
     /// Name for reports (e.g. `"synchronous"`).
     fn name(&self) -> String;
@@ -293,8 +295,16 @@ impl<S> Daemon<S> for SynchronousDaemon {
         DaemonClass::synchronous()
     }
     fn select(&mut self, ctx: &SelectionContext<'_, S>, selection: &mut Vec<VertexId>) {
-        selection.extend_from_slice(ctx.enabled);
+        selection.extend(ctx.enabled);
     }
+}
+
+/// One uniform pick among the enabled vertices: one `gen_range(0..len)`
+/// draw — the draw `SliceRandom::choose` makes on the sorted enabled
+/// list — and the member of that rank.
+#[inline]
+fn uniform_pick(enabled: &EnabledSet, rng: &mut StdRng) -> VertexId {
+    enabled.nth(rng.gen_range(0..enabled.len())).expect("enabled nonempty")
 }
 
 /// Selection strategies for [`CentralDaemon`].
@@ -352,21 +362,20 @@ impl<S> Daemon<S> for CentralDaemon {
 
     fn select(&mut self, ctx: &SelectionContext<'_, S>, selection: &mut Vec<VertexId>) {
         let pick = match &self.strategy {
-            CentralStrategy::MinId => ctx.enabled[0],
-            CentralStrategy::MaxId => *ctx.enabled.last().expect("enabled nonempty"),
-            CentralStrategy::Random(_) => {
-                *ctx.enabled.choose(&mut self.rng).expect("enabled nonempty")
-            }
+            CentralStrategy::MinId => ctx.enabled.first().expect("enabled nonempty"),
+            CentralStrategy::MaxId => ctx.enabled.last().expect("enabled nonempty"),
+            CentralStrategy::Random(_) => uniform_pick(ctx.enabled, &mut self.rng),
             CentralStrategy::RoundRobin => {
                 // The next enabled vertex at or after the cursor, wrapping
-                // to the smallest enabled vertex when none remains.
-                // `ctx.enabled` is sorted, so one partition_point replaces
-                // the historical O(n) slot scan (which probed every index
-                // from the cursor with a binary search each) — same pick
-                // sequence, pinned by `round_robin_fast_path_matches_scan`
-                // and the golden campaign artifacts.
-                let i = ctx.enabled.partition_point(|&v| v.index() < self.cursor);
-                let pick = if i < ctx.enabled.len() { ctx.enabled[i] } else { ctx.enabled[0] };
+                // to the smallest enabled vertex when none remains — the
+                // historical O(n) slot scan's pick sequence, pinned by
+                // `round_robin_fast_path_matches_scan` and the golden
+                // campaign artifacts.
+                let pick = ctx
+                    .enabled
+                    .next_from(self.cursor)
+                    .or_else(|| ctx.enabled.first())
+                    .expect("enabled nonempty");
                 self.cursor = (pick.index() + 1) % ctx.graph.n();
                 pick
             }
@@ -412,9 +421,9 @@ impl<S> Daemon<S> for RandomDistributedDaemon {
         DaemonClass::unfair_distributed()
     }
     fn select(&mut self, ctx: &SelectionContext<'_, S>, selection: &mut Vec<VertexId>) {
-        selection.extend(ctx.enabled.iter().copied().filter(|_| self.rng.gen_bool(self.p)));
+        selection.extend(ctx.enabled.iter().filter(|_| self.rng.gen_bool(self.p)));
         if selection.is_empty() {
-            selection.push(*ctx.enabled.choose(&mut self.rng).expect("enabled nonempty"));
+            selection.push(uniform_pick(ctx.enabled, &mut self.rng));
         }
     }
     fn reset(&mut self) {
@@ -430,9 +439,8 @@ pub struct KBoundedDaemon {
     k: usize,
     p: f64,
     passes: Vec<usize>,
-    /// Reused per-step scratch masks (selection / enablement by index).
+    /// Reused per-step selection mask by vertex index.
     in_set: Vec<bool>,
-    enabled_now: Vec<bool>,
     rng: StdRng,
     seed: u64,
 }
@@ -451,7 +459,6 @@ impl KBoundedDaemon {
             p,
             passes: Vec::new(),
             in_set: Vec::new(),
-            enabled_now: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             seed,
         }
@@ -476,24 +483,17 @@ impl<S> Daemon<S> for KBoundedDaemon {
         }
         let passes = &self.passes;
         let (k, p, rng) = (self.k, self.p, &mut self.rng);
-        selection.extend(
-            ctx.enabled.iter().copied().filter(|v| passes[v.index()] >= k || rng.gen_bool(p)),
-        );
+        selection.extend(ctx.enabled.iter().filter(|v| passes[v.index()] >= k || rng.gen_bool(p)));
         if selection.is_empty() {
-            selection.push(*ctx.enabled.choose(&mut self.rng).expect("enabled nonempty"));
+            selection.push(uniform_pick(ctx.enabled, &mut self.rng));
         }
         self.in_set.clear();
         self.in_set.resize(n, false);
         for &v in selection.iter() {
             self.in_set[v.index()] = true;
         }
-        self.enabled_now.clear();
-        self.enabled_now.resize(n, false);
-        for &v in ctx.enabled {
-            self.enabled_now[v.index()] = true;
-        }
         for i in 0..n {
-            if self.enabled_now[i] && !self.in_set[i] {
+            if ctx.enabled.contains(VertexId::new(i)) && !self.in_set[i] {
                 self.passes[i] += 1;
             } else {
                 self.passes[i] = 0;
@@ -514,8 +514,6 @@ impl<S> Daemon<S> for KBoundedDaemon {
 pub struct OldestFirstDaemon {
     /// Step at which each vertex most recently became enabled.
     enabled_since: Vec<usize>,
-    /// Reused per-step enablement mask.
-    is_enabled: Vec<bool>,
 }
 
 impl OldestFirstDaemon {
@@ -540,20 +538,14 @@ impl<S> Daemon<S> for OldestFirstDaemon {
         // Vertices no longer enabled restart their seniority the next time
         // they become enabled: record "not enabled now" as becoming enabled
         // at the *next* step.
-        self.is_enabled.clear();
-        self.is_enabled.resize(ctx.graph.n(), false);
-        for &v in ctx.enabled {
-            self.is_enabled[v.index()] = true;
-        }
-        for (v, &enabled_now) in self.is_enabled.iter().enumerate() {
-            if !enabled_now {
-                self.enabled_since[v] = ctx.step + 1;
+        for (v, since) in self.enabled_since.iter_mut().enumerate() {
+            if !ctx.enabled.contains(VertexId::new(v)) {
+                *since = ctx.step + 1;
             }
         }
         let pick = ctx
             .enabled
             .iter()
-            .copied()
             .min_by_key(|v| (self.enabled_since[v.index()], *v))
             .expect("enabled nonempty");
         // The chosen vertex's seniority resets (it moves now).
@@ -664,6 +656,8 @@ pub struct GreedyAdversary<S> {
     scratch: Configuration<S>,
     /// Reused buffer holding the best candidate set found so far.
     best: Vec<VertexId>,
+    /// Reused buffer holding the all-enabled candidate set.
+    all: Vec<VertexId>,
 }
 
 impl<S> GreedyAdversary<S> {
@@ -677,6 +671,7 @@ impl<S> GreedyAdversary<S> {
             seed,
             scratch: Configuration::new(Vec::new()),
             best: Vec::new(),
+            all: Vec::new(),
         }
     }
 }
@@ -730,7 +725,7 @@ impl<S: Clone> Daemon<S> for GreedyAdversary<S> {
     }
 
     fn select(&mut self, ctx: &SelectionContext<'_, S>, selection: &mut Vec<VertexId>) {
-        let Self { metric, tie_rng, scratch, best, .. } = self;
+        let Self { metric, tie_rng, scratch, best, all, .. } = self;
         let mut best_score: Option<f64> = None;
         let mut consider = |set: &[VertexId]| {
             let next = ctx.preview(set, scratch);
@@ -751,11 +746,13 @@ impl<S: Clone> Daemon<S> for GreedyAdversary<S> {
                 }
             }
         };
-        for &v in ctx.enabled {
+        for v in ctx.enabled {
             consider(std::slice::from_ref(&v));
         }
         if self.moves == AdversaryMoves::SingletonsAndAll && ctx.enabled.len() > 1 {
-            consider(ctx.enabled);
+            all.clear();
+            all.extend(ctx.enabled);
+            consider(all);
         }
         assert!(best_score.is_some(), "enabled nonempty");
         selection.extend_from_slice(&self.best);
@@ -770,10 +767,11 @@ impl<S: Clone> Daemon<S> for GreedyAdversary<S> {
 mod tests {
     use super::*;
     use crate::config::Configuration;
+    use rand::seq::SliceRandom;
     use specstab_topology::generators;
 
     fn ctx_fixture<'a>(
-        enabled: &'a [VertexId],
+        enabled: &'a EnabledSet,
         config: &'a Configuration<u8>,
         graph: &'a Graph,
         apply_into: &'a dyn Fn(&[VertexId], &mut Configuration<u8>),
@@ -819,10 +817,11 @@ mod tests {
     fn synchronous_selects_all_enabled() {
         let g = generators::ring(4).unwrap();
         let c = Configuration::new(vec![0u8; 4]);
-        let enabled = vec![VertexId::new(0), VertexId::new(2)];
+        let enabled = [VertexId::new(0), VertexId::new(2)];
+        let enabled_set = EnabledSet::from_vertices(g.n(), enabled.iter().copied());
         let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
         let mut d = SynchronousDaemon::new();
-        let sel = select_into(&mut d, &ctx_fixture(&enabled, &c, &g, &preview));
+        let sel = select_into(&mut d, &ctx_fixture(&enabled_set, &c, &g, &preview));
         assert_eq!(sel, enabled);
     }
 
@@ -830,16 +829,17 @@ mod tests {
     fn central_min_max_pick_extremes() {
         let g = generators::ring(5).unwrap();
         let c = Configuration::new(vec![0u8; 5]);
-        let enabled = vec![VertexId::new(1), VertexId::new(3), VertexId::new(4)];
+        let enabled = [VertexId::new(1), VertexId::new(3), VertexId::new(4)];
+        let enabled_set = EnabledSet::from_vertices(g.n(), enabled.iter().copied());
         let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
         let mut dmin = CentralDaemon::new(CentralStrategy::MinId);
         let mut dmax = CentralDaemon::new(CentralStrategy::MaxId);
         assert_eq!(
-            select_into(&mut dmin, &ctx_fixture(&enabled, &c, &g, &preview)),
+            select_into(&mut dmin, &ctx_fixture(&enabled_set, &c, &g, &preview)),
             vec![VertexId::new(1)]
         );
         assert_eq!(
-            select_into(&mut dmax, &ctx_fixture(&enabled, &c, &g, &preview)),
+            select_into(&mut dmax, &ctx_fixture(&enabled_set, &c, &g, &preview)),
             vec![VertexId::new(4)]
         );
     }
@@ -849,19 +849,32 @@ mod tests {
         let g = generators::ring(4).unwrap();
         let c = Configuration::new(vec![0u8; 4]);
         let enabled: Vec<VertexId> = (0..4).map(VertexId::new).collect();
+        let enabled_set = EnabledSet::from_vertices(g.n(), enabled.iter().copied());
         let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
         let mut d = CentralDaemon::new(CentralStrategy::RoundRobin);
         let mut picks = Vec::new();
         for _ in 0..4 {
-            let sel = select_into(&mut d, &ctx_fixture(&enabled, &c, &g, &preview));
+            let sel = select_into(&mut d, &ctx_fixture(&enabled_set, &c, &g, &preview));
             picks.push(sel[0].index());
         }
         assert_eq!(picks, vec![0, 1, 2, 3]);
     }
 
+    /// A random nonempty enabled set over `0..n` with density `p`, as the
+    /// sorted list the engine used to keep and as the bitset it keeps now.
+    fn random_enabled(n: usize, p: f64, rng: &mut StdRng) -> (Vec<VertexId>, EnabledSet) {
+        let mut sorted: Vec<VertexId> =
+            (0..n).filter(|_| rng.gen_bool(p)).map(VertexId::new).collect();
+        if sorted.is_empty() {
+            sorted.push(VertexId::new(rng.gen_range(0..n)));
+        }
+        let set = EnabledSet::from_vertices(n, sorted.iter().copied());
+        (sorted, set)
+    }
+
     #[test]
     fn round_robin_fast_path_matches_scan() {
-        // The partition_point lookup must reproduce the historical O(n)
+        // The `next_from` lookup must reproduce the historical O(n)
         // slot-scan pick sequence exactly (the golden campaign artifacts
         // pin it). Reference: scan indices cursor, cursor+1, ... mod n and
         // pick the first enabled one.
@@ -873,20 +886,69 @@ mod tests {
         let mut daemon = CentralDaemon::new(CentralStrategy::RoundRobin);
         let mut scan_cursor = 0usize;
         for step in 0..2000 {
-            // Random nonempty enabled set, sorted as the engine guarantees.
-            let mut enabled: Vec<VertexId> =
-                (0..n).filter(|_| rng.gen_bool(0.3)).map(VertexId::new).collect();
-            if enabled.is_empty() {
-                enabled.push(VertexId::new(rng.gen_range(0..n)));
-            }
+            let (enabled, enabled_set) = random_enabled(n, 0.3, &mut rng);
             let expected = (0..n)
                 .map(|off| VertexId::new((scan_cursor + off) % n))
                 .find(|v| enabled.binary_search(v).is_ok())
                 .expect("enabled nonempty");
             scan_cursor = (expected.index() + 1) % n;
-            let ctx = SelectionContext::new(&enabled, &c, &g, step, &preview);
+            let ctx = SelectionContext::new(&enabled_set, &c, &g, step, &preview);
             let sel = select_into(&mut daemon, &ctx);
             assert_eq!(sel, vec![expected], "pick diverged at step {step}");
+        }
+    }
+
+    #[test]
+    fn random_central_pick_replays_choose_on_the_sorted_list() {
+        // The bitset pick (one `gen_range(0..len)` draw, then `nth`) must
+        // consume the RNG and pick exactly as `choose` on the sorted
+        // enabled list did: the golden campaign artifacts pin the pick
+        // sequence.
+        for n in [64, 1000] {
+            let g = generators::ring(n).unwrap();
+            let c = Configuration::new(vec![0u8; n]);
+            let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
+            let mut sets = StdRng::seed_from_u64(0xC401 + n as u64);
+            let mut daemon = CentralDaemon::new(CentralStrategy::Random(41));
+            let mut twin = StdRng::seed_from_u64(41);
+            for step in 0..2000 {
+                let p = [0.002, 0.05, 0.5, 0.95][step % 4];
+                let (enabled, enabled_set) = random_enabled(n, p, &mut sets);
+                let expected = *enabled.choose(&mut twin).expect("enabled nonempty");
+                let ctx = SelectionContext::new(&enabled_set, &c, &g, step, &preview);
+                let sel = select_into(&mut daemon, &ctx);
+                assert_eq!(sel, vec![expected], "n={n}: pick diverged at step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_distributed_fallback_replays_choose_on_the_sorted_list() {
+        // Same pin for the distributed daemon: ascending inclusion draws,
+        // then the empty-sample fallback's uniform pick.
+        for n in [64, 1000] {
+            let g = generators::ring(n).unwrap();
+            let c = Configuration::new(vec![0u8; n]);
+            let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
+            let mut sets = StdRng::seed_from_u64(0xD157 + n as u64);
+            // p small enough that most samples come up empty.
+            let p = 0.5 / n as f64;
+            let mut daemon = RandomDistributedDaemon::new(p, 43);
+            let mut twin = StdRng::seed_from_u64(43);
+            let mut fallbacks = 0;
+            for step in 0..2000 {
+                let (enabled, enabled_set) = random_enabled(n, [0.01, 0.3][step % 2], &mut sets);
+                let mut expected: Vec<VertexId> =
+                    enabled.iter().copied().filter(|_| twin.gen_bool(p)).collect();
+                if expected.is_empty() {
+                    fallbacks += 1;
+                    expected.push(*enabled.choose(&mut twin).expect("enabled nonempty"));
+                }
+                let ctx = SelectionContext::new(&enabled_set, &c, &g, step, &preview);
+                let sel = select_into(&mut daemon, &ctx);
+                assert_eq!(sel, expected, "n={n}: selection diverged at step {step}");
+            }
+            assert!(fallbacks > 1000, "n={n}: only {fallbacks} fallbacks exercised");
         }
     }
 
@@ -946,11 +1008,14 @@ mod tests {
         let g = generators::ring(8).unwrap();
         let c = Configuration::new(vec![0u8; 8]);
         let enabled: Vec<VertexId> = (0..8).map(VertexId::new).collect();
+        let enabled_set = EnabledSet::from_vertices(g.n(), enabled.iter().copied());
         let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
         let run = |seed| {
             let mut d = CentralDaemon::new(CentralStrategy::Random(seed));
             (0..10)
-                .map(|_| select_into(&mut d, &ctx_fixture(&enabled, &c, &g, &preview))[0].index())
+                .map(|_| {
+                    select_into(&mut d, &ctx_fixture(&enabled_set, &c, &g, &preview))[0].index()
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -962,10 +1027,11 @@ mod tests {
         let g = generators::ring(6).unwrap();
         let c = Configuration::new(vec![0u8; 6]);
         let enabled: Vec<VertexId> = (0..6).map(VertexId::new).collect();
+        let enabled_set = EnabledSet::from_vertices(g.n(), enabled.iter().copied());
         let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
         let mut d = RandomDistributedDaemon::new(0.3, 11);
         for _ in 0..50 {
-            let sel = select_into(&mut d, &ctx_fixture(&enabled, &c, &g, &preview));
+            let sel = select_into(&mut d, &ctx_fixture(&enabled_set, &c, &g, &preview));
             assert!(!sel.is_empty());
             assert!(sel.iter().all(|v| enabled.contains(v)));
         }
@@ -981,7 +1047,8 @@ mod tests {
     fn greedy_adversary_picks_highest_scoring_action() {
         let g = generators::path(3).unwrap();
         let c = Configuration::new(vec![0u8, 0, 0]);
-        let enabled = vec![VertexId::new(0), VertexId::new(2)];
+        let enabled = [VertexId::new(0), VertexId::new(2)];
+        let enabled_set = EnabledSet::from_vertices(g.n(), enabled.iter().copied());
         // Preview: activating vertex 2 flips its state to 9.
         let preview = |set: &[VertexId], out: &mut Configuration<u8>| {
             out.clone_from(&Configuration::new(vec![0u8, 0, 0]));
@@ -993,7 +1060,7 @@ mod tests {
         let metric: AdversaryMetric<u8> =
             Box::new(|cfg, _| cfg.states().iter().map(|&s| s as f64).sum());
         let mut d = GreedyAdversary::new(metric, AdversaryMoves::Singletons, 0);
-        let sel = select_into(&mut d, &ctx_fixture(&enabled, &c, &g, &preview));
+        let sel = select_into(&mut d, &ctx_fixture(&enabled_set, &c, &g, &preview));
         assert_eq!(sel, vec![VertexId::new(2)]);
     }
 
@@ -1002,12 +1069,13 @@ mod tests {
         let g = generators::ring(6).unwrap();
         let c = Configuration::new(vec![0u8; 6]);
         let enabled: Vec<VertexId> = (0..6).map(VertexId::new).collect();
+        let enabled_set = EnabledSet::from_vertices(g.n(), enabled.iter().copied());
         let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
         let k = 3;
         let mut d = KBoundedDaemon::new(k, 0.2, 5);
         let mut since_selected = [0usize; 6];
         for step in 0..200 {
-            let ctx = SelectionContext::new(&enabled, &c, &g, step, &preview);
+            let ctx = SelectionContext::new(&enabled_set, &c, &g, step, &preview);
             let sel = select_into(&mut d, &ctx);
             assert!(!sel.is_empty());
             for (v, waited) in since_selected.iter_mut().enumerate() {
@@ -1033,13 +1101,14 @@ mod tests {
         let g = generators::ring(4).unwrap();
         let c = Configuration::new(vec![0u8; 4]);
         let enabled: Vec<VertexId> = (0..4).map(VertexId::new).collect();
+        let enabled_set = EnabledSet::from_vertices(g.n(), enabled.iter().copied());
         let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
         let mut d = OldestFirstDaemon::new();
         // All become enabled at step 0; ties break by index, and each
         // selected vertex goes to the back of the seniority order.
         let mut picks = Vec::new();
         for step in 0..8 {
-            let ctx = SelectionContext::new(&enabled, &c, &g, step, &preview);
+            let ctx = SelectionContext::new(&enabled_set, &c, &g, step, &preview);
             picks.push(select_into(&mut d, &ctx)[0].index());
         }
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3], "round-robin-like fairness");
@@ -1057,14 +1126,15 @@ mod tests {
         let g = generators::ring(8).unwrap();
         let c = Configuration::new(vec![0u8; 8]);
         let enabled: Vec<VertexId> = (0..8).map(VertexId::new).collect();
+        let enabled_set = EnabledSet::from_vertices(g.n(), enabled.iter().copied());
         let preview = |_: &[VertexId], out: &mut Configuration<u8>| out.clone_from(&c);
         let mut d = CentralDaemon::new(CentralStrategy::Random(3));
         let first: Vec<usize> = (0..5)
-            .map(|_| select_into(&mut d, &ctx_fixture(&enabled, &c, &g, &preview))[0].index())
+            .map(|_| select_into(&mut d, &ctx_fixture(&enabled_set, &c, &g, &preview))[0].index())
             .collect();
         Daemon::<u8>::reset(&mut d);
         let second: Vec<usize> = (0..5)
-            .map(|_| select_into(&mut d, &ctx_fixture(&enabled, &c, &g, &preview))[0].index())
+            .map(|_| select_into(&mut d, &ctx_fixture(&enabled_set, &c, &g, &preview))[0].index())
             .collect();
         assert_eq!(first, second);
     }

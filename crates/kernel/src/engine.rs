@@ -5,6 +5,28 @@
 //! each of which atomically computes its next state from `γ`. The engine
 //! additionally counts **moves** (individual vertex activations).
 //!
+//! # The step loop
+//!
+//! [`Simulator::run_observed`] is the one step loop; every other entry
+//! point is a thin call into it. Per step it
+//!
+//! 1. asks the daemon for a selection over the [`EnabledSet`], a counted
+//!    word bitset (see [`crate::enabled`]): a central random pick is one
+//!    RNG draw plus one branch-free rank/select, with no work that grows
+//!    with the number of enabled vertices;
+//! 2. fires every selected vertex with the rule **cached** when its guard
+//!    was last evaluated, so a guard is evaluated once per change of its
+//!    neighborhood, not again to fire;
+//! 3. collects the **touched** set, the radius-1 ball around the step's
+//!    delta (the activated vertices and their neighbors), deduplicated by
+//!    a generation-stamped mark array (one store per mark, clearing is a
+//!    generation bump, no sort);
+//! 4. re-evaluates the touched guards into the rule cache and flips their
+//!    bits in the enabled set: nothing outside the ball can change status;
+//! 5. hands the step to the observer — generic, so a single monitor such
+//!    as [`crate::measure::SpecMonitor`] runs without `dyn` calls, while
+//!    a `&mut [&mut dyn Observer]` slice fans out to several.
+//!
 //! # Zero-allocation stepping
 //!
 //! Speculation profiles are estimated by simulating millions of steps, so
@@ -12,14 +34,12 @@
 //! configuration clones** (measured by the `config_clones` counter of
 //! [`specstab_telemetry::counters::global`]):
 //!
-//! * configurations are **double-buffered** — [`Simulator::apply_action_into`]
-//!   writes the successor into a reused buffer which is swapped with the
-//!   current configuration and then *repaired* from the step's delta
-//!   (`O(|activated|)` instead of an `O(n)` copy);
-//! * the sorted enabled list and its bitmask are maintained
-//!   **incrementally** from the touched set (activated vertices plus their
-//!   neighbors) by a two-pointer merge — no per-step rescan of all
-//!   vertices;
+//! * configurations are **double-buffered** — the successor is written
+//!   into a reused buffer which is swapped with the current configuration
+//!   and then *repaired* from the step's delta (`O(|activated|)` instead
+//!   of an `O(n)` copy);
+//! * the enabled set, the rule cache, the touched set and the stamps are
+//!   sized once per run and updated in place;
 //! * daemons write their selection into a reused scratch buffer and preview
 //!   candidate actions into a per-daemon scratch configuration
 //!   ([`crate::daemon::SelectionContext::preview`]);
@@ -27,21 +47,13 @@
 //!   alongside borrowed before/after configurations, so monitors never need
 //!   to clone.
 //!
-//! # Stamp-based set maintenance (no per-step comparison sort)
-//!
-//! The daemon's selection and the touched set (activated vertices plus
-//! their neighborhoods) are **deduplicated with a generation-stamped dense
-//! mark array** instead of `sort_unstable + dedup`: marking a vertex is one
-//! store, membership is one load, and clearing is a generation bump —
-//! `O(k)` total. Sorted order (required by the two-pointer enabled-set
-//! merge) comes almost for free: daemons emit selections in enabled order
-//! (verified by an `O(k)` strictly-increasing scan, sorting only on the
-//! rare fallback), and the touched set is either *all* vertices (the
-//! synchronous common case, emitted as `0..n` directly) or a small sort
-//! over the already-deduplicated list. Steady-state guard evaluation goes
-//! through bounds-`debug_assert`ed [`View`]s over cached CSR neighbor
-//! slices; the checked constructors still guard run entry and every public
-//! one-shot API.
+//! Daemons emit their selections in ascending order (they walk the
+//! enabled set in order); the engine verifies that with one `O(k)` scan
+//! and deduplicates and sorts only on the rare out-of-order fallback, so
+//! activations and deltas are always reported in vertex order. Steady-state
+//! guard evaluation goes through bounds-`debug_assert`ed [`View`]s over
+//! cached CSR neighbor slices; the checked constructors still guard run
+//! entry and every public one-shot API.
 //!
 //! All reusable buffers live in [`StepScratch`]; [`Simulator::run`] creates
 //! one per run, and [`Simulator::run_with_scratch`] lets batch drivers reuse
@@ -51,6 +63,7 @@
 
 use crate::config::Configuration;
 use crate::daemon::{Daemon, SelectionContext};
+use crate::enabled::EnabledSet;
 use crate::observer::{Observer, StepEvent};
 use crate::protocol::{Protocol, RuleId, View};
 use specstab_telemetry::RunCounters;
@@ -104,9 +117,9 @@ pub struct RunSummary<S> {
 /// One `StepScratch` holds every buffer a run mutates per step: the
 /// double-buffered successor configuration, the daemon's selection, the
 /// touched set (activated vertices + neighbors), the fired `(vertex, rule)`
-/// pairs, the step delta, and the incrementally maintained enabled
-/// list/bitmask. After warm-up (first step sizes the buffers) a steady-state
-/// step allocates nothing.
+/// pairs, the step delta, the enabled set and the per-vertex rule cache.
+/// After warm-up (first step sizes the buffers) a steady-state step
+/// allocates nothing.
 ///
 /// [`Simulator::run`] creates one internally; batch drivers that execute
 /// many runs back to back can hold one and call
@@ -118,11 +131,11 @@ pub struct StepScratch<S> {
     touched: Vec<VertexId>,
     fired: Vec<(VertexId, RuleId)>,
     deltas: Vec<(VertexId, S, S)>,
-    enabled: Vec<VertexId>,
-    /// Scratch for the re-merged window of the enabled list (only the
-    /// vertex-index range whose status changed gets rebuilt per step).
-    next_enabled: Vec<VertexId>,
-    enabled_mask: Vec<bool>,
+    enabled: EnabledSet,
+    /// Each vertex's enabled rule in the current configuration, stored
+    /// wherever its guard is (re)evaluated, so firing applies it without
+    /// evaluating the guard again. `rules[v].is_some()` iff `v ∈ enabled`.
+    rules: Vec<Option<RuleId>>,
     /// Generation-stamped dense mark array: `stamps[v] == generation` means
     /// "v is in the set currently being deduplicated". Clearing the set is
     /// one `generation` bump — no `O(n)` memset, no comparison sort.
@@ -140,9 +153,8 @@ impl<S> StepScratch<S> {
             touched: Vec::new(),
             fired: Vec::new(),
             deltas: Vec::new(),
-            enabled: Vec::new(),
-            next_enabled: Vec::new(),
-            enabled_mask: Vec::new(),
+            enabled: EnabledSet::default(),
+            rules: Vec::new(),
             stamps: Vec::new(),
             generation: 0,
         }
@@ -258,9 +270,10 @@ impl<'a, P: Protocol> Simulator<'a, P> {
     }
 
     /// Evaluates and executes the enabled rule of `v` in `config` — the one
-    /// shared body behind every action applier (`apply_action_into`,
-    /// previews, the hot loop), so the activation semantics cannot diverge
-    /// between paths.
+    /// shared body behind the one-shot action appliers
+    /// (`apply_action_into`, daemon previews), so their activation
+    /// semantics cannot diverge. The step loop applies the same
+    /// `enabled_rule` result, cached when the guard was evaluated.
     ///
     /// # Panics
     ///
@@ -336,6 +349,21 @@ impl<'a, P: Protocol> Simulator<'a, P> {
         observers: &mut [&mut dyn Observer<P::State>],
         scratch: &mut StepScratch<P::State>,
     ) -> RunSummary<P::State> {
+        self.run_observed(init, daemon, limits, observers, scratch)
+    }
+
+    /// The step loop (see the module docs), monomorphized over its
+    /// observer: a measured run passes its monitor directly and pays no
+    /// `dyn` call per step; [`Simulator::run_with_scratch`] passes an
+    /// observer slice, which fans out.
+    pub fn run_observed<O: Observer<P::State> + ?Sized>(
+        &self,
+        init: Configuration<P::State>,
+        daemon: &mut dyn Daemon<P::State>,
+        limits: RunLimits,
+        observer: &mut O,
+        scratch: &mut StepScratch<P::State>,
+    ) -> RunSummary<P::State> {
         assert_eq!(init.len(), self.graph.n(), "configuration size must match graph");
         daemon.reset();
         let n = self.graph.n();
@@ -347,8 +375,7 @@ impl<'a, P: Protocol> Simulator<'a, P> {
             fired,
             deltas,
             enabled,
-            next_enabled,
-            enabled_mask,
+            rules,
             stamps,
             generation,
         } = scratch;
@@ -357,9 +384,7 @@ impl<'a, P: Protocol> Simulator<'a, P> {
         // stale stamps from a previous run are invalidated by the
         // monotonically increasing generation.
         next.clone_from(&config);
-        enabled.clear();
-        enabled_mask.clear();
-        enabled_mask.resize(n, false);
+        enabled.reset(n);
         if stamps.len() != n {
             stamps.clear();
             stamps.resize(n, 0);
@@ -376,15 +401,12 @@ impl<'a, P: Protocol> Simulator<'a, P> {
         let mut counters = RunCounters::new();
         let preview_evals = std::cell::Cell::new(0u64);
         counters.guard_evals += n as u64;
+        rules.clear();
+        rules.extend(self.graph.vertices().map(|v| self.enabled_rule(&config, v)));
         for v in self.graph.vertices() {
-            if self.enabled_rule(&config, v).is_some() {
-                enabled.push(v);
-                enabled_mask[v.index()] = true;
-            }
+            enabled.set(v, rules[v.index()].is_some());
         }
-        for obs in observers.iter_mut() {
-            obs.on_start(&config, self.graph);
-        }
+        observer.on_start(&config, self.graph);
         let mut steps = 0usize;
         let mut moves = 0u64;
         let stop = loop {
@@ -394,7 +416,7 @@ impl<'a, P: Protocol> Simulator<'a, P> {
             if steps >= limits.max_steps {
                 break StopReason::MaxSteps;
             }
-            if observers.iter().any(|o| o.should_stop()) {
+            if observer.should_stop() {
                 break StopReason::ObserverRequest;
             }
             selection.clear();
@@ -423,28 +445,27 @@ impl<'a, P: Protocol> Simulator<'a, P> {
             }
             assert!(!selection.is_empty(), "daemon must activate at least one vertex");
             assert!(
-                selection.iter().all(|v| enabled_mask[v.index()]),
+                selection.iter().all(|&v| enabled.contains(v)),
                 "daemon selection must be a subset of the enabled vertices"
             );
-            // Apply into the double buffer. Loop invariant: `next == config`
-            // here, so the before-state of each activated vertex is *moved*
-            // out of its buffer slot as the successor state moves in — one
-            // successor clone per move (for the delta record), nothing else.
+            // Apply into the double buffer with each vertex's cached rule.
+            // Loop invariant: `next == config` here, so the before-state of
+            // each activated vertex is *moved* out of its buffer slot as
+            // the successor state moves in — one successor clone per move
+            // (for the delta record), nothing else.
             fired.clear();
             deltas.clear();
             for &v in selection.iter() {
-                let (rule, state) = self.fire_rule_unchecked(&config, v);
+                let rule = rules[v.index()].expect("enabled vertices carry their rule");
+                let state = self.protocol.apply(&View::new_unchecked(v, self.graph, &config), rule);
                 let before = next.replace(v, state.clone());
                 deltas.push((v, before, state));
                 fired.push((v, rule));
             }
-            counters.guard_evals += selection.len() as u64;
             counters.delta_bytes += (deltas.len() * 2 * std::mem::size_of::<P::State>()) as u64;
             // Incremental enablement update: only activated vertices and
             // their neighbors can change status. Stamp-dedup while
-            // collecting; the set is sorted afterwards either trivially
-            // (every vertex touched — the synchronous common case — is just
-            // `0..n`) or by one sort over the already-unique list.
+            // collecting; the order is irrelevant to the bitset.
             touched.clear();
             *generation += 1;
             let gen = *generation;
@@ -460,69 +481,11 @@ impl<'a, P: Protocol> Simulator<'a, P> {
                     }
                 }
             }
-            if touched.len() == n {
-                touched.clear();
-                touched.extend((0..n).map(VertexId::new));
-            } else {
-                touched.sort_unstable();
-            }
             counters.guard_evals += touched.len() as u64;
-            // Re-evaluate the touched set into the mask, tracking the
-            // vertex-index window that actually changed status. Most steps
-            // under a central daemon change nothing or a couple of slots
-            // clustered around the activated vertex, so the sorted enabled
-            // list is patched in place over that window instead of being
-            // rebuilt — the rebuild was O(|enabled|) per step and capped
-            // central-daemon throughput on large graphs.
-            let mut change_lo = usize::MAX;
-            let mut change_hi = 0usize;
             for &v in touched.iter() {
-                let now = self.enabled_rule_unchecked(next, v).is_some();
-                if enabled_mask[v.index()] != now {
-                    enabled_mask[v.index()] = now;
-                    change_lo = change_lo.min(v.index());
-                    change_hi = change_hi.max(v.index());
-                }
-            }
-            if change_lo != usize::MAX {
-                // Merge the window slice of the old enabled list with the
-                // touched vertices falling in the window (both sorted):
-                // untouched vertices keep their status, touched ones take
-                // the fresh mask bit. Outside the window nothing changed.
-                let lo = VertexId::new(change_lo);
-                let hi = VertexId::new(change_hi);
-                let a = enabled.partition_point(|&e| e < lo);
-                let b = enabled.partition_point(|&e| e <= hi);
-                let ta = touched.partition_point(|&t| t < lo);
-                let tb = touched.partition_point(|&t| t <= hi);
-                next_enabled.clear();
-                {
-                    let old = &enabled[a..b];
-                    let tw = &touched[ta..tb];
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while i < old.len() && j < tw.len() {
-                        let (e, t) = (old[i], tw[j]);
-                        if e < t {
-                            next_enabled.push(e);
-                            i += 1;
-                        } else {
-                            if enabled_mask[t.index()] {
-                                next_enabled.push(t);
-                            }
-                            j += 1;
-                            if e == t {
-                                i += 1;
-                            }
-                        }
-                    }
-                    next_enabled.extend_from_slice(&old[i..]);
-                    for &t in &tw[j..] {
-                        if enabled_mask[t.index()] {
-                            next_enabled.push(t);
-                        }
-                    }
-                }
-                splice_window(enabled, a, b, next_enabled);
+                let rule = self.enabled_rule_unchecked(next, v);
+                rules[v.index()] = rule;
+                enabled.set(v, rule.is_some());
             }
             steps += 1;
             moves += fired.len() as u64;
@@ -533,11 +496,10 @@ impl<'a, P: Protocol> Simulator<'a, P> {
                 activated: fired,
                 delta: deltas,
                 enabled_after: enabled,
+                touched,
                 graph: self.graph,
             };
-            for obs in observers.iter_mut() {
-                obs.on_step(&event);
-            }
+            observer.on_step(&event);
             // Swap the double buffer, then repair the (now stale) back
             // buffer from the delta so the `next == config` invariant holds
             // again — O(|activated|), not O(n).
@@ -584,9 +546,7 @@ impl<'a, P: Protocol> Simulator<'a, P> {
         let preview_evals = std::cell::Cell::new(0u64);
         counters.guard_evals += n as u64;
         let mut enabled = self.enabled_vertices(&config);
-        for obs in observers.iter_mut() {
-            obs.on_start(&config, self.graph);
-        }
+        observers.on_start(&config, self.graph);
         let mut steps = 0usize;
         let mut moves = 0u64;
         let stop = loop {
@@ -596,14 +556,15 @@ impl<'a, P: Protocol> Simulator<'a, P> {
             if steps >= limits.max_steps {
                 break StopReason::MaxSteps;
             }
-            if observers.iter().any(|o| o.should_stop()) {
+            if observers.should_stop() {
                 break StopReason::ObserverRequest;
             }
             let apply_into = |set: &[VertexId], out: &mut Configuration<P::State>| {
                 preview_evals.set(preview_evals.get() + set.len() as u64);
                 *out = self.apply_action(&config, set).0;
             };
-            let ctx = SelectionContext::new(&enabled, &config, self.graph, steps, &apply_into);
+            let enabled_set = EnabledSet::from_vertices(n, enabled.iter().copied());
+            let ctx = SelectionContext::new(&enabled_set, &config, self.graph, steps, &apply_into);
             let mut selection = Vec::new();
             daemon.select(&ctx, &mut selection);
             selection.sort_unstable();
@@ -618,6 +579,12 @@ impl<'a, P: Protocol> Simulator<'a, P> {
                 .iter()
                 .map(|&(v, _)| (v, config.get(v).clone(), next.get(v).clone()))
                 .collect();
+            let mut touched: Vec<VertexId> = selection
+                .iter()
+                .flat_map(|&v| std::iter::once(v).chain(self.graph.neighbors(v).iter().copied()))
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
             let next_enabled = self.enabled_vertices(&next);
             counters.guard_evals += (selection.len() + n) as u64;
             counters.delta_bytes += (deltas.len() * 2 * std::mem::size_of::<P::State>()) as u64;
@@ -629,12 +596,11 @@ impl<'a, P: Protocol> Simulator<'a, P> {
                 after: &next,
                 activated: &fired,
                 delta: &deltas,
-                enabled_after: &next_enabled,
+                enabled_after: &EnabledSet::from_vertices(n, next_enabled.iter().copied()),
+                touched: &touched,
                 graph: self.graph,
             };
-            for obs in observers.iter_mut() {
-                obs.on_step(&event);
-            }
+            observers.on_step(&event);
             config = next;
             enabled = next_enabled;
         };
@@ -643,25 +609,6 @@ impl<'a, P: Protocol> Simulator<'a, P> {
         counters.guard_evals += preview_evals.get();
         specstab_telemetry::global().record_run(&counters);
         RunSummary { final_config: config, steps, moves, stop, counters }
-    }
-}
-
-/// Replaces `v[a..b]` with `window`, shifting the tail by the length
-/// difference: the update cost is the window itself plus one bounded
-/// `memmove` when the lengths differ, never an O(|v|) element-wise
-/// rebuild.
-fn splice_window(v: &mut Vec<VertexId>, a: usize, b: usize, window: &[VertexId]) {
-    let old_len = b - a;
-    let new_len = window.len();
-    if new_len <= old_len {
-        v[a..a + new_len].copy_from_slice(window);
-        v.drain(a + new_len..b);
-    } else {
-        let grow = new_len - old_len;
-        let total = v.len();
-        v.resize(total + grow, VertexId::new(0));
-        v.copy_within(b..total, b + grow);
-        v[a..a + new_len].copy_from_slice(window);
     }
 }
 

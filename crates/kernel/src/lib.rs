@@ -18,7 +18,8 @@
 //! * [`daemon`] — the daemon trait, the taxonomy partial order of Def. 2,
 //!   and a zoo of schedulers (synchronous, central, random distributed,
 //!   greedy adversarial, ...);
-//! * [`engine::Simulator`] — the step loop with pluggable [`observer`]s;
+//! * [`engine::Simulator`] — the step loop with pluggable [`observer`]s,
+//!   over the counted-bitset [`enabled::EnabledSet`];
 //! * [`batch`] — replica-parallel batched stepping: K seed-replicas in
 //!   structure-of-arrays lanes through one step loop, under the
 //!   synchronous, central and random distributed daemons;
@@ -67,6 +68,7 @@
 pub mod batch;
 pub mod config;
 pub mod daemon;
+pub mod enabled;
 pub mod engine;
 pub mod fault;
 pub mod harness;
@@ -81,5 +83,6 @@ pub use batch::{
 };
 pub use config::Configuration;
 pub use daemon::{Daemon, DaemonClass};
+pub use enabled::EnabledSet;
 pub use engine::{RunLimits, RunSummary, Simulator, StepScratch};
 pub use protocol::{Protocol, RuleId, RuleInfo, View};

@@ -130,7 +130,9 @@ impl MeasureRecord {
 /// `on_start` computes every vertex's [`LocalCounts`] (n evaluations).
 /// After each step only the vertices within the specification's radius of
 /// the step's delta are recomputed — about five on a torus under a
-/// central daemon, instead of a full scan per predicate — and safety and
+/// central daemon, instead of a full scan per predicate. For radius-1
+/// specifications that ball is the engine's [`StepEvent::touched`] set;
+/// other radii collect their own. Safety and
 /// legitimacy are each evaluated once from the running totals; the
 /// legitimacy verdict also drives the early stop. The report equals
 /// [`MeasurementContext`] with `with_early_stop(legitimacy, margin)` over
@@ -145,7 +147,8 @@ pub struct SpecMonitor<'a, S, Sp> {
     counts: Vec<LocalCounts>,
     safety_total: u64,
     legitimacy_total: u64,
-    /// The vertices recomputed this step: the radius-ball of the delta.
+    /// The vertices recomputed this step when the radius is not 1: the
+    /// radius-ball of the delta.
     ball: Vec<VertexId>,
     /// Generation stamps deduplicating `ball`; a generation bump clears
     /// them (as in the engine's `StepScratch`).
@@ -196,7 +199,8 @@ impl<'a, S, Sp: LocalSpecification<S>> SpecMonitor<'a, S, Sp> {
 
     /// Executes one measured run on `sim` with caller-supplied engine
     /// scratch buffers (see [`MeasurementContext::run_with_scratch`]) and
-    /// flushes `monitor_evals` to the global telemetry.
+    /// flushes `monitor_evals` to the global telemetry. The engine's step
+    /// loop runs monomorphized over this monitor: no `dyn` call per step.
     pub fn run_with_scratch<P: Protocol<State = S>>(
         mut self,
         sim: &Simulator<'_, P>,
@@ -206,7 +210,7 @@ impl<'a, S, Sp: LocalSpecification<S>> SpecMonitor<'a, S, Sp> {
         scratch: &mut StepScratch<S>,
     ) -> StabilizationReport {
         let limits = RunLimits::with_max_steps(max_steps);
-        let summary = sim.run_with_scratch(init, daemon, limits, &mut [&mut self], scratch);
+        let summary = sim.run_observed(init, daemon, limits, &mut self, scratch);
         specstab_telemetry::global().record_monitor_evals(self.evals);
         self.report(&summary)
     }
@@ -214,6 +218,38 @@ impl<'a, S, Sp: LocalSpecification<S>> SpecMonitor<'a, S, Sp> {
     fn check(&mut self, index: usize) {
         let (safe, legitimate) = self.verdicts();
         self.record.observe(index, safe, legitimate);
+    }
+
+    /// Collects into `self.ball` the vertices within the specification's
+    /// radius of the step's delta, each once.
+    fn collect_ball(&mut self, event: &StepEvent<'_, S>) {
+        let graph = event.graph;
+        self.generation += 1;
+        let gen = self.generation;
+        self.ball.clear();
+        for (v, _, _) in event.delta {
+            if self.stamps[v.index()] != gen {
+                self.stamps[v.index()] = gen;
+                self.ball.push(*v);
+            }
+        }
+        // Grow the ball one BFS layer per unit of radius.
+        let mut layer = 0;
+        for _ in 0..self.spec.radius() {
+            let end = self.ball.len();
+            if end == graph.n() {
+                break;
+            }
+            for i in layer..end {
+                for &u in graph.neighbors(self.ball[i]) {
+                    if self.stamps[u.index()] != gen {
+                        self.stamps[u.index()] = gen;
+                        self.ball.push(u);
+                    }
+                }
+            }
+            layer = end;
+        }
     }
 }
 
@@ -234,40 +270,21 @@ impl<S, Sp: LocalSpecification<S>> Observer<S> for SpecMonitor<'_, S, Sp> {
 
     fn on_step(&mut self, event: &StepEvent<'_, S>) {
         let (spec, graph) = (self.spec, event.graph);
-        self.generation += 1;
-        let gen = self.generation;
-        self.ball.clear();
-        for (v, _, _) in event.delta {
-            if self.stamps[v.index()] != gen {
-                self.stamps[v.index()] = gen;
-                self.ball.push(*v);
-            }
-        }
-        // Grow the ball one BFS layer per unit of radius.
-        let mut layer = 0;
-        for _ in 0..spec.radius() {
-            let end = self.ball.len();
-            if end == graph.n() {
-                break;
-            }
-            for i in layer..end {
-                for &u in graph.neighbors(self.ball[i]) {
-                    if self.stamps[u.index()] != gen {
-                        self.stamps[u.index()] = gen;
-                        self.ball.push(u);
-                    }
-                }
-            }
-            layer = end;
-        }
-        for &v in &self.ball {
+        // The engine already collected the radius-1 ball of the delta.
+        let ball = if spec.radius() == 1 {
+            event.touched
+        } else {
+            self.collect_ball(event);
+            &self.ball
+        };
+        for &v in ball {
             let new = spec.local_counts(v, event.after, graph);
             let old = std::mem::replace(&mut self.counts[v.index()], new);
             self.safety_total = self.safety_total - u64::from(old.safety) + u64::from(new.safety);
             self.legitimacy_total =
                 self.legitimacy_total - u64::from(old.legitimacy) + u64::from(new.legitimacy);
         }
-        self.evals += self.ball.len() as u64;
+        self.evals += ball.len() as u64;
         self.check(event.step);
     }
 

@@ -13,6 +13,7 @@
 //! step.
 
 use crate::config::Configuration;
+use crate::enabled::EnabledSet;
 use crate::protocol::RuleId;
 use specstab_topology::{Graph, VertexId};
 
@@ -31,8 +32,13 @@ pub struct StepEvent<'a, S> {
     /// after)`, in the same order as `activated`. `before` and `after` may
     /// be equal when a rule rewrites a state to itself.
     pub delta: &'a [(VertexId, S, S)],
-    /// Vertices enabled in `after` (sorted).
-    pub enabled_after: &'a [VertexId],
+    /// Vertices enabled in `after`.
+    pub enabled_after: &'a EnabledSet,
+    /// The radius-1 ball around the delta: the activated vertices and
+    /// their neighbors, each once, in no particular order. These are the
+    /// only vertices whose guards (and whose radius-1 local predicates)
+    /// can differ between `before` and `after`.
+    pub touched: &'a [VertexId],
     /// The communication graph.
     pub graph: &'a Graph,
 }
@@ -50,6 +56,24 @@ pub trait Observer<S> {
     /// Polled before each action; returning `true` stops the run.
     fn should_stop(&self) -> bool {
         false
+    }
+}
+
+/// A slice of observers is one observer that fans every call out, in
+/// order; it stops the run as soon as any of them asks to.
+impl<S> Observer<S> for [&mut dyn Observer<S>] {
+    fn on_start(&mut self, config: &Configuration<S>, graph: &Graph) {
+        for obs in self.iter_mut() {
+            obs.on_start(config, graph);
+        }
+    }
+    fn on_step(&mut self, event: &StepEvent<'_, S>) {
+        for obs in self.iter_mut() {
+            obs.on_step(event);
+        }
+    }
+    fn should_stop(&self) -> bool {
+        self.iter().any(|obs| obs.should_stop())
     }
 }
 
@@ -301,12 +325,12 @@ impl<S> Observer<S> for RoundCounter {
             self.pending = event.activated.iter().map(|&(v, _)| v).collect();
         }
         let moved: Vec<VertexId> = event.activated.iter().map(|&(v, _)| v).collect();
-        self.pending.retain(|v| !moved.contains(v) && event.enabled_after.binary_search(v).is_ok());
+        self.pending.retain(|&v| !moved.contains(&v) && event.enabled_after.contains(v));
         if self.pending.is_empty() {
             self.rounds += 1;
             // Terminal configuration: the pending set stays empty and
             // no new round starts.
-            self.pending = event.enabled_after.to_vec();
+            self.pending = event.enabled_after.iter().collect();
         }
     }
 }

@@ -3,8 +3,8 @@
 //! observationally identical to the retained clone-based
 //! [`Simulator::run_reference`] — same `RunSummary` (steps, moves, stop
 //! reason, final configuration), same per-step observer events (after
-//! configurations, deltas, activations, enabled sets), same daemon RNG
-//! consumption — across protocols × daemons × seeds.
+//! configurations, deltas, activations, enabled sets, touched sets as
+//! sets), same daemon RNG consumption — across protocols × daemons × seeds.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -79,6 +79,8 @@ struct FullRecorder<S> {
     deltas: Vec<Vec<(VertexId, S, S)>>,
     activated: Vec<Vec<(VertexId, RuleId)>>,
     enabled_after: Vec<Vec<VertexId>>,
+    /// Each step's touched set, sorted: the engine reports it unordered.
+    touched: Vec<Vec<VertexId>>,
 }
 
 impl<S> FullRecorder<S> {
@@ -89,6 +91,7 @@ impl<S> FullRecorder<S> {
             deltas: Vec::new(),
             activated: Vec::new(),
             enabled_after: Vec::new(),
+            touched: Vec::new(),
         }
     }
 }
@@ -101,7 +104,10 @@ impl<S: Clone> Observer<S> for FullRecorder<S> {
         self.afters.push(event.after.clone());
         self.deltas.push(event.delta.to_vec());
         self.activated.push(event.activated.to_vec());
-        self.enabled_after.push(event.enabled_after.to_vec());
+        self.enabled_after.push(event.enabled_after.iter().collect());
+        let mut touched = event.touched.to_vec();
+        touched.sort_unstable();
+        self.touched.push(touched);
     }
 }
 
@@ -145,6 +151,7 @@ fn assert_runs_equal<S: Clone + Eq + std::fmt::Debug>(
     assert_eq!(rn.deltas, rr.deltas, "{label}: step deltas");
     assert_eq!(rn.activated, rr.activated, "{label}: activations");
     assert_eq!(rn.enabled_after, rr.enabled_after, "{label}: enabled sets");
+    assert_eq!(rn.touched, rr.touched, "{label}: touched sets");
 }
 
 fn differential_case<P: Protocol>(

@@ -72,8 +72,21 @@ impl Observer<u8> for InvariantChecker {
                 assert_eq!(s, ev.after.get(v), "non-activated vertex changed state");
             }
         }
-        // enabled_after is sorted and deduplicated.
-        assert!(ev.enabled_after.windows(2).all(|w| w[0] < w[1]));
+        // enabled_after iterates strictly ascending and agrees with its
+        // own length and membership.
+        let enabled: Vec<VertexId> = ev.enabled_after.iter().collect();
+        assert!(enabled.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(enabled.len(), ev.enabled_after.len());
+        assert!(enabled.iter().all(|&v| ev.enabled_after.contains(v)));
+        // touched is the deduplicated radius-1 ball of the activations.
+        let mut touched = ev.touched.to_vec();
+        touched.sort_unstable();
+        touched.dedup();
+        assert_eq!(touched.len(), ev.touched.len(), "touched holds each vertex once");
+        for &v in &moved {
+            assert!(touched.binary_search(&v).is_ok());
+            assert!(ev.graph.neighbors(v).iter().all(|u| touched.binary_search(u).is_ok()));
+        }
     }
 }
 

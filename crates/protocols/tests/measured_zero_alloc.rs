@@ -2,6 +2,10 @@
 //! on the campaign grid's large instances (`ring:1024`, `torus:32x32`),
 //! measured by the executor's incremental `SpecMonitor`, must perform zero
 //! `Configuration` clones and zero heap allocations per steady-state step.
+//! Both engine entry points are gated: the observer-slice path (probed
+//! step by step) and `SpecMonitor::run_with_scratch`, the monomorphic
+//! path the executor runs (a 20k-step and a 40k-step run from the same
+//! warm scratch must allocate equally often).
 //!
 //! Allocations are counted by a counting [`GlobalAlloc`] wrapper over
 //! [`System`], so the gate catches any `Vec` a monitor or predicate builds
@@ -10,6 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use specstab_kernel::config::Configuration;
 use specstab_kernel::engine::{RunLimits, Simulator, StepScratch};
 use specstab_kernel::harness::ProtocolHarness;
 use specstab_kernel::measure::SpecMonitor;
@@ -100,7 +105,7 @@ fn assert_measured_run_allocates_nothing(g: &Graph, steps: usize, warm: usize) {
     let mut probe = SteadyState { warm, at_warm: (0, 0), latest: (0, 0), steps: 0 };
     let mut daemon = h.daemon("central-rand", 11).expect("daemon");
     let summary = sim.run_with_scratch(
-        init,
+        init.clone(),
         daemon.as_mut(),
         RunLimits::with_max_steps(steps),
         &mut [&mut monitor, &mut probe],
@@ -121,6 +126,39 @@ fn assert_measured_run_allocates_nothing(g: &Graph, steps: usize, warm: usize) {
     let report = monitor.report(&summary);
     let evals_per_step = report.counters.monitor_evals as f64 / steps as f64;
     assert!(evals_per_step < 8.0, "{}: {evals_per_step} monitor evals per step", g.name());
+
+    // The monomorphic path: per-run setup may allocate (the monitor's
+    // count and stamp arrays), but the allocation count must not grow
+    // with the number of steps.
+    let short = monomorphic_run_allocs(&h, &sim, init.clone(), steps, &mut scratch);
+    let long = monomorphic_run_allocs(&h, &sim, init, 2 * steps, &mut scratch);
+    assert_eq!(
+        short,
+        long,
+        "{}: SpecMonitor::run_with_scratch allocated {short} times over {steps} steps \
+         but {long} times over {} steps",
+        g.name(),
+        2 * steps
+    );
+}
+
+/// Heap allocations of one `SpecMonitor::run_with_scratch` of exactly
+/// `steps` steps from `init` on warm `scratch` (the daemon is built
+/// before the counted window).
+fn monomorphic_run_allocs(
+    h: &SsmeHarness,
+    sim: &Simulator<'_, <SsmeHarness as ProtocolHarness>::Protocol>,
+    init: Configuration<ClockValue>,
+    steps: usize,
+    scratch: &mut StepScratch<ClockValue>,
+) -> u64 {
+    let mut daemon = h.daemon("central-rand", 11).expect("daemon");
+    let monitor = SpecMonitor::new(h.spec(), 3);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let report = monitor.run_with_scratch(sim, daemon.as_mut(), init, steps, scratch);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(report.steps_run, steps, "the burst must not stabilize within {steps} steps");
+    allocs
 }
 
 #[test]

@@ -153,14 +153,14 @@ impl CherryClock {
     /// # Panics
     ///
     /// Panics (debug builds) if `c` is outside the clock's domain.
+    #[inline]
     #[must_use]
     pub fn phi(&self, c: ClockValue) -> ClockValue {
         debug_assert!(self.contains(c.0), "phi on out-of-domain value {c}");
-        if c.0 < 0 {
-            ClockValue(c.0 + 1)
-        } else {
-            ClockValue((c.0 + 1) % self.k)
-        }
+        // Inside the domain only K − 1 wraps (c + 1 ≤ 0 < K on the stem),
+        // so the `mod K` is one comparison, no division.
+        let next = c.0 + 1;
+        ClockValue(if next == self.k { 0 } else { next })
     }
 
     /// The reset value `-α`.

@@ -3,16 +3,15 @@
 //! delegation) SSME.
 //!
 //! Clock values pack into `i32` lanes (the cherry domain `[-α, K-1]` of
-//! every practical instance fits comfortably). The guard arithmetic is
-//! division-free: for both-stabilized values `a, b ∈ [0, K)`,
-//! `(b - a) mod K` is one subtraction plus a branch-free conditional add
-//! of `K`, replacing the two `rem_euclid` divisions of the scalar
-//! [`CherryClock::d_k`](crate::clock::CherryClock::d_k) path — the inner
-//! loops below are straight-line integer ops over the lane axis, which
-//! is what lets the compiler vectorize them.
+//! every practical instance fits comfortably). The guard arithmetic is the
+//! scalar guard's, shared with it: the division-free per-neighbor term
+//! [`neighbor_term`] and the exclusive guard combination [`guards`] of
+//! [`crate::protocol`], instantiated at `i32`. The inner loops below are
+//! straight-line integer ops over the lane axis, which is what lets the
+//! compiler vectorize them.
 
 use crate::clock::ClockValue;
-use crate::protocol::AsyncUnison;
+use crate::protocol::{guards, neighbor_term, AsyncUnison};
 use specstab_kernel::batch::PackedProtocol;
 use specstab_topology::{Graph, VertexId};
 
@@ -61,34 +60,17 @@ fn eval_unison_row(
     for &u in graph.neighbors(v) {
         let ru = &soa[u.index() * lanes..u.index() * lanes + lanes];
         for l in 0..lanes {
-            let a = rv[l];
-            let b = ru[l];
-            // (b - a) mod K without division: exact whenever both
-            // values are stabilized (the only case it is read).
-            let mut fwd = b - a;
-            fwd += (fwd >> 31) & k;
-            // correct(a, b) = both stabilized ∧ d_K(a, b) ≤ 1,
-            // and d_K ≤ 1 ⟺ fwd ≤ 1 ∨ fwd ≥ K-1.
-            all_correct[l] &= (a >= 0) & (b >= 0) & ((fwd <= 1) | (fwd >= k - 1));
-            // a ≤_l b ⟺ (b - a) mod K ≤ 1; only consumed when
-            // all_correct holds, so non-stabilized garbage is inert.
-            all_le[l] &= fwd <= 1;
-            // is_init(b) ∧ a ≤_init b.
-            conv[l] &= (b <= 0) & (a <= b);
+            let term = neighbor_term(rv[l], ru[l], k);
+            all_correct[l] &= term.correct;
+            all_le[l] &= term.le;
+            conv[l] &= term.conv;
         }
     }
     let fired_row = &mut fired[base..base + lanes];
     let next_row = &mut next[base..base + lanes];
     for l in 0..lanes {
         let a = rv[l];
-        // The three rules are pairwise exclusive by construction
-        // (NA needs allCorrect, RA needs ¬allCorrect; CA needs
-        // a < 0, which forces ¬allCorrect on any non-isolated
-        // vertex — and NA's all_le check subsumes it when there
-        // are no neighbors).
-        let na = all_correct[l] & all_le[l];
-        let ca = (a < 0) & conv[l];
-        let ra = !all_correct[l] & (a > 0);
+        let [na, ca, ra] = guards(a, all_correct[l], all_le[l], conv[l]);
         fired_row[l] = na | ca | ra;
         // φ(a): a+1 with wraparound at K (a < 0 never wraps).
         let inc = if a + 1 == k { 0 } else { a + 1 };

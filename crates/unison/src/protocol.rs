@@ -24,12 +24,96 @@
 //!
 //! The three guards are pairwise exclusive, so the protocol is
 //! deterministic (validated by tests and property tests).
+//!
+//! The predicates above are kept as the readable reference API
+//! ([`AsyncUnison::normal_step`] and friends, over
+//! [`CherryClock::d_k`]/[`CherryClock::le_local`]). The engine's guard,
+//! [`Protocol::enabled_rule`], evaluates all three in one division-free
+//! pass over the neighbors ([`neighbor_term`]) and picks the rule from a
+//! table; the lane-packed step ([`crate::packed`]) shares the same
+//! per-neighbor term and guard combination, so the paths cannot drift.
 
 use crate::clock::{CherryClock, ClockValue};
 use rand::rngs::StdRng;
 use rand::Rng;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
 use specstab_topology::VertexId;
+use std::ops::{Add, BitAnd, Shr, Sub};
+
+/// A register value in plain integer form: `i64` for the scalar
+/// [`ClockValue`], `i32` for the packed lanes.
+pub(crate) trait Register:
+    Copy
+    + Ord
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + BitAnd<Output = Self>
+    + Shr<u32, Output = Self>
+{
+    /// Zero.
+    const ZERO: Self;
+    /// One.
+    const ONE: Self;
+    /// The shift that turns a value into its sign mask (`BITS - 1`).
+    const SIGN_SHIFT: u32;
+}
+
+impl Register for i32 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    const SIGN_SHIFT: u32 = 31;
+}
+
+impl Register for i64 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    const SIGN_SHIFT: u32 = 63;
+}
+
+/// The per-neighbor terms of the three guards at `v` for one neighbor
+/// `u`: the guards are conjunctions of these over `neig(v)`.
+#[derive(Copy, Clone)]
+pub(crate) struct NeighborTerm {
+    /// `correct_v(u)`.
+    pub(crate) correct: bool,
+    /// `r_v ≤_l r_u`; meaningful only when `correct` holds.
+    pub(crate) le: bool,
+    /// `r_u ∈ init_X ∧ r_v ≤_init r_u`.
+    pub(crate) conv: bool,
+}
+
+/// [`NeighborTerm`] for `a = r_v` and `b = r_u`, both in the domain
+/// `[-α, K)` of a clock of size `k`, without division or branch: on
+/// correct values `(b - a) mod K` is one subtraction plus a conditional
+/// add of `K` done with the sign mask.
+#[inline(always)]
+pub(crate) fn neighbor_term<R: Register>(a: R, b: R, k: R) -> NeighborTerm {
+    let mut fwd = b - a;
+    fwd = fwd + ((fwd >> R::SIGN_SHIFT) & k);
+    NeighborTerm {
+        // Both correct and d_K(a, b) ≤ 1, i.e. fwd ≤ 1 or fwd ≥ K − 1.
+        correct: (a >= R::ZERO) & (b >= R::ZERO) & ((fwd <= R::ONE) | (fwd >= k - R::ONE)),
+        // (b − a) mod K ≤ 1: exact whenever both values are correct, the
+        // only case it is read in.
+        le: fwd <= R::ONE,
+        conv: (b <= R::ZERO) & (a <= b),
+    }
+}
+
+/// The guards `[normalStep, convergeStep, resetInit]` at a vertex with
+/// register `a` from the conjunctions of its [`NeighborTerm`]s, made
+/// pairwise exclusive in the priority order NA, CA, RA. They are exclusive
+/// already except at an isolated vertex with `a < 0`, where both NA and
+/// CA hold vacuously and NA takes precedence.
+#[inline(always)]
+pub(crate) fn guards<R: Register>(a: R, all_correct: bool, all_le: bool, conv: bool) -> [bool; 3] {
+    [all_correct & all_le, !all_correct & (a < R::ZERO) & conv, !all_correct & (a > R::ZERO)]
+}
+
+/// The enabled rule indexed by `na + 2·ca + 3·ra` over the exclusive
+/// [`guards`].
+const RULE_BY_GUARD: [Option<RuleId>; 4] =
+    [None, Some(rules::NA), Some(rules::CA), Some(rules::RA)];
 
 /// Rule indices of the unison protocol.
 pub mod rules {
@@ -110,18 +194,28 @@ impl Protocol for AsyncUnison {
         vec![RuleInfo::new("NA"), RuleInfo::new("CA"), RuleInfo::new("RA")]
     }
 
+    /// The first of NA, CA, RA whose guard holds, in one pass over the
+    /// neighbors (equal to the [`AsyncUnison::normal_step`],
+    /// [`AsyncUnison::converge_step`], [`AsyncUnison::reset_init`]
+    /// cascade; pinned on full state domains by the tests).
+    #[inline]
     fn enabled_rule(&self, view: &View<'_, ClockValue>) -> Option<RuleId> {
-        if self.normal_step(view) {
-            Some(rules::NA)
-        } else if self.converge_step(view) {
-            Some(rules::CA)
-        } else if self.reset_init(view) {
-            Some(rules::RA)
-        } else {
-            None
+        let a = view.state().raw();
+        let k = self.clock.k();
+        debug_assert!(self.clock.contains(a), "register {a} outside {}", self.clock);
+        let (mut all_correct, mut all_le, mut conv) = (true, true, true);
+        for (_, ru) in view.neighbor_states() {
+            debug_assert!(self.clock.contains(ru.raw()), "register {ru} outside {}", self.clock);
+            let term = neighbor_term(a, ru.raw(), k);
+            all_correct &= term.correct;
+            all_le &= term.le;
+            conv &= term.conv;
         }
+        let [na, ca, ra] = guards(a, all_correct, all_le, conv);
+        RULE_BY_GUARD[usize::from(na) + 2 * usize::from(ca) + 3 * usize::from(ra)]
     }
 
+    #[inline]
     fn apply(&self, view: &View<'_, ClockValue>, rule: RuleId) -> ClockValue {
         match rule {
             rules::NA | rules::CA => self.clock.phi(*view.state()),
@@ -144,6 +238,7 @@ impl Protocol for AsyncUnison {
 mod tests {
     use super::*;
     use specstab_kernel::config::Configuration;
+    use specstab_kernel::search::enumerate_all_configurations;
     use specstab_topology::generators;
 
     fn clock() -> CherryClock {
@@ -156,19 +251,52 @@ mod tests {
 
     #[test]
     fn guards_are_pairwise_exclusive_on_full_domain() {
-        let x = clock();
-        let p = AsyncUnison::new(x);
-        let g = generators::path(3).unwrap();
-        for a in x.values() {
-            for b in x.values() {
-                for c in x.values() {
-                    let conf = Configuration::new(vec![a, b, c]);
+        // The one-pass table guard and the one-pass Γ1 check against their
+        // readable definitions, on every configuration of small graphs
+        // (isolated vertex, path, star, triangle) for two clocks.
+        let graphs = [
+            generators::path(1).unwrap(),
+            generators::path(3).unwrap(),
+            generators::star(4).unwrap(),
+            generators::complete(3).unwrap(),
+        ];
+        for (alpha, k) in [(1, 2), (3, 7)] {
+            let x = CherryClock::new(alpha, k).unwrap();
+            let p = AsyncUnison::new(x);
+            let au = crate::spec::SpecAu::new(x);
+            for g in &graphs {
+                let configs = enumerate_all_configurations(g, &p, 10_000).expect("small domain");
+                for conf in configs {
                     for v in g.vertices() {
-                        let view = View::new(v, &g, &conf);
-                        let n = usize::from(p.normal_step(&view));
-                        let ca = usize::from(p.converge_step(&view));
-                        let ra = usize::from(p.reset_init(&view));
-                        assert!(n + ca + ra <= 1, "guards overlap at {v} in [{a}, {b}, {c}]");
+                        let view = View::new(v, g, &conf);
+                        let (n, ca, ra) =
+                            (p.normal_step(&view), p.converge_step(&view), p.reset_init(&view));
+                        let what = format!("{x} {} at {v} in {:?}", g.name(), conf.states());
+                        if view.degree() > 0 {
+                            let fired = usize::from(n) + usize::from(ca) + usize::from(ra);
+                            assert!(fired <= 1, "guards overlap: {what}");
+                        }
+                        let cascade = if n {
+                            Some(rules::NA)
+                        } else if ca {
+                            Some(rules::CA)
+                        } else if ra {
+                            Some(rules::RA)
+                        } else {
+                            None
+                        };
+                        assert_eq!(p.enabled_rule(&view), cascade, "enabled_rule: {what}");
+                        let rv = *conf.get(v);
+                        let by_definition = !x.is_stab(rv)
+                            || g.neighbors(v).iter().any(|&u| {
+                                let ru = *conf.get(u);
+                                !x.is_stab(ru) || x.d_k(rv, ru) > 1
+                            });
+                        assert_eq!(
+                            au.violates_gamma_one_at(v, &conf, g),
+                            by_definition,
+                            "violates_gamma_one_at: {what}"
+                        );
                     }
                 }
             }

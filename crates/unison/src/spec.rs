@@ -9,6 +9,7 @@
 //! ```
 
 use crate::clock::{CherryClock, ClockValue};
+use crate::protocol::neighbor_term;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::observer::{Observer, StepEvent};
 use specstab_kernel::spec::Specification;
@@ -38,10 +39,13 @@ impl SpecAu {
     }
 
     /// Whether vertex `v` violates `Γ1` locally: its register or a
-    /// neighbor's is incorrect, or it drifts more than 1 from a neighbor.
+    /// neighbor's is incorrect, or it drifts more than 1 from a neighbor
+    /// (`¬is_stab(r_v) ∨ ∃u: ¬is_stab(r_u) ∨ d_K(r_v, r_u) > 1`).
     /// `config ∈ Γ1` iff no vertex violates it (the local form of
-    /// [`SpecAu::in_gamma_one`]); like it, correctness is tested before
-    /// `d_K`, which is defined on correct values only.
+    /// [`SpecAu::in_gamma_one`]). Each neighbor costs one division-free
+    /// `correct_v(u)` test, the unison guard's own term, and the scan
+    /// stops at the first violation.
+    #[inline]
     #[must_use]
     pub fn violates_gamma_one_at(
         &self,
@@ -49,11 +53,14 @@ impl SpecAu {
         config: &Configuration<ClockValue>,
         graph: &Graph,
     ) -> bool {
-        let rv = *config.get(v);
-        !self.clock.is_stab(rv)
+        let a = config.get(v).raw();
+        let k = self.clock.k();
+        debug_assert!(self.clock.contains(a), "register {a} outside {}", self.clock);
+        a < 0
             || graph.neighbors(v).iter().any(|&u| {
-                let ru = *config.get(u);
-                !self.clock.is_stab(ru) || self.clock.d_k(rv, ru) > 1
+                let b = config.get(u).raw();
+                debug_assert!(self.clock.contains(b), "register {b} outside {}", self.clock);
+                !neighbor_term(a, b, k).correct
             })
     }
 
