@@ -119,58 +119,6 @@ fn bench_batched_unison_on(group: &mut criterion::BenchmarkGroup<'_>, g: &Graph,
     }
 }
 
-/// Lane-divergent batched central round-robin throughput on one graph: K
-/// unison replicas, each committing one move per pass under its own
-/// round-robin cursor. Throughput counts aggregate lane steps — directly
-/// comparable to `central_rr_unison_steps`, which serves the same daemon
-/// one replica at a time.
-fn bench_batched_rr_unison_on(group: &mut criterion::BenchmarkGroup<'_>, g: &Graph, label: &str) {
-    let n = g.n();
-    let steps = steps_for(n);
-    let clock = CherryClock::new(n as i64, n as i64 + 1).expect("safe parameters");
-    let unison = AsyncUnison::new(clock);
-    let init = Configuration::from_fn(n, |_| clock.value(0).expect("0 in domain"));
-    let k = 64usize;
-    let inits: Vec<_> = (0..k).map(|_| init.clone()).collect();
-    group.throughput(Throughput::Elements((steps * k) as u64));
-    group.bench_with_input(
-        BenchmarkId::new("batched_rr_unison_steps", format!("{label}-k{k}")),
-        g,
-        |b, g| {
-            b.iter(|| {
-                run_batch(g, &unison, BatchDaemon::CentralRr, &[], &inits, steps, NoMonitor).len()
-            });
-        },
-    );
-}
-
-/// Lane-divergent batched central-rand throughput on one graph: K unison
-/// replicas, each drawing uniform picks from its own per-lane RNG stream.
-/// One move commits per lane per pass, so throughput counts aggregate
-/// lane moves — comparable to `central_rr_unison_steps` served replica by
-/// replica under a random central daemon.
-fn bench_batched_rand_unison_on(group: &mut criterion::BenchmarkGroup<'_>, g: &Graph, label: &str) {
-    let n = g.n();
-    let steps = steps_for(n);
-    let clock = CherryClock::new(n as i64, n as i64 + 1).expect("safe parameters");
-    let unison = AsyncUnison::new(clock);
-    let init = Configuration::from_fn(n, |_| clock.value(0).expect("0 in domain"));
-    let k = 64usize;
-    let inits: Vec<_> = (0..k).map(|_| init.clone()).collect();
-    let seeds: Vec<u64> = (0..k as u64).map(|l| 0xBEEF + l).collect();
-    group.throughput(Throughput::Elements((steps * k) as u64));
-    group.bench_with_input(
-        BenchmarkId::new("batched_rand_unison_moves", format!("{label}-k{k}")),
-        g,
-        |b, g| {
-            b.iter(|| {
-                run_batch(g, &unison, BatchDaemon::CentralRand, &seeds, &inits, steps, NoMonitor)
-                    .len()
-            });
-        },
-    );
-}
-
 /// Random-distributed daemon (p = 0.5) throughput on one graph, scalar
 /// and batched side by side. Both IDs meter the actual (seed-fixed,
 /// deterministic) move totals, so the batched/scalar moves/s ratio reads
@@ -227,33 +175,6 @@ fn bench_dist_unison_on(group: &mut criterion::BenchmarkGroup<'_>, g: &Graph, la
         g,
         |b, g| {
             b.iter(|| run_batch(g, &unison, daemon, &seeds, &inits, steps, NoMonitor).len());
-        },
-    );
-}
-
-/// Lane-divergent batched central round-robin on the three-state ring:
-/// the workload the executor's central-mode size gate is calibrated on.
-/// Ring sizes straddling the old (n ≈ 32) and new (n = 128) routing
-/// crossover, K = 64 replicas from seeded random initial configurations.
-fn bench_batched_rr_dijkstra3_on(group: &mut criterion::BenchmarkGroup<'_>, n: usize) {
-    let g = generators::ring(n).expect("valid ring");
-    let proto = DijkstraThreeState::new(&g).expect("ring graph");
-    let steps = steps_for(n);
-    let k = 64usize;
-    let inits: Vec<_> = (0..k)
-        .map(|l| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(11 + l as u64);
-            random_configuration(&g, &proto, &mut rng)
-        })
-        .collect();
-    group.throughput(Throughput::Elements((steps * k) as u64));
-    group.bench_with_input(
-        BenchmarkId::new("batched_rr_dijkstra3_steps", format!("ring-{n}-k{k}")),
-        &g,
-        |b, g| {
-            b.iter(|| {
-                run_batch(g, &proto, BatchDaemon::CentralRr, &[], &inits, steps, NoMonitor).len()
-            });
         },
     );
 }
@@ -360,23 +281,10 @@ pub fn bench_engine(c: &mut Criterion) {
         bench_unison_on(&mut group, &g, &format!("torus-{rows}x{cols}"));
         bench_batched_unison_on(&mut group, &g, &format!("torus-{rows}x{cols}"));
     }
-    // Lane-divergent batching: the rr/rand central modes amortize their
-    // per-pass bookkeeping (selection word-scans + the transposed
-    // incremental enabled-bitset refresh) over the lanes, which holds up
-    // to each protocol's measured crossover (`crossover_probe`), so the
-    // benches pin the small torus the routed path has always served, the
-    // rand torus past the i32 routing gate (regression-tracked, not
-    // routed), and the dijkstra3 ring sizes straddling the old (n ≈ 32)
-    // and new (n = 128) byte-lane gate. The dist pair meters the
-    // random-daemon mode that keeps sync-shaped aggregate throughput.
-    let g = generators::torus(4, 5).expect("valid torus");
-    bench_batched_rr_unison_on(&mut group, &g, "torus-4x5");
+    // The dist pair meters the random-daemon mode on the dense lane
+    // schedule, scalar and batched side by side.
     let g = generators::torus(8, 8).expect("valid torus");
-    bench_batched_rand_unison_on(&mut group, &g, "torus-8x8");
     bench_dist_unison_on(&mut group, &g, "torus-8x8");
-    for n in [64usize, 128] {
-        bench_batched_rr_dijkstra3_on(&mut group, n);
-    }
     for n in [256usize, 1024] {
         bench_dijkstra3_on(&mut group, n);
     }

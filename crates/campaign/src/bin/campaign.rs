@@ -75,12 +75,11 @@ fn usage() -> ! {
          byte-identical to the in-process run (--workers 0).\n\
          \n\
          --batch toggles the lane-packed batched group engine (default on; forwarded to\n\
-         run's worker subprocesses). Sync, central-rr, central-rand and dist:<p> groups\n\
-         of packed protocols route through it (the central modes up to the protocol's\n\
-         measured crossover: n = 128 on the byte-lane rings, n = 32 on ssme); the\n\
-         random daemons step per-lane RNG streams that replay the scalar seeds exactly.\n\
-         Batched and scalar execution produce byte-identical artifacts — off exists for\n\
-         A/B timing and differential testing.\n\
+         run's worker subprocesses). Sync and dist:<p> groups of packed protocols route\n\
+         through it at every size; dist lanes step per-lane RNG streams that replay the\n\
+         scalar seeds exactly. Every other daemon, central-rr and central-rand included,\n\
+         runs on the scalar engine. Batched and scalar execution produce byte-identical\n\
+         artifacts — off exists for A/B timing and differential testing.\n\
          \n\
          serve coordinates a plan over HTTP: pull-workers (campaign work) lease shards,\n\
          execute, and upload partials; expired leases are re-dispatched; every accepted\n\

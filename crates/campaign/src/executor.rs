@@ -26,7 +26,7 @@ use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::DaemonClass;
 use specstab_kernel::engine::{Simulator, StepScratch};
 use specstab_kernel::fault::inject_faults_in_place;
-use specstab_kernel::harness::{HarnessState, ProtocolHarness};
+use specstab_kernel::harness::{HarnessError, HarnessState, ProtocolHarness};
 use specstab_kernel::measure::SpecMonitor;
 use specstab_kernel::protocol::{random_configuration, Protocol};
 use specstab_protocols::registry::{self, HarnessVisitor, ProtocolInfo};
@@ -573,29 +573,32 @@ fn run_harness_group<H: ProtocolHarness>(
     scratch: &mut ScratchPool,
 ) -> Vec<CellResult> {
     let harness = H::build(graph, diam);
+    let first = cells.first().expect("group runs are nonempty");
+    // Group keys include the init mode, so a witness group builds its
+    // deterministic witness (an all-pairs distance matrix on the way) once
+    // and clones it for every cell.
+    let witness = match &harness {
+        Ok(h) if first.init == InitMode::Witness => Some(h.witness_configuration(graph)),
+        _ => None,
+    };
+    let witness = witness.as_ref();
     // Group keys include the daemon, so one shared check covers the chunk:
-    // sync, central-rr, central-rand and dist:p groups of batch-capable
-    // protocols step all their seed replicas lane-parallel through the
-    // packed engine. Any reason the batched path can't serve such a chunk
-    // bit-identically (protocol not packed, size gate, toggle off, or a
-    // per-cell setup error that the scalar path reports cell by cell)
-    // falls back to the scalar loop below and is counted per daemon class
-    // in the process-wide telemetry. Groups of unbatchable daemons run
-    // scalar uncounted.
+    // sync and dist:p groups of batch-capable protocols step all their
+    // seed replicas lane-parallel through the packed engine. Any reason
+    // the batched path can't serve such a chunk bit-identically (protocol
+    // not packed, toggle off, or a per-cell setup error that the scalar
+    // path reports cell by cell) falls back to the scalar loop below and
+    // is counted per daemon class in the process-wide telemetry. Groups of
+    // every other daemon — central ones included, which commit one move
+    // per step and run fastest on the scalar engine — run scalar
+    // uncounted.
     if let Ok(h) = &harness {
-        let spec = cells.first().expect("group runs are nonempty").daemon.as_str();
-        if let Some(mode) = BatchDaemon::from_spec(spec) {
+        if let Some(mode) = BatchDaemon::from_spec(&first.daemon) {
             let class = mode.routing_class();
-            let central = matches!(mode, BatchDaemon::CentralRr | BatchDaemon::CentralRand);
-            // Central groups commit one move per lane per pass, so they
-            // only amortize below the harness's measured crossover size
-            // (128 on the byte-lane rings, 32 on i32-lane ssme — see
-            // `ProtocolHarness::central_batch_max_n`); larger central
-            // groups take the counted per-class scalar fallback. Sync and
-            // dist groups commit whole selections and route at any size.
-            let size_ok = !central || graph.n() <= h.central_batch_max_n();
-            if batching_enabled() && h.supports_batch() && size_ok {
-                if let Some(results) = run_batched_group(h, mode, cells, graph, diam, config) {
+            if batching_enabled() && h.supports_batch() {
+                if let Some(results) =
+                    run_batched_group(h, mode, cells, graph, diam, config, witness)
+                {
                     specstab_telemetry::global().record_batch_routed(class);
                     return results;
                 }
@@ -609,7 +612,9 @@ fn run_harness_group<H: ProtocolHarness>(
             let cell_seed = cell.cell_seed(config.seed);
             let started = Instant::now();
             let (class, counters, outcome) = match &harness {
-                Ok(h) => run_harness_cell(h, cell, graph, diam, cell_seed, config, scratch),
+                Ok(h) => {
+                    run_harness_cell(h, cell, graph, diam, cell_seed, config, witness, scratch)
+                }
                 Err(e) => (None, RunCounters::default(), Err(e.to_string())),
             };
             let wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -627,10 +632,14 @@ fn run_harness_group<H: ProtocolHarness>(
         .collect()
 }
 
-/// Runs one group chunk of a batchable daemon (sync, central-rr,
-/// central-rand or dist:p) through the lane-packed batched engine: every
-/// cell's initial configuration becomes one replica lane of a single
-/// structure-of-arrays run (see `specstab_kernel::batch`).
+/// A witness group's witness configuration (or its build error), built
+/// once per group run and cloned into every cell.
+type GroupWitness<H> = Result<Configuration<HarnessState<H>>, HarnessError>;
+
+/// Runs one group chunk of a batchable daemon (sync or dist:p) through
+/// the lane-packed batched engine: every cell's initial configuration
+/// becomes one replica lane of a single structure-of-arrays run (see
+/// `specstab_kernel::batch`).
 ///
 /// Per-lane seeding, initial-configuration construction and measurement
 /// semantics replicate [`run_harness_cell`] exactly, so the per-cell
@@ -648,6 +657,7 @@ fn run_batched_group<H: ProtocolHarness>(
     graph: &Graph,
     diam: u32,
     config: &CampaignConfig,
+    witness: Option<&GroupWitness<H>>,
 ) -> Option<Vec<CellResult>> {
     let started = Instant::now();
     let mut seeds = Vec::with_capacity(cells.len());
@@ -668,7 +678,7 @@ fn run_batched_group<H: ProtocolHarness>(
                 let healthy = harness.legitimate_configuration(graph, &mut rng).ok()?;
                 burst_configuration(graph, harness.protocol(), healthy, faults, &mut rng)
             }
-            InitMode::Witness => harness.witness_configuration(graph).ok()?,
+            InitMode::Witness => witness?.as_ref().ok()?.clone(),
         };
         seeds.push(cell_seed);
         classes.push(daemon.class());
@@ -727,6 +737,7 @@ fn run_batched_group<H: ProtocolHarness>(
 /// the harness's specification: per step it re-evaluates only the
 /// vertices near the step's moves, and its report equals the full-scan
 /// `MeasurementContext` with early stop on legitimacy.
+#[allow(clippy::too_many_arguments)] // the cell's coordinates plus the group's shared state
 fn run_harness_cell<H: ProtocolHarness>(
     harness: &H,
     cell: &Cell,
@@ -734,6 +745,7 @@ fn run_harness_cell<H: ProtocolHarness>(
     diam: u32,
     cell_seed: u64,
     config: &CampaignConfig,
+    witness: Option<&GroupWitness<H>>,
     scratch: &mut ScratchPool,
 ) -> (Option<DaemonClass>, RunCounters, Result<CellOutcome, String>) {
     let mut daemon = match harness.daemon(&cell.daemon, mix(cell_seed, 0x000D_AE17)) {
@@ -753,8 +765,8 @@ fn run_harness_cell<H: ProtocolHarness>(
             };
             burst_configuration(graph, harness.protocol(), healthy, faults, &mut rng)
         }
-        InitMode::Witness => match harness.witness_configuration(graph) {
-            Ok(c) => c,
+        InitMode::Witness => match witness.expect("witness groups build their witness") {
+            Ok(c) => c.clone(),
             Err(e) => return (class, RunCounters::default(), Err(e.to_string())),
         },
     };

@@ -13,10 +13,13 @@
 use crate::ssme::Ssme;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::observer::{Observer, StepEvent};
-use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
+use specstab_kernel::spec::{
+    Aggregate, LaneSpecification, LocalCounts, LocalSpecification, Specification,
+};
 use specstab_topology::{Graph, VertexId};
 use specstab_unison::clock::ClockValue;
 use specstab_unison::spec::SpecAu;
+use std::ops::Range;
 
 /// `specME` instantiated for one SSME instance.
 #[derive(Clone, Debug)]
@@ -93,6 +96,39 @@ impl LocalSpecification<ClockValue> for SpecMe {
 
     fn legitimacy_rule(&self) -> Aggregate {
         Aggregate::AtMost(0)
+    }
+}
+
+/// The lane form over SSME's packed `i32` clock lanes: safety compares
+/// each row against the vertex's privilege slot, legitimacy is `specAU`'s
+/// lane-form `Γ1` test.
+impl LaneSpecification<ClockValue, i32> for SpecMe {
+    fn add_safety_rows(
+        &self,
+        _graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[i32],
+        totals: &mut [u32],
+    ) {
+        let totals = &mut totals[..lanes];
+        for v in rows {
+            let slot = i32::try_from(self.slots[v].raw()).expect("privilege slots fit i32 lanes");
+            for (total, &r) in totals.iter_mut().zip(&soa[v * lanes..(v + 1) * lanes]) {
+                *total += u32::from(r == slot);
+            }
+        }
+    }
+
+    fn add_legitimacy_rows(
+        &self,
+        graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[i32],
+        totals: &mut [u32],
+    ) {
+        self.au.add_legitimacy_rows(graph, rows, lanes, soa, totals);
     }
 }
 

@@ -23,7 +23,6 @@ use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
 use specstab_topology::metrics::DistanceMatrix;
 use specstab_topology::{Graph, VertexId};
 use specstab_unison::clock::{CherryClock, ClockValue};
-use specstab_unison::packed::UnisonLaneScratch;
 use specstab_unison::protocol::AsyncUnison;
 use std::error::Error;
 use std::fmt;
@@ -274,7 +273,6 @@ impl PackedProtocol for Ssme {
     // predicate reads configurations but never changes the rules, so the
     // lane-packed stepper delegates verbatim.
     type Lane = i32;
-    type LaneScratch = UnisonLaneScratch;
 
     fn pack(&self, state: &ClockValue) -> i32 {
         self.unison.pack(state)
@@ -291,22 +289,8 @@ impl PackedProtocol for Ssme {
         soa: &[i32],
         next: &mut [i32],
         fired: &mut [bool],
-        scratch: &mut UnisonLaneScratch,
     ) {
-        self.unison.step_lanes(graph, lanes, soa, next, fired, scratch);
-    }
-
-    fn eval_vertex_lanes(
-        &self,
-        graph: &Graph,
-        v: usize,
-        lanes: usize,
-        soa: &[i32],
-        next: &mut [i32],
-        fired: &mut [bool],
-        scratch: &mut UnisonLaneScratch,
-    ) {
-        self.unison.eval_vertex_lanes(graph, v, lanes, soa, next, fired, scratch);
+        self.unison.step_lanes(graph, lanes, soa, next, fired);
     }
 }
 

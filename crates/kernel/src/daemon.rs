@@ -606,16 +606,15 @@ pub fn parse_daemon_spec<S: 'static>(spec: &str, seed: u64) -> Result<BoxedDaemo
 
 impl BatchDaemon {
     /// The batched schedule replaying the daemon a textual spec names
-    /// (the [`parse_daemon_spec`] syntax): `sync`, `central-rr`,
-    /// `central-rand` and `dist:<p>` with `p` in `[0, 1]`. Every other
-    /// spec — history-reading or adversarial daemons, and malformed
-    /// specs — has no batched schedule and maps to `None`.
+    /// (the [`parse_daemon_spec`] syntax): `sync` and `dist:<p>` with `p`
+    /// in `[0, 1]`. Every other spec — the central daemons, which commit
+    /// one move per step and run fastest on the scalar engine,
+    /// history-reading or adversarial daemons, and malformed specs — has
+    /// no batched schedule and maps to `None`.
     #[must_use]
     pub fn from_spec(spec: &str) -> Option<BatchDaemon> {
         match spec {
             "sync" => Some(BatchDaemon::Sync),
-            "central-rr" => Some(BatchDaemon::CentralRr),
-            "central-rand" => Some(BatchDaemon::CentralRand),
             _ => spec
                 .strip_prefix("dist:")
                 .and_then(|p| p.parse::<f64>().ok())
@@ -971,6 +970,7 @@ mod tests {
         for spec in specs {
             let Some(batch) = BatchDaemon::from_spec(spec) else { continue };
             let scalar = parse_daemon_spec::<u8>(spec, 7).expect("batchable specs parse");
+            assert!(batch.is_batched(), "{spec}");
             let class = match batch {
                 BatchDaemon::Sync => DaemonClass::synchronous(),
                 BatchDaemon::CentralRr => DaemonClass::central_weakly_fair(),
@@ -983,7 +983,10 @@ mod tests {
             BatchDaemon::from_spec("dist:0.5"),
             Some(BatchDaemon::RandomDistributed { p: 0.5 })
         );
-        for spec in ["dist:1.5", "dist:x", "kbounded:3", "central-oldest"] {
+        // Central daemons always run on the scalar engine.
+        for spec in
+            ["central-rr", "central-rand", "dist:1.5", "dist:x", "kbounded:3", "central-oldest"]
+        {
             assert_eq!(BatchDaemon::from_spec(spec), None, "{spec}");
         }
     }

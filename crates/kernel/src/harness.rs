@@ -241,12 +241,9 @@ pub trait ProtocolHarness: Sized {
 
     /// Whether this harness provides a lane-packed protocol
     /// implementation, i.e. whether [`ProtocolHarness::batched_measure`]
-    /// returns `Some`. Batch drivers check this before building replica
-    /// inits so unsupported protocols fall straight to the scalar path.
-    /// The check covers every batched daemon ([`BatchDaemon`]) — sync,
-    /// central round-robin and both per-lane-RNG random modes: the lane
-    /// engines are protocol-agnostic, so a packed protocol supports every
-    /// batched daemon mode.
+    /// returns `Some` for the batched daemons (sync and dist:p). Batch
+    /// drivers check this before building replica inits so unsupported
+    /// protocols fall straight to the scalar path.
     ///
     /// Harnesses may return `false` for *instances* outside their packed
     /// domain (e.g. the K-state Dijkstra ring packs u8 lanes and only
@@ -257,40 +254,34 @@ pub trait ProtocolHarness: Sized {
         false
     }
 
-    /// Largest graph the lane-divergent *central* batch daemons
-    /// ([`BatchDaemon::CentralRr`] / [`BatchDaemon::CentralRand`]) should
-    /// be routed to the packed engine on. A central pass commits one move
-    /// per lane, so its cost — selection word-scans plus the
-    /// touched-neighborhood bitset refresh — must amortize below one
-    /// scalar step across the lanes; where that break-even sits depends
-    /// on the lane width and guard cost, so each packed harness
-    /// calibrates its own bound (see `crossover_probe` in the bench
-    /// crate). The conservative default covers narrow wins like the
-    /// i32-lane protocols; byte-lane harnesses raise it. Synchronous and
-    /// random-distributed daemons commit whole selections per pass and
-    /// have no such crossover.
+    /// Largest graph the central shims ([`BatchDaemon::CentralRr`],
+    /// [`BatchDaemon::CentralRand`]) route to the batched engine on:
+    /// always 0, since central daemons have no batched schedule and run
+    /// on the scalar engine at every size. Kept only so external copies of
+    /// the executor's routing keep compiling; harnesses do not override
+    /// it.
     #[must_use]
     fn central_batch_max_n(&self) -> usize {
-        32
+        0
     }
 
     /// Runs `inits.len()` replicas of this protocol under `daemon` as one
     /// batched run (see [`crate::batch`]), producing per lane the exact
     /// [`StabilizationReport`] (and final configuration) a scalar
     /// measured run from the same initial configuration under the
-    /// matching scalar daemon yields — same monitors, same early stop
-    /// with `early_stop_margin`, same stop-reason ordering. For the
-    /// random daemons, `lane_seeds[l]` must be the seed lane `l`'s scalar
-    /// daemon was constructed with (one per replica; deterministic
-    /// daemons pass `&[]`), so every lane replays its scalar RNG draw
-    /// sequence bit for bit.
+    /// matching scalar daemon yields — same specification, same early
+    /// stop with `early_stop_margin`, same stop-reason ordering. For
+    /// dist:p, `lane_seeds[l]` must be the seed lane `l`'s scalar daemon
+    /// was constructed with (one per replica; sync passes `&[]`), so every
+    /// lane replays its scalar RNG draw sequence bit for bit.
     ///
     /// `None` (the default) means "no packed implementation — use the
-    /// scalar path". Harnesses whose protocols implement
+    /// scalar path"; implementations also answer `None` for the central
+    /// shims. Harnesses whose protocols implement
     /// [`PackedProtocol`](crate::batch::PackedProtocol) override this to
     /// call [`run_batch`](crate::batch::run_batch) with a
-    /// [`PredicateMonitor`](crate::batch::PredicateMonitor) over their own
-    /// predicates.
+    /// [`LaneMonitor`](crate::batch::LaneMonitor) over the lane form of
+    /// their specification.
     #[must_use]
     fn batched_measure(
         &self,

@@ -21,8 +21,9 @@
 //! * [`engine::Simulator`] — the step loop with pluggable [`observer`]s,
 //!   over the counted-bitset [`enabled::EnabledSet`];
 //! * [`batch`] — replica-parallel batched stepping: K seed-replicas in
-//!   structure-of-arrays lanes through one step loop, under the
-//!   synchronous, central and random distributed daemons;
+//!   structure-of-arrays lanes through one dense step loop, under the
+//!   synchronous and random distributed daemons, measured by the lane
+//!   form of a local specification;
 //! * [`measure`] — stabilization-time measurement (Def. 3);
 //! * [`search`] — exhaustive worst-case analysis on small instances by
 //!   materializing the configuration game graph;
@@ -78,9 +79,7 @@ pub mod protocol;
 pub mod search;
 pub mod spec;
 
-pub use batch::{
-    run_batch, BatchMonitor, LaneSummary, NoMonitor, PackedProtocol, PredicateMonitor,
-};
+pub use batch::{run_batch, BatchMonitor, LaneMonitor, LaneSummary, NoMonitor, PackedProtocol};
 pub use config::Configuration;
 pub use daemon::{Daemon, DaemonClass};
 pub use enabled::EnabledSet;

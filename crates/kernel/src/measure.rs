@@ -65,8 +65,8 @@ pub struct StabilizationReport {
 /// verdict per configuration: the safety monitor's violations, the
 /// legitimacy monitor's entry index, and the early-stop run length.
 /// Shared by [`SpecMonitor`] and the batched
-/// [`PredicateMonitor`](crate::batch::PredicateMonitor), so both assemble
-/// their reports with one implementation.
+/// [`LaneMonitor`](crate::batch::LaneMonitor), so both assemble their
+/// reports with one implementation.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MeasureRecord {
     violations: usize,
@@ -95,10 +95,10 @@ impl MeasureRecord {
     }
 
     /// Whether legitimacy has held for `margin + 1` consecutive
-    /// configurations (never, without a margin).
+    /// configurations.
     #[inline]
-    pub(crate) fn stable_for(&self, margin: Option<usize>) -> bool {
-        margin.is_some_and(|m| self.consecutive > m)
+    pub(crate) fn stable_for(&self, margin: usize) -> bool {
+        self.consecutive > margin
     }
 
     /// The report of a run that executed `steps` steps and `moves` moves.
@@ -289,7 +289,7 @@ impl<S, Sp: LocalSpecification<S>> Observer<S> for SpecMonitor<'_, S, Sp> {
     }
 
     fn should_stop(&self) -> bool {
-        self.record.stable_for(Some(self.early_stop_margin))
+        self.record.stable_for(self.early_stop_margin)
     }
 }
 

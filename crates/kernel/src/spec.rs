@@ -17,9 +17,16 @@
 //! counts of the previous configuration then re-evaluates only the
 //! vertices near the ones a step changed — see
 //! [`crate::measure::SpecMonitor`].
+//!
+//! The batched engine measures the same specifications through their
+//! **lane form** ([`LaneSpecification`]): the same per-vertex counts,
+//! summed for every replica lane of packed replica-major state at once —
+//! see [`crate::batch::LaneMonitor`].
 
+use crate::batch::LaneWord;
 use crate::config::Configuration;
 use specstab_topology::{Graph, VertexId};
+use std::ops::Range;
 
 /// A problem specification over per-vertex states `S`.
 pub trait Specification<S> {
@@ -53,6 +60,16 @@ impl Aggregate {
         match self {
             Aggregate::AtMost(bound) => total <= bound,
             Aggregate::Exactly(bound) => total == bound,
+        }
+    }
+
+    /// Whether a partial sum of the (nonnegative) per-vertex counts
+    /// already decides the rule: past the bound, no remaining vertex can
+    /// make either rule hold again.
+    #[must_use]
+    pub fn decided_by(self, partial: u64) -> bool {
+        match self {
+            Aggregate::AtMost(bound) | Aggregate::Exactly(bound) => partial > bound,
         }
     }
 }
@@ -91,6 +108,40 @@ pub trait LocalSpecification<S>: Specification<S> {
 
     /// The rule the legitimacy total must satisfy.
     fn legitimacy_rule(&self) -> Aggregate;
+}
+
+/// The lane form of a [`LocalSpecification`] over lane words `W`: the
+/// same per-vertex counts, evaluated for every replica lane of
+/// replica-major packed state (`soa[v * lanes + l]` is vertex `v` of lane
+/// `l`, packed the way the batched protocol packs `S`), and judged by the
+/// same [`Aggregate`] rules.
+///
+/// `add_safety_rows(graph, rows, lanes, soa, totals)` must add, for every
+/// vertex `v` in `rows` and every lane `l`, exactly
+/// `local_counts(v, lane l's configuration).safety` to `totals[l]`; the
+/// legitimacy form likewise. Splitting a sweep into row ranges lets a
+/// monitor stop once every lane's rule is decided
+/// ([`Aggregate::decided_by`]).
+pub trait LaneSpecification<S, W: LaneWord>: LocalSpecification<S> {
+    /// Adds the safety counts of the vertices in `rows`, per lane.
+    fn add_safety_rows(
+        &self,
+        graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[W],
+        totals: &mut [u32],
+    );
+
+    /// Adds the legitimacy counts of the vertices in `rows`, per lane.
+    fn add_legitimacy_rows(
+        &self,
+        graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[W],
+        totals: &mut [u32],
+    );
 }
 
 /// Checks closure of a specification's legitimacy predicate along one
@@ -153,6 +204,9 @@ mod tests {
         assert!(!Aggregate::AtMost(1).holds(2));
         assert!(Aggregate::Exactly(1).holds(1));
         assert!(!Aggregate::Exactly(1).holds(0) && !Aggregate::Exactly(1).holds(2));
+        for rule in [Aggregate::AtMost(1), Aggregate::Exactly(1)] {
+            assert!(!rule.decided_by(0) && !rule.decided_by(1) && rule.decided_by(2));
+        }
     }
 
     #[test]

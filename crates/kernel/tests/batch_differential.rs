@@ -1,32 +1,32 @@
 //! Differential suite for replica-parallel batched stepping: every lane
-//! of [`run_batch`] — under each of the four batchable daemons (sync,
-//! central round-robin, central-rand and random-distributed), with the
-//! no-op and the predicate monitor — must be observationally identical to
-//! an independent scalar run of the same initial configuration under the
+//! of [`run_batch`] — under both batchable daemons (sync and
+//! random-distributed at p ∈ {0.1, 0.25, 0.5, 0.9, 1.0}), with the no-op
+//! and the lane monitor — must be observationally identical to an
+//! independent scalar run of the same initial configuration under the
 //! matching scalar daemon: same step/move counts, same stop reason, same
 //! final configuration, and (measured) the same [`StabilizationReport`]
 //! monitor fields index for index, across topologies × seeds × lane
-//! counts K ∈ {1, 3, 64, 100}. The random daemons additionally pin the
-//! per-lane RNG streams: lane `l` seeded with `s` replays the scalar
-//! daemon seeded with `s` draw for draw. A final property holds the
-//! transposed incremental enabled-bitset to the dense full-sweep
-//! reference it replaced.
+//! counts K ∈ {1, 3, 12, 100} (every tail of the 8/4/1 lane chunks, and
+//! lanes that stop at different steps). The dist lanes additionally pin
+//! the per-lane RNG streams: lane `l` seeded with `s` replays the scalar
+//! daemon seeded with `s` draw for draw, including the empty-sample
+//! fallback that p = 0.1 takes often.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use specstab_kernel::batch::{
-    run_batch, run_batch_with_dense_sweep, BatchDaemon, NoMonitor, PackedProtocol, PredicateMonitor,
-};
+use specstab_kernel::batch::{run_batch, BatchDaemon, LaneMonitor, NoMonitor, PackedProtocol};
 use specstab_kernel::config::Configuration;
-use specstab_kernel::daemon::{
-    CentralDaemon, CentralStrategy, Daemon, RandomDistributedDaemon, SynchronousDaemon,
-};
+use specstab_kernel::daemon::{Daemon, RandomDistributedDaemon, SynchronousDaemon};
 use specstab_kernel::engine::{RunLimits, Simulator};
 use specstab_kernel::measure::{MeasurementContext, StabilizationReport};
 use specstab_kernel::observer::ConfigPredicate;
 use specstab_kernel::protocol::{random_configuration, Protocol, RuleId, RuleInfo, View};
+use specstab_kernel::spec::{
+    Aggregate, LaneSpecification, LocalCounts, LocalSpecification, Specification,
+};
 use specstab_topology::{generators, Graph, VertexId};
+use std::ops::Range;
 
 /// Max propagation: adopt the largest neighbor value when it beats yours.
 /// Terminal once the maximum has flooded the graph — a protocol whose
@@ -55,9 +55,13 @@ impl Protocol for MaxProto {
     }
 }
 
+/// The neighbor maximum of vertex `v` in lane `l`.
+fn best_neighbor(graph: &Graph, v: usize, lanes: usize, l: usize, soa: &[u32]) -> u32 {
+    graph.neighbors(VertexId::new(v)).iter().map(|u| soa[u.index() * lanes + l]).max().unwrap_or(0)
+}
+
 impl PackedProtocol for MaxProto {
     type Lane = u32;
-    type LaneScratch = Vec<u32>;
 
     fn pack(&self, state: &u32) -> u32 {
         *state
@@ -74,60 +78,111 @@ impl PackedProtocol for MaxProto {
         soa: &[u32],
         next: &mut [u32],
         fired: &mut [bool],
-        scratch: &mut Vec<u32>,
     ) {
-        scratch.resize(lanes, 0);
-        let best = &mut scratch[..lanes];
-        for v in graph.vertices() {
-            let base = v.index() * lanes;
-            best.fill(0);
-            for &u in graph.neighbors(v) {
-                let ru = &soa[u.index() * lanes..u.index() * lanes + lanes];
-                for (b, &s) in best.iter_mut().zip(ru) {
-                    *b = (*b).max(s);
-                }
-            }
+        for v in 0..graph.n() {
             for l in 0..lanes {
-                fired[base + l] = best[l] > soa[base + l];
-                next[base + l] = best[l];
+                let best = best_neighbor(graph, v, lanes, l, soa);
+                fired[v * lanes + l] = best > soa[v * lanes + l];
+                next[v * lanes + l] = best;
             }
-        }
-    }
-
-    fn eval_vertex_lanes(
-        &self,
-        graph: &Graph,
-        v: usize,
-        lanes: usize,
-        soa: &[u32],
-        next: &mut [u32],
-        fired: &mut [bool],
-        scratch: &mut Vec<u32>,
-    ) {
-        scratch.resize(lanes, 0);
-        let best = &mut scratch[..lanes];
-        let v = VertexId::new(v);
-        let base = v.index() * lanes;
-        best.fill(0);
-        for &u in graph.neighbors(v) {
-            let ru = &soa[u.index() * lanes..u.index() * lanes + lanes];
-            for (b, &s) in best.iter_mut().zip(ru) {
-                *b = (*b).max(s);
-            }
-        }
-        for l in 0..lanes {
-            fired[base + l] = best[l] > soa[base + l];
-            next[base + l] = best[l];
         }
     }
 }
 
+/// A radius-1 specification of the max flood. Safety: no vertex differs
+/// from a neighbor (all equal on a connected graph) — violated until the
+/// run terminates, so violation tracking records something mid-run.
+/// Legitimacy: at most two vertices still lag a neighbor — often reached
+/// well before termination, so early stop cuts runs short, and decided
+/// within the first row block on the larger graphs, so the monitor's
+/// early exit runs.
+#[derive(Clone)]
+struct MaxSpec;
+
+impl MaxSpec {
+    fn differs(v: VertexId, c: &Configuration<u32>, g: &Graph) -> bool {
+        g.neighbors(v).iter().any(|&u| c.get(u) != c.get(v))
+    }
+
+    fn lags(v: VertexId, c: &Configuration<u32>, g: &Graph) -> bool {
+        g.neighbors(v).iter().any(|&u| c.get(u) > c.get(v))
+    }
+}
+
+impl Specification<u32> for MaxSpec {
+    fn name(&self) -> String {
+        "max-flood".into()
+    }
+    fn is_safe(&self, c: &Configuration<u32>, g: &Graph) -> bool {
+        g.vertices().all(|v| !Self::differs(v, c, g))
+    }
+    fn is_legitimate(&self, c: &Configuration<u32>, g: &Graph) -> bool {
+        g.vertices().filter(|&v| Self::lags(v, c, g)).count() <= 2
+    }
+}
+
+impl LocalSpecification<u32> for MaxSpec {
+    fn radius(&self) -> u32 {
+        1
+    }
+    fn local_counts(&self, v: VertexId, c: &Configuration<u32>, g: &Graph) -> LocalCounts {
+        LocalCounts {
+            safety: u32::from(Self::differs(v, c, g)),
+            legitimacy: u32::from(Self::lags(v, c, g)),
+        }
+    }
+    fn safety_rule(&self) -> Aggregate {
+        Aggregate::AtMost(0)
+    }
+    fn legitimacy_rule(&self) -> Aggregate {
+        Aggregate::AtMost(2)
+    }
+}
+
+impl LaneSpecification<u32, u32> for MaxSpec {
+    fn add_safety_rows(
+        &self,
+        g: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[u32],
+        totals: &mut [u32],
+    ) {
+        for v in rows {
+            for (l, total) in totals.iter_mut().enumerate().take(lanes) {
+                let s = soa[v * lanes + l];
+                let differs =
+                    g.neighbors(VertexId::new(v)).iter().any(|u| soa[u.index() * lanes + l] != s);
+                *total += u32::from(differs);
+            }
+        }
+    }
+    fn add_legitimacy_rows(
+        &self,
+        g: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[u32],
+        totals: &mut [u32],
+    ) {
+        for v in rows {
+            for (l, total) in totals.iter_mut().enumerate().take(lanes) {
+                *total += u32::from(best_neighbor(g, v, lanes, l, soa) > soa[v * lanes + l]);
+            }
+        }
+    }
+}
+
+/// Small graphs of every shape, plus two past the lane monitor's 32-row
+/// block.
 fn graph_for(case: u8) -> Graph {
-    match case % 4 {
+    match case % 6 {
         0 => generators::ring(9).unwrap(),
         1 => generators::torus(3, 4).unwrap(),
         2 => generators::path(7).unwrap(),
-        _ => generators::complete(5).unwrap(),
+        3 => generators::complete(5).unwrap(),
+        4 => generators::torus(6, 7).unwrap(),
+        _ => generators::ring(70).unwrap(),
     }
 }
 
@@ -140,20 +195,12 @@ fn random_inits(graph: &Graph, k: usize, seed: u64) -> Vec<Configuration<u32>> {
         .collect()
 }
 
-/// Safety: the maximum has flooded (all states equal) — violated until the
-/// run terminates, so violation tracking has something to record mid-run.
-fn all_equal() -> ConfigPredicate<u32> {
-    Box::new(|c, _| c.states().windows(2).all(|w| w[0] == w[1]))
+fn safety() -> ConfigPredicate<u32> {
+    Box::new(|c, g| MaxSpec.is_safe(c, g))
 }
 
-/// Legitimacy: vertex 0 holds the global maximum. Closed (vertex 0 is
-/// then never enabled and the maximum never grows), and often reached
-/// well before termination, so early stop cuts runs short mid-run.
-fn zero_holds_max() -> ConfigPredicate<u32> {
-    Box::new(|c, _| {
-        let max = c.states().iter().copied().max().unwrap_or(0);
-        *c.get(VertexId::new(0)) == max
-    })
+fn legitimacy() -> ConfigPredicate<u32> {
+    Box::new(|c, g| MaxSpec.is_legitimate(c, g))
 }
 
 fn assert_reports_match(lane: &StabilizationReport, scalar: &StabilizationReport) {
@@ -168,19 +215,22 @@ fn assert_reports_match(lane: &StabilizationReport, scalar: &StabilizationReport
     assert_eq!(lane.ended_legitimate, scalar.ended_legitimate);
 }
 
-/// Every batchable daemon, the random-distributed one at three inclusion
-/// probabilities.
-const MODES: [BatchDaemon; 6] = [
-    BatchDaemon::Sync,
-    BatchDaemon::CentralRr,
-    BatchDaemon::CentralRand,
-    BatchDaemon::RandomDistributed { p: 0.25 },
-    BatchDaemon::RandomDistributed { p: 0.5 },
-    BatchDaemon::RandomDistributed { p: 1.0 },
-];
+/// The inclusion probabilities the dist lanes are checked at: p = 0.1
+/// takes the empty-sample fallback often, p = 1.0 never.
+const PS: [f64; 5] = [0.1, 0.25, 0.5, 0.9, 1.0];
 
-/// One daemon seed per lane for the random daemons; the deterministic
-/// ones take none.
+/// The lane counts: every tail of the 8/4/1 lane chunks.
+const LANE_COUNTS: [usize; 4] = [1, 3, 12, 100];
+
+/// Sync, then dist:p at each of [`PS`].
+fn mode(pick: usize) -> BatchDaemon {
+    match pick {
+        0 => BatchDaemon::Sync,
+        i => BatchDaemon::RandomDistributed { p: PS[i - 1] },
+    }
+}
+
+/// One daemon seed per lane under dist:p; sync takes none.
 fn lane_seeds(mode: BatchDaemon, k: usize, seed: u64) -> Vec<u64> {
     if mode.needs_lane_seeds() {
         (0..k as u64).map(|l| seed ^ (0x5EED * l + 7)).collect()
@@ -193,9 +243,8 @@ fn lane_seeds(mode: BatchDaemon, k: usize, seed: u64) -> Vec<u64> {
 fn scalar_daemon(mode: BatchDaemon, seeds: &[u64], l: usize) -> Box<dyn Daemon<u32>> {
     match mode {
         BatchDaemon::Sync => Box::new(SynchronousDaemon::new()),
-        BatchDaemon::CentralRr => Box::new(CentralDaemon::new(CentralStrategy::RoundRobin)),
-        BatchDaemon::CentralRand => Box::new(CentralDaemon::new(CentralStrategy::Random(seeds[l]))),
         BatchDaemon::RandomDistributed { p } => Box::new(RandomDistributedDaemon::new(p, seeds[l])),
+        BatchDaemon::CentralRr | BatchDaemon::CentralRand => unreachable!("not batched"),
     }
 }
 
@@ -220,23 +269,31 @@ fn check_plain(mode: BatchDaemon, case: u8, seed: u64, k: usize, max_steps: usiz
 }
 
 /// Runs a measured batch of `k` lanes under `mode` and holds every lane's
-/// report and final configuration to the scalar `MeasurementContext`.
+/// report and final configuration to the scalar `MeasurementContext`
+/// over the same specification's full-scan predicates.
 fn check_measured(mode: BatchDaemon, case: u8, seed: u64, k: usize, early: bool) {
     let graph = graph_for(case);
+    let n = graph.n() as u64;
     let inits = random_inits(&graph, k, seed);
     let seeds = lane_seeds(mode, k, seed);
-    let monitor = PredicateMonitor::new(all_equal(), zero_holds_max(), early.then_some(2));
+    let margin = if early { 2 } else { usize::MAX };
+    let monitor = LaneMonitor::new(&MaxSpec, margin);
     let measured = run_batch(&graph, &MaxProto, mode, &seeds, &inits, 1_000, monitor);
     prop_assert_eq!(measured.len(), k);
     let sim = Simulator::new(&graph, &MaxProto);
     for (l, ((report, final_config), init)) in measured.iter().zip(&inits).enumerate() {
-        let mut ctx = MeasurementContext::new(all_equal(), zero_holds_max());
+        let mut ctx = MeasurementContext::new(safety(), legitimacy());
         if early {
-            ctx = ctx.with_early_stop(zero_holds_max(), 2);
+            ctx = ctx.with_early_stop(legitimacy(), margin);
         }
         let mut daemon = scalar_daemon(mode, &seeds, l);
         let scalar = ctx.run(&sim, daemon.as_mut(), init.clone(), 1_000);
         assert_reports_match(report, &scalar);
+        // Each configuration costs a full safety sweep plus 1..=n rows of
+        // the legitimacy sweep.
+        let configs = report.steps_run as u64 + 1;
+        let evals = report.counters.monitor_evals;
+        prop_assert!((configs * (n + 1)..=configs * 2 * n).contains(&evals), "{evals} evals");
         // The scalar measurement context doesn't expose its final
         // configuration, so cross-check against a plain scalar run
         // truncated to the measured step count: a fresh daemon draws
@@ -263,113 +320,71 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Plain batched runs equal K independent scalar engine runs under
-    /// every batchable daemon — for the divergent ones, lanes disagree
-    /// about which vertices move from the very first step.
+    /// both batchable daemons — under dist:p, lanes disagree about which
+    /// vertices move from the very first step.
     #[test]
     fn batch_equals_scalar_runs(
-        case in 0u8..4,
+        case in 0u8..6,
         seed in 0u64..1_000,
         k_pick in 0usize..4,
         mode_pick in 0usize..6,
         tight in 0u8..2,
     ) {
-        let k = [1, 3, 64, 100][k_pick];
-        check_plain(MODES[mode_pick], case, seed, k, step_budget(tight));
+        let k = LANE_COUNTS[k_pick];
+        check_plain(mode(mode_pick), case, seed, k, step_budget(tight));
     }
 
-    /// Lane-divergent batched central round-robin runs equal K independent
-    /// scalar runs under the scalar `central-rr` daemon — each lane keeps
-    /// its own cursor and commits one vertex per pass.
-    #[test]
-    fn batch_central_rr_equals_scalar_runs(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..4,
-        tight in 0u8..2,
-    ) {
-        let k = [1, 3, 64, 100][k_pick];
-        check_plain(BatchDaemon::CentralRr, case, seed, k, step_budget(tight));
-    }
-
-    /// Lane-divergent batched central-rand runs equal K independent scalar
-    /// runs under the seeded `CentralStrategy::Random` daemon: lane `l`
-    /// carries its own RNG stream seeded exactly like scalar replica `l`,
-    /// so the per-lane pick sequences replay draw for draw.
-    #[test]
-    fn batch_central_rand_equals_scalar_runs(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..4,
-        tight in 0u8..2,
-    ) {
-        let k = [1, 3, 64, 100][k_pick];
-        check_plain(BatchDaemon::CentralRand, case, seed, k, step_budget(tight));
-    }
-
-    /// Lane-divergent batched random-distributed runs equal K independent
-    /// scalar runs under `RandomDistributedDaemon` with the same per-lane
-    /// seeds: each lane replays its scalar replica's `gen_bool` coin
-    /// sequence plus the uniform fallback draw on empty samples.
+    /// Batched random-distributed runs equal K independent scalar runs
+    /// under `RandomDistributedDaemon` with the same per-lane seeds: each
+    /// lane replays its scalar replica's `gen_bool` coin sequence plus
+    /// the uniform fallback draw on empty samples.
     #[test]
     fn batch_random_distributed_equals_scalar_runs(
-        case in 0u8..4,
+        case in 0u8..6,
         seed in 0u64..1_000,
         k_pick in 0usize..4,
-        p_pick in 0usize..3,
+        p_pick in 0usize..5,
         tight in 0u8..2,
     ) {
-        let k = [1, 3, 64, 100][k_pick];
-        let p = [0.25, 0.5, 1.0][p_pick];
-        let mode = BatchDaemon::RandomDistributed { p };
+        let k = LANE_COUNTS[k_pick];
+        let mode = BatchDaemon::RandomDistributed { p: PS[p_pick] };
         check_plain(mode, case, seed, k, step_budget(tight));
     }
 
     /// Measured batched runs replicate the scalar `MeasurementContext`
     /// monitor stack (with and without early stop) lane for lane under
-    /// every batchable daemon, with safety violated mid-run and
+    /// both batchable daemons, with safety violated mid-run and
     /// legitimacy (hence early stop) reachable before termination.
     #[test]
     fn batch_measured_equals_scalar_measurement(
-        case in 0u8..4,
+        case in 0u8..6,
         seed in 0u64..1_000,
         k_pick in 0usize..4,
         mode_pick in 0usize..6,
         early_pick in 0u8..2,
     ) {
-        let k = [1, 3, 64, 100][k_pick];
-        check_measured(MODES[mode_pick], case, seed, k, early_pick == 1);
+        let k = LANE_COUNTS[k_pick];
+        check_measured(mode(mode_pick), case, seed, k, early_pick == 1);
     }
 
-    /// Measured batched central round-robin runs replicate the scalar
-    /// `MeasurementContext` monitor stack lane for lane.
+    /// The monitor never perturbs the run: with an early-stop margin no
+    /// run reaches, the no-op and lane monitors agree on steps, moves,
+    /// stop reason and final configuration lane for lane under both
+    /// batchable daemons.
     #[test]
-    fn batch_central_rr_measured_equals_scalar_measurement(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..4,
-        early_pick in 0u8..2,
-    ) {
-        let k = [1, 3, 64, 100][k_pick];
-        check_measured(BatchDaemon::CentralRr, case, seed, k, early_pick == 1);
-    }
-
-    /// The monitor never perturbs the run: without early stop, the no-op
-    /// and predicate monitors agree on steps, moves, stop reason and
-    /// final configuration lane for lane under every batchable daemon.
-    #[test]
-    fn predicate_monitor_without_early_stop_matches_no_monitor(
-        case in 0u8..4,
+    fn lane_monitor_without_early_stop_matches_no_monitor(
+        case in 0u8..6,
         seed in 0u64..1_000,
         k_pick in 0usize..4,
         mode_pick in 0usize..6,
     ) {
-        let mode = MODES[mode_pick];
-        let k = [1, 3, 64, 100][k_pick];
+        let mode = mode(mode_pick);
+        let k = LANE_COUNTS[k_pick];
         let graph = graph_for(case);
         let inits = random_inits(&graph, k, seed);
         let seeds = lane_seeds(mode, k, seed);
         let plain = run_batch(&graph, &MaxProto, mode, &seeds, &inits, 1_000, NoMonitor);
-        let monitor = PredicateMonitor::new(all_equal(), zero_holds_max(), None);
+        let monitor = LaneMonitor::new(&MaxSpec, usize::MAX);
         let measured = run_batch(&graph, &MaxProto, mode, &seeds, &inits, 1_000, monitor);
         for (lane, (report, final_config)) in plain.iter().zip(&measured) {
             prop_assert_eq!(lane.steps, report.steps_run);
@@ -378,32 +393,13 @@ proptest! {
             prop_assert_eq!(&lane.final_config, final_config);
         }
     }
+}
 
-    /// The transposed incremental enabled-bitset maintains exactly the
-    /// enabled set a dense full guard sweep recomputes from scratch:
-    /// forcing the dense-sweep reference path (same selection and RNG
-    /// code, only the bitset maintenance differs) yields bit-identical
-    /// lane results for every divergent daemon mode.
-    #[test]
-    fn incremental_bitset_matches_dense_sweep(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        mode_pick in 1usize..6,
-        k_pick in 0usize..3,
-    ) {
-        let k = [1, 3, 64][k_pick];
-        let mode = MODES[mode_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let seeds = lane_seeds(mode, k, seed);
-        let incremental = run_batch(&graph, &MaxProto, mode, &seeds, &inits, 1_000, NoMonitor);
-        let dense = run_batch_with_dense_sweep(&graph, &MaxProto, mode, &seeds, &inits, 1_000);
-        prop_assert_eq!(incremental.len(), dense.len());
-        for (a, b) in incremental.iter().zip(&dense) {
-            prop_assert_eq!(a.steps, b.steps);
-            prop_assert_eq!(a.moves, b.moves);
-            prop_assert_eq!(a.stop, b.stop);
-            prop_assert_eq!(&a.final_config, &b.final_config);
-        }
-    }
+/// The central variants have no batched schedule.
+#[test]
+#[should_panic(expected = "central daemons have no batched schedule")]
+fn central_daemons_do_not_batch() {
+    let graph = graph_for(0);
+    let inits = random_inits(&graph, 2, 1);
+    let _ = run_batch(&graph, &MaxProto, BatchDaemon::CentralRr, &[], &inits, 10, NoMonitor);
 }

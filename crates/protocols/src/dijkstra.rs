@@ -20,10 +20,13 @@ use rand::Rng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
-use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
+use specstab_kernel::spec::{
+    Aggregate, LaneSpecification, LocalCounts, LocalSpecification, Specification,
+};
 use specstab_topology::{Graph, VertexId};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Rule index: the unique "pass/advance token" rule.
 pub const MOVE: RuleId = RuleId::new(0);
@@ -186,7 +189,6 @@ impl Protocol for DijkstraRing {
 /// are straight-line byte ops over the lane axis that autovectorize.
 impl PackedProtocol for DijkstraRing {
     type Lane = u8;
-    type LaneScratch = ();
 
     fn pack(&self, state: &u64) -> u8 {
         debug_assert!(self.k <= 256, "u8 lanes hold at most 256 counter states");
@@ -199,52 +201,42 @@ impl PackedProtocol for DijkstraRing {
 
     fn step_lanes(
         &self,
-        graph: &Graph,
+        _graph: &Graph,
         lanes: usize,
         soa: &[u8],
         next: &mut [u8],
         fired: &mut [bool],
-        scratch: &mut (),
     ) {
+        let km1 = u8::try_from(self.k - 1).expect("K <= 256 for packed stepping");
         for v in 0..self.n {
-            self.eval_vertex_lanes(graph, v, lanes, soa, next, fired, scratch);
+            let (rv, rp) = self.rows(v, lanes, soa);
+            let base = v * lanes;
+            let fired_row = &mut fired[base..base + lanes];
+            let next_row = &mut next[base..base + lanes];
+            // Zip iteration instead of indexing: a runtime `lanes` keeps
+            // per-element bounds checks alive under indexed access, which
+            // blocks autovectorization of the byte compares.
+            let rows = fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(rp);
+            if v == 0 {
+                for (((f, nx), &s), &p) in rows {
+                    *f = s == p;
+                    *nx = if s == km1 { 0 } else { s + 1 };
+                }
+            } else {
+                for (((f, nx), &s), &p) in rows {
+                    *f = s != p;
+                    *nx = p;
+                }
+            }
         }
     }
+}
 
-    fn eval_vertex_lanes(
-        &self,
-        _graph: &Graph,
-        v: usize,
-        lanes: usize,
-        soa: &[u8],
-        next: &mut [u8],
-        fired: &mut [bool],
-        _scratch: &mut (),
-    ) {
-        let n = self.n;
-        let km1 = u8::try_from(self.k - 1).expect("K <= 256 for packed stepping");
-        let p = if v == 0 { n - 1 } else { v - 1 };
-        let base = v * lanes;
-        let rv = &soa[base..base + lanes];
-        let rp = &soa[p * lanes..p * lanes + lanes];
-        let fired_row = &mut fired[base..base + lanes];
-        let next_row = &mut next[base..base + lanes];
-        // Zip iteration instead of indexing: a runtime `lanes` keeps
-        // per-element bounds checks alive under indexed access, which
-        // blocks autovectorization of the byte compares.
-        if v == 0 {
-            for (((f, nx), &s), &p) in fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(rp)
-            {
-                *f = s == p;
-                *nx = if s == km1 { 0 } else { s + 1 };
-            }
-        } else {
-            for (((f, nx), &s), &p) in fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(rp)
-            {
-                *f = s != p;
-                *nx = p;
-            }
-        }
+impl DijkstraRing {
+    /// Vertex `v`'s packed row and its ring predecessor's.
+    fn rows<'a>(&self, v: usize, lanes: usize, soa: &'a [u8]) -> (&'a [u8], &'a [u8]) {
+        let p = if v == 0 { self.n - 1 } else { v - 1 };
+        (&soa[v * lanes..(v + 1) * lanes], &soa[p * lanes..(p + 1) * lanes])
     }
 }
 
@@ -295,6 +287,38 @@ impl LocalSpecification<u64> for DijkstraSpec {
     }
     fn legitimacy_rule(&self) -> Aggregate {
         Aggregate::Exactly(1)
+    }
+}
+
+/// Privileges over the packed `u8` counter lanes, the byte compare of the
+/// packed guard.
+impl LaneSpecification<u64, u8> for DijkstraSpec {
+    fn add_safety_rows(
+        &self,
+        _graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[u8],
+        totals: &mut [u32],
+    ) {
+        for v in rows {
+            let (rv, rp) = self.protocol.rows(v, lanes, soa);
+            let bottom = v == 0;
+            for ((total, &s), &p) in totals.iter_mut().zip(rv).zip(rp) {
+                *total += u32::from((s == p) == bottom);
+            }
+        }
+    }
+
+    fn add_legitimacy_rows(
+        &self,
+        graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[u8],
+        totals: &mut [u32],
+    ) {
+        self.add_safety_rows(graph, rows, lanes, soa, totals);
     }
 }
 
@@ -494,6 +518,7 @@ mod tests {
     #[test]
     fn packed_runs_match_scalar_lane_for_lane_under_both_daemons() {
         use specstab_kernel::batch::{run_batch, BatchDaemon, NoMonitor};
+        use specstab_kernel::daemon::RandomDistributedDaemon;
         let (g, p) = ring_proto(7);
         let inits: Vec<_> = (0..9)
             .map(|s| {
@@ -501,16 +526,18 @@ mod tests {
                 random_configuration(&g, &p, &mut rng)
             })
             .collect();
-        for daemon in [BatchDaemon::Sync, BatchDaemon::CentralRr] {
-            let lanes = run_batch(&g, &p, daemon, &[], &inits, 400, NoMonitor);
-            for (lane, init) in lanes.iter().zip(&inits) {
+        let seeds: Vec<u64> = (0..9).map(|s| 7_000 + s).collect();
+        for daemon in [BatchDaemon::Sync, BatchDaemon::RandomDistributed { p: 0.5 }] {
+            let lane_seeds: &[u64] = if daemon.needs_lane_seeds() { &seeds } else { &[] };
+            let lanes = run_batch(&g, &p, daemon, lane_seeds, &inits, 400, NoMonitor);
+            for (l, (lane, init)) in lanes.iter().zip(&inits).enumerate() {
                 let sim = Simulator::new(&g, &p);
                 let limits = RunLimits::with_max_steps(400);
                 let scalar = if daemon == BatchDaemon::Sync {
                     let mut d = SynchronousDaemon::new();
                     sim.run(init.clone(), &mut d, limits, &mut [])
                 } else {
-                    let mut d = CentralDaemon::new(CentralStrategy::RoundRobin);
+                    let mut d = RandomDistributedDaemon::new(0.5, seeds[l]);
                     sim.run(init.clone(), &mut d, limits, &mut [])
                 };
                 assert_eq!(lane.steps, scalar.steps);

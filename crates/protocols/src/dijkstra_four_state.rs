@@ -22,10 +22,13 @@ use rand::Rng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
-use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
+use specstab_kernel::spec::{
+    Aggregate, LaneSpecification, LocalCounts, LocalSpecification, Specification,
+};
 use specstab_topology::{Graph, VertexId};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Rule indices.
 pub mod rules {
@@ -236,7 +239,6 @@ impl Protocol for DijkstraFourState {
 /// All three row loops are branchless bit ops over the lane axis.
 impl PackedProtocol for DijkstraFourState {
     type Lane = u8;
-    type LaneScratch = ();
 
     fn pack(&self, state: &FourState) -> u8 {
         u8::from(state.x) | (u8::from(state.up) << 1)
@@ -248,85 +250,67 @@ impl PackedProtocol for DijkstraFourState {
 
     fn step_lanes(
         &self,
-        graph: &Graph,
-        lanes: usize,
-        soa: &[u8],
-        next: &mut [u8],
-        fired: &mut [bool],
-        scratch: &mut (),
-    ) {
-        for v in 0..self.n {
-            self.eval_vertex_lanes(graph, v, lanes, soa, next, fired, scratch);
-        }
-    }
-
-    fn eval_vertex_lanes(
-        &self,
         _graph: &Graph,
-        v: usize,
         lanes: usize,
         soa: &[u8],
         next: &mut [u8],
         fired: &mut [bool],
-        _scratch: &mut (),
     ) {
         let n = self.n;
-        // canonical(i, s) as an (or, and) bit-mask pair: bottom forces
-        // `up` set, top forces it clear, interior is the identity.
-        let canon = |i: usize| -> (u8, u8) {
-            if i == 0 {
-                (0b10, 0b11)
-            } else if i == n - 1 {
-                (0b00, 0b01)
+        let row = |i: usize| &soa[i * lanes..(i + 1) * lanes];
+        for v in 0..n {
+            let base = v * lanes;
+            let rv = row(v);
+            let fired_row = &mut fired[base..base + lanes];
+            let next_row = &mut next[base..base + lanes];
+            let rows = fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv);
+            // Zip iteration instead of indexing: a runtime `lanes` keeps
+            // per-element bounds checks alive under indexed access, which
+            // blocks autovectorization of the bit ops.
+            if v == 0 {
+                // bottom :: x = x_R ∧ ¬up_R → x := ¬x (up stays frozen true)
+                let (ro, ra) = self.canon_mask(1);
+                for (((f, nx), &s), &rr) in rows.zip(row(1)) {
+                    let r = (rr | ro) & ra;
+                    *f = (s ^ r) & 1 == 0 && r & 2 == 0;
+                    *nx = ((s & 1) ^ 1) | 0b10;
+                }
+            } else if v == n - 1 {
+                // top :: x ≠ x_L → x := ¬x (up stays frozen false)
+                for (((f, nx), &s), &lv) in rows.zip(row(v - 1)) {
+                    *f = (s ^ lv) & 1 != 0;
+                    *nx = (s & 1) ^ 1;
+                }
             } else {
-                (0b00, 0b11)
+                // normal: FLIP (x ≠ x_L → x := ¬x, up := true) wins over
+                // LOWER (x = x_R ∧ up ∧ ¬up_R → up := false), like the
+                // scalar arbitration.
+                let (lo, la) = self.canon_mask(v - 1);
+                let (ro, ra) = self.canon_mask(v + 1);
+                for ((((f, nx), &s), &ll), &rr) in rows.zip(row(v - 1)).zip(row(v + 1)) {
+                    let lv = (ll | lo) & la;
+                    let r = (rr | ro) & ra;
+                    let flip = (s ^ lv) & 1 != 0;
+                    let lower = (s ^ r) & 1 == 0 && s & 2 != 0 && r & 2 == 0;
+                    *f = flip | lower;
+                    *nx = if flip { ((s & 1) ^ 1) | 0b10 } else { s & 1 };
+                }
             }
-        };
-        let base = v * lanes;
-        let rv = &soa[base..base + lanes];
-        let fired_row = &mut fired[base..base + lanes];
-        let next_row = &mut next[base..base + lanes];
-        // Zip iteration instead of indexing: a runtime `lanes` keeps
-        // per-element bounds checks alive under indexed access, which
-        // blocks autovectorization of the bit ops.
-        if v == 0 {
-            // bottom :: x = x_R ∧ ¬up_R → x := ¬x (up stays frozen true)
-            let (ro, ra) = canon(1);
-            let row_r = &soa[lanes..2 * lanes];
-            for (((f, nx), &s), &rr) in
-                fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(row_r)
-            {
-                let r = (rr | ro) & ra;
-                *f = (s ^ r) & 1 == 0 && r & 2 == 0;
-                *nx = ((s & 1) ^ 1) | 0b10;
-            }
-        } else if v == n - 1 {
-            // top :: x ≠ x_L → x := ¬x (up stays frozen false)
-            let row_l = &soa[(v - 1) * lanes..v * lanes];
-            for (((f, nx), &s), &lv) in
-                fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(row_l)
-            {
-                *f = (s ^ lv) & 1 != 0;
-                *nx = (s & 1) ^ 1;
-            }
+        }
+    }
+}
+
+impl DijkstraFourState {
+    /// [`DijkstraFourState::canonical`] for machine `i` as an `(or, and)`
+    /// bit-mask pair on packed lanes: bottom forces `up` set, top forces
+    /// it clear, interior is the identity.
+    fn canon_mask(&self, i: usize) -> (u8, u8) {
+        if i == 0 {
+            (0b10, 0b11)
+        } else if i == self.n - 1 {
+            (0b00, 0b01)
         } else {
-            // normal: FLIP (x ≠ x_L → x := ¬x, up := true) wins over
-            // LOWER (x = x_R ∧ up ∧ ¬up_R → up := false), like the
-            // scalar arbitration.
-            let (lo, la) = canon(v - 1);
-            let (ro, ra) = canon(v + 1);
-            let row_l = &soa[(v - 1) * lanes..v * lanes];
-            let row_r = &soa[(v + 1) * lanes..(v + 2) * lanes];
-            for ((((f, nx), &s), &ll), &rr) in
-                fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(row_l).zip(row_r)
-            {
-                let lv = (ll | lo) & la;
-                let r = (rr | ro) & ra;
-                let flip = (s ^ lv) & 1 != 0;
-                let lower = (s ^ r) & 1 == 0 && s & 2 != 0 && r & 2 == 0;
-                *f = flip | lower;
-                *nx = if flip { ((s & 1) ^ 1) | 0b10 } else { s & 1 };
-            }
+            (0b00, 0b11)
         }
     }
 }
@@ -378,6 +362,59 @@ impl LocalSpecification<FourState> for FourStateSpec {
     }
     fn legitimacy_rule(&self) -> Aggregate {
         Aggregate::Exactly(1)
+    }
+}
+
+/// Privileges (enabled guards, up to two per machine) over the packed
+/// `u8` lanes, reading neighbors canonically like the packed step.
+impl LaneSpecification<FourState, u8> for FourStateSpec {
+    fn add_safety_rows(
+        &self,
+        _graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[u8],
+        totals: &mut [u32],
+    ) {
+        let p = &self.protocol;
+        let row = |i: usize| &soa[i * lanes..(i + 1) * lanes];
+        for v in rows {
+            let lanes_v = totals.iter_mut().zip(row(v));
+            if v == 0 {
+                let (ro, ra) = p.canon_mask(1);
+                for ((total, &s), &rr) in lanes_v.zip(row(1)) {
+                    let r = (rr | ro) & ra;
+                    *total += u32::from((s ^ r) & 1 == 0 && r & 2 == 0);
+                }
+            } else if v == p.n - 1 {
+                let (lo, la) = p.canon_mask(v - 1);
+                for ((total, &s), &ll) in lanes_v.zip(row(v - 1)) {
+                    let lv = (ll | lo) & la;
+                    *total += u32::from((s ^ lv) & 1 != 0);
+                }
+            } else {
+                let (lo, la) = p.canon_mask(v - 1);
+                let (ro, ra) = p.canon_mask(v + 1);
+                for (((total, &s), &ll), &rr) in lanes_v.zip(row(v - 1)).zip(row(v + 1)) {
+                    let lv = (ll | lo) & la;
+                    let r = (rr | ro) & ra;
+                    let flip = (s ^ lv) & 1 != 0;
+                    let lower = (s ^ r) & 1 == 0 && s & 2 != 0 && r & 2 == 0;
+                    *total += u32::from(flip) + u32::from(lower);
+                }
+            }
+        }
+    }
+
+    fn add_legitimacy_rows(
+        &self,
+        graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[u8],
+        totals: &mut [u32],
+    ) {
+        self.add_safety_rows(graph, rows, lanes, soa, totals);
     }
 }
 
@@ -519,7 +556,7 @@ mod tests {
     #[test]
     fn packed_runs_match_scalar_lane_for_lane_under_both_daemons() {
         use specstab_kernel::batch::{run_batch, BatchDaemon, NoMonitor};
-        use specstab_kernel::daemon::SynchronousDaemon;
+        use specstab_kernel::daemon::{RandomDistributedDaemon, SynchronousDaemon};
         use specstab_kernel::engine::RunLimits;
         let (g, p) = line(8);
         // Raw (non-canonical) initial states on the special machines are
@@ -531,16 +568,18 @@ mod tests {
             })
             .collect();
         inits.push(Configuration::from_fn(8, |v| FourState { x: v.index() % 2 == 0, up: true }));
-        for daemon in [BatchDaemon::Sync, BatchDaemon::CentralRr] {
-            let lanes = run_batch(&g, &p, daemon, &[], &inits, 400, NoMonitor);
-            for (lane, init) in lanes.iter().zip(&inits) {
+        let seeds: Vec<u64> = (0..9).map(|s| 7_000 + s).collect();
+        for daemon in [BatchDaemon::Sync, BatchDaemon::RandomDistributed { p: 0.5 }] {
+            let lane_seeds: &[u64] = if daemon.needs_lane_seeds() { &seeds } else { &[] };
+            let lanes = run_batch(&g, &p, daemon, lane_seeds, &inits, 400, NoMonitor);
+            for (l, (lane, init)) in lanes.iter().zip(&inits).enumerate() {
                 let sim = Simulator::new(&g, &p);
                 let limits = RunLimits::with_max_steps(400);
                 let scalar = if daemon == BatchDaemon::Sync {
                     let mut d = SynchronousDaemon::new();
                     sim.run(init.clone(), &mut d, limits, &mut [])
                 } else {
-                    let mut d = CentralDaemon::new(CentralStrategy::RoundRobin);
+                    let mut d = RandomDistributedDaemon::new(0.5, seeds[l]);
                     sim.run(init.clone(), &mut d, limits, &mut [])
                 };
                 assert_eq!(lane.steps, scalar.steps);

@@ -26,10 +26,13 @@ use rand::Rng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
-use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
+use specstab_kernel::spec::{
+    Aggregate, LaneSpecification, LocalCounts, LocalSpecification, Specification,
+};
 use specstab_topology::{Graph, VertexId};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Rule indices.
 pub mod rules {
@@ -211,7 +214,6 @@ impl Protocol for DijkstraThreeState {
 /// loops all autovectorize over the lane axis.
 impl PackedProtocol for DijkstraThreeState {
     type Lane = u8;
-    type LaneScratch = ();
 
     fn pack(&self, state: &u8) -> u8 {
         *state
@@ -223,72 +225,75 @@ impl PackedProtocol for DijkstraThreeState {
 
     fn step_lanes(
         &self,
-        graph: &Graph,
-        lanes: usize,
-        soa: &[u8],
-        next: &mut [u8],
-        fired: &mut [bool],
-        scratch: &mut (),
-    ) {
-        for v in 0..self.n {
-            self.eval_vertex_lanes(graph, v, lanes, soa, next, fired, scratch);
-        }
-    }
-
-    fn eval_vertex_lanes(
-        &self,
         _graph: &Graph,
-        v: usize,
         lanes: usize,
         soa: &[u8],
         next: &mut [u8],
         fired: &mut [bool],
-        _scratch: &mut (),
     ) {
         let n = self.n;
-        let inc3 = |s: u8| if s == 2 { 0 } else { s + 1 };
-        let dec3 = |s: u8| if s == 0 { 2 } else { s - 1 };
-        let li = (v + n - 1) % n;
-        let ri = (v + 1) % n;
-        let base = v * lanes;
-        let rv = &soa[base..base + lanes];
-        let row_l = &soa[li * lanes..li * lanes + lanes];
-        let row_r = &soa[ri * lanes..ri * lanes + lanes];
-        let fired_row = &mut fired[base..base + lanes];
-        let next_row = &mut next[base..base + lanes];
-        // Zip iteration keeps the lane loops free of per-element
-        // bounds checks (a runtime `lanes` blocks their elision under
-        // indexing), which is what lets the byte ops autovectorize.
-        if v == 0 {
-            // bottom :: (S+1) mod 3 = R → S := (S+2) mod 3
-            for (((f, nx), &s), &r) in
-                fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(row_r)
-            {
-                *f = inc3(s) == r;
-                *nx = dec3(s);
-            }
-        } else if v == n - 1 {
-            // top :: L = R ∧ (L+1) mod 3 ≠ S → S := (L+1) mod 3
-            for ((((f, nx), &s), &lv), &r) in
-                fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(row_l).zip(row_r)
-            {
-                let want = inc3(lv);
-                *f = lv == r && want != s;
-                *nx = want;
-            }
-        } else {
-            // normal: FROM_LEFT wins over FROM_RIGHT, like the scalar
-            // arbitration.
-            for ((((f, nx), &s), &lv), &r) in
-                fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(row_l).zip(row_r)
-            {
-                let s1 = inc3(s);
-                let from_left = s1 == lv;
-                let from_right = s1 == r;
-                *f = from_left | from_right;
-                *nx = if from_left { lv } else { r };
+        for v in 0..n {
+            let (rv, row_l, row_r) = self.rows(v, lanes, soa);
+            let base = v * lanes;
+            let fired_row = &mut fired[base..base + lanes];
+            let next_row = &mut next[base..base + lanes];
+            // Zip iteration keeps the lane loops free of per-element
+            // bounds checks (a runtime `lanes` blocks their elision under
+            // indexing), which is what lets the byte ops autovectorize.
+            let rows = fired_row.iter_mut().zip(next_row.iter_mut()).zip(rv).zip(row_l).zip(row_r);
+            if v == 0 {
+                // bottom :: (S+1) mod 3 = R → S := (S+2) mod 3
+                for ((((f, nx), &s), _), &r) in rows {
+                    *f = inc3(s) == r;
+                    *nx = dec3(s);
+                }
+            } else if v == n - 1 {
+                // top :: L = R ∧ (L+1) mod 3 ≠ S → S := (L+1) mod 3
+                for ((((f, nx), &s), &lv), &r) in rows {
+                    let want = inc3(lv);
+                    *f = lv == r && want != s;
+                    *nx = want;
+                }
+            } else {
+                // normal: FROM_LEFT wins over FROM_RIGHT, like the scalar
+                // arbitration.
+                for ((((f, nx), &s), &lv), &r) in rows {
+                    let s1 = inc3(s);
+                    let from_left = s1 == lv;
+                    let from_right = s1 == r;
+                    *f = from_left | from_right;
+                    *nx = if from_left { lv } else { r };
+                }
             }
         }
+    }
+}
+
+/// `(s + 1) mod 3` on the packed domain, as a branch-free select.
+#[inline]
+fn inc3(s: u8) -> u8 {
+    if s == 2 {
+        0
+    } else {
+        s + 1
+    }
+}
+
+/// `(s + 2) mod 3` on the packed domain, as a branch-free select.
+#[inline]
+fn dec3(s: u8) -> u8 {
+    if s == 0 {
+        2
+    } else {
+        s - 1
+    }
+}
+
+impl DijkstraThreeState {
+    /// Vertex `v`'s packed row and its left and right neighbors' rows.
+    fn rows<'a>(&self, v: usize, lanes: usize, soa: &'a [u8]) -> (&'a [u8], &'a [u8], &'a [u8]) {
+        let row = |i: usize| &soa[i * lanes..(i + 1) * lanes];
+        (row(v), row(self.left(v).index()), row(self.right(v).index()))
     }
 }
 
@@ -334,6 +339,49 @@ impl LocalSpecification<u8> for ThreeStateSpec {
     }
     fn legitimacy_rule(&self) -> Aggregate {
         Aggregate::Exactly(1)
+    }
+}
+
+/// Privileges (enabled guards, up to two per machine) over the packed
+/// `u8` lanes, the byte compares of the packed guards.
+impl LaneSpecification<u8, u8> for ThreeStateSpec {
+    fn add_safety_rows(
+        &self,
+        _graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[u8],
+        totals: &mut [u32],
+    ) {
+        let n = self.protocol.n();
+        for v in rows {
+            let (rv, row_l, row_r) = self.protocol.rows(v, lanes, soa);
+            let rows = totals.iter_mut().zip(rv).zip(row_l).zip(row_r);
+            if v == 0 {
+                for (((total, &s), _), &r) in rows {
+                    *total += u32::from(inc3(s) == r);
+                }
+            } else if v == n - 1 {
+                for (((total, &s), &l), &r) in rows {
+                    *total += u32::from(l == r && inc3(l) != s);
+                }
+            } else {
+                for (((total, &s), &l), &r) in rows {
+                    *total += u32::from(inc3(s) == l) + u32::from(inc3(s) == r);
+                }
+            }
+        }
+    }
+
+    fn add_legitimacy_rows(
+        &self,
+        graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[u8],
+        totals: &mut [u32],
+    ) {
+        self.add_safety_rows(graph, rows, lanes, soa, totals);
     }
 }
 
@@ -474,7 +522,7 @@ mod tests {
     #[test]
     fn packed_runs_match_scalar_lane_for_lane_under_both_daemons() {
         use specstab_kernel::batch::{run_batch, BatchDaemon, NoMonitor};
-        use specstab_kernel::daemon::SynchronousDaemon;
+        use specstab_kernel::daemon::{RandomDistributedDaemon, SynchronousDaemon};
         use specstab_kernel::engine::RunLimits;
         let (g, p) = ring(8);
         let inits: Vec<_> = (0..9)
@@ -483,16 +531,18 @@ mod tests {
                 random_configuration(&g, &p, &mut rng)
             })
             .collect();
-        for daemon in [BatchDaemon::Sync, BatchDaemon::CentralRr] {
-            let lanes = run_batch(&g, &p, daemon, &[], &inits, 400, NoMonitor);
-            for (lane, init) in lanes.iter().zip(&inits) {
+        let seeds: Vec<u64> = (0..9).map(|s| 7_000 + s).collect();
+        for daemon in [BatchDaemon::Sync, BatchDaemon::RandomDistributed { p: 0.5 }] {
+            let lane_seeds: &[u64] = if daemon.needs_lane_seeds() { &seeds } else { &[] };
+            let lanes = run_batch(&g, &p, daemon, lane_seeds, &inits, 400, NoMonitor);
+            for (l, (lane, init)) in lanes.iter().zip(&inits).enumerate() {
                 let sim = Simulator::new(&g, &p);
                 let limits = RunLimits::with_max_steps(400);
                 let scalar = if daemon == BatchDaemon::Sync {
                     let mut d = SynchronousDaemon::new();
                     sim.run(init.clone(), &mut d, limits, &mut [])
                 } else {
-                    let mut d = CentralDaemon::new(CentralStrategy::RoundRobin);
+                    let mut d = RandomDistributedDaemon::new(0.5, seeds[l]);
                     sim.run(init.clone(), &mut d, limits, &mut [])
                 };
                 assert_eq!(lane.steps, scalar.steps);

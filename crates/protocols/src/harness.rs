@@ -23,28 +23,43 @@ use specstab_core::bounds;
 use specstab_core::spec_me::SpecMe;
 use specstab_core::speculation::ssme_disorder_metric;
 use specstab_core::ssme::{IdAssignment, Ssme};
-use specstab_kernel::batch::{run_batch, BatchDaemon, PredicateMonitor};
+use specstab_kernel::batch::{run_batch, BatchDaemon, LaneMonitor, PackedProtocol};
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::{parse_daemon_spec, AdversaryMoves, BoxedDaemon, GreedyAdversary};
 use specstab_kernel::harness::{
     BoundMetric, HarnessError, HarnessState, ProtocolHarness, TheoremBound,
 };
 use specstab_kernel::measure::StabilizationReport;
+use specstab_kernel::spec::LaneSpecification;
 use specstab_topology::metrics::DistanceMatrix;
 use specstab_topology::{Graph, VertexId};
 use specstab_unison::clock::ClockValue;
 
-/// The measured batched runs' monitor: the harness's full-scan
-/// predicates, early-stopping on legitimacy like the scalar cell path.
-fn batch_monitor<H: ProtocolHarness>(
+/// Per-lane reports of a measured batched run.
+type LaneReports<S> = Vec<(StabilizationReport, Configuration<S>)>;
+
+/// The packed harnesses' `batched_measure`: `run_batch` under a
+/// [`LaneMonitor`] over the lane form of the harness's specification,
+/// early-stopping on legitimacy like the scalar cell path. `None` for the
+/// central shims, which have no batched schedule.
+fn measure_lanes<H>(
     harness: &H,
+    graph: &Graph,
+    daemon: BatchDaemon,
+    lane_seeds: &[u64],
+    inits: &[Configuration<HarnessState<H>>],
+    max_steps: usize,
     early_stop_margin: usize,
-) -> PredicateMonitor<HarnessState<H>> {
-    PredicateMonitor::new(
-        harness.safety_predicate(),
-        harness.legitimacy_predicate(),
-        Some(early_stop_margin),
-    )
+) -> Option<LaneReports<HarnessState<H>>>
+where
+    H: ProtocolHarness,
+    H::Protocol: PackedProtocol,
+    H::Spec: LaneSpecification<HarnessState<H>, <H::Protocol as PackedProtocol>::Lane>,
+{
+    daemon.is_batched().then(|| {
+        let monitor = LaneMonitor::new(harness.spec(), early_stop_margin);
+        run_batch(graph, harness.protocol(), daemon, lane_seeds, inits, max_steps, monitor)
+    })
 }
 
 /// SSME (Algorithm 1) under `specME` — the paper's speculatively
@@ -148,12 +163,6 @@ impl ProtocolHarness for SsmeHarness {
         true
     }
 
-    // `central_batch_max_n` keeps the conservative default (32): the i32
-    // unison lanes pay ~10 ns per lane-element in a refresh row, so the
-    // central modes stop beating 64 scalar steps per pass past the small
-    // campaign tori (measured with the bench crate's `crossover_probe`
-    // methodology on torus-4x5 vs torus-8x8).
-
     fn batched_measure(
         &self,
         graph: &Graph,
@@ -162,16 +171,8 @@ impl ProtocolHarness for SsmeHarness {
         inits: Vec<Configuration<ClockValue>>,
         max_steps: usize,
         early_stop_margin: usize,
-    ) -> Option<Vec<(StabilizationReport, Configuration<ClockValue>)>> {
-        Some(run_batch(
-            graph,
-            &self.ssme,
-            daemon,
-            lane_seeds,
-            &inits,
-            max_steps,
-            batch_monitor(self, early_stop_margin),
-        ))
+    ) -> Option<LaneReports<ClockValue>> {
+        measure_lanes(self, graph, daemon, lane_seeds, &inits, max_steps, early_stop_margin)
     }
 }
 
@@ -234,15 +235,6 @@ impl ProtocolHarness for DijkstraHarness {
         self.proto.k() <= 256
     }
 
-    /// Byte lanes make the central-mode pass cheap enough to route well
-    /// past the i32 default: `crossover_probe` has central-rand winning
-    /// outright through n ≈ 64–96 and both central modes within ~25% of
-    /// scalar at n = 128 (`bench_results/crossover_central.txt`), which
-    /// buys one engine path across the Monte-Carlo ring grid.
-    fn central_batch_max_n(&self) -> usize {
-        128
-    }
-
     fn batched_measure(
         &self,
         graph: &Graph,
@@ -251,19 +243,11 @@ impl ProtocolHarness for DijkstraHarness {
         inits: Vec<Configuration<u64>>,
         max_steps: usize,
         early_stop_margin: usize,
-    ) -> Option<Vec<(StabilizationReport, Configuration<u64>)>> {
+    ) -> Option<LaneReports<u64>> {
         if !self.supports_batch() {
             return None;
         }
-        Some(run_batch(
-            graph,
-            &self.proto,
-            daemon,
-            lane_seeds,
-            &inits,
-            max_steps,
-            batch_monitor(self, early_stop_margin),
-        ))
+        measure_lanes(self, graph, daemon, lane_seeds, &inits, max_steps, early_stop_margin)
     }
 }
 
@@ -312,12 +296,6 @@ impl ProtocolHarness for Dijkstra3Harness {
         true
     }
 
-    /// Byte lanes: see [`DijkstraHarness::central_batch_max_n`] — the
-    /// three-state ring is the `crossover_probe` calibration workload.
-    fn central_batch_max_n(&self) -> usize {
-        128
-    }
-
     fn batched_measure(
         &self,
         graph: &Graph,
@@ -326,16 +304,8 @@ impl ProtocolHarness for Dijkstra3Harness {
         inits: Vec<Configuration<u8>>,
         max_steps: usize,
         early_stop_margin: usize,
-    ) -> Option<Vec<(StabilizationReport, Configuration<u8>)>> {
-        Some(run_batch(
-            graph,
-            &self.proto,
-            daemon,
-            lane_seeds,
-            &inits,
-            max_steps,
-            batch_monitor(self, early_stop_margin),
-        ))
+    ) -> Option<LaneReports<u8>> {
+        measure_lanes(self, graph, daemon, lane_seeds, &inits, max_steps, early_stop_margin)
     }
 }
 
@@ -387,11 +357,6 @@ impl ProtocolHarness for Dijkstra4Harness {
         true
     }
 
-    /// Byte lanes: see [`DijkstraHarness::central_batch_max_n`].
-    fn central_batch_max_n(&self) -> usize {
-        128
-    }
-
     fn batched_measure(
         &self,
         graph: &Graph,
@@ -400,16 +365,8 @@ impl ProtocolHarness for Dijkstra4Harness {
         inits: Vec<Configuration<FourState>>,
         max_steps: usize,
         early_stop_margin: usize,
-    ) -> Option<Vec<(StabilizationReport, Configuration<FourState>)>> {
-        Some(run_batch(
-            graph,
-            &self.proto,
-            daemon,
-            lane_seeds,
-            &inits,
-            max_steps,
-            batch_monitor(self, early_stop_margin),
-        ))
+    ) -> Option<LaneReports<FourState>> {
+        measure_lanes(self, graph, daemon, lane_seeds, &inits, max_steps, early_stop_margin)
     }
 }
 

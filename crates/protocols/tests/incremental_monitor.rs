@@ -1,9 +1,9 @@
 //! The incremental specification monitor against the full-scan reference.
 //!
-//! For every registered harness, under the four batchable daemons and
-//! every init mode the campaign uses (full burst, 1- and 2-fault bursts,
-//! the witness where the protocol has one), on sampled topologies the
-//! protocol accepts (up to n ≈ 40):
+//! For every registered harness, under four daemons (sync, central-rr,
+//! central-rand and dist:0.5) and every init mode the campaign uses (full
+//! burst, 1- and 2-fault bursts, the witness where the protocol has one),
+//! on sampled topologies the protocol accepts (up to n ≈ 40):
 //!
 //! * the kernel's [`SpecMonitor`] over the harness's local specification
 //!   must produce the `StabilizationReport` — every field, the engine

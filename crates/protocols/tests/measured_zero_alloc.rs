@@ -5,7 +5,10 @@
 //! Both engine entry points are gated: the observer-slice path (probed
 //! step by step) and `SpecMonitor::run_with_scratch`, the monomorphic
 //! path the executor runs (a 20k-step and a 40k-step run from the same
-//! warm scratch must allocate equally often).
+//! warm scratch must allocate equally often). The batched measured path
+//! is gated the same way: ssme `batched_measure` on `torus:8x8` with 12
+//! lanes under sync and dist:0.5, where a 20-step and a 40-step run over
+//! the same inits must allocate equally often — a pass allocates nothing.
 //!
 //! Allocations are counted by a counting [`GlobalAlloc`] wrapper over
 //! [`System`], so the gate catches any `Vec` a monitor or predicate builds
@@ -14,6 +17,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use specstab_kernel::batch::BatchDaemon;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::engine::{RunLimits, Simulator, StepScratch};
 use specstab_kernel::harness::ProtocolHarness;
@@ -161,6 +165,47 @@ fn monomorphic_run_allocs(
     allocs
 }
 
+/// Heap allocations of one ssme `batched_measure` over `inits` for
+/// exactly `steps` passes (every lane must still be running at the
+/// budget).
+fn batched_run_allocs(
+    h: &SsmeHarness,
+    g: &Graph,
+    daemon: BatchDaemon,
+    inits: &[Configuration<ClockValue>],
+    steps: usize,
+) -> u64 {
+    let seeds: Vec<u64> = (0..inits.len() as u64).map(|l| 0xA11C + l).collect();
+    let seeds: &[u64] = if daemon.needs_lane_seeds() { &seeds } else { &[] };
+    let inits = inits.to_vec();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let reports = h.batched_measure(g, daemon, seeds, inits, steps, 3).expect("ssme batches");
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    for (report, _) in &reports {
+        assert_eq!(report.steps_run, steps, "{daemon:?}: a lane stabilized within {steps} steps");
+    }
+    allocs
+}
+
+/// The batched measured path's allocation count does not grow with the
+/// number of passes.
+fn assert_batched_passes_allocate_nothing() {
+    let g = generators::torus(8, 8).expect("torus");
+    let h = SsmeHarness::build(&g, DistanceMatrix::new(&g).diameter()).expect("ssme builds");
+    let inits: Vec<_> = (0..12)
+        .map(|l| random_configuration(&g, h.protocol(), &mut StdRng::seed_from_u64(40 + l)))
+        .collect();
+    for daemon in [BatchDaemon::Sync, BatchDaemon::RandomDistributed { p: 0.5 }] {
+        let short = batched_run_allocs(&h, &g, daemon, &inits, 20);
+        let long = batched_run_allocs(&h, &g, daemon, &inits, 40);
+        assert_eq!(
+            short, long,
+            "{daemon:?}: batched_measure allocated {short} times over 20 passes but {long} \
+             times over 40"
+        );
+    }
+}
+
 #[test]
 fn measured_steady_state_performs_zero_allocations_and_clones() {
     // The counting allocator is live in this binary.
@@ -170,4 +215,5 @@ fn measured_steady_state_performs_zero_allocations_and_clones() {
 
     assert_measured_run_allocates_nothing(&generators::ring(1024).expect("ring"), 20_000, 100);
     assert_measured_run_allocates_nothing(&generators::torus(32, 32).expect("torus"), 20_000, 100);
+    assert_batched_passes_allocate_nothing();
 }

@@ -35,10 +35,15 @@ pub struct RunCounters {
     /// Bytes of state moved through step deltas (before + after state per
     /// recorded move).
     pub delta_bytes: u64,
-    /// Vertex evaluations of the measurement monitors: `n` per full-scan
-    /// predicate call (the closure predicates of `MeasurementContext` and
-    /// the batched `PredicateMonitor`), one per recomputed vertex on the
-    /// incremental `SpecMonitor` path. Flushed by the monitor layer
+    /// Per-vertex evaluations the measurement monitors actually perform,
+    /// defined once for both engines: the incremental `SpecMonitor`
+    /// counts one per vertex whose local counts it (re)computes (`n` at
+    /// the start, then the radius-ball of each step's moves); the batched
+    /// `LaneMonitor` counts, per lane, one per (vertex, lane) entry its
+    /// safety and legitimacy sweeps read (`n` for safety plus the rows
+    /// the legitimacy sweep covered before every lane's verdict was
+    /// decided). The full-scan reference `MeasurementContext` counts `n`
+    /// per predicate call. Flushed by the monitor layer
     /// ([`EngineCounters::record_monitor_evals`]), not by the step loop.
     pub monitor_evals: u64,
 }
@@ -133,26 +138,30 @@ pub struct CounterSnapshot {
     /// Lane-steps spent masked idle: batch iterations where an
     /// already-stopped lane rode along while siblings kept stepping.
     pub batch_idle_lane_steps: u64,
-    /// Batch-eligible cell groups (sync, central-rr, central-rand or
-    /// dist:p daemon) that fell back to the scalar path because the
-    /// protocol has no packed implementation, the instance falls outside
-    /// the packed domain or the central size gate, or batching was
-    /// disabled. Groups of other daemons are not counted.
+    /// Batch-eligible cell groups (sync or dist:p daemon) that fell back
+    /// to the scalar path because the protocol has no packed
+    /// implementation, the instance falls outside the packed domain, or
+    /// batching was disabled. Groups of other daemons are not counted.
     pub batch_scalar_fallbacks: u64,
     /// Synchronous-daemon groups routed through the batched engine.
     pub batch_routed_sync_groups: u64,
-    /// Central round-robin groups routed through the batched engine.
+    /// Central round-robin groups routed through the batched engine:
+    /// always 0, central daemons run on the scalar engine uncounted. The
+    /// field stays for the sidecar and header layouts.
     pub batch_routed_rr_groups: u64,
-    /// Central uniform-random groups routed through the batched engine.
+    /// Central uniform-random groups routed through the batched engine:
+    /// always 0, like `batch_routed_rr_groups`.
     pub batch_routed_rand_groups: u64,
     /// Random-distributed (`dist:<p>`) groups routed through the batched
     /// engine.
     pub batch_routed_dist_groups: u64,
     /// Synchronous-daemon groups that took the scalar fallback.
     pub batch_fallback_sync_groups: u64,
-    /// Central round-robin groups that took the scalar fallback.
+    /// Central round-robin groups that took the scalar fallback: always
+    /// 0, like `batch_routed_rr_groups`.
     pub batch_fallback_rr_groups: u64,
-    /// Central uniform-random groups that took the scalar fallback.
+    /// Central uniform-random groups that took the scalar fallback:
+    /// always 0, like `batch_routed_rr_groups`.
     pub batch_fallback_rand_groups: u64,
     /// Random-distributed groups that took the scalar fallback.
     pub batch_fallback_dist_groups: u64,

@@ -9,11 +9,15 @@
 //! ```
 
 use crate::clock::{CherryClock, ClockValue};
+use crate::packed::add_gamma_one_violations;
 use crate::protocol::neighbor_term;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::observer::{Observer, StepEvent};
-use specstab_kernel::spec::Specification;
+use specstab_kernel::spec::{
+    Aggregate, LaneSpecification, LocalCounts, LocalSpecification, Specification,
+};
 use specstab_topology::{Graph, VertexId};
+use std::ops::Range;
 
 /// `specAU` for a given cherry clock.
 #[derive(Copy, Clone, Debug)]
@@ -95,6 +99,58 @@ impl Specification<ClockValue> for SpecAu {
 
     fn is_legitimate(&self, config: &Configuration<ClockValue>, graph: &Graph) -> bool {
         self.in_gamma_one(config, graph)
+    }
+}
+
+/// Both totals count vertices violating `Γ1` locally (radius 1, none).
+impl LocalSpecification<ClockValue> for SpecAu {
+    fn radius(&self) -> u32 {
+        1
+    }
+
+    fn local_counts(
+        &self,
+        v: VertexId,
+        config: &Configuration<ClockValue>,
+        graph: &Graph,
+    ) -> LocalCounts {
+        let violates = u32::from(self.violates_gamma_one_at(v, config, graph));
+        LocalCounts { safety: violates, legitimacy: violates }
+    }
+
+    fn safety_rule(&self) -> Aggregate {
+        Aggregate::AtMost(0)
+    }
+
+    fn legitimacy_rule(&self) -> Aggregate {
+        Aggregate::AtMost(0)
+    }
+}
+
+/// The `Γ1` violation counts over the unison's packed `i32` lanes
+/// ([`add_gamma_one_violations`]).
+impl LaneSpecification<ClockValue, i32> for SpecAu {
+    fn add_safety_rows(
+        &self,
+        graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[i32],
+        totals: &mut [u32],
+    ) {
+        self.add_legitimacy_rows(graph, rows, lanes, soa, totals);
+    }
+
+    fn add_legitimacy_rows(
+        &self,
+        graph: &Graph,
+        rows: Range<usize>,
+        lanes: usize,
+        soa: &[i32],
+        totals: &mut [u32],
+    ) {
+        let k = i32::try_from(self.clock.k()).expect("cherry clock K fits i32 lanes");
+        add_gamma_one_violations(graph, rows, lanes, k, soa, totals);
     }
 }
 

@@ -1,16 +1,17 @@
 //! Differential suite for the lane-packed unison: batched K-replica runs
 //! must equal K independent scalar engine runs — steps, moves, stop
-//! reason, final configuration, and (measured) the full per-lane
-//! `StabilizationReport` against a scalar `MeasurementContext` with the
-//! `specAU` predicates — across topologies × clocks × seeds ×
-//! K ∈ {1, 3, 64, 100}.
+//! reason, final configuration, and (measured through `LaneMonitor` over
+//! `specAU`'s lane form) the full per-lane `StabilizationReport` against
+//! a scalar `MeasurementContext` with the `specAU` predicates — across
+//! topologies × clocks × seeds × K ∈ {1, 3, 12, 100}, under sync and
+//! dist:0.5.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specstab_kernel::batch::{run_batch, BatchDaemon, NoMonitor, PredicateMonitor};
+use specstab_kernel::batch::{run_batch, BatchDaemon, LaneMonitor, NoMonitor};
 use specstab_kernel::config::Configuration;
-use specstab_kernel::daemon::SynchronousDaemon;
+use specstab_kernel::daemon::{RandomDistributedDaemon, SynchronousDaemon};
 use specstab_kernel::engine::{RunLimits, Simulator};
 use specstab_kernel::measure::MeasurementContext;
 use specstab_kernel::observer::ConfigPredicate;
@@ -64,7 +65,7 @@ proptest! {
         seed in 0u64..1_000,
         k_pick in 0usize..4,
     ) {
-        let k_lanes = [1, 3, 64, 100][k_pick];
+        let k_lanes = [1, 3, 12, 100][k_pick];
         let graph = graph_for(case);
         let clock = CherryClock::new(alpha, alpha + k_extra).unwrap();
         let unison = AsyncUnison::new(clock);
@@ -82,9 +83,9 @@ proptest! {
         }
     }
 
-    /// Measured batched unison replicates the scalar measurement stack
-    /// under the `specAU` predicates with early stop — the exact stack the
-    /// campaign executor runs per cell.
+    /// Measured batched unison under `LaneMonitor` with `specAU`'s lane
+    /// form replicates the scalar measurement stack under the `specAU`
+    /// predicates with early stop, under sync and dist:0.5.
     #[test]
     fn packed_unison_measured_equals_scalar_measurement(
         case in 0u8..4,
@@ -92,20 +93,28 @@ proptest! {
         k_extra in 2i64..20,
         seed in 0u64..1_000,
         k_pick in 0usize..4,
+        dist in any::<bool>(),
     ) {
-        let k_lanes = [1, 3, 64, 100][k_pick];
+        let k_lanes = [1, 3, 12, 100][k_pick];
         let graph = graph_for(case);
         let clock = CherryClock::new(alpha, alpha + k_extra).unwrap();
         let unison = AsyncUnison::new(clock);
         let spec = SpecAu::new(clock);
         let inits = random_inits(&graph, &unison, k_lanes, seed);
-        let monitor = PredicateMonitor::new(safety_of(spec), legitimacy_of(spec), Some(3));
-        let measured = run_batch(&graph, &unison, BatchDaemon::Sync, &[], &inits, 400, monitor);
-        for ((report, _), init) in measured.iter().zip(&inits) {
+        let daemon = if dist { BatchDaemon::RandomDistributed { p: 0.5 } } else { BatchDaemon::Sync };
+        let seeds: Vec<u64> = (0..k_lanes as u64).map(|l| seed ^ (0xD157 * l + 3)).collect();
+        let lane_seeds: &[u64] = if dist { &seeds } else { &[] };
+        let monitor = LaneMonitor::new(&spec, 3);
+        let measured = run_batch(&graph, &unison, daemon, lane_seeds, &inits, 400, monitor);
+        for (l, ((report, _), init)) in measured.iter().zip(&inits).enumerate() {
             let sim = Simulator::new(&graph, &unison);
-            let scalar = MeasurementContext::new(safety_of(spec), legitimacy_of(spec))
-                .with_early_stop(legitimacy_of(spec), 3)
-                .run(&sim, &mut SynchronousDaemon::new(), init.clone(), 400);
+            let ctx = MeasurementContext::new(safety_of(spec), legitimacy_of(spec))
+                .with_early_stop(legitimacy_of(spec), 3);
+            let scalar = if dist {
+                ctx.run(&sim, &mut RandomDistributedDaemon::new(0.5, seeds[l]), init.clone(), 400)
+            } else {
+                ctx.run(&sim, &mut SynchronousDaemon::new(), init.clone(), 400)
+            };
             prop_assert_eq!(report.steps_run, scalar.steps_run);
             prop_assert_eq!(report.moves, scalar.moves);
             prop_assert_eq!(report.stop, scalar.stop);
