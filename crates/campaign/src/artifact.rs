@@ -14,12 +14,15 @@
 //! as `f64::to_bits` integers, so a partial round-trips through JSON
 //! without losing a single bit — the property that lets
 //! [`crate::merge::merge_partials`] reproduce the single-process artifact
-//! byte for byte.
+//! byte for byte. A partial a `campaign work` worker uploads also carries
+//! the worker's shard event stream in an optional `telemetry` section,
+//! which the merge and the final artifact ignore.
 
 use crate::executor::{CampaignConfig, CampaignResult, CellOutcome, CellResult, GroupSummary};
 use crate::matrix::{Cell, InitMode};
 use crate::stats::{OnlineStats, OnlineStatsState, P2State};
 use specstab_kernel::daemon::DaemonClass;
+use specstab_telemetry::{validate_events, Event};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -226,6 +229,12 @@ pub(crate) fn config_from_header(header: &Json) -> Result<CampaignConfig, String
 /// long as shard boundaries are group-aligned (the planner's invariant).
 /// All floating-point state serializes as `f64::to_bits` integers, so the
 /// JSON round trip is lossless down to the bit.
+///
+/// `telemetry` is observability data riding along with the results: the
+/// `specstab-events/v1` stream of the worker that executed the shard
+/// (`stream`, `shard_start`, `cell`, `group`, `shard_end`). An empty
+/// stream is not serialized, so a partial without one — every
+/// `campaign shard` output — carries no `telemetry` key at all.
 #[derive(Clone, Debug)]
 pub struct PartialArtifact {
     /// Shard id within the plan.
@@ -248,6 +257,9 @@ pub struct PartialArtifact {
     pub cells: Vec<CellResult>,
     /// Per-group accumulator states, ordered by first appearance.
     pub groups: Vec<GroupSummary>,
+    /// The executing worker's shard event stream (empty when none was
+    /// recorded); every event carries this partial's shard id.
+    pub telemetry: Vec<Event>,
 }
 
 impl PartialArtifact {
@@ -270,6 +282,7 @@ impl PartialArtifact {
             config: result.config,
             cells: result.cells,
             groups: result.groups,
+            telemetry: Vec::new(),
         }
     }
 
@@ -295,12 +308,18 @@ impl PartialArtifact {
                 ("arch", Json::Str(std::env::consts::ARCH.into())),
             ]),
         ));
-        obj(vec![
+        let mut root = vec![
             ("partial", obj(header)),
             ("cells", Json::Arr(self.cells.iter().map(cell_result_json).collect())),
             ("groups", Json::Arr(self.groups.iter().map(group_state_json).collect())),
-        ])
-        .render()
+        ];
+        if !self.telemetry.is_empty() {
+            root.push((
+                "telemetry",
+                Json::Arr(self.telemetry.iter().map(Event::to_json).collect()),
+            ));
+        }
+        obj(root).render()
     }
 
     /// Parses and validates a partial artifact.
@@ -308,9 +327,10 @@ impl PartialArtifact {
     /// # Errors
     ///
     /// Rejects syntactically invalid JSON, any schema string other than
-    /// [`PARTIAL_SCHEMA`], missing or mistyped fields, and structurally
+    /// [`PARTIAL_SCHEMA`], missing or mistyped fields, structurally
     /// inconsistent partials (range/cell-count mismatch, group run counts
-    /// that do not add up to the cell count).
+    /// that do not add up to the cell count), and a `telemetry` section
+    /// that is not one valid event stream of this partial's shard.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let root = Json::parse(text)?;
         let header = root.req("partial")?;
@@ -352,7 +372,35 @@ impl PartialArtifact {
                 cells.len()
             ));
         }
-        Ok(Self { shard_id, start, end, total_cells, plan_fingerprint, config, cells, groups })
+        let telemetry = match root.get("telemetry") {
+            None => Vec::new(),
+            Some(section) => {
+                let events = section
+                    .as_arr()?
+                    .iter()
+                    .map(Event::from_json)
+                    .collect::<Result<Vec<_>, _>>()?;
+                if let Some(e) = events.iter().find(|e| e.shard != Some(shard_id as u64)) {
+                    return Err(format!(
+                        "telemetry event {} is stamped shard {:?}, expected {shard_id}",
+                        e.seq, e.shard
+                    ));
+                }
+                validate_events(&events).map_err(|e| format!("telemetry: {e}"))?;
+                events
+            }
+        };
+        Ok(Self {
+            shard_id,
+            start,
+            end,
+            total_cells,
+            plan_fingerprint,
+            config,
+            cells,
+            groups,
+            telemetry,
+        })
     }
 
     /// Reconstructs the shard's [`CampaignResult`] (e.g. to render its

@@ -17,7 +17,7 @@
 //! campaign shard --plan plan.json --shard 2 --out shard-2.partial.json
 //! campaign merge --json out.json shard-*.partial.json
 //!
-//! # Same pipeline, orchestrated locally over 3 worker processes:
+//! # Same plan served to 3 local worker processes (a loopback coordinator):
 //! campaign run --workers 3 --seeds 12 --json out.json
 //!
 //! # Campaign as a service: lease shards to elastic pull-workers over HTTP
@@ -39,16 +39,19 @@ use specstab_campaign::matrix::{Cell, InitMode, ScenarioMatrix};
 use specstab_campaign::merge::merge_partials;
 use specstab_campaign::plan::{group_boundaries, CampaignPlan};
 use specstab_campaign::report::speculation_profile_table;
+use specstab_campaign::serve::http::{request, CoordinatorUrl};
 use specstab_campaign::serve::{run_worker, Coordinator, ServeOptions, WorkOptions};
-use specstab_campaign::shard::{execute_shard, run_plan_subprocess, shard_trace_path, PoolOptions};
-use specstab_campaign::trace::{emit_result_events, sum_shard_counters};
+use specstab_campaign::shard::{execute_shard, execute_shard_traced};
+use specstab_campaign::trace::emit_result_events;
 use specstab_protocols::registry;
 use specstab_telemetry::{
-    global, merge_streams, metrics_from_events, parse_ndjson, EventKind, Heartbeat, ParseTally,
-    TraceWriter,
+    global, metrics_from_events, parse_ndjson, EventKind, Heartbeat, ParseTally, TraceWriter,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 fn usage() -> ! {
     eprintln!(
@@ -70,12 +73,13 @@ fn usage() -> ! {
          campaign work  --coordinator <http://host:port> [--worker-id <id>] [--threads <n>] \
          [--batch on|off] [--lease-only]\n\
          \n\
-         run --workers N executes the plan/shard/merge pipeline over N local worker\n\
-         processes (--threads then sets threads PER WORKER, default 1); artifacts are\n\
-         byte-identical to the in-process run (--workers 0).\n\
+         run --workers N serves the plan from a coordinator on a loopback port to N local\n\
+         campaign work processes (--threads then sets threads PER WORKER, default 1) --\n\
+         the same lease/upload/spool transport as serve; artifacts are byte-identical to\n\
+         the in-process run (--workers 0).\n\
          \n\
          --batch toggles the lane-packed batched group engine (default on; forwarded to\n\
-         run's worker subprocesses). Sync and dist:<p> groups of packed protocols route\n\
+         run's worker processes). Sync and dist:<p> groups of packed protocols route\n\
          through it at every size; dist lanes step per-lane RNG streams that replay the\n\
          scalar seeds exactly. Every other daemon, central-rr and central-rand included,\n\
          runs on the scalar engine. Batched and scalar execution produce byte-identical\n\
@@ -88,10 +92,11 @@ fn usage() -> ! {
          specstab-metrics/v1 snapshot. The final artifact is byte-identical to a\n\
          single-process run of the same plan.\n\
          \n\
-         --trace writes a specstab-events/v1 NDJSON event stream (with --workers N the\n\
-         per-shard worker streams are merged deterministically into it); --metrics\n\
-         distills the stream into a specstab-metrics/v1 runtime sidecar. Both are pure\n\
-         observability: JSON/CSV artifacts stay byte-identical with tracing on.\n\
+         --trace writes a specstab-events/v1 NDJSON event stream (with --workers N and\n\
+         serve, each worker's shard stream arrives inside its upload and is spliced in\n\
+         when the upload is accepted); --metrics distills the stream into a\n\
+         specstab-metrics/v1 runtime sidecar. Both are pure observability: JSON/CSV\n\
+         artifacts stay byte-identical with tracing on.\n\
          \n\
          defaults: topologies ring:12,torus:3x4,tree:12,path:12,ring:1024,torus:32x32  \n\
          \x20         protocols ssme  \n\
@@ -288,23 +293,29 @@ fn trace_emit(trace: &mut Option<TraceWriter>, kind: EventKind) {
     }
 }
 
-/// Flushes the trace and, when `--metrics` was also given, reads the
-/// finished stream back through the strict parser and writes the
-/// `specstab-metrics/v1` sidecar next to it.
+/// Flushes the trace and, when `--metrics` was also given, writes the
+/// sidecar (see [`write_metrics`]).
 fn finish_trace(trace: Option<TraceWriter>, trace_path: Option<&str>, metrics: Option<&str>) {
     let Some(w) = trace else { return };
     w.finish().unwrap_or_else(|e| fail(&e));
     let path = trace_path.expect("trace writer implies a trace path");
     eprintln!("campaign: event stream -> {path}");
     if let Some(out) = metrics {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
-        let events = parse_ndjson(&text).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")));
-        if let Err(e) = std::fs::write(out, metrics_from_events(&events).render()) {
-            fail(&format!("writing {out}: {e}"));
-        }
-        eprintln!("campaign: metrics sidecar -> {out}");
+        write_metrics(path, out);
     }
+}
+
+/// Reads a finished event stream back through the strict parser and
+/// writes the `specstab-metrics/v1` sidecar distilled from it.
+fn write_metrics(trace_path: &str, out: &str) {
+    let text = std::fs::read_to_string(trace_path)
+        .unwrap_or_else(|e| fail(&format!("reading {trace_path}: {e}")));
+    let events =
+        parse_ndjson(&text).unwrap_or_else(|e| fail(&format!("parsing {trace_path}: {e}")));
+    if let Err(e) = std::fs::write(out, metrics_from_events(&events).render()) {
+        fail(&format!("writing {out}: {e}"));
+    }
+    eprintln!("campaign: metrics sidecar -> {out}");
 }
 
 /// Upfront compatibility filter: parses each topology once and asks the
@@ -432,8 +443,8 @@ fn emit_result(result: &CampaignResult, json: Option<&str>, csv: Option<&str>, c
     std::process::exit(0);
 }
 
-/// `campaign [run]`: the default sweep — in-process, or orchestrated over
-/// `--workers N` local shard subprocesses (byte-identical either way).
+/// `campaign [run]`: the default sweep — in-process, or over `--workers N`
+/// local `campaign work` processes (byte-identical either way).
 fn cmd_run(argv: &[String]) -> ! {
     let args = parse_args(argv);
     set_batching_enabled(args.batch);
@@ -442,138 +453,67 @@ fn cmd_run(argv: &[String]) -> ! {
     }
     let matrix = build_matrix(&args);
     let config = config_of(&args);
-    let group_count = group_boundaries(matrix.cells()).len().saturating_sub(1) as u64;
+    if args.workers > 0 {
+        run_workers(&args, &matrix, &config);
+    }
     let mut trace = open_trace(args.trace.as_deref(), None, "run");
     trace_emit(
         &mut trace,
         EventKind::CampaignStart {
             cells: matrix.len() as u64,
-            groups: group_count,
+            groups: group_boundaries(matrix.cells()).len().saturating_sub(1) as u64,
             seed: config.seed,
             max_steps: config.max_steps as u64,
         },
     );
-    if args.workers == 0 {
-        let before = global().snapshot();
-        let heartbeat = Heartbeat::new(matrix.len() as u64);
-        let result = run_campaign_with_progress(&matrix, &config, Some(&heartbeat));
-        heartbeat.finish();
-        let counters = global().snapshot().delta(&before);
-        eprintln!(
-            "campaign: done in {:?} on {} threads ({:.0} cells/s)",
-            result.wall,
-            result.threads_used,
-            result.cells.len() as f64 / result.wall.as_secs_f64().max(1e-9),
-        );
-        if let Some(w) = trace.as_mut() {
-            emit_result_events(w, &result.cells, &result.groups).unwrap_or_else(|e| fail(&e));
-        }
-        trace_emit(
-            &mut trace,
-            EventKind::CampaignEnd {
-                cells: result.cells.len() as u64,
-                errors: result.total_errors(),
-                violations: result.total_violations(),
-                wall_us: u64::try_from(result.wall.as_micros()).unwrap_or(u64::MAX),
-                counters,
-            },
-        );
-        finish_trace(trace, args.trace.as_deref(), args.metrics.as_deref());
-        emit_result(&result, args.json.as_deref(), args.csv.as_deref(), args.cells_in_json);
-    }
-    // Subprocess backend: plan into ~4 group-aligned shards per worker
-    // (over-decomposition keeps stragglers from idling the pool; any
-    // group-aligned split merges to the same bytes).
-    let shard_count =
-        if args.shards > 0 { args.shards } else { args.workers.saturating_mul(4).max(1) };
-    let plan = CampaignPlan::new(&matrix, &config, shard_count);
-    let exe =
-        std::env::current_exe().unwrap_or_else(|e| fail(&format!("locating campaign binary: {e}")));
-    let work_dir = std::env::temp_dir().join(format!("specstab-campaign-{}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&work_dir) {
-        fail(&format!("creating {}: {e}", work_dir.display()));
-    }
-    let plan_path = work_dir.join("plan.json");
-    if let Err(e) = std::fs::write(&plan_path, plan.to_json()) {
-        fail(&format!("writing {}: {e}", plan_path.display()));
-    }
-    let started = std::time::Instant::now();
-    eprintln!(
-        "campaign: {} shards over {} worker processes (plan {})",
-        plan.shards.len(),
-        args.workers,
-        plan_path.display()
-    );
-    trace_emit(
-        &mut trace,
-        EventKind::Plan { cells: plan.cells.len() as u64, shards: plan.shards.len() as u64 },
-    );
-    // --threads here means threads *per worker process* (default 1: the
-    // worker pool already fills the machine). The work dir is removed on
-    // the failure paths too — partial artifacts of a failed run would
-    // otherwise pile up in the temp dir.
-    let heartbeat = Heartbeat::new(plan.cells.len() as u64);
-    let partials = run_plan_subprocess(
-        &exe,
-        &plan,
-        &plan_path,
-        &work_dir,
-        PoolOptions {
-            workers: args.workers,
-            threads_per_worker: args.threads.max(1),
-            trace_dir: trace.as_ref().map(|_| work_dir.as_path()),
-            progress: Some(&heartbeat),
-            batch_off: !args.batch,
-        },
-    );
+    let before = global().snapshot();
+    let heartbeat = Heartbeat::new(matrix.len() as u64);
+    let result = run_campaign_with_progress(&matrix, &config, Some(&heartbeat));
     heartbeat.finish();
-    // Splice the worker streams into the orchestrator trace — read back
-    // while the work dir still exists, interleaved deterministically by
-    // (shard, seq) regardless of worker completion order.
-    let mut shard_counters = specstab_telemetry::CounterSnapshot::default();
-    if let (Some(w), Ok(_)) = (trace.as_mut(), &partials) {
-        let streams: Vec<_> = plan
-            .shards
-            .iter()
-            .map(|s| {
-                let p = shard_trace_path(&work_dir, s.id);
-                let text = std::fs::read_to_string(&p)
-                    .unwrap_or_else(|e| fail(&format!("reading {}: {e}", p.display())));
-                parse_ndjson(&text)
-                    .unwrap_or_else(|e| fail(&format!("parsing {}: {e}", p.display())))
-            })
-            .collect();
-        let merged = merge_streams(streams);
-        shard_counters = sum_shard_counters(&merged);
-        for event in &merged {
-            w.emit_raw(event).unwrap_or_else(|e| fail(&e));
-        }
-    }
-    let outcome = partials.and_then(|(ps, parse)| {
-        trace_emit(&mut trace, EventKind::MergeStart { partials: ps.len() as u64 });
-        merge_partials(ps).map(|result| (result, parse))
-    });
-    let _ = std::fs::remove_dir_all(&work_dir);
-    let (result, parse) = outcome.unwrap_or_else(|e| fail(&e));
-    trace_emit(
-        &mut trace,
-        EventKind::MergeEnd {
-            cells: result.cells.len() as u64,
-            groups: result.groups.len() as u64,
-            parse,
-        },
+    let counters = global().snapshot().delta(&before);
+    eprintln!(
+        "campaign: done in {:?} on {} threads ({:.0} cells/s)",
+        result.wall,
+        result.threads_used,
+        result.cells.len() as f64 / result.wall.as_secs_f64().max(1e-9),
     );
+    if let Some(w) = trace.as_mut() {
+        emit_result_events(w, &result.cells, &result.groups).unwrap_or_else(|e| fail(&e));
+    }
     trace_emit(
         &mut trace,
         EventKind::CampaignEnd {
             cells: result.cells.len() as u64,
             errors: result.total_errors(),
             violations: result.total_violations(),
-            wall_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            counters: shard_counters,
+            wall_us: u64::try_from(result.wall.as_micros()).unwrap_or(u64::MAX),
+            counters,
         },
     );
     finish_trace(trace, args.trace.as_deref(), args.metrics.as_deref());
+    emit_result(&result, args.json.as_deref(), args.csv.as_deref(), args.cells_in_json);
+}
+
+/// `campaign run --workers N`: plans ~4 group-aligned shards per worker
+/// (over-decomposition keeps stragglers from idling the others; any
+/// group-aligned split merges to the same bytes) and serves them from a
+/// [`Coordinator`] on a loopback port and a temporary spool to N
+/// `campaign work` children — the transport `campaign serve` uses. The
+/// coordinator writes the `--trace` stream, worker shard streams included.
+fn run_workers(args: &Args, matrix: &ScenarioMatrix, config: &CampaignConfig) -> ! {
+    let shard_count =
+        if args.shards > 0 { args.shards } else { args.workers.saturating_mul(4).max(1) };
+    let plan = CampaignPlan::new(matrix, config, shard_count);
+    let dir = std::env::temp_dir().join(format!("specstab-campaign-{}", std::process::id()));
+    let started = Instant::now();
+    let outcome = std::fs::create_dir_all(&dir)
+        .map_err(|e| format!("creating {}: {e}", dir.display()))
+        .and_then(|()| serve_to_workers(args, plan, &dir));
+    let _ = std::fs::remove_dir_all(&dir);
+    let result = outcome.unwrap_or_else(|e| fail(&e));
+    if let (Some(trace), Some(out)) = (args.trace.as_deref(), args.metrics.as_deref()) {
+        write_metrics(trace, out);
+    }
     eprintln!(
         "campaign: done in {:?} on {} workers ({:.0} cells/s)",
         started.elapsed(),
@@ -581,6 +521,109 @@ fn cmd_run(argv: &[String]) -> ! {
         result.cells.len() as f64 / started.elapsed().as_secs_f64().max(1e-9),
     );
     emit_result(&result, args.json.as_deref(), args.csv.as_deref(), args.cells_in_json);
+}
+
+/// One `campaign work` child and where its stderr goes: a file, because a
+/// pipe nobody drains can fill and block the child.
+struct WorkerProcess {
+    child: Child,
+    stderr: PathBuf,
+    exited: Option<ExitStatus>,
+}
+
+/// How often [`serve_to_workers`] checks on its children while the
+/// coordinator runs. Completion wakes it at once; this only bounds how
+/// late it notices a child that died.
+const CHILD_POLL: Duration = Duration::from_millis(50);
+
+/// Binds the loopback coordinator on `dir`'s spool, spawns the children
+/// (no more than there are shards) and supervises both. The run fails as
+/// soon as a child exits unsuccessfully, or when every child has exited
+/// while the coordinator still serves an incomplete tiling — it never
+/// waits for leases nobody will take. Children still running when the
+/// tiling completes (idle on a wait reply) are killed and reaped.
+fn serve_to_workers(args: &Args, plan: CampaignPlan, dir: &Path) -> Result<CampaignResult, String> {
+    let children = args.workers.min(plan.shards.len());
+    let options = ServeOptions {
+        spool: dir.join("spool"),
+        trace_path: args.trace.as_deref().map(PathBuf::from),
+        ..ServeOptions::default()
+    };
+    let coordinator = Coordinator::bind(plan, "127.0.0.1:0", options)?;
+    let addr =
+        coordinator.local_addr().map_err(|e| format!("reading the coordinator address: {e}"))?;
+    let url = format!("http://{addr}");
+    let coordinator_url = CoordinatorUrl::parse(&url)?;
+    let exe = std::env::current_exe().map_err(|e| format!("locating the campaign binary: {e}"))?;
+    let mut workers: Vec<WorkerProcess> = Vec::with_capacity(children);
+    for i in 0..children {
+        let stderr = dir.join(format!("worker-{i}.stderr"));
+        let mut cmd = Command::new(&exe);
+        cmd.args(["work", "--coordinator", &url, "--worker-id", &format!("worker-{i}")])
+            .args(["--threads", &args.threads.max(1).to_string()]);
+        if !args.batch {
+            cmd.args(["--batch", "off"]);
+        }
+        let spawned = std::fs::File::create(&stderr)
+            .and_then(|log| cmd.stdout(Stdio::null()).stderr(log).spawn())
+            .map_err(|e| format!("spawning worker {i}: {e}"));
+        match spawned {
+            Ok(child) => workers.push(WorkerProcess { child, stderr, exited: None }),
+            Err(e) => {
+                stop_workers(&mut workers);
+                return Err(e);
+            }
+        }
+    }
+    let (done, finished) = mpsc::channel();
+    // Not joined on the failure paths below: the process exits right
+    // after, and a coordinator with no workers left would wait forever.
+    let serve = std::thread::spawn(move || {
+        let _ = done.send(coordinator.run());
+    });
+    loop {
+        match finished.recv_timeout(CHILD_POLL) {
+            Ok(outcome) => {
+                stop_workers(&mut workers);
+                serve.join().map_err(|_| "the coordinator thread panicked")?;
+                return outcome?.ok_or_else(|| "the coordinator stopped early".into());
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err("the coordinator thread panicked".into())
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+        for w in workers.iter_mut().filter(|w| w.exited.is_none()) {
+            w.exited = w.child.try_wait().map_err(|e| format!("waiting on a worker: {e}"))?;
+        }
+        let failed = workers.iter().any(|w| w.exited.is_some_and(|s| !s.success()));
+        // Children also exit cleanly once the finished coordinator closes
+        // its port; a coordinator that still answers is not finished.
+        let abandoned = workers.iter().all(|w| w.exited.is_some())
+            && request(&coordinator_url, "GET", "/status", &[], b"").is_ok();
+        if failed || abandoned {
+            stop_workers(&mut workers);
+            let mut report = String::from(if failed {
+                "a worker failed"
+            } else {
+                "every worker exited before the campaign completed"
+            });
+            for (i, w) in workers.iter().enumerate() {
+                let status = w.exited.map_or_else(|| "not reaped".into(), |s| s.to_string());
+                let stderr = std::fs::read_to_string(&w.stderr).unwrap_or_default();
+                report.push_str(&format!("\nworker-{i} ({status}):\n{}", stderr.trim_end()));
+            }
+            return Err(report);
+        }
+    }
+}
+
+/// Kills and reaps every child that has not exited yet.
+fn stop_workers(workers: &mut [WorkerProcess]) {
+    for w in workers.iter_mut().filter(|w| w.exited.is_none()) {
+        let _ = w.child.kill();
+        w.exited = w.child.wait().ok();
+    }
 }
 
 /// `campaign plan`: enumerate the matrix and write the shard plan.
@@ -650,26 +693,12 @@ fn cmd_shard(argv: &[String]) -> ! {
     let plan = CampaignPlan::from_json(&text)
         .unwrap_or_else(|e| fail(&format!("parsing {plan_path}: {e}")));
     let mut trace = open_trace(trace_path.as_deref(), Some(shard_id as u64), "shard");
-    let started = std::time::Instant::now();
-    let before = global().snapshot();
-    if let Some(shard) = plan.shards.get(shard_id) {
-        trace_emit(
-            &mut trace,
-            EventKind::ShardStart { start: shard.start as u64, end: shard.end as u64 },
-        );
+    let started = Instant::now();
+    let partial = match trace.as_mut() {
+        Some(w) => execute_shard_traced(w, &plan, shard_id, threads),
+        None => execute_shard(&plan, shard_id, threads),
     }
-    let partial = execute_shard(&plan, shard_id, threads).unwrap_or_else(|e| fail(&e));
-    if let Some(w) = trace.as_mut() {
-        emit_result_events(w, &partial.cells, &partial.groups).unwrap_or_else(|e| fail(&e));
-    }
-    trace_emit(
-        &mut trace,
-        EventKind::ShardEnd {
-            cells: partial.cells.len() as u64,
-            wall_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            counters: global().snapshot().delta(&before),
-        },
-    );
+    .unwrap_or_else(|e| fail(&e));
     finish_trace(trace, trace_path.as_deref(), None);
     let out = out.unwrap_or_else(|| format!("shard-{shard_id}.partial.json"));
     // Atomic write: a shard worker killed mid-write must never leave a
@@ -738,13 +767,7 @@ fn cmd_serve(argv: &[String]) -> ! {
         std::process::exit(3);
     };
     if let (Some(trace), Some(out)) = (trace_path.as_deref(), metrics.as_deref()) {
-        let text = std::fs::read_to_string(trace)
-            .unwrap_or_else(|e| fail(&format!("reading {trace}: {e}")));
-        let events = parse_ndjson(&text).unwrap_or_else(|e| fail(&format!("parsing {trace}: {e}")));
-        if let Err(e) = std::fs::write(out, metrics_from_events(&events).render()) {
-            fail(&format!("writing {out}: {e}"));
-        }
-        eprintln!("campaign: metrics sidecar -> {out}");
+        write_metrics(trace, out);
     }
     emit_result(&result, json.as_deref(), csv.as_deref(), cells_in_json);
 }

@@ -32,9 +32,8 @@
 //! * [`plan`] — enumerates a matrix into a JSON-round-trippable
 //!   [`plan::CampaignPlan`]: the canonical cell list plus a deterministic,
 //!   group-aligned shard partition with stable ids;
-//! * [`shard`] — executes one shard (in-process backend, or worker
-//!   subprocesses running `campaign shard`) into a partial artifact that
-//!   carries the full bit-exact state of every statistics accumulator;
+//! * [`shard`] — executes one shard into a partial artifact that carries
+//!   the full bit-exact state of every statistics accumulator;
 //! * [`merge`] — folds any tiling set of partials, in any order, into a
 //!   [`CampaignResult`] whose artifacts are byte-identical to a
 //!   single-process sweep, incrementally via [`merge::MergeAccumulator`]
@@ -43,11 +42,13 @@
 //!   coordinator leasing shards to elastic `campaign work` pull-workers,
 //!   re-dispatching expired leases, folding uploads incrementally, and
 //!   spooling every accepted partial so a killed coordinator resumes from
-//!   disk;
+//!   disk; `campaign run --workers N` is the same coordinator on a
+//!   loopback port with N local `campaign work` children;
 //! * [`trace`] — the bridge into `specstab-telemetry`: `--trace` streams
-//!   versioned `specstab-events/v1` NDJSON from every subcommand (shard
-//!   workers included), and `--metrics` derives the runtime sidecar —
-//!   without perturbing a byte of the deterministic artifacts.
+//!   versioned `specstab-events/v1` NDJSON from every subcommand (worker
+//!   shard streams arrive inside their uploads), and `--metrics` derives
+//!   the runtime sidecar — without perturbing a byte of the deterministic
+//!   artifacts.
 //!
 //! The `campaign` binary exposes all of this on the command line
 //! (`campaign plan` / `shard` / `merge` / `run --workers N`).
@@ -93,5 +94,5 @@ pub use matrix::{Cell, ScenarioMatrix};
 pub use merge::{merge_partials, Accepted, MergeAccumulator};
 pub use plan::CampaignPlan;
 pub use serve::{run_worker, Coordinator, ServeOptions, WorkOptions};
-pub use shard::execute_shard;
+pub use shard::{execute_shard, execute_shard_traced};
 pub use stats::OnlineStats;

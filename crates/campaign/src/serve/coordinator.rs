@@ -1,18 +1,26 @@
-//! The serve coordinator: a single-threaded HTTP loop that owns the lease
-//! table, the incremental merge, and the spool.
+//! The serve coordinator: one state thread that owns the lease table, the
+//! incremental merge, the spool and the trace, fed parsed requests by
+//! per-connection threads.
 //!
-//! Concurrency model: one nonblocking accept loop, blocking per-connection
-//! I/O under socket timeouts. Lease and status exchanges are tiny and
-//! uploads are bounded by the socket timeout, so a single thread both
-//! keeps every state transition trivially race-free and guarantees the
-//! trace's `(shard, seq)` order is the order things actually happened.
+//! Concurrency model: an acceptor thread blocks in `accept` and hands each
+//! connection to a thread of its own, which reads and parses the request
+//! under the socket timeouts, sends it to the state thread over a channel
+//! and writes back the reply it gets. The state thread does no socket
+//! I/O: it waits on the channel with a timeout bounded by the next lease
+//! deadline, so a slow or stalled client holds only its own connection
+//! thread and never delays another worker's lease, upload or expiry.
+//! State stays single-owner — every transition is race-free, and the
+//! trace's order is the order the state thread applied them. At the end
+//! the coordinator closes the connections still reading a request and
+//! joins every thread it started.
 //!
 //! Durability model: **a partial on disk is a checkpoint.** Every accepted
-//! upload is written atomically to the spool directory before it is
-//! acknowledged, and [`Coordinator::bind`] replays the spool before
-//! listening — a coordinator killed at any point resumes without
-//! re-running completed shards, because their partials re-enter the merge
-//! exactly as if a worker had just uploaded them.
+//! upload is written atomically to the spool directory, byte for byte as
+//! received, before it is acknowledged, and [`Coordinator::bind`] replays
+//! the spool before listening — a coordinator killed at any point resumes
+//! without re-running completed shards, because their partials re-enter
+//! the merge (telemetry included) exactly as if a worker had just
+//! uploaded them.
 
 use super::http::{read_request, set_socket_timeouts, write_response, Request};
 use super::wire::{parse_worker_body, renew_reply, Lease, LeaseReply, UploadReply};
@@ -20,11 +28,17 @@ use crate::artifact::{write_atomic, PartialArtifact};
 use crate::executor::CampaignResult;
 use crate::merge::{Accepted, MergeAccumulator};
 use crate::plan::CampaignPlan;
+use crate::trace::sum_shard_counters;
 use specstab_telemetry::{
-    obj, EventKind, Json, ParseTally, ServeCounts, ServeHeartbeat, TraceWriter,
+    obj, CounterSnapshot, EventKind, Json, ParseTally, ServeCounts, ServeHeartbeat, TraceWriter,
 };
-use std::net::{SocketAddr, TcpListener};
+use std::collections::HashMap;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::Mutex;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Coordinator knobs beyond the plan and listen address.
@@ -37,9 +51,10 @@ pub struct ServeOptions {
     /// on startup).
     pub spool: PathBuf,
     /// `--trace` destination for the coordinator's
-    /// `specstab-events/v1` stream (lease lifecycle included).
+    /// `specstab-events/v1` stream: the lease lifecycle, and the worker
+    /// shard stream of every accepted partial.
     pub trace_path: Option<PathBuf>,
-    /// Fault-injection knob for tests and drills: stop the accept loop
+    /// Fault-injection knob for tests and drills: stop serving
     /// (simulating a coordinator crash) after accepting this many fresh
     /// uploads over the network. Spool replays don't count.
     pub stop_after_uploads: Option<u64>,
@@ -71,58 +86,6 @@ struct WorkerTally {
     moves: u64,
 }
 
-/// Campaign-wide batched-vs-scalar routing tally, accumulated from the
-/// `x-specstab-batch-routing` header workers send with each upload
-/// (`routed_sync,routed_rr,routed_rand,routed_dist,fallback_sync,`
-/// `fallback_rr,fallback_rand,fallback_dist`). Older four-field headers
-/// parse with the rand/dist slots zeroed; spooled partials replayed on
-/// resume carry no header and contribute zeros.
-#[derive(Debug, Default, Clone, Copy)]
-struct BatchRoutingTally {
-    routed_sync: u64,
-    routed_rr: u64,
-    routed_rand: u64,
-    routed_dist: u64,
-    fallback_sync: u64,
-    fallback_rr: u64,
-    fallback_rand: u64,
-    fallback_dist: u64,
-}
-
-impl BatchRoutingTally {
-    fn parse(header: &str) -> Self {
-        let mut parts = header.split(',').map(|p| p.trim().parse::<u64>().unwrap_or(0));
-        let mut next = || parts.next().unwrap_or(0);
-        // Positional, new fields appended per class: a four-field legacy
-        // header fills sync/rr routed slots then misreads its two
-        // fallback numbers as rand/dist routed — acceptable only because
-        // legacy workers never coexist with this coordinator (the serve
-        // protocol ships both sides from one build); fresh headers are
-        // always eight fields.
-        Self {
-            routed_sync: next(),
-            routed_rr: next(),
-            routed_rand: next(),
-            routed_dist: next(),
-            fallback_sync: next(),
-            fallback_rr: next(),
-            fallback_rand: next(),
-            fallback_dist: next(),
-        }
-    }
-
-    fn add(&mut self, other: Self) {
-        self.routed_sync += other.routed_sync;
-        self.routed_rr += other.routed_rr;
-        self.routed_rand += other.routed_rand;
-        self.routed_dist += other.routed_dist;
-        self.fallback_sync += other.fallback_sync;
-        self.fallback_rr += other.fallback_rr;
-        self.fallback_rand += other.fallback_rand;
-        self.fallback_dist += other.fallback_dist;
-    }
-}
-
 /// The serve coordinator (see the module docs for the model).
 pub struct Coordinator {
     plan: CampaignPlan,
@@ -138,15 +101,24 @@ pub struct Coordinator {
     uploads_accepted: u64,
     uploads_rejected: u64,
     workers: Vec<WorkerTally>,
-    batch_routing: BatchRoutingTally,
+    /// Sum of the `shard_end` counters of every accepted partial's
+    /// telemetry, spool replays included.
+    counters: CounterSnapshot,
     /// Every partial parse, upload and spool alike (rejected ones too).
     parse: ParseTally,
     started: Instant,
 }
 
-/// How often the accept loop wakes to scan for expired leases when no
-/// connection is pending.
-const IDLE_POLL: Duration = Duration::from_millis(5);
+/// A reply on its way back to a connection: status code, reason phrase,
+/// JSON body.
+type Reply = (u16, &'static str, String);
+
+/// One parsed request on its way to the state thread, with the channel
+/// its connection thread waits on for the reply.
+struct Exchange {
+    request: Request,
+    reply: Sender<Reply>,
+}
 
 impl Coordinator {
     /// Binds the listener, opens the trace, creates the spool directory,
@@ -159,7 +131,6 @@ impl Coordinator {
     /// not silently dropped — pass a fresh `--spool` to start over).
     pub fn bind(plan: CampaignPlan, listen: &str, options: ServeOptions) -> Result<Self, String> {
         let listener = TcpListener::bind(listen).map_err(|e| format!("binding {listen}: {e}"))?;
-        listener.set_nonblocking(true).map_err(|e| format!("configuring listener: {e}"))?;
         std::fs::create_dir_all(&options.spool)
             .map_err(|e| format!("creating spool {}: {e}", options.spool.display()))?;
         let trace = options
@@ -184,7 +155,7 @@ impl Coordinator {
             uploads_accepted: 0,
             uploads_rejected: 0,
             workers: Vec::new(),
-            batch_routing: BatchRoutingTally::default(),
+            counters: CounterSnapshot::default(),
             parse: ParseTally::default(),
             started: Instant::now(),
         };
@@ -230,7 +201,7 @@ impl Coordinator {
                 .parse
                 .time(&text, PartialArtifact::from_json)
                 .map_err(|e| format!("parsing spooled {}: {e}", path.display()))?;
-            match self.fold_partial(partial, "spool", BatchRoutingTally::default(), false)? {
+            match self.fold_partial(partial, "spool", None)? {
                 UploadReply::Accepted { .. } => {}
                 UploadReply::Rejected { reason } => {
                     return Err(format!("spooled {} rejected: {reason}", path.display()));
@@ -265,6 +236,17 @@ impl Coordinator {
             expired: self.expired_total,
             merged_cells: self.acc.covered_cells() as u64,
         }
+    }
+
+    /// The earliest deadline among live leases.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.states
+            .iter()
+            .filter_map(|s| match s {
+                ShardState::Leased { deadline, .. } => Some(*deadline),
+                _ => None,
+            })
+            .min()
     }
 
     /// Returns expired leases to the pending pool.
@@ -338,14 +320,16 @@ impl Coordinator {
         false
     }
 
-    /// Validates and folds one partial (uploaded or spooled), spooling it
-    /// and marking its shard done on first acceptance.
+    /// Validates and folds one partial (uploaded or spooled). On first
+    /// acceptance it spools `received` (the upload's bytes; `None` for a
+    /// spool replay), marks the shard done, and splices the partial's
+    /// telemetry into the trace and its `shard_end` counters into the
+    /// campaign totals.
     fn fold_partial(
         &mut self,
-        partial: PartialArtifact,
+        mut partial: PartialArtifact,
         worker: &str,
-        routing: BatchRoutingTally,
-        spool_it: bool,
+        received: Option<&str>,
     ) -> Result<UploadReply, String> {
         // Range check against the plan's own shard table first: the merge
         // accumulator would let a mis-ranged partial in and only notice the
@@ -376,16 +360,16 @@ impl Coordinator {
         let cells = partial.cells.len() as u64;
         let moves: u64 =
             partial.cells.iter().filter_map(|c| c.outcome.as_ref().ok()).map(|o| o.moves).sum();
-        let body = if spool_it { Some(partial.to_json()) } else { None };
+        let telemetry = std::mem::take(&mut partial.telemetry);
         match self.acc.accept(partial) {
             Ok(Accepted::Fresh) => {
-                if let Some(body) = body {
+                if let Some(body) = received {
                     let path = self.options.spool.join(format!("shard-{shard_id}.partial.json"));
-                    write_atomic(&path, &body)
+                    write_atomic(&path, body)
                         .map_err(|e| format!("spooling {}: {e}", path.display()))?;
                 }
                 self.states[shard_id] = ShardState::Done;
-                self.batch_routing.add(routing);
+                self.counters.add(&sum_shard_counters(&telemetry));
                 match self.workers.iter_mut().find(|t| t.worker == worker) {
                     Some(t) => {
                         t.shards_accepted += 1;
@@ -404,6 +388,11 @@ impl Coordinator {
                     worker: worker.to_string(),
                     cells,
                 })?;
+                if let Some(w) = self.trace.as_mut() {
+                    for event in telemetry {
+                        w.emit_raw(event)?;
+                    }
+                }
                 self.heartbeat.tick(self.counts());
                 Ok(UploadReply::Accepted { duplicate: false })
             }
@@ -418,6 +407,7 @@ impl Coordinator {
     /// of the lease table and per-worker throughput.
     fn status_json(&self) -> String {
         let counts = self.counts();
+        let c = &self.counters;
         let wall_us = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
         let wall_secs = self.started.elapsed().as_secs_f64().max(1e-9);
         let workers = self
@@ -451,14 +441,14 @@ impl Coordinator {
                     (
                         "batch_groups",
                         obj(vec![
-                            ("routed_sync", Json::UInt(self.batch_routing.routed_sync)),
-                            ("routed_rr", Json::UInt(self.batch_routing.routed_rr)),
-                            ("routed_rand", Json::UInt(self.batch_routing.routed_rand)),
-                            ("routed_dist", Json::UInt(self.batch_routing.routed_dist)),
-                            ("fallback_sync", Json::UInt(self.batch_routing.fallback_sync)),
-                            ("fallback_rr", Json::UInt(self.batch_routing.fallback_rr)),
-                            ("fallback_rand", Json::UInt(self.batch_routing.fallback_rand)),
-                            ("fallback_dist", Json::UInt(self.batch_routing.fallback_dist)),
+                            ("routed_sync", Json::UInt(c.batch_routed_sync_groups)),
+                            ("routed_rr", Json::UInt(c.batch_routed_rr_groups)),
+                            ("routed_rand", Json::UInt(c.batch_routed_rand_groups)),
+                            ("routed_dist", Json::UInt(c.batch_routed_dist_groups)),
+                            ("fallback_sync", Json::UInt(c.batch_fallback_sync_groups)),
+                            ("fallback_rr", Json::UInt(c.batch_fallback_rr_groups)),
+                            ("fallback_rand", Json::UInt(c.batch_fallback_rand_groups)),
+                            ("fallback_dist", Json::UInt(c.batch_fallback_dist_groups)),
                         ]),
                     ),
                     ("workers", Json::Arr(workers)),
@@ -468,8 +458,8 @@ impl Coordinator {
         .render()
     }
 
-    /// Dispatches one parsed request to `(status, reason, body)`.
-    fn handle(&mut self, req: &Request) -> Result<(u16, &'static str, String), String> {
+    /// Dispatches one parsed request to its reply.
+    fn handle(&mut self, req: &Request) -> Result<Reply, String> {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/plan") => Ok((200, "OK", self.plan_json.clone())),
             ("GET", "/status") => Ok((200, "OK", self.status_json())),
@@ -487,14 +477,13 @@ impl Coordinator {
             },
             ("POST", "/upload") => {
                 let worker = req.header("x-specstab-worker").unwrap_or("anonymous").to_string();
-                let routing = req
-                    .header("x-specstab-batch-routing")
-                    .map_or_else(BatchRoutingTally::default, BatchRoutingTally::parse);
                 let parsed = std::str::from_utf8(&req.body)
                     .map_err(|_| "non-UTF-8 upload body".to_string())
-                    .and_then(|text| self.parse.time(text, PartialArtifact::from_json));
+                    .and_then(|text| {
+                        Ok((self.parse.time(text, PartialArtifact::from_json)?, text))
+                    });
                 let reply = match parsed {
-                    Ok(partial) => self.fold_partial(partial, &worker, routing, true)?,
+                    Ok((partial, text)) => self.fold_partial(partial, &worker, Some(text))?,
                     Err(reason) => UploadReply::Rejected { reason },
                 };
                 match &reply {
@@ -520,57 +509,29 @@ impl Coordinator {
         }
     }
 
-    /// Runs the accept loop until the tiling is complete (returns the
-    /// merged result) or the `stop_after_uploads` fault-injection point is
-    /// reached (returns `None`, simulating a crash — the spool is the only
-    /// thing that survives, which is the point).
-    ///
-    /// # Errors
-    ///
-    /// Fails on spool/trace I/O errors and on a final merge that does not
-    /// tile (impossible unless the plan's shard table itself is
-    /// inconsistent).
-    pub fn run(mut self) -> Result<Option<CampaignResult>, String> {
-        eprintln!(
-            "serve: coordinating {} shards ({} cells) on {}",
-            self.plan.shards.len(),
-            self.plan.cells.len(),
-            self.local_addr().map_or_else(|_| "<unknown>".into(), |a| a.to_string()),
-        );
+    /// The state loop: applies requests from connection threads one at a
+    /// time, waiting no longer than the next lease deadline. Returns
+    /// `false` when the `stop_after_uploads` fault-injection point stops
+    /// it before completion.
+    fn serve_requests(&mut self, requests: &Receiver<Exchange>) -> Result<bool, String> {
         while !self.acc.is_complete() {
             self.expire_leases()?;
-            match self.listener.accept() {
-                Ok((mut stream, _peer)) => {
-                    // Blocking I/O with timeouts from here on: a dead or
-                    // stalled client costs a bounded wait.
-                    let served = stream
-                        .set_nonblocking(false)
-                        .and_then(|()| set_socket_timeouts(&stream))
-                        .map_err(|e| format!("configuring connection: {e}"))
-                        .and_then(|()| read_request(&mut stream));
-                    match served {
-                        Ok(req) => {
-                            let (status, reason, body) = self.handle(&req)?;
-                            if let Err(e) = write_response(
-                                &mut stream,
-                                status,
-                                reason,
-                                "application/json",
-                                body.as_bytes(),
-                            ) {
-                                eprintln!("serve: dropping connection mid-response: {e}");
-                            }
-                        }
-                        // A malformed or timed-out request harms only its
-                        // own connection.
-                        Err(e) => eprintln!("serve: dropping connection: {e}"),
-                    }
+            let received = match self.next_deadline() {
+                Some(deadline) => {
+                    requests.recv_timeout(deadline.saturating_duration_since(Instant::now()))
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(IDLE_POLL);
+                None => requests.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            let exchange = match received {
+                Ok(exchange) => exchange,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err("the connection acceptor stopped".into());
                 }
-                Err(e) => return Err(format!("accepting connections: {e}")),
-            }
+            };
+            let reply = self.handle(&exchange.request)?;
+            // A client that hung up meanwhile loses only its own reply.
+            let _ = exchange.reply.send(reply);
             if let Some(limit) = self.options.stop_after_uploads {
                 if self.uploads_accepted >= limit {
                     eprintln!(
@@ -578,9 +539,56 @@ impl Coordinator {
                          spool {} holds the checkpoints",
                         self.options.spool.display()
                     );
-                    return Ok(None);
+                    return Ok(false);
                 }
             }
+        }
+        Ok(true)
+    }
+
+    /// Serves requests until the tiling is complete (returns the merged
+    /// result) or the `stop_after_uploads` fault-injection point is
+    /// reached (returns `None`, simulating a crash — the spool is the only
+    /// thing that survives, which is the point).
+    ///
+    /// # Errors
+    ///
+    /// Fails on listener, spool and trace I/O errors and on a final merge
+    /// that does not tile (impossible unless the plan's shard table itself
+    /// is inconsistent).
+    pub fn run(mut self) -> Result<Option<CampaignResult>, String> {
+        let addr = self.local_addr().map_err(|e| format!("reading the listen address: {e}"))?;
+        eprintln!(
+            "serve: coordinating {} shards ({} cells) on {addr}",
+            self.plan.shards.len(),
+            self.plan.cells.len(),
+        );
+        let listener =
+            self.listener.try_clone().map_err(|e| format!("sharing the listener: {e}"))?;
+        let stop = AtomicBool::new(false);
+        let reading = Mutex::new(HashMap::new());
+        let (requests, received) = mpsc::channel();
+        let completed = std::thread::scope(|scope| {
+            let (listener, stop, reading) = (&listener, &stop, &reading);
+            let acceptor =
+                scope.spawn(move || accept_connections(scope, listener, stop, reading, &requests));
+            let completed = self.serve_requests(&received);
+            stop.store(true, Ordering::SeqCst);
+            // Wake the blocking `accept` so the acceptor sees `stop`.
+            let _ = TcpStream::connect(wake_address(addr));
+            let accepted = acceptor.join();
+            // Close the connections still reading a request, so a stalled
+            // client cannot hold the shutdown, and drop queued requests
+            // unanswered. The scope then joins every connection thread:
+            // replies already sent are written before `run` returns.
+            for stream in reading.lock().expect("no connection thread panics").values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            drop(received);
+            accepted.map_err(|_| "the acceptor thread panicked")?.and(completed)
+        })?;
+        if !completed {
+            return Ok(None);
         }
         self.heartbeat.finish(self.counts());
         self.emit(EventKind::MergeStart { partials: self.acc.accepted_count() as u64 })?;
@@ -597,9 +605,9 @@ impl Coordinator {
                 errors: result.total_errors(),
                 violations: result.total_violations(),
                 wall_us,
-                // The coordinator executes no cells itself; engine counters
-                // live in the workers' own traces.
-                counters: specstab_telemetry::CounterSnapshot::default(),
+                // The coordinator executes no cells itself: these are the
+                // accepted shards' own `shard_end` counters.
+                counters: self.counters,
             })?;
         }
         if let Some(w) = self.trace.take() {
@@ -613,4 +621,75 @@ impl Coordinator {
         );
         Ok(Some(result))
     }
+}
+
+/// Hands every accepted connection to a thread of its own until `stop` is
+/// set, registering its socket in `reading` until its request is read.
+fn accept_connections<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    reading: &'scope Mutex<HashMap<u64, TcpStream>>,
+    requests: &Sender<Exchange>,
+) -> Result<(), String> {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let stream = stream.map_err(|e| format!("accepting connections: {e}"))?;
+        let handle = stream.try_clone().map_err(|e| format!("sharing a connection: {e}"))?;
+        reading.lock().expect("no connection thread panics").insert(id, handle);
+        let requests = requests.clone();
+        std::thread::Builder::new()
+            .name("serve-connection".into())
+            .spawn_scoped(scope, move || serve_connection(stream, id, reading, &requests))
+            .map_err(|e| format!("spawning a connection thread: {e}"))?;
+    }
+    Ok(())
+}
+
+/// One connection's life: read and parse its request, hand it to the
+/// state thread, write back the reply. A malformed, timed-out or
+/// abandoned request harms only its own connection.
+fn serve_connection(
+    mut stream: TcpStream,
+    id: u64,
+    reading: &Mutex<HashMap<u64, TcpStream>>,
+    requests: &Sender<Exchange>,
+) {
+    let request = set_socket_timeouts(&stream)
+        .map_err(|e| format!("configuring connection: {e}"))
+        .and_then(|()| read_request(&mut stream));
+    reading.lock().expect("no connection thread panics").remove(&id);
+    let request = match request {
+        Ok(request) => request,
+        Err(e) => {
+            eprintln!("serve: dropping connection: {e}");
+            return;
+        }
+    };
+    let (reply, replied) = mpsc::channel();
+    // Both fail only once the state thread has finished: the client sees
+    // the connection close.
+    if requests.send(Exchange { request, reply }).is_err() {
+        return;
+    }
+    let Ok((status, reason, body)) = replied.recv() else { return };
+    if let Err(e) = write_response(&mut stream, status, reason, "application/json", body.as_bytes())
+    {
+        eprintln!("serve: dropping connection mid-response: {e}");
+    }
+}
+
+/// Where to connect to reach a listener bound to `addr` (a wildcard bind
+/// is reached over loopback).
+fn wake_address(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    addr
 }

@@ -59,7 +59,7 @@ pub fn set_socket_timeouts(stream: &TcpStream) -> std::io::Result<()> {
 
 /// Reads everything up to and including the blank line that ends the
 /// header block, returning (head bytes, leftover body bytes already read).
-fn read_head(stream: &mut TcpStream) -> Result<(Vec<u8>, Vec<u8>), String> {
+fn read_head(stream: &mut impl Read) -> Result<(Vec<u8>, Vec<u8>), String> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     loop {
@@ -95,8 +95,10 @@ fn parse_headers(lines: std::str::Lines<'_>) -> Result<Vec<(String, String)>, St
     Ok(headers)
 }
 
+/// Reads the `Content-Length` body. The buffer grows only as bytes
+/// arrive, so a claimed length costs nothing until it is actually sent.
 fn read_body(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     headers: &[(String, String)],
     mut body: Vec<u8>,
 ) -> Result<Vec<u8>, String> {
@@ -121,13 +123,16 @@ fn read_body(
     Ok(body)
 }
 
-/// Reads and parses one request from `stream`.
+/// Reads and parses one request from `stream` (a socket, or any byte
+/// source).
 ///
 /// # Errors
 ///
-/// Fails on I/O errors (including timeouts), a malformed request line or
-/// header, or head/body size caps; the caller should drop the connection.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+/// Fails on I/O errors (including timeouts), a stream that ends before
+/// the head or the `Content-Length` body is complete, a malformed request
+/// line or header, or head/body size caps; the caller should drop the
+/// connection.
+pub fn read_request(stream: &mut impl Read) -> Result<Request, String> {
     let (head, leftover) = read_head(stream)?;
     let head = std::str::from_utf8(&head).map_err(|_| "non-UTF-8 header block".to_string())?;
     let mut lines = head.lines();

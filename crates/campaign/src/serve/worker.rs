@@ -9,14 +9,20 @@
 //! determinism makes the re-run produce the identical partial, and the
 //! merge layer's duplicate handling absorbs the case where both
 //! executions eventually upload.
+//!
+//! Each upload carries the worker's shard event stream in the partial's
+//! `telemetry` section, so a coordinator's trace and counters cover the
+//! cells its workers ran.
 
 use super::http::{request, CoordinatorUrl};
 use super::wire::{
     lease_request, parse_renew_reply, renew_request, Lease, LeaseReply, UploadReply,
 };
+use crate::artifact::PartialArtifact;
 use crate::plan::CampaignPlan;
-use crate::shard::execute_shard;
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::shard::execute_shard_traced;
+use specstab_telemetry::TraceWriter;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// Worker knobs.
@@ -82,30 +88,23 @@ fn fetch_plan(url: &CoordinatorUrl) -> Result<CampaignPlan, String> {
     CampaignPlan::from_json(text)
 }
 
-/// Executes one leased shard while a sidecar thread renews the lease at a
-/// third of its duration, so long shards never expire under a live worker.
+/// Executes one leased shard, recording its event stream into the
+/// partial's telemetry, while a sidecar thread renews the lease at a third
+/// of its duration, so long shards never expire under a live worker. The
+/// sidecar waits on a channel whose sender is dropped when the shard
+/// ends, so it stops at once instead of finishing a sleep.
 fn execute_leased(
     url: &CoordinatorUrl,
     opts: &WorkOptions,
     plan: &CampaignPlan,
     lease: &Lease,
-) -> Result<crate::artifact::PartialArtifact, String> {
-    let done = AtomicBool::new(false);
+) -> Result<PartialArtifact, String> {
     let renew_every = Duration::from_millis((lease.lease_ms / 3).max(50));
+    let (shard_running, shard_ended) = mpsc::channel::<()>();
     std::thread::scope(|scope| {
-        scope.spawn(|| {
+        scope.spawn(move || {
             let body = renew_request(&opts.worker_id, lease.lease_id);
-            while !done.load(Ordering::Relaxed) {
-                // Sleep in short slices so worker shutdown is prompt.
-                let mut slept = Duration::ZERO;
-                while slept < renew_every && !done.load(Ordering::Relaxed) {
-                    let slice = Duration::from_millis(50).min(renew_every - slept);
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
-                if done.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = shard_ended.recv_timeout(renew_every) {
                 match post(url, "/renew", &body) {
                     Ok((200, reply)) => {
                         if !parse_renew_reply(&reply).unwrap_or(true) {
@@ -127,27 +126,20 @@ fn execute_leased(
                 }
             }
         });
-        let partial = execute_shard(plan, lease.shard as usize, opts.threads.max(1));
-        done.store(true, Ordering::Relaxed);
-        partial
+        let mut trace = TraceWriter::in_memory(Some(lease.shard), "work");
+        let partial =
+            execute_shard_traced(&mut trace, plan, lease.shard as usize, opts.threads.max(1));
+        drop(shard_running);
+        let mut partial = partial?;
+        partial.telemetry = trace.into_events();
+        Ok(partial)
     })
 }
 
 /// Uploads a partial with bounded-jittered retries. `Ok(true)` means a
-/// fresh acceptance, `Ok(false)` a duplicate acknowledgement. `routing`
-/// is the worker's batched-vs-scalar routing tally for this shard
-/// (`routed_sync,routed_rr,routed_rand,routed_dist,fallback_sync,`
-/// `fallback_rr,fallback_rand,fallback_dist`), carried as a
-/// header so the coordinator's `/status` can report how much of the
-/// campaign ran lane-packed without touching the partial artifact bytes.
-fn upload(
-    url: &CoordinatorUrl,
-    opts: &WorkOptions,
-    body: &str,
-    routing: &str,
-) -> Result<Option<bool>, String> {
-    let headers =
-        [("x-specstab-worker", opts.worker_id.as_str()), ("x-specstab-batch-routing", routing)];
+/// fresh acceptance, `Ok(false)` a duplicate acknowledgement.
+fn upload(url: &CoordinatorUrl, opts: &WorkOptions, body: &str) -> Result<Option<bool>, String> {
+    let headers = [("x-specstab-worker", opts.worker_id.as_str())];
     let mut last_err = String::new();
     for attempt in 0..UPLOAD_ATTEMPTS {
         match request(url, "POST", "/upload", &headers, body.as_bytes()) {
@@ -247,21 +239,8 @@ pub fn run_worker(opts: &WorkOptions) -> Result<WorkerSummary, String> {
             );
             return Ok(summary);
         }
-        let before = specstab_telemetry::global().snapshot();
         let partial = execute_leased(&url, opts, &plan, &lease)?;
-        let d = specstab_telemetry::global().snapshot().delta(&before);
-        let routing = format!(
-            "{},{},{},{},{},{},{},{}",
-            d.batch_routed_sync_groups,
-            d.batch_routed_rr_groups,
-            d.batch_routed_rand_groups,
-            d.batch_routed_dist_groups,
-            d.batch_fallback_sync_groups,
-            d.batch_fallback_rr_groups,
-            d.batch_fallback_rand_groups,
-            d.batch_fallback_dist_groups
-        );
-        match upload(&url, opts, &partial.to_json(), &routing)? {
+        match upload(&url, opts, &partial.to_json())? {
             Some(true) => summary.executed += 1,
             Some(false) => {
                 summary.duplicates += 1;

@@ -1,9 +1,10 @@
 //! End-to-end drills for the serve subsystem, all in-process on
 //! `127.0.0.1:0`: elastic pull-workers against a real coordinator socket,
 //! an abandoned lease expiring and being re-dispatched, a coordinator
-//! "crash" resumed from its spool, wire-level duplicate/reject handling,
-//! and the `/status` snapshot — with the final artifact byte-identical to
-//! a single-process run every time.
+//! "crash" resumed from its spool (worker telemetry included), a client
+//! stalled mid-request, wire-level duplicate/reject handling, and the
+//! `/status` snapshot — with the final artifact byte-identical to a
+//! single-process run every time.
 
 use specstab_campaign::artifact::to_json;
 use specstab_campaign::executor::{run_campaign_sequential, CampaignConfig};
@@ -13,8 +14,22 @@ use specstab_campaign::serve::http::{request, CoordinatorUrl};
 use specstab_campaign::serve::wire::{lease_request, renew_request, LeaseReply, UploadReply};
 use specstab_campaign::serve::{run_worker, Coordinator, ServeOptions, WorkOptions};
 use specstab_campaign::shard::execute_shard;
-use specstab_telemetry::{parse_ndjson, validate_events, EventKind, Json};
-use std::path::PathBuf;
+use specstab_telemetry::{parse_ndjson, validate_events, CounterSnapshot, EventKind, Json};
+use std::io::Write as _;
+use std::net::TcpStream;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+/// Serializes this suite's tests. Workers run as threads of the test
+/// process, and a shard's `shard_end` counters are a delta of the
+/// process-global engine counters: exact only while nothing else in the
+/// process executes cells.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn matrix() -> ScenarioMatrix {
     ScenarioMatrix::builder()
@@ -32,6 +47,36 @@ fn config() -> CampaignConfig {
 
 fn golden() -> String {
     to_json(&run_campaign_sequential(&matrix(), &config()), true)
+}
+
+/// The `campaign_end` counters of a trace file.
+fn campaign_end_counters(trace: &Path) -> CounterSnapshot {
+    let events = parse_ndjson(&std::fs::read_to_string(trace).expect("trace written"))
+        .expect("trace parses");
+    events
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::CampaignEnd { counters, .. } => Some(counters),
+            _ => None,
+        })
+        .expect("campaign_end event")
+}
+
+/// `campaign_end` counters of the suite's matrix run in-process by the
+/// `campaign` binary with `--trace`.
+fn inprocess_counters(dir: &Path) -> CounterSnapshot {
+    let trace = dir.join("inprocess.events.ndjson");
+    let output = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["--topologies", "ring:6,path:5", "--protocols", "ssme"])
+        .args(["--daemons", "sync,dist:0.5", "--faults", "0,1", "--seeds", "3"])
+        .args(["--seed", &config().seed.to_string()])
+        .args(["--max-steps", &config().max_steps.to_string()])
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .expect("campaign spawns");
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    campaign_end_counters(&trace)
 }
 
 /// A fresh scratch directory under the system temp dir.
@@ -57,6 +102,7 @@ fn worker_opts(addr: &str, id: &str) -> WorkOptions {
 /// coordinator trace validates and shows the whole lease lifecycle.
 #[test]
 fn expired_lease_is_redispatched_and_artifact_stays_byte_identical() {
+    let _serial = serial();
     let dir = scratch("drill");
     let trace_path = dir.join("serve.events.ndjson");
     let plan = CampaignPlan::new(&matrix(), &config(), 4);
@@ -113,9 +159,12 @@ fn expired_lease_is_redispatched_and_artifact_stays_byte_identical() {
 /// A coordinator killed after the first upload resumes from its spool:
 /// the restarted instance re-accepts the checkpoint from disk (worker
 /// `"spool"`, no re-lease of the completed shard) and only the remaining
-/// shards are executed again.
+/// shards are executed again. The spooled upload keeps its telemetry, so
+/// the resumed coordinator's `/status` routing counts and `campaign_end`
+/// counters cover the resumed shard too.
 #[test]
 fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
+    let _serial = serial();
     let dir = scratch("resume");
     let spool = dir.join("spool");
     let plan = CampaignPlan::new(&matrix(), &config(), 3);
@@ -156,9 +205,23 @@ fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
     .expect("rebind");
     let addr = coordinator.local_addr().expect("addr").to_string();
     let serve = std::thread::spawn(move || coordinator.run());
+    let url = CoordinatorUrl::parse(&format!("http://{addr}")).expect("url");
+    let (_, body) = request(&url, "GET", "/status", &[], b"").expect("status");
+    let status = Json::parse(std::str::from_utf8(&body).unwrap()).expect("parses");
+    let routing = status.req("serve").unwrap().req("batch_groups").unwrap();
+    let routed = ["routed_sync", "routed_dist"]
+        .map(|k| routing.req(k).unwrap().as_u64().unwrap())
+        .iter()
+        .sum::<u64>();
+    assert!(routed > 0, "the resumed shard's lane-routed groups reach /status");
     let w2 = run_worker(&worker_opts(&addr, "w2")).expect("worker ok");
     let result = serve.join().expect("serve thread").expect("serve ok").expect("completed");
     assert_eq!(to_json(&result, true), golden(), "resumed artifact drifted");
+
+    let (resumed, inprocess) = (campaign_end_counters(&trace_path), inprocess_counters(&dir));
+    assert_eq!(resumed.steps, inprocess.steps, "campaign_end steps cover the spooled shard");
+    assert_eq!(resumed.moves, inprocess.moves, "campaign_end moves cover the spooled shard");
+    assert!(resumed.moves > 0);
 
     let text = std::fs::read_to_string(&trace_path).expect("trace written");
     let events = parse_ndjson(&text).expect("trace parses");
@@ -199,11 +262,69 @@ fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A client that sends half an upload and then holds its socket stalls
+/// only its own connection: two workers finish the campaign well within
+/// the 10 s socket timeout the stalled read waits out, and the artifact
+/// is the single-process one.
+#[test]
+fn stalled_client_does_not_stall_the_coordinator() {
+    let _serial = serial();
+    let dir = scratch("stalled");
+    let plan = CampaignPlan::new(&matrix(), &config(), 4);
+    let coordinator = Coordinator::bind(
+        plan,
+        "127.0.0.1:0",
+        ServeOptions {
+            lease_ms: 5_000,
+            spool: dir.join("spool"),
+            trace_path: None,
+            stop_after_uploads: None,
+        },
+    )
+    .expect("bind");
+    let addr = coordinator.local_addr().expect("addr").to_string();
+    let started = Instant::now();
+    let (done, finished) = mpsc::channel();
+    let serve = std::thread::spawn(move || {
+        let _ = done.send(coordinator.run());
+    });
+
+    // A head promising 100 body bytes, then 10 of them, then silence.
+    let mut stalled = TcpStream::connect(&addr).expect("connect");
+    stalled
+        .write_all(b"POST /upload HTTP/1.1\r\ncontent-length: 100\r\n\r\n0123456789")
+        .expect("send half a request");
+
+    let workers: Vec<_> = ["w1", "w2"]
+        .into_iter()
+        .map(|id| {
+            let opts = worker_opts(&addr, id);
+            std::thread::spawn(move || run_worker(&opts))
+        })
+        .collect();
+    let result = finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the campaign completes within 5 s despite the stalled client")
+        .expect("serve ok")
+        .expect("completed");
+    assert!(started.elapsed() < Duration::from_secs(5));
+    assert_eq!(to_json(&result, true), golden(), "served artifact drifted from single-process");
+    serve.join().expect("serve thread");
+    let executed: u64 = workers
+        .into_iter()
+        .map(|h| h.join().expect("worker thread").expect("worker ok").executed)
+        .sum();
+    assert_eq!(executed, 4);
+    drop(stalled);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Wire-level behaviour, driven without `run_worker`: `/plan` and
 /// `/status` payloads, manual lease + bogus renew, fingerprint rejection,
 /// and the duplicate-upload acknowledgement.
 #[test]
 fn wire_endpoints_status_duplicates_and_rejections() {
+    let _serial = serial();
     let dir = scratch("wire");
     let plan = CampaignPlan::new(&matrix(), &config(), 2);
     let total_cells = plan.cells.len();

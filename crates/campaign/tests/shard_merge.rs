@@ -84,6 +84,7 @@ fn partial_for_range(shard_id: usize, start: usize, end: usize) -> PartialArtifa
         config: config(),
         cells: r.result.cells[start..end].to_vec(),
         groups,
+        telemetry: Vec::new(),
     }
 }
 

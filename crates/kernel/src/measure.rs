@@ -7,9 +7,10 @@
 //! tests and by [`crate::spec::closure_violation`]).
 //!
 //! The daemon-level stabilization time `conv_time(π, d)` is the supremum
-//! over all executions allowed by `d`; [`max_over_runs`] estimates it by
-//! sampling (a lower bound on the worst case), while [`crate::search`]
-//! computes it exactly on small instances.
+//! over all executions allowed by `d`; a campaign estimates it by sampling
+//! (the maximum measured time over a scenario group's runs, a lower bound
+//! on the worst case), while [`crate::search`] computes it exactly on
+//! small instances.
 //!
 //! Two scalar measurement paths produce the same [`StabilizationReport`]:
 //!
@@ -418,33 +419,6 @@ pub fn measure_stabilization<P: Protocol>(
     MeasurementContext::new(safety, legitimacy).run(&sim, daemon, init, settings.max_steps)
 }
 
-/// Runs [`measure_stabilization`] repeatedly (fresh daemon state per run via
-/// `Daemon::reset`, distinct initial configurations supplied by `inits`) and
-/// returns the per-run reports.
-pub fn measure_many<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    daemon: &mut dyn Daemon<P::State>,
-    inits: impl IntoIterator<Item = Configuration<P::State>>,
-    safety: impl Fn() -> ConfigPredicate<P::State>,
-    legitimacy: impl Fn() -> ConfigPredicate<P::State>,
-    settings: &MeasureSettings,
-) -> Vec<StabilizationReport> {
-    inits
-        .into_iter()
-        .map(|init| {
-            measure_stabilization(graph, protocol, daemon, init, safety(), legitimacy(), settings)
-        })
-        .collect()
-}
-
-/// Maximum measured stabilization time across reports — the sampling
-/// estimate (lower bound) of `conv_time(π, d)`.
-#[must_use]
-pub fn max_over_runs(reports: &[StabilizationReport]) -> usize {
-    reports.iter().map(|r| r.stabilization_steps).max().unwrap_or(0)
-}
-
 /// Convenience: run once with early stopping once a *closed* legitimacy
 /// predicate has held for `margin + 1` consecutive configurations.
 ///
@@ -540,32 +514,6 @@ mod tests {
         );
         assert_eq!(report.stabilization_steps, 7);
         assert!(report.ended_legitimate);
-    }
-
-    #[test]
-    fn measure_many_and_max() {
-        let g = generators::path(5).unwrap();
-        let inits = vec![
-            Configuration::from_fn(5, |v| if v.index() == 0 { 9 } else { 0 }),
-            Configuration::from_fn(5, |v| if v.index() == 2 { 9 } else { 0 }),
-            Configuration::from_fn(5, |_| 9),
-        ];
-        let mut d = SynchronousDaemon::new();
-        let reports = measure_many(
-            &g,
-            &MaxProto,
-            &mut d,
-            inits,
-            uniform_pred,
-            uniform_pred,
-            &MeasureSettings::new(100),
-        );
-        assert_eq!(reports.len(), 3);
-        // Worst case: the max value at an end of the path (4 steps to cover
-        // distance 4 = eccentricity of v0).
-        assert_eq!(max_over_runs(&reports), 4);
-        // The already-uniform run never violates safety.
-        assert_eq!(reports[2].stabilization_steps, 0);
     }
 
     /// Safe: at most one vertex holds 0. Legitimate: uniform, read as "no

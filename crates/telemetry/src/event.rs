@@ -11,11 +11,11 @@
 //!
 //! Timestamps and wall-clock fields are **observability data**: they make
 //! event streams deliberately non-reproducible across runs, which is why
-//! events live in their own sidecar files and never feed the deterministic
-//! campaign artifacts. What *is* deterministic is the interleaving:
-//! [`merge_streams`] orders any set of complete shard streams purely by
-//! `(shard, seq)`, so a merged trace is byte-identical no matter the order
-//! in which workers finished or their files were read back.
+//! events live in their own sidecar files (or the `telemetry` section of a
+//! partial artifact) and never feed the deterministic campaign artifacts.
+//! A coordinator splices each worker's shard stream into its own trace as
+//! the worker's upload is accepted; [`validate_events`] checks every
+//! stream of such a trace independently.
 
 use crate::counters::CounterSnapshot;
 use crate::json::{obj, Json};
@@ -313,6 +313,12 @@ impl Event {
     /// Serializes to one NDJSON line (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
+        self.to_json().render_compact()
+    }
+
+    /// The event as one JSON object (the NDJSON line's value).
+    #[must_use]
+    pub fn to_json(&self) -> Json {
         let mut fields = vec![("event", Json::Str(self.kind.tag().into()))];
         if let Some(shard) = self.shard {
             fields.push(("shard", Json::UInt(shard)));
@@ -409,7 +415,7 @@ impl Event {
                 fields.push(("counters", counters_json(counters)));
             }
         }
-        obj(fields).render_compact()
+        obj(fields)
     }
 
     /// Parses one NDJSON line through the strict [`Json`] reader.
@@ -419,7 +425,15 @@ impl Event {
     /// Rejects malformed JSON, unknown `event` tags, and missing or
     /// mistyped fields.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let j = Json::parse(line)?;
+        Self::from_json(&Json::parse(line)?)
+    }
+
+    /// Reads one event from its JSON object (see [`Event::to_json`]).
+    ///
+    /// # Errors
+    ///
+    /// Rejects unknown `event` tags and missing or mistyped fields.
+    pub fn from_json(j: &Json) -> Result<Self, String> {
         let tag = j.req("event")?.as_str()?.to_string();
         let shard = match j.get("shard") {
             Some(s) => Some(s.as_u64()?),
@@ -502,8 +516,8 @@ impl Event {
                 cells: j.req("cells")?.as_u64()?,
                 groups: j.req("groups")?.as_u64()?,
                 parse: ParseTally {
-                    bytes: opt_u64(&j, "parsed_bytes")?,
-                    us: opt_u64(&j, "parse_us")?,
+                    bytes: opt_u64(j, "parsed_bytes")?,
+                    us: opt_u64(j, "parse_us")?,
                 },
             },
             "campaign_end" => EventKind::CampaignEnd {
@@ -531,20 +545,6 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<Event>, String> {
         .filter(|(_, line)| !line.trim().is_empty())
         .map(|(i, line)| Event::from_json_line(line).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect()
-}
-
-/// Interleaves complete event streams into one deterministic sequence:
-/// ordered by `(shard, seq)`, with shard-less (orchestrator) events
-/// ordered after all shard streams. Input stream order — and the order of
-/// events across different streams — does not affect the output, which is
-/// what makes merged traces reproducible regardless of worker completion
-/// order. Streams must carry distinct shard ids; within a stream, `seq` is
-/// unique by construction.
-#[must_use]
-pub fn merge_streams(streams: Vec<Vec<Event>>) -> Vec<Event> {
-    let mut all: Vec<Event> = streams.into_iter().flatten().collect();
-    all.sort_by_key(|e| (e.shard.unwrap_or(u64::MAX), e.seq));
-    all
 }
 
 /// Validates the `specstab-events/v1` stream discipline over a parsed
@@ -613,11 +613,21 @@ pub fn validate_events(events: &[Event]) -> Result<(), String> {
 /// stream's shard id, the next sequence number, and microseconds since the
 /// writer's creation (the stream epoch), so emission order alone
 /// guarantees the stream discipline [`validate_events`] checks.
+///
+/// A writer either streams to a file ([`TraceWriter::create`]) or keeps
+/// its events in memory ([`TraceWriter::in_memory`]) — a `campaign work`
+/// worker's shard stream, which travels inside its partial's `telemetry`
+/// section instead of a file.
 pub struct TraceWriter {
-    out: BufWriter<File>,
+    sink: Sink,
     shard: Option<u64>,
     seq: u64,
     epoch: Instant,
+}
+
+enum Sink {
+    File(BufWriter<File>),
+    Memory(Vec<Event>),
 }
 
 impl TraceWriter {
@@ -629,7 +639,19 @@ impl TraceWriter {
     pub fn create(path: &Path, shard: Option<u64>, source: &str) -> Result<Self, String> {
         let file =
             File::create(path).map_err(|e| format!("creating trace {}: {e}", path.display()))?;
-        let mut writer = Self { out: BufWriter::new(file), shard, seq: 0, epoch: Instant::now() };
+        Self::open(Sink::File(BufWriter::new(file)), shard, source)
+    }
+
+    /// Starts a stream recorded in memory (read back with
+    /// [`TraceWriter::into_events`]), header included.
+    #[must_use]
+    pub fn in_memory(shard: Option<u64>, source: &str) -> Self {
+        Self::open(Sink::Memory(Vec::new()), shard, source)
+            .expect("recording an event in memory cannot fail")
+    }
+
+    fn open(sink: Sink, shard: Option<u64>, source: &str) -> Result<Self, String> {
+        let mut writer = Self { sink, shard, seq: 0, epoch: Instant::now() };
         writer
             .emit(EventKind::Stream { schema: EVENTS_SCHEMA.into(), source: source.to_string() })?;
         Ok(writer)
@@ -648,34 +670,49 @@ impl TraceWriter {
             kind,
         };
         self.seq += 1;
-        self.write_line(&event)
+        self.emit_raw(event)
     }
 
-    /// Writes an already-stamped event verbatim — the pass-through the
-    /// orchestrator uses to splice merged shard streams into the final
-    /// trace without re-stamping them.
+    /// Writes an already-stamped event verbatim — the pass-through a
+    /// coordinator uses to splice a worker's shard stream into its own
+    /// trace without re-stamping it.
     ///
     /// # Errors
     ///
     /// Returns a message on write failure.
-    pub fn emit_raw(&mut self, event: &Event) -> Result<(), String> {
-        self.write_line(event)
+    pub fn emit_raw(&mut self, event: Event) -> Result<(), String> {
+        match &mut self.sink {
+            Sink::File(out) => out
+                .write_all(event.to_json_line().as_bytes())
+                .and_then(|()| out.write_all(b"\n"))
+                .map_err(|e| format!("writing trace: {e}")),
+            Sink::Memory(events) => {
+                events.push(event);
+                Ok(())
+            }
+        }
     }
 
-    fn write_line(&mut self, event: &Event) -> Result<(), String> {
-        self.out
-            .write_all(event.to_json_line().as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-            .map_err(|e| format!("writing trace: {e}"))
+    /// The events an in-memory stream recorded (a file stream's are on
+    /// disk, so it returns none).
+    #[must_use]
+    pub fn into_events(self) -> Vec<Event> {
+        match self.sink {
+            Sink::File(_) => Vec::new(),
+            Sink::Memory(events) => events,
+        }
     }
 
-    /// Flushes the stream to disk.
+    /// Flushes a file stream to disk.
     ///
     /// # Errors
     ///
     /// Returns a message on flush failure.
-    pub fn finish(mut self) -> Result<(), String> {
-        self.out.flush().map_err(|e| format!("flushing trace: {e}"))
+    pub fn finish(self) -> Result<(), String> {
+        match self.sink {
+            Sink::File(mut out) => out.flush().map_err(|e| format!("flushing trace: {e}")),
+            Sink::Memory(_) => Ok(()),
+        }
     }
 }
 
@@ -856,16 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_streams_is_independent_of_input_order() {
-        let a = stream(0, &[EventKind::ShardStart { start: 0, end: 2 }]);
-        let b = stream(1, &[EventKind::ShardStart { start: 2, end: 4 }]);
-        let c = stream(2, &[EventKind::ShardStart { start: 4, end: 6 }]);
-        let canonical = merge_streams(vec![a.clone(), b.clone(), c.clone()]);
-        assert_eq!(merge_streams(vec![c, a, b]), canonical);
-        validate_events(&canonical).expect("merged stream is valid");
-    }
-
-    #[test]
     fn validate_catches_stream_violations() {
         let good = stream(0, &[EventKind::MergeStart { partials: 1 }]);
         validate_events(&good).expect("valid");
@@ -904,5 +931,15 @@ mod tests {
         validate_events(&events).expect("valid stream");
         assert_eq!(events[0].kind.tag(), "stream");
         assert_eq!(events[1].shard, Some(1));
+
+        let mut w = TraceWriter::in_memory(Some(1), "shard");
+        w.emit(EventKind::ShardStart { start: 0, end: 4 }).expect("emit");
+        w.emit(EventKind::MergeStart { partials: 2 }).expect("emit");
+        let recorded = w.into_events();
+        assert_eq!(
+            recorded.iter().map(|e| &e.kind).collect::<Vec<_>>(),
+            [&events[0].kind, &events[1].kind, &events[2].kind]
+        );
+        validate_events(&recorded).expect("valid in-memory stream");
     }
 }

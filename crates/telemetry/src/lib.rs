@@ -14,9 +14,9 @@
 //!   depth-bounded recursive-descent reader;
 //! * [`event`] — the versioned `specstab-events/v1` NDJSON event stream:
 //!   campaign/plan/shard/cell/merge lifecycle events with per-stream
-//!   monotonic sequence numbers and timestamps, a buffered
-//!   [`event::TraceWriter`], and the deterministic multi-stream
-//!   [`event::merge_streams`] interleaver;
+//!   monotonic sequence numbers and timestamps, and a buffered
+//!   [`event::TraceWriter`] (to a file, or in memory for the stream a
+//!   worker ships inside its partial);
 //! * [`metrics`] — the `specstab-metrics/v1` sidecar artifact (wall clock
 //!   per cell/group/shard, throughput, counter totals) built from an event
 //!   stream, kept strictly separate from the deterministic campaign
@@ -41,8 +41,7 @@ pub mod progress;
 
 pub use counters::{global, BatchDaemonClass, CounterSnapshot, RunCounters};
 pub use event::{
-    merge_streams, parse_ndjson, validate_events, Event, EventKind, ParseTally, TraceWriter,
-    EVENTS_SCHEMA,
+    parse_ndjson, validate_events, Event, EventKind, ParseTally, TraceWriter, EVENTS_SCHEMA,
 };
 pub use json::{obj, Json, MAX_PARSE_DEPTH};
 pub use metrics::{metrics_from_events, METRICS_SCHEMA};
