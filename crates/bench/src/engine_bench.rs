@@ -365,7 +365,10 @@ pub fn bench_protocol_zoo(c: &mut Criterion) {
 /// Partial-artifact parse throughput in bytes/s: `PartialArtifact::from_json`
 /// on the partial `execute_shard` writes for the first golden invocation's
 /// matrix (54 ssme cells, one shard) — the read `run --workers`, `merge`
-/// and the `serve` coordinator perform for every partial.
+/// and the `serve` coordinator perform for every partial. The partial
+/// carries cells only (`specstab-campaign-partial/v2`, ~29 KB; the v1
+/// document with accumulator state was ~162 KB), and the per-byte rate
+/// the id gates is the reader's, whatever the document size.
 pub fn bench_io(c: &mut Criterion) {
     let matrix = ScenarioMatrix::builder()
         .topologies(["ring:8", "torus:3x4"])

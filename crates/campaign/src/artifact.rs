@@ -9,22 +9,21 @@
 //! clock and host facts never enter the final artifact.
 //!
 //! A [`PartialArtifact`] is one shard's complete output: an env/provenance
-//! header, the shard's per-cell results, and the **full internal state** of
-//! every per-group statistics accumulator. Floating-point state is stored
-//! as `f64::to_bits` integers, so a partial round-trips through JSON
-//! without losing a single bit — the property that lets
-//! [`crate::merge::merge_partials`] reproduce the single-process artifact
-//! byte for byte. A partial a `campaign work` worker uploads also carries
-//! the worker's shard event stream in an optional `telemetry` section,
-//! which the merge and the final artifact ignore.
+//! header and the shard's per-cell results — every number a group
+//! statistic is computed from, all integers, so a partial round-trips
+//! through JSON losslessly. [`crate::merge::merge_partials`] derives the
+//! group statistics from the merged cells, which is what makes it
+//! reproduce the single-process artifact byte for byte. A partial a
+//! `campaign work` worker uploads also carries the worker's shard event
+//! stream in an optional `telemetry` section, which the merge and the
+//! final artifact ignore.
 
 use crate::executor::{CampaignConfig, CampaignResult, CellOutcome, CellResult, GroupSummary};
 use crate::matrix::{Cell, InitMode};
-use crate::stats::{OnlineStats, OnlineStatsState, P2State};
+use crate::stats::OnlineStats;
 use specstab_kernel::daemon::DaemonClass;
 use specstab_telemetry::{validate_events, Event};
 use std::fmt::Write as _;
-use std::time::Duration;
 
 // The JSON value type moved down into `specstab-telemetry` (the event
 // stream and metrics sidecar speak the same format); re-exported here so
@@ -193,8 +192,9 @@ pub fn write_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<(
 
 /// Schema identifier of the partial-artifact format. Bump on any change to
 /// the layout below; [`PartialArtifact::from_json`] rejects every other
-/// value.
-pub const PARTIAL_SCHEMA: &str = "specstab-campaign-partial/v1";
+/// value, including the `v1` partials (and spools) of older binaries,
+/// which carried accumulator state instead of deriving it.
+pub const PARTIAL_SCHEMA: &str = "specstab-campaign-partial/v2";
 
 /// The campaign-parameter header fields shared by the plan and partial
 /// schemas (`threads` is a per-process execution detail and is never
@@ -219,16 +219,14 @@ pub(crate) fn config_from_header(header: &Json) -> Result<CampaignConfig, String
 }
 
 /// One shard's complete campaign output: which contiguous cell range of
-/// which plan it covers, the per-cell results, and the full internal state
-/// of every per-group statistics accumulator.
+/// which plan it covers, and the per-cell results.
 ///
 /// Partials are the interchange format of the plan → shard → merge
 /// pipeline: any set of partials that tiles a plan's cell range merges
 /// (see [`crate::merge::merge_partials`]) into a [`CampaignResult`] whose
-/// JSON/CSV artifacts are **byte-identical** to a single-process run, as
-/// long as shard boundaries are group-aligned (the planner's invariant).
-/// All floating-point state serializes as `f64::to_bits` integers, so the
-/// JSON round trip is lossless down to the bit.
+/// JSON/CSV artifacts are **byte-identical** to a single-process run,
+/// wherever the shards were cut. A partial carries no statistics: the
+/// merge derives every group's from the merged cells.
 ///
 /// `telemetry` is observability data riding along with the results: the
 /// `specstab-events/v1` stream of the worker that executed the shard
@@ -255,8 +253,6 @@ pub struct PartialArtifact {
     pub config: CampaignConfig,
     /// Per-cell results, in canonical order, for cells `start..end`.
     pub cells: Vec<CellResult>,
-    /// Per-group accumulator states, ordered by first appearance.
-    pub groups: Vec<GroupSummary>,
     /// The executing worker's shard event stream (empty when none was
     /// recorded); every event carries this partial's shard id.
     pub telemetry: Vec<Event>,
@@ -264,7 +260,8 @@ pub struct PartialArtifact {
 
 impl PartialArtifact {
     /// Packages a shard execution (the [`CampaignResult`] of running cells
-    /// `start..start + result.cells.len()` of a plan) as a partial.
+    /// `start..start + result.cells.len()` of a plan) as a partial. The
+    /// result's group statistics are dropped: the merge derives them.
     #[must_use]
     pub fn from_result(
         result: CampaignResult,
@@ -281,13 +278,12 @@ impl PartialArtifact {
             plan_fingerprint,
             config: result.config,
             cells: result.cells,
-            groups: result.groups,
             telemetry: Vec::new(),
         }
     }
 
     /// Serializes the partial (versioned header with provenance, cells,
-    /// group states).
+    /// telemetry when recorded).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut header = vec![
@@ -311,7 +307,6 @@ impl PartialArtifact {
         let mut root = vec![
             ("partial", obj(header)),
             ("cells", Json::Arr(self.cells.iter().map(cell_result_json).collect())),
-            ("groups", Json::Arr(self.groups.iter().map(group_state_json).collect())),
         ];
         if !self.telemetry.is_empty() {
             root.push((
@@ -328,9 +323,9 @@ impl PartialArtifact {
     ///
     /// Rejects syntactically invalid JSON, any schema string other than
     /// [`PARTIAL_SCHEMA`], missing or mistyped fields, structurally
-    /// inconsistent partials (range/cell-count mismatch, group run counts
-    /// that do not add up to the cell count), and a `telemetry` section
-    /// that is not one valid event stream of this partial's shard.
+    /// inconsistent partials (range/cell-count mismatch), and a
+    /// `telemetry` section that is not one valid event stream of this
+    /// partial's shard.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let root = Json::parse(text)?;
         let header = root.req("partial")?;
@@ -353,24 +348,11 @@ impl PartialArtifact {
             .iter()
             .map(cell_result_from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        let groups = root
-            .req("groups")?
-            .as_arr()?
-            .iter()
-            .map(group_state_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
         if start > end || end > total_cells {
             return Err(format!("bad cell range {start}..{end} of {total_cells}"));
         }
         if cells.len() != end - start {
             return Err(format!("cell count {} disagrees with range {start}..{end}", cells.len()));
-        }
-        let group_runs: u64 = groups.iter().map(|g| g.runs).sum();
-        if group_runs != cells.len() as u64 {
-            return Err(format!(
-                "group run total {group_runs} disagrees with {} cells",
-                cells.len()
-            ));
         }
         let telemetry = match root.get("telemetry") {
             None => Vec::new(),
@@ -390,102 +372,8 @@ impl PartialArtifact {
                 events
             }
         };
-        Ok(Self {
-            shard_id,
-            start,
-            end,
-            total_cells,
-            plan_fingerprint,
-            config,
-            cells,
-            groups,
-            telemetry,
-        })
+        Ok(Self { shard_id, start, end, total_cells, plan_fingerprint, config, cells, telemetry })
     }
-
-    /// Reconstructs the shard's [`CampaignResult`] (e.g. to render its
-    /// profile table in isolation). Wall clock is zero and `threads_used`
-    /// is 1 — neither enters artifacts.
-    #[must_use]
-    pub fn into_result(self) -> CampaignResult {
-        CampaignResult {
-            cells: self.cells,
-            groups: self.groups,
-            threads_used: 1,
-            wall: Duration::ZERO,
-            config: self.config,
-        }
-    }
-}
-
-fn bits(x: f64) -> Json {
-    Json::UInt(x.to_bits())
-}
-
-fn f64_bits(j: &Json) -> Result<f64, String> {
-    Ok(f64::from_bits(j.as_u64()?))
-}
-
-fn bits_arr(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| bits(x)).collect())
-}
-
-fn f64_bits_vec(j: &Json) -> Result<Vec<f64>, String> {
-    j.as_arr()?.iter().map(f64_bits).collect()
-}
-
-fn f64_bits_arr5(j: &Json) -> Result<[f64; 5], String> {
-    let v = f64_bits_vec(j)?;
-    <[f64; 5]>::try_from(v).map_err(|v| format!("expected 5 marker values, got {}", v.len()))
-}
-
-fn p2_json(s: &P2State) -> Json {
-    obj(vec![
-        ("p_bits", bits(s.p)),
-        ("q_bits", bits_arr(&s.q)),
-        ("n_bits", bits_arr(&s.n)),
-        ("np_bits", bits_arr(&s.np)),
-        ("count", Json::UInt(s.count)),
-        ("warmup_bits", bits_arr(&s.warmup)),
-    ])
-}
-
-fn p2_from_json(j: &Json) -> Result<P2State, String> {
-    Ok(P2State {
-        p: f64_bits(j.req("p_bits")?)?,
-        q: f64_bits_arr5(j.req("q_bits")?)?,
-        n: f64_bits_arr5(j.req("n_bits")?)?,
-        np: f64_bits_arr5(j.req("np_bits")?)?,
-        count: j.req("count")?.as_u64()?,
-        warmup: f64_bits_vec(j.req("warmup_bits")?)?,
-    })
-}
-
-fn stats_state_json(s: &OnlineStats) -> Json {
-    let st = s.state();
-    obj(vec![
-        ("count", Json::UInt(st.count)),
-        ("min_bits", bits(st.min)),
-        ("max_bits", bits(st.max)),
-        ("mean_bits", bits(st.mean)),
-        ("m2_bits", bits(st.m2)),
-        ("p50", p2_json(&st.p50)),
-        ("p90", p2_json(&st.p90)),
-        ("p99", p2_json(&st.p99)),
-    ])
-}
-
-fn stats_state_from_json(j: &Json) -> Result<OnlineStats, String> {
-    OnlineStats::from_state(OnlineStatsState {
-        count: j.req("count")?.as_u64()?,
-        min: f64_bits(j.req("min_bits")?)?,
-        max: f64_bits(j.req("max_bits")?)?,
-        mean: f64_bits(j.req("mean_bits")?)?,
-        m2: f64_bits(j.req("m2_bits")?)?,
-        p50: p2_from_json(j.req("p50")?)?,
-        p90: p2_from_json(j.req("p90")?)?,
-        p99: p2_from_json(j.req("p99")?)?,
-    })
 }
 
 fn class_to_json(class: Option<DaemonClass>) -> Json {
@@ -580,48 +468,6 @@ fn cell_result_from_json(j: &Json) -> Result<CellResult, String> {
         // byte-identical merge); cells read back carry zeroed telemetry.
         wall_nanos: 0,
         counters: specstab_telemetry::RunCounters::default(),
-    })
-}
-
-fn group_state_json(g: &GroupSummary) -> Json {
-    obj(vec![
-        ("key", Json::Str(g.key.clone())),
-        ("topology", Json::Str(g.topology.clone())),
-        ("protocol", Json::Str(g.protocol.clone())),
-        ("daemon", Json::Str(g.daemon.clone())),
-        ("class", class_to_json(g.class)),
-        ("init", Json::Str(g.init.to_string())),
-        ("n", Json::UInt(g.n as u64)),
-        ("diam", Json::UInt(u64::from(g.diam))),
-        ("runs", Json::UInt(g.runs)),
-        ("errors", Json::UInt(g.errors)),
-        ("converged", Json::UInt(g.converged)),
-        ("bound", g.bound.map_or(Json::Null, Json::UInt)),
-        ("violations", Json::UInt(g.violations)),
-        ("stabilization", stats_state_json(&g.stabilization)),
-        ("entry", stats_state_json(&g.entry)),
-        ("moves", stats_state_json(&g.moves)),
-    ])
-}
-
-fn group_state_from_json(j: &Json) -> Result<GroupSummary, String> {
-    Ok(GroupSummary {
-        key: j.req("key")?.as_str()?.to_string(),
-        topology: j.req("topology")?.as_str()?.to_string(),
-        protocol: j.req("protocol")?.as_str()?.to_string(),
-        daemon: j.req("daemon")?.as_str()?.to_string(),
-        class: class_from_json(j.req("class")?)?,
-        init: InitMode::parse(j.req("init")?.as_str()?)?,
-        n: j.req("n")?.as_u64()? as usize,
-        diam: u32::try_from(j.req("diam")?.as_u64()?).map_err(|e| e.to_string())?,
-        runs: j.req("runs")?.as_u64()?,
-        errors: j.req("errors")?.as_u64()?,
-        converged: j.req("converged")?.as_u64()?,
-        stabilization: stats_state_from_json(j.req("stabilization")?)?,
-        entry: stats_state_from_json(j.req("entry")?)?,
-        moves: stats_state_from_json(j.req("moves")?)?,
-        bound: opt_u64_from_json(j.req("bound")?)?,
-        violations: j.req("violations")?.as_u64()?,
     })
 }
 

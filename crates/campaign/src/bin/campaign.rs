@@ -36,7 +36,7 @@ use specstab_campaign::executor::{
     CampaignResult,
 };
 use specstab_campaign::matrix::{Cell, InitMode, ScenarioMatrix};
-use specstab_campaign::merge::merge_partials;
+use specstab_campaign::merge::MergeAccumulator;
 use specstab_campaign::plan::{group_boundaries, CampaignPlan};
 use specstab_campaign::report::speculation_profile_table;
 use specstab_campaign::serve::http::{request, CoordinatorUrl};
@@ -496,7 +496,7 @@ fn cmd_run(argv: &[String]) -> ! {
 
 /// `campaign run --workers N`: plans ~4 group-aligned shards per worker
 /// (over-decomposition keeps stragglers from idling the others; any
-/// group-aligned split merges to the same bytes) and serves them from a
+/// split merges to the same bytes) and serves them from a
 /// [`Coordinator`] on a loopback port and a temporary spool to N
 /// `campaign work` children — the transport `campaign serve` uses. The
 /// coordinator writes the `--trace` stream, worker shard streams included.
@@ -842,26 +842,28 @@ fn cmd_merge(argv: &[String]) -> ! {
         fail("merge needs at least one partial artifact");
     }
     let mut parse = ParseTally::default();
-    let partials: Vec<PartialArtifact> = inputs
-        .iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(p)
-                .unwrap_or_else(|e| fail(&format!("reading {}: {e}", p.display())));
-            parse
-                .time(&text, PartialArtifact::from_json)
-                .unwrap_or_else(|e| fail(&format!("parsing {}: {e}", p.display())))
-        })
-        .collect();
-    eprintln!("campaign: merging {} partials", partials.len());
+    let mut acc = MergeAccumulator::new();
+    for p in &inputs {
+        let text = std::fs::read_to_string(p)
+            .unwrap_or_else(|e| fail(&format!("reading {}: {e}", p.display())));
+        let partial = parse
+            .time(&text, PartialArtifact::from_json)
+            .unwrap_or_else(|e| fail(&format!("parsing {}: {e}", p.display())));
+        acc.accept(partial).unwrap_or_else(|e| fail(&format!("merging {}: {e}", p.display())));
+    }
+    eprintln!("campaign: merging {} partials", inputs.len());
     let mut trace = open_trace(trace_path.as_deref(), None, "merge");
-    trace_emit(&mut trace, EventKind::MergeStart { partials: partials.len() as u64 });
-    let result = merge_partials(partials).unwrap_or_else(|e| fail(&e));
+    trace_emit(&mut trace, EventKind::MergeStart { partials: inputs.len() as u64 });
+    let folding = Instant::now();
+    let result = acc.finish().unwrap_or_else(|e| fail(&e));
+    let fold_us = u64::try_from(folding.elapsed().as_micros()).unwrap_or(u64::MAX);
     trace_emit(
         &mut trace,
         EventKind::MergeEnd {
             cells: result.cells.len() as u64,
             groups: result.groups.len() as u64,
             parse,
+            fold_us,
         },
     );
     finish_trace(trace, trace_path.as_deref(), None);

@@ -6,11 +6,12 @@
 //! `MAX_RUN_CELLS` so seed-heavy groups still spread across the pool.
 //! Workers claim chunks through a shared atomic cursor (work-stealing by
 //! over-decomposition: each worker pulls the next unclaimed chunk, so
-//! stragglers never idle the pool), execute the chunk's cells in canonical
-//! order, and aggregate statistics **in-worker** while running — there is
-//! no post-join pass over all cells. The main thread only reassembles the
-//! partials in canonical order, folding same-group chunks with
-//! [`GroupSummary::merge`].
+//! stragglers never idle the pool) and execute the chunk's cells in
+//! canonical order. The main thread reassembles the cells in canonical
+//! order and derives every group's statistics from them with
+//! [`summarize_groups`] — the same function the merge of partial
+//! artifacts calls, so a campaign's statistics are a pure function of its
+//! canonically ordered cells, whichever process ran them.
 //!
 //! Every cell derives its RNG stream purely from its coordinates
 //! ([`Cell::cell_seed`]), and each group's statistics are fed in canonical
@@ -270,26 +271,29 @@ impl CampaignResult {
     }
 }
 
-/// Cap on cells per work unit. Groups at or below this size are aggregated
-/// in one piece — their statistics are **bit-identical** to a sequential
-/// canonical-order feed (the common case: every shipped matrix and the
-/// golden artifact use ≤ 32 seeds per group). Larger groups are split into
-/// deterministic, thread-count-independent chunks so seed-heavy campaigns
-/// (one group × thousands of seeds) still parallelize; their chunk partials
-/// are folded with [`GroupSummary::merge`], which keeps count/min/max and
-/// the violation counters exact and merges mean/variance/quantiles with
-/// the documented parallel-combination accuracy.
+/// Cap on cells per work unit, and per statistics chunk. Groups at or
+/// below this size are aggregated in one piece — their statistics are
+/// **bit-identical** to a sequential canonical-order feed (the common
+/// case: every shipped matrix and the golden artifact use ≤ 32 seeds per
+/// group). Larger groups are split into deterministic,
+/// thread-count-independent chunks so seed-heavy campaigns (one group ×
+/// thousands of seeds) still parallelize; [`summarize_groups`] aggregates
+/// the same chunks and folds them with [`GroupSummary::merge`], which
+/// keeps count/min/max and the violation counters exact and merges
+/// mean/variance/quantiles with the documented parallel-combination
+/// accuracy.
 const MAX_RUN_CELLS: usize = 32;
 
 /// Splits the canonical cell order into contiguous runs sharing a group
-/// key — the executor's unit of work — chunking oversized groups at
-/// [`MAX_RUN_CELLS`]. Chunk boundaries depend only on the matrix, never on
-/// thread count or scheduling.
-fn group_runs(cells: &[Cell]) -> Vec<std::ops::Range<usize>> {
+/// key — the executor's unit of work and statistics chunk — chunking
+/// oversized groups at [`MAX_RUN_CELLS`]. Chunk boundaries depend only on
+/// the cell coordinates, never on thread count, scheduling or sharding.
+fn group_runs<T>(items: &[T], cell: impl Fn(&T) -> &Cell) -> Vec<std::ops::Range<usize>> {
+    let key = |i: usize| cell(&items[i]).group_key();
     let mut runs = Vec::new();
     let mut start = 0usize;
-    for i in 1..=cells.len() {
-        if i == cells.len() || cells[i].group_key() != cells[start].group_key() {
+    for i in 1..=items.len() {
+        if i == items.len() || key(i) != key(start) {
             let mut lo = start;
             while lo < i {
                 let hi = (lo + MAX_RUN_CELLS).min(i);
@@ -332,8 +336,7 @@ impl ScratchPool {
     }
 }
 
-/// Executes one contiguous group run in canonical cell order, aggregating
-/// its statistics while running (per-worker partial aggregation).
+/// Executes one contiguous group run in canonical cell order.
 ///
 /// All cells of a run share one group key — hence one topology and one
 /// protocol — so the topology parse and the protocol-runner resolution
@@ -344,7 +347,7 @@ fn execute_group_run(
     config: &CampaignConfig,
     topo_cache: &mut HashMap<String, Result<(Graph, u32), String>>,
     scratch: &mut ScratchPool,
-) -> (Vec<CellResult>, GroupSummary) {
+) -> Vec<CellResult> {
     let first = cells.first().expect("group runs are nonempty");
     let topo = topo_cache
         .entry(first.topology.clone())
@@ -365,27 +368,39 @@ fn execute_group_run(
             })
             .collect()
     };
-    let results = match &topo {
+    match &topo {
         Err(e) => error_results(0, 0, e),
         Ok((graph, diam)) => match registry::resolve(&first.protocol, RunnerLookup) {
             Ok(runner) => runner(cells, graph, *diam, config, scratch),
             Err(e) => error_results(graph.n(), *diam, &e),
         },
-    };
-    let mut summary: Option<GroupSummary> = None;
-    for cr in &results {
-        summary.get_or_insert_with(|| GroupSummary::seeded_from(cr)).record(cr);
     }
-    (results, summary.expect("group runs are nonempty"))
 }
 
-/// Folds per-run partial summaries (in canonical run order) into the final
-/// group list, merging duplicates with [`GroupSummary::merge`]. For
-/// canonical matrices every group is one contiguous run, so the fold is a
-/// pure reordering and the statistics are bit-identical to sequential
-/// accumulation. Also the building block of [`crate::merge`], which feeds
-/// it the groups of canonically ordered partial artifacts.
-pub(crate) fn fold_groups(partials: Vec<GroupSummary>) -> Vec<GroupSummary> {
+/// Derives every group's statistics from canonically ordered cell results:
+/// one [`GroupSummary`] per [`group_runs`] chunk, fed its cells in order,
+/// then the chunks folded with [`fold_groups`]. The executors call it on
+/// their reassembled cells and [`crate::merge`] on the concatenated cells
+/// of a plan's partials, so both produce bit-identical statistics for the
+/// same cells however they were split.
+#[must_use]
+pub fn summarize_groups(cells: &[CellResult]) -> Vec<GroupSummary> {
+    let chunks = group_runs(cells, |cr| &cr.cell).into_iter().map(|run| {
+        let chunk = &cells[run];
+        let mut summary = GroupSummary::seeded_from(&chunk[0]);
+        for cr in chunk {
+            summary.record(cr);
+        }
+        summary
+    });
+    fold_groups(chunks)
+}
+
+/// Folds per-chunk summaries (in canonical order) into the final group
+/// list, merging same-group chunks with [`GroupSummary::merge`]. A group
+/// of at most [`MAX_RUN_CELLS`] cells is one chunk, so its statistics are
+/// bit-identical to sequential accumulation.
+fn fold_groups(partials: impl IntoIterator<Item = GroupSummary>) -> Vec<GroupSummary> {
     let mut order: Vec<String> = Vec::new();
     let mut by_key: HashMap<String, GroupSummary> = HashMap::new();
     for partial in partials {
@@ -423,13 +438,12 @@ pub fn run_campaign_with_progress(
 ) -> CampaignResult {
     let started = Instant::now();
     let cells = matrix.cells();
-    let runs = group_runs(cells);
+    let runs = group_runs(cells, |c| c);
     let threads = effective_threads(config.threads, runs.len());
     let cursor = AtomicUsize::new(0);
-    type RunOutput = (Vec<CellResult>, GroupSummary);
-    let (tx, rx) = mpsc::channel::<(usize, RunOutput)>();
+    let (tx, rx) = mpsc::channel::<(usize, Vec<CellResult>)>();
 
-    let mut slots: Vec<Option<RunOutput>> = Vec::new();
+    let mut slots: Vec<Option<Vec<CellResult>>> = Vec::new();
     slots.resize_with(runs.len(), || None);
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -463,7 +477,7 @@ pub fn run_campaign_with_progress(
         drop(tx);
         for (idx, out) in rx {
             if let Some(hb) = progress {
-                for cr in &out.0 {
+                for cr in &out {
                     hb.cell_done(cr.counters.moves);
                 }
             }
@@ -472,15 +486,12 @@ pub fn run_campaign_with_progress(
     });
 
     let mut all_cells = Vec::with_capacity(cells.len());
-    let mut partials = Vec::with_capacity(runs.len());
     for slot in slots {
-        let (results, summary) = slot.expect("every group run executed");
-        all_cells.extend(results);
-        partials.push(summary);
+        all_cells.extend(slot.expect("every group run executed"));
     }
     CampaignResult {
+        groups: summarize_groups(&all_cells),
         cells: all_cells,
-        groups: fold_groups(partials),
         threads_used: threads,
         wall: started.elapsed(),
         config: config.clone(),
@@ -497,7 +508,7 @@ fn effective_threads(requested: usize, work_units: usize) -> usize {
 }
 
 /// Sequential reference executor: runs the group runs one by one on the
-/// calling thread with identical per-cell seeding and the same in-run
+/// calling thread with identical per-cell seeding and the same
 /// aggregation. Exists so tests can cross-check the parallel path; also
 /// handy in constrained environments.
 #[must_use]
@@ -507,16 +518,12 @@ pub fn run_campaign_sequential(matrix: &ScenarioMatrix, config: &CampaignConfig)
     let mut topo_cache = HashMap::new();
     let mut scratch = ScratchPool::new();
     let mut all_cells = Vec::with_capacity(cells.len());
-    let mut partials = Vec::new();
-    for run in group_runs(cells) {
-        let (results, summary) =
-            execute_group_run(&cells[run], config, &mut topo_cache, &mut scratch);
-        all_cells.extend(results);
-        partials.push(summary);
+    for run in group_runs(cells, |c| c) {
+        all_cells.extend(execute_group_run(&cells[run], config, &mut topo_cache, &mut scratch));
     }
     CampaignResult {
+        groups: summarize_groups(&all_cells),
         cells: all_cells,
-        groups: fold_groups(partials),
         threads_used: 1,
         wall: started.elapsed(),
         config: config.clone(),
@@ -910,7 +917,7 @@ mod tests {
             .fault_bursts([0])
             .seeds(0..80)
             .build();
-        assert_eq!(super::group_runs(m.cells()).len(), 3);
+        assert_eq!(super::group_runs(m.cells(), |c| c).len(), 3);
         let cfg = CampaignConfig { threads: 4, max_steps: 100_000, ..Default::default() };
         let par = run_campaign(&m, &cfg);
         let seq = run_campaign_sequential(&m, &cfg);
@@ -927,7 +934,7 @@ mod tests {
         );
         // Independent reference for the chunk-merge path: recompute the
         // group statistics naively from the per-cell outcomes (both
-        // executors share group_runs/merge, so the par==seq check alone
+        // executors share summarize_groups, so the par==seq check alone
         // cannot catch a merge bug).
         let entries: Vec<f64> = par
             .cells

@@ -33,10 +33,11 @@
 //!   [`plan::CampaignPlan`]: the canonical cell list plus a deterministic,
 //!   group-aligned shard partition with stable ids;
 //! * [`shard`] — executes one shard into a partial artifact that carries
-//!   the full bit-exact state of every statistics accumulator;
+//!   the shard's per-cell results;
 //! * [`merge`] — folds any tiling set of partials, in any order, into a
 //!   [`CampaignResult`] whose artifacts are byte-identical to a
-//!   single-process sweep, incrementally via [`merge::MergeAccumulator`]
+//!   single-process sweep (the group statistics are derived from the
+//!   merged cells), incrementally via [`merge::MergeAccumulator`]
 //!   (duplicate uploads acknowledged and dropped) or in one shot;
 //! * [`serve`] — the networked transport: `campaign serve` is an HTTP
 //!   coordinator leasing shards to elastic `campaign work` pull-workers,

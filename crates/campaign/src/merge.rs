@@ -8,21 +8,21 @@
 //! shard is acknowledged and dropped rather than double-counted.
 //! [`MergeAccumulator::finish`] checks the accepted set tiles the plan
 //! without gaps, sorts into canonical order, concatenates the per-cell
-//! results, and folds the per-group accumulator states with
-//! [`GroupSummary::merge`](crate::executor::GroupSummary::merge) in
-//! canonical order. [`merge_partials`] is the batch wrapper over the same
-//! machinery.
+//! results, checks them against the plan fingerprint and their own
+//! coordinates, and derives every group's statistics from them with
+//! [`summarize_groups`] — the executor's own aggregation, run once over
+//! the whole cell list. [`merge_partials`] is the batch wrapper over the
+//! same machinery.
 //!
-//! When the shards were cut at group boundaries (the planner's invariant),
-//! no group ever spans two partials, so the fold is a pure concatenation
-//! and the merged artifact is **byte-identical** to a single-process run
-//! of the same plan. Partials cut inside a group still merge correctly —
-//! counters exactly, streaming statistics with the documented
-//! parallel-combination accuracy — they just lose the byte-identical
-//! guarantee.
+//! Partials carry no statistics, so where the shards were cut never
+//! matters: cut at group boundaries (the planner's invariant) or inside a
+//! group, even inside one of the executor's statistics chunks, the merged
+//! artifact is **byte-identical** to a single-process run of the same
+//! plan.
 
 use crate::artifact::PartialArtifact;
-use crate::executor::{fold_groups, CampaignResult};
+use crate::executor::{summarize_groups, CampaignResult};
+use crate::plan::cells_fingerprint;
 use std::time::Duration;
 
 /// Outcome of feeding one partial to [`MergeAccumulator::accept`].
@@ -131,18 +131,21 @@ impl MergeAccumulator {
     }
 
     /// Checks the accepted set tiles the plan and folds it into a
-    /// [`CampaignResult`].
+    /// [`CampaignResult`], deriving the group statistics from the cells.
     ///
     /// # Errors
     ///
-    /// Rejects an empty accumulator and accepted sets whose ranges leave
-    /// gaps in the plan's cell range.
+    /// Rejects an empty accumulator, accepted sets whose ranges leave
+    /// gaps in the plan's cell range, merged cells whose coordinates do
+    /// not hash to the partials' plan fingerprint, and cells whose
+    /// `cell_seed` is not the one their coordinates derive.
     pub fn finish(mut self) -> Result<CampaignResult, String> {
         let Some(first) = self.partials.first() else {
             return Err("nothing to merge: no partial artifacts supplied".into());
         };
         let config = first.config.clone();
         let total = first.total_cells;
+        let plan_fingerprint = first.plan_fingerprint;
         self.partials.sort_by_key(|p| p.start);
         let mut expected = 0usize;
         for p in &self.partials {
@@ -157,14 +160,28 @@ impl MergeAccumulator {
         }
 
         let mut cells = Vec::with_capacity(total);
-        let mut group_states = Vec::new();
         for p in self.partials {
             cells.extend(p.cells);
-            group_states.extend(p.groups);
+        }
+        let fingerprint = cells_fingerprint(cells.iter().map(|c| &c.cell));
+        if fingerprint != plan_fingerprint {
+            return Err(format!(
+                "the merged cells hash to matrix fingerprint {fingerprint:#018x}, not their \
+                 plan's {plan_fingerprint:#018x}: some cell's coordinates were altered"
+            ));
+        }
+        if let Some((i, c)) =
+            cells.iter().enumerate().find(|(_, c)| c.cell_seed != c.cell.cell_seed(config.seed))
+        {
+            return Err(format!(
+                "cell {i} carries cell_seed {}, but its coordinates derive {}",
+                c.cell_seed,
+                c.cell.cell_seed(config.seed)
+            ));
         }
         Ok(CampaignResult {
+            groups: summarize_groups(&cells),
             cells,
-            groups: fold_groups(group_states),
             threads_used: 1,
             wall: Duration::ZERO,
             config,
@@ -182,7 +199,8 @@ impl MergeAccumulator {
 /// (seed, step budget, early-stop margin), total cell counts, or plan
 /// matrix fingerprints (partials of two different campaigns never mix,
 /// even when their counts and configuration coincide), non-duplicate
-/// overlapping shard coverage, and ranges that leave gaps.
+/// overlapping shard coverage, ranges that leave gaps, and cells that
+/// disagree with the plan fingerprint or their own seeds.
 pub fn merge_partials(partials: Vec<PartialArtifact>) -> Result<CampaignResult, String> {
     let mut acc = MergeAccumulator::new();
     for p in partials {

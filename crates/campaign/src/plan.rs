@@ -10,11 +10,12 @@
 //! resulting partial artifacts merge back into the exact single-process
 //! artifact.
 //!
-//! Group alignment is the invariant that makes the merge **byte-exact**:
-//! every scenario group (topology × protocol × daemon × init) lives
-//! entirely inside one shard, so no group's statistics accumulator is ever
-//! split across processes, and [`crate::merge::merge_partials`] only ever
-//! concatenates whole groups in canonical order.
+//! Group alignment keeps every scenario group (topology × protocol ×
+//! daemon × init) inside one shard, so a worker can run a group's cells
+//! through the lane-batched engine together and report per-group
+//! telemetry for whole groups. It is not what makes the merge exact:
+//! [`crate::merge::merge_partials`] derives every group's statistics from
+//! the merged cells, so partials cut anywhere merge byte-identically.
 
 use crate::artifact::{
     cell_coord_from_json, cell_coord_json, config_from_header, config_header_fields, obj, Json,
@@ -221,7 +222,7 @@ impl CampaignPlan {
 /// configuration (two machines sweeping different `--topologies` lists,
 /// say).
 #[must_use]
-pub fn cells_fingerprint(cells: &[Cell]) -> u64 {
+pub fn cells_fingerprint<'a>(cells: impl IntoIterator<Item = &'a Cell>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {

@@ -356,6 +356,25 @@ impl Coordinator {
                 self.plan.fingerprint()
             )));
         }
+        // The statistics are derived from the cells, so each one must be
+        // the plan's cell at its index, seeded as the plan seeds it.
+        let seed = self.plan.config.seed;
+        let planned = &self.plan.cells[spec.start..spec.end];
+        if let Some(i) = partial
+            .cells
+            .iter()
+            .zip(planned)
+            .position(|(c, want)| c.cell != *want || c.cell_seed != want.cell_seed(seed))
+        {
+            return Ok(reject(format!(
+                "cell {} disagrees with the plan: got {:?} seeded {}, expected {:?} seeded {}",
+                spec.start + i,
+                partial.cells[i].cell,
+                partial.cells[i].cell_seed,
+                planned[i],
+                planned[i].cell_seed(seed)
+            )));
+        }
         let shard_id = partial.shard_id;
         let cells = partial.cells.len() as u64;
         let moves: u64 =
@@ -593,12 +612,15 @@ impl Coordinator {
         self.heartbeat.finish(self.counts());
         self.emit(EventKind::MergeStart { partials: self.acc.accepted_count() as u64 })?;
         let wall_us = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let folding = Instant::now();
         let result = std::mem::take(&mut self.acc).finish()?;
+        let fold_us = u64::try_from(folding.elapsed().as_micros()).unwrap_or(u64::MAX);
         if let Some(w) = self.trace.as_mut() {
             w.emit(EventKind::MergeEnd {
                 cells: result.cells.len() as u64,
                 groups: result.groups.len() as u64,
                 parse: self.parse,
+                fold_us,
             })?;
             w.emit(EventKind::CampaignEnd {
                 cells: result.cells.len() as u64,

@@ -12,7 +12,7 @@
 //! [`execute_shard_traced`] adds the shard's event stream.
 
 use crate::artifact::PartialArtifact;
-use crate::executor::run_campaign;
+use crate::executor::{run_campaign, CampaignConfig, CampaignResult};
 use crate::matrix::ScenarioMatrix;
 use crate::plan::CampaignPlan;
 use crate::trace::emit_result_events;
@@ -30,18 +30,8 @@ pub fn execute_shard(
     shard_id: usize,
     threads: usize,
 ) -> Result<PartialArtifact, String> {
-    let cells = plan.shard_cells(shard_id)?.to_vec();
-    let shard = plan.shards[shard_id];
-    let matrix = ScenarioMatrix::from_cells(cells);
-    let config = crate::executor::CampaignConfig { threads, ..plan.config.clone() };
-    let result = run_campaign(&matrix, &config);
-    Ok(PartialArtifact::from_result(
-        result,
-        shard_id,
-        shard.start,
-        plan.cells.len(),
-        plan.fingerprint(),
-    ))
+    let result = run_shard(plan, shard_id, threads)?;
+    Ok(package(plan, shard_id, result))
 }
 
 /// [`execute_shard`], recording the shard's event stream into `w`:
@@ -66,21 +56,36 @@ pub fn execute_shard_traced(
     plan.shard_cells(shard_id)?;
     let shard = plan.shards[shard_id];
     w.emit(EventKind::ShardStart { start: shard.start as u64, end: shard.end as u64 })?;
-    let partial = execute_shard(plan, shard_id, threads)?;
-    emit_result_events(w, &partial.cells, &partial.groups)?;
+    let result = run_shard(plan, shard_id, threads)?;
+    emit_result_events(w, &result.cells, &result.groups)?;
     w.emit(EventKind::ShardEnd {
-        cells: partial.cells.len() as u64,
+        cells: result.cells.len() as u64,
         wall_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
         counters: global().snapshot().delta(&before),
     })?;
-    Ok(partial)
+    Ok(package(plan, shard_id, result))
+}
+
+/// Runs the cells of shard `shard_id` through the executor.
+fn run_shard(
+    plan: &CampaignPlan,
+    shard_id: usize,
+    threads: usize,
+) -> Result<CampaignResult, String> {
+    let matrix = ScenarioMatrix::from_cells(plan.shard_cells(shard_id)?.to_vec());
+    Ok(run_campaign(&matrix, &CampaignConfig { threads, ..plan.config.clone() }))
+}
+
+/// Packages a shard's result as the partial of shard `shard_id`.
+fn package(plan: &CampaignPlan, shard_id: usize, result: CampaignResult) -> PartialArtifact {
+    let start = plan.shards[shard_id].start;
+    PartialArtifact::from_result(result, shard_id, start, plan.cells.len(), plan.fingerprint())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{run_campaign_sequential, CampaignConfig};
-    use crate::matrix::ScenarioMatrix;
+    use crate::executor::run_campaign_sequential;
 
     fn matrix() -> ScenarioMatrix {
         ScenarioMatrix::builder()
@@ -123,6 +128,6 @@ mod tests {
         let text = partial.to_json();
         let parsed = PartialArtifact::from_json(&text).expect("round trip");
         assert_eq!(parsed.to_json(), text, "lossless round trip");
-        assert!(PartialArtifact::from_json(&text.replace("partial/v1", "partial/v9")).is_err());
+        assert!(PartialArtifact::from_json(&text.replace("partial/v2", "partial/v9")).is_err());
     }
 }

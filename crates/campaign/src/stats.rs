@@ -5,7 +5,8 @@
 //! algorithm, and approximate quantiles via the P² sketch of Jain & Chlamtac
 //! (CACM 1985). Accumulation is deterministic: feeding the same values in
 //! the same order always yields the same state, which the campaign artifact
-//! tests rely on.
+//! tests rely on. Accumulators never leave the process: partial artifacts
+//! carry cells, and every merge site rebuilds the statistics from them.
 
 /// P² online estimator for a single quantile.
 ///
@@ -115,8 +116,7 @@ impl P2Quantile {
 
     /// Merges another sketch of the **same quantile** into this one.
     ///
-    /// Exactness contract (relied on by the campaign executor's per-worker
-    /// aggregation):
+    /// Exactness contract:
     ///
     /// * merging into an **empty** sketch copies `other` bit-for-bit;
     /// * merging an **empty** sketch is a no-op;
@@ -219,53 +219,6 @@ impl P2Quantile {
         ((self.n[i] - 1.0) / (self.count as f64 - 1.0)).clamp(0.0, 1.0)
     }
 
-    /// The sketch's complete internal state, for lossless serialization
-    /// into partial campaign artifacts. Restoring via
-    /// [`P2Quantile::from_state`] yields a sketch whose every future
-    /// observation and merge behaves bit-identically to the original.
-    #[must_use]
-    pub fn state(&self) -> P2State {
-        P2State {
-            p: self.p,
-            q: self.q,
-            n: self.n,
-            np: self.np,
-            count: self.count,
-            warmup: self.warmup.clone(),
-        }
-    }
-
-    /// Rebuilds a sketch from a [`P2State`] snapshot. The desired-increment
-    /// vector `dn` is a pure function of `p` and is recomputed.
-    ///
-    /// # Errors
-    ///
-    /// Rejects states violating the sketch invariants (`p` outside `(0,1)`,
-    /// warmup length inconsistent with the count).
-    pub fn from_state(s: P2State) -> Result<Self, String> {
-        if !(s.p > 0.0 && s.p < 1.0) {
-            return Err(format!("quantile p={} outside (0, 1)", s.p));
-        }
-        let expect_warmup = s.count.min(5) as usize;
-        if s.warmup.len() != expect_warmup {
-            return Err(format!(
-                "warmup length {} inconsistent with count {} (expected {expect_warmup})",
-                s.warmup.len(),
-                s.count
-            ));
-        }
-        let p = s.p;
-        Ok(Self {
-            p,
-            q: s.q,
-            n: s.n,
-            np: s.np,
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: s.count,
-            warmup: s.warmup,
-        })
-    }
-
     /// The current quantile estimate (`None` before any observation).
     #[must_use]
     pub fn estimate(&self) -> Option<f64> {
@@ -279,25 +232,6 @@ impl P2Quantile {
         }
         Some(self.q[2])
     }
-}
-
-/// Complete internal state of a [`P2Quantile`] sketch — the serializable
-/// form partial campaign artifacts carry so that cross-process merges are
-/// bit-identical to in-process ones.
-#[derive(Clone, Debug, PartialEq)]
-pub struct P2State {
-    /// Target quantile.
-    pub p: f64,
-    /// Marker heights.
-    pub q: [f64; 5],
-    /// Marker positions (1-based).
-    pub n: [f64; 5],
-    /// Desired marker positions.
-    pub np: [f64; 5],
-    /// Observations seen.
-    pub count: u64,
-    /// Raw warmup observations (`min(count, 5)` values, sorted).
-    pub warmup: Vec<f64>,
 }
 
 /// Inverts the count-weighted mixture of two initialized sketches' CDFs at
@@ -389,11 +323,11 @@ impl OnlineStats {
     /// Count, min and max merge exactly. Mean and variance merge via the
     /// parallel Welford combination (Chan et al.), numerically equivalent
     /// to sequential accumulation up to floating-point rounding — and
-    /// **bit-for-bit exact when `self` is empty** (plain copy), which is
-    /// the case the campaign executor's per-worker partial aggregation
-    /// relies on for byte-identical artifacts. Quantile sketches merge via
-    /// [`P2Quantile::merge`] (same exactness contract, approximate when
-    /// both sides are initialized).
+    /// **bit-for-bit exact when `self` is empty** (plain copy). Quantile
+    /// sketches merge via [`P2Quantile::merge`] (same exactness contract,
+    /// approximate when both sides are initialized). The campaign executor
+    /// merges only the fixed-size chunks of seed-heavy groups, so its
+    /// artifacts never depend on how a campaign was split.
     pub fn merge(&mut self, other: &Self) {
         if other.count == 0 {
             return;
@@ -412,54 +346,6 @@ impl OnlineStats {
         self.p50.merge(&other.p50);
         self.p90.merge(&other.p90);
         self.p99.merge(&other.p99);
-    }
-
-    /// The accumulator's complete internal state (Welford moments plus the
-    /// three quantile-sketch states), for lossless serialization into
-    /// partial campaign artifacts.
-    #[must_use]
-    pub fn state(&self) -> OnlineStatsState {
-        OnlineStatsState {
-            count: self.count,
-            min: self.min,
-            max: self.max,
-            mean: self.mean,
-            m2: self.m2,
-            p50: self.p50.state(),
-            p90: self.p90.state(),
-            p99: self.p99.state(),
-        }
-    }
-
-    /// Rebuilds an accumulator from an [`OnlineStatsState`] snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Rejects states whose sketches are invalid, target the wrong
-    /// quantiles, or whose counts disagree with the scalar count.
-    pub fn from_state(s: OnlineStatsState) -> Result<Self, String> {
-        let sketch = |st: P2State, want_p: f64, label: &str| -> Result<P2Quantile, String> {
-            if st.p.to_bits() != want_p.to_bits() {
-                return Err(format!("{label} sketch targets p={}, expected {want_p}", st.p));
-            }
-            if st.count != s.count {
-                return Err(format!(
-                    "{label} sketch count {} disagrees with scalar count {}",
-                    st.count, s.count
-                ));
-            }
-            P2Quantile::from_state(st).map_err(|e| format!("{label}: {e}"))
-        };
-        Ok(Self {
-            count: s.count,
-            min: s.min,
-            max: s.max,
-            mean: s.mean,
-            m2: s.m2,
-            p50: sketch(s.p50, 0.5, "p50")?,
-            p90: sketch(s.p90, 0.9, "p90")?,
-            p99: sketch(s.p99, 0.99, "p99")?,
-        })
     }
 
     /// Observations seen.
@@ -527,30 +413,6 @@ impl OnlineStats {
     pub fn p99(&self) -> f64 {
         self.p99.estimate().unwrap_or(0.0)
     }
-}
-
-/// Complete internal state of an [`OnlineStats`] accumulator (see
-/// [`OnlineStats::state`]). `min`/`max` may be non-finite when the
-/// accumulator is empty, so serializers must preserve the exact bit
-/// patterns (the campaign artifact layer stores `f64::to_bits`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct OnlineStatsState {
-    /// Observations seen.
-    pub count: u64,
-    /// Running minimum (`+inf` when empty).
-    pub min: f64,
-    /// Running maximum (`-inf` when empty).
-    pub max: f64,
-    /// Running mean.
-    pub mean: f64,
-    /// Welford's sum of squared deviations.
-    pub m2: f64,
-    /// Median sketch state.
-    pub p50: P2State,
-    /// 90th-percentile sketch state.
-    pub p90: P2State,
-    /// 99th-percentile sketch state.
-    pub p99: P2State,
 }
 
 #[cfg(test)]
@@ -737,43 +599,5 @@ mod tests {
     fn merge_rejects_mismatched_quantiles() {
         let mut a = P2Quantile::new(0.5);
         a.merge(&P2Quantile::new(0.9));
-    }
-
-    #[test]
-    fn state_round_trip_is_bitwise_and_future_pushes_agree() {
-        for count in [0usize, 3, 5, 400] {
-            let (s, _) = feed_stats(17, count, 0.0, 25.0);
-            let mut restored = OnlineStats::from_state(s.state()).expect("valid state");
-            assert_eq!(restored.state(), s.state(), "round trip at count {count}");
-            // Bit-identical behavior going forward, not just equal snapshots.
-            let mut original = s.clone();
-            for x in [3.25, 19.0, 0.5, 24.75, 7.0, 7.0] {
-                original.push(x);
-                restored.push(x);
-            }
-            assert_eq!(restored.state(), original.state());
-            let (other, _) = feed_stats(18, 77, 5.0, 30.0);
-            original.merge(&other);
-            restored.merge(&other);
-            assert_eq!(restored.state(), original.state());
-        }
-    }
-
-    #[test]
-    fn from_state_rejects_corrupt_snapshots() {
-        let (s, _) = feed_stats(19, 64, 0.0, 9.0);
-        let mut bad_p = s.state();
-        bad_p.p90.p = 0.5;
-        assert!(OnlineStats::from_state(bad_p).is_err(), "wrong quantile target");
-        let mut bad_count = s.state();
-        bad_count.p50.count = 1;
-        assert!(OnlineStats::from_state(bad_count).is_err(), "count mismatch");
-        let mut bad_warmup = s.state();
-        bad_warmup.p99.warmup.pop();
-        assert!(OnlineStats::from_state(bad_warmup).is_err(), "warmup length");
-        let mut degenerate = s.state();
-        degenerate.p50.p = 1.5;
-        degenerate.p90.p = 1.5;
-        assert!(OnlineStats::from_state(degenerate).is_err(), "p outside (0,1)");
     }
 }

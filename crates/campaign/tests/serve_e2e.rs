@@ -2,9 +2,9 @@
 //! `127.0.0.1:0`: elastic pull-workers against a real coordinator socket,
 //! an abandoned lease expiring and being re-dispatched, a coordinator
 //! "crash" resumed from its spool (worker telemetry included), a client
-//! stalled mid-request, wire-level duplicate/reject handling, and the
-//! `/status` snapshot — with the final artifact byte-identical to a
-//! single-process run every time.
+//! stalled mid-request, an upload with an altered cell, wire-level
+//! duplicate/reject handling, and the `/status` snapshot — with the final
+//! artifact byte-identical to a single-process run every time.
 
 use specstab_campaign::artifact::to_json;
 use specstab_campaign::executor::{run_campaign_sequential, CampaignConfig};
@@ -153,6 +153,11 @@ fn expired_lease_is_redispatched_and_artifact_stays_byte_identical() {
     let accepted =
         events.iter().filter(|e| matches!(e.kind, EventKind::PartialAccepted { .. })).count();
     assert_eq!(accepted, 4, "one acceptance per shard, duplicates dropped silently");
+    // `merge_end` times the fold that derives the statistics.
+    assert!(
+        text.lines().any(|l| l.contains("\"event\":\"merge_end\"") && l.contains("\"fold_us\":")),
+        "merge_end carries fold_us"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -316,6 +321,64 @@ fn stalled_client_does_not_stall_the_coordinator() {
         .sum();
     assert_eq!(executed, 4);
     drop(stalled);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A real partial with one cell's `seed_index` changed still carries its
+/// plan's fingerprint in the header. The coordinator checks every cell
+/// against the plan, answers 400 naming the first bad cell, and leaves
+/// the shard pending: two workers then finish the campaign and the
+/// artifact is the single-process one.
+#[test]
+fn upload_with_an_altered_cell_is_rejected_and_the_campaign_completes() {
+    let _serial = serial();
+    let dir = scratch("altered");
+    let plan = CampaignPlan::new(&matrix(), &config(), 3);
+    let coordinator = Coordinator::bind(
+        plan.clone(),
+        "127.0.0.1:0",
+        ServeOptions {
+            lease_ms: 30_000,
+            spool: dir.join("spool"),
+            trace_path: None,
+            stop_after_uploads: None,
+        },
+    )
+    .expect("bind");
+    let addr = coordinator.local_addr().expect("addr").to_string();
+    let serve = std::thread::spawn(move || coordinator.run());
+    let url = CoordinatorUrl::parse(&format!("http://{addr}")).expect("url");
+
+    let mut altered = execute_shard(&plan, 1, 1).expect("shard 1");
+    altered.cells[1].cell.seed_index += 1000;
+    let (status, body) = request(
+        &url,
+        "POST",
+        "/upload",
+        &[("x-specstab-worker", "saboteur")],
+        altered.to_json().as_bytes(),
+    )
+    .expect("upload");
+    assert_eq!(status, 400, "an altered cell must not reach the merge");
+    let reply = UploadReply::from_json(std::str::from_utf8(&body).unwrap()).expect("parses");
+    let UploadReply::Rejected { reason } = reply else { panic!("expected a rejection") };
+    let bad = plan.shards[1].start + 1;
+    assert!(reason.contains(&format!("cell {bad} disagrees with the plan")), "got {reason}");
+
+    let workers: Vec<_> = ["w1", "w2"]
+        .into_iter()
+        .map(|id| {
+            let opts = worker_opts(&addr, id);
+            std::thread::spawn(move || run_worker(&opts))
+        })
+        .collect();
+    let executed: u64 = workers
+        .into_iter()
+        .map(|h| h.join().expect("worker thread").expect("worker ok").executed)
+        .sum();
+    assert_eq!(executed, 3, "the rejected shard is executed by a worker");
+    let result = serve.join().expect("serve thread").expect("serve ok").expect("completed");
+    assert_eq!(to_json(&result, true), golden(), "served artifact drifted from single-process");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -161,6 +161,19 @@ fn traced_workers_run_is_schema_valid_and_keeps_the_golden_byte_identical() {
     assert_eq!(transport.req("parsed_bytes").unwrap().as_u64().unwrap(), parse.bytes);
     assert_eq!(transport.req("parse_us").unwrap().as_u64().unwrap(), parse.us);
 
+    // The fold timer: `merge_end` carries `fold_us` (the coordinator's
+    // `MergeAccumulator::finish`, which derives the group statistics) and
+    // the sidecar reports the same value.
+    let merge_end =
+        text.lines().find(|l| l.contains("\"event\":\"merge_end\"")).expect("merge_end line");
+    let fold_us = Json::parse(merge_end)
+        .expect("merge_end parses")
+        .req("fold_us")
+        .expect("merge_end carries fold_us")
+        .as_u64()
+        .expect("fold_us is a count");
+    assert_eq!(transport.req("fold_us").unwrap().as_u64().unwrap(), fold_us);
+
     for p in [&json_path, &trace_path, &metrics_path, &inprocess_trace] {
         let _ = std::fs::remove_file(p);
     }

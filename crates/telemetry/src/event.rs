@@ -178,6 +178,10 @@ pub enum EventKind {
         /// Partial-artifact reads that fed the merge (`parsed_bytes`,
         /// `parse_us`; zero in traces written before they existed).
         parse: ParseTally,
+        /// Wall-clock microseconds of the fold that turned the accepted
+        /// partials into the result, group statistics included (zero in
+        /// traces written before it existed).
+        fold_us: u64,
     },
     /// `campaign_end`: the sweep finished.
     CampaignEnd {
@@ -401,11 +405,12 @@ impl Event {
             EventKind::MergeStart { partials } => {
                 fields.push(("partials", Json::UInt(*partials)));
             }
-            EventKind::MergeEnd { cells, groups, parse } => {
+            EventKind::MergeEnd { cells, groups, parse, fold_us } => {
                 fields.push(("cells", Json::UInt(*cells)));
                 fields.push(("groups", Json::UInt(*groups)));
                 fields.push(("parsed_bytes", Json::UInt(parse.bytes)));
                 fields.push(("parse_us", Json::UInt(parse.us)));
+                fields.push(("fold_us", Json::UInt(*fold_us)));
             }
             EventKind::CampaignEnd { cells, errors, violations, wall_us, counters } => {
                 fields.push(("cells", Json::UInt(*cells)));
@@ -519,6 +524,7 @@ impl Event {
                     bytes: opt_u64(j, "parsed_bytes")?,
                     us: opt_u64(j, "parse_us")?,
                 },
+                fold_us: opt_u64(j, "fold_us")?,
             },
             "campaign_end" => EventKind::CampaignEnd {
                 cells: j.req("cells")?.as_u64()?,
@@ -798,6 +804,7 @@ mod tests {
                 cells: 108,
                 groups: 9,
                 parse: ParseTally { bytes: 2_727_366, us: 29_000 },
+                fold_us: 1_250,
             },
             EventKind::CampaignEnd {
                 cells: 108,
@@ -853,7 +860,7 @@ mod tests {
         let merge_end = "{\"event\":\"merge_end\",\"seq\":3,\"t_us\":9,\"cells\":4,\"groups\":2}";
         assert_eq!(
             Event::from_json_line(merge_end).expect("legacy merge_end parses").kind,
-            EventKind::MergeEnd { cells: 4, groups: 2, parse: ParseTally::default() }
+            EventKind::MergeEnd { cells: 4, groups: 2, parse: ParseTally::default(), fold_us: 0 }
         );
     }
 

@@ -37,7 +37,8 @@ fn moves_per_sec(moves: u64, wall_us: u64) -> Json {
 /// lease/upload counts and per-worker accepted-cell tallies. Traces with a
 /// `merge_end` event (`run --workers`, `merge`, `serve`) get a `transport`
 /// object: the partial-artifact bytes the merge parsed, the microseconds
-/// the parses took, and their throughput in MiB/s.
+/// the parses took, their throughput in MiB/s, and the microseconds the
+/// fold into the result took.
 #[must_use]
 pub fn metrics_from_events(events: &[Event]) -> Json {
     let mut cells = Vec::new();
@@ -52,7 +53,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
     let mut leases_expired = 0u64;
     let mut partials_accepted = 0u64;
     let mut partials_rejected = 0u64;
-    let mut transport: Option<ParseTally> = None;
+    let mut transport: Option<(ParseTally, u64)> = None;
     // Per-worker accepted shard/cell tallies, in first-seen order so the
     // sidecar stays deterministic for a deterministically merged trace.
     let mut workers: Vec<(String, u64, u64)> = Vec::new();
@@ -114,10 +115,11 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                 }
             }
             EventKind::PartialRejected { .. } => partials_rejected += 1,
-            EventKind::MergeEnd { parse, .. } => {
-                let t = transport.get_or_insert_with(ParseTally::default);
+            EventKind::MergeEnd { parse, fold_us, .. } => {
+                let (t, fold) = transport.get_or_insert_with(Default::default);
                 t.bytes += parse.bytes;
                 t.us += parse.us;
+                *fold += fold_us;
             }
             _ => {}
         }
@@ -147,7 +149,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
         ("groups", Json::Arr(groups)),
         ("cells", Json::Arr(cells)),
     ];
-    if let Some(t) = transport {
+    if let Some((t, fold_us)) = transport {
         #[allow(clippy::cast_precision_loss)]
         let mib_per_s = if t.us == 0 {
             0.0
@@ -160,6 +162,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                 ("parsed_bytes", Json::UInt(t.bytes)),
                 ("parse_us", Json::UInt(t.us)),
                 ("parse_mib_per_s", Json::Num(mib_per_s)),
+                ("fold_us", Json::UInt(fold_us)),
             ]),
         ));
     }
@@ -332,18 +335,27 @@ mod tests {
     #[test]
     fn sidecar_reports_transport_reads_only_for_merge_traces() {
         assert!(metrics_from_events(&[ev(None, 0, cell(0, 40))]).get("transport").is_none());
-        let merge_end = |seq, bytes, us| {
+        let merge_end = |seq, bytes, us, fold_us| {
             ev(
                 None,
                 seq,
-                EventKind::MergeEnd { cells: 9, groups: 3, parse: ParseTally { bytes, us } },
+                EventKind::MergeEnd {
+                    cells: 9,
+                    groups: 3,
+                    parse: ParseTally { bytes, us },
+                    fold_us,
+                },
             )
         };
-        let m = metrics_from_events(&[merge_end(0, 3 << 20, 1_000_000), merge_end(1, 1 << 20, 0)]);
+        let m = metrics_from_events(&[
+            merge_end(0, 3 << 20, 1_000_000, 700),
+            merge_end(1, 1 << 20, 0, 50),
+        ]);
         let t = m.req("transport").unwrap();
         assert_eq!(t.req("parsed_bytes").unwrap().as_u64().unwrap(), 4 << 20);
         assert_eq!(t.req("parse_us").unwrap().as_u64().unwrap(), 1_000_000);
         assert!((t.req("parse_mib_per_s").unwrap().as_f64().unwrap() - 4.0).abs() < 1e-9);
+        assert_eq!(t.req("fold_us").unwrap().as_u64().unwrap(), 750);
     }
 
     #[test]
