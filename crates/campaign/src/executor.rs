@@ -31,7 +31,7 @@ use specstab_kernel::harness::{HarnessError, HarnessState, ProtocolHarness};
 use specstab_kernel::measure::SpecMonitor;
 use specstab_kernel::protocol::{random_configuration, Protocol};
 use specstab_protocols::registry::{self, HarnessVisitor, ProtocolInfo};
-use specstab_telemetry::{Heartbeat, RunCounters};
+use specstab_telemetry::{Heartbeat, RunCounters, PATH_BATCHED, PATH_SCALAR, PATH_SCALAR_FALLBACK};
 use specstab_topology::metrics::DistanceMatrix;
 use specstab_topology::spec::parse_spec;
 use specstab_topology::Graph;
@@ -284,24 +284,19 @@ impl CampaignResult {
 /// accuracy.
 const MAX_RUN_CELLS: usize = 32;
 
-/// Splits the canonical cell order into contiguous runs sharing a group
-/// key — the executor's unit of work and statistics chunk — chunking
+/// Splits the canonical cell order into contiguous runs of one scenario
+/// group — the executor's unit of work and statistics chunk — chunking
 /// oversized groups at [`MAX_RUN_CELLS`]. Chunk boundaries depend only on
 /// the cell coordinates, never on thread count, scheduling or sharding.
 fn group_runs<T>(items: &[T], cell: impl Fn(&T) -> &Cell) -> Vec<std::ops::Range<usize>> {
-    let key = |i: usize| cell(&items[i]).group_key();
     let mut runs = Vec::new();
-    let mut start = 0usize;
-    for i in 1..=items.len() {
-        if i == items.len() || key(i) != key(start) {
-            let mut lo = start;
-            while lo < i {
-                let hi = (lo + MAX_RUN_CELLS).min(i);
-                runs.push(lo..hi);
-                lo = hi;
-            }
-            start = i;
+    let mut start = 0;
+    for group in items.chunk_by(|a, b| cell(a).same_group(cell(b))) {
+        let end = start + group.len();
+        for lo in (start..end).step_by(MAX_RUN_CELLS) {
+            runs.push(lo..(lo + MAX_RUN_CELLS).min(end));
         }
+        start = end;
     }
     runs
 }
@@ -594,23 +589,19 @@ fn run_harness_group<H: ProtocolHarness>(
     // seed replicas lane-parallel through the packed engine. Any reason
     // the batched path can't serve such a chunk bit-identically (protocol
     // not packed, toggle off, or a per-cell setup error that the scalar
-    // path reports cell by cell) falls back to the scalar loop below and
-    // is counted per daemon class in the process-wide telemetry. Groups of
-    // every other daemon — central ones included, which commit one move
-    // per step and run fastest on the scalar engine — run scalar
-    // uncounted.
+    // path reports cell by cell) falls back to the scalar loop below.
+    // Groups of every other daemon — central ones included, which commit
+    // one move per step and run fastest on the scalar engine — run
+    // scalar. `group_path` reads the route back from the cells.
     if let Ok(h) = &harness {
         if let Some(mode) = BatchDaemon::from_spec(&first.daemon) {
-            let class = mode.routing_class();
             if batching_enabled() && h.supports_batch() {
                 if let Some(results) =
                     run_batched_group(h, mode, cells, graph, diam, config, witness)
                 {
-                    specstab_telemetry::global().record_batch_routed(class);
                     return results;
                 }
             }
-            specstab_telemetry::global().record_batch_fallback(class);
         }
     }
     cells
@@ -637,6 +628,28 @@ fn run_harness_group<H: ProtocolHarness>(
             }
         })
         .collect()
+}
+
+/// The engine path the executor's routing took for one scenario group's
+/// cells: [`PATH_BATCHED`] when every cell ran as a replica lane
+/// (`counters.batch_lanes == 1`), [`PATH_SCALAR_FALLBACK`] when the daemon
+/// has a batched schedule ([`BatchDaemon::from_spec`]) but some cell ran
+/// scalar, [`PATH_SCALAR`] otherwise. Only meaningful for cells this
+/// process ran: cells read back from partials carry zero counters.
+///
+/// # Panics
+///
+/// Panics when `cells` is empty.
+#[must_use]
+pub fn group_path(cells: &[CellResult]) -> &'static str {
+    let daemon = &cells[0].cell.daemon;
+    if cells.iter().all(|cr| cr.counters.batch_lanes == 1) {
+        PATH_BATCHED
+    } else if BatchDaemon::from_spec(daemon).is_some() {
+        PATH_SCALAR_FALLBACK
+    } else {
+        PATH_SCALAR
+    }
 }
 
 /// A witness group's witness configuration (or its build error), built
@@ -856,6 +869,25 @@ mod tests {
             assert_eq!(a.outcome.as_ref().ok(), b.outcome.as_ref().ok());
             assert_eq!(a.outcome.is_err(), b.outcome.is_err());
         }
+    }
+
+    #[test]
+    fn a_group_is_batched_only_when_every_cell_ran_as_a_lane() {
+        let m = ScenarioMatrix::builder()
+            .topologies(["ring:6"])
+            .protocols(["ssme"])
+            .daemons(["sync", "central-rr"])
+            .fault_bursts([1])
+            .seeds(0..3)
+            .build();
+        let result = run_campaign_sequential(&m, &CampaignConfig::default());
+        let (sync, central) = result.cells.split_at(3);
+        assert_eq!(group_path(sync), PATH_BATCHED);
+        assert_eq!(group_path(central), PATH_SCALAR);
+        // One chunk of a sync group fell back to the scalar engine.
+        let mut mixed = sync.to_vec();
+        mixed[1].counters.batch_lanes = 0;
+        assert_eq!(group_path(&mixed), PATH_SCALAR_FALLBACK);
     }
 
     #[test]

@@ -77,6 +77,16 @@ impl Cell {
         format!("{}|{}|{}|f{}", self.topology, self.protocol, self.daemon, self.init)
     }
 
+    /// Whether `other` belongs to this cell's scenario group: the
+    /// field-wise form of `group_key` equality, without formatting keys.
+    #[must_use]
+    pub fn same_group(&self, other: &Cell) -> bool {
+        self.topology == other.topology
+            && self.protocol == other.protocol
+            && self.daemon == other.daemon
+            && self.init == other.init
+    }
+
     /// The cell's deterministic base seed: a pure function of the cell
     /// coordinates and the campaign seed, independent of enumeration order
     /// and thread assignment.
@@ -316,6 +326,23 @@ mod tests {
         let m = small();
         assert_eq!(m.cells()[0].group_key(), m.cells()[1].group_key());
         assert_ne!(m.cells()[0].group_key(), m.cells()[3].group_key());
+        // `same_group` agrees with key equality on every adjacent pair of
+        // a matrix mixing every axis, the witness included.
+        let mixed = ScenarioMatrix::builder()
+            .topologies(["ring:6", "path:5"])
+            .protocols(["ssme", "dijkstra"])
+            .daemons(["sync", "dist:0.5"])
+            .fault_bursts([0, 1])
+            .with_witness()
+            .seeds(0..2)
+            .build();
+        let mut changes = 0;
+        for pair in mixed.cells().windows(2) {
+            let same = pair[0].group_key() == pair[1].group_key();
+            assert_eq!(pair[0].same_group(&pair[1]), same, "{:?} vs {:?}", pair[0], pair[1]);
+            changes += usize::from(!same);
+        }
+        assert_eq!(changes, 2 * 2 * 2 * 3 - 1, "every group boundary is a pair");
     }
 
     #[test]

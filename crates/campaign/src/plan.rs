@@ -244,17 +244,12 @@ pub fn cells_fingerprint<'a>(cells: impl IntoIterator<Item = &'a Cell>) -> u64 {
 }
 
 /// The sorted cut points between scenario groups in a canonical cell list:
-/// `0`, every index where the group key changes, and `cells.len()`.
+/// `0`, every index where the group changes, and `cells.len()`.
 #[must_use]
 pub fn group_boundaries(cells: &[Cell]) -> Vec<usize> {
     let mut boundaries = vec![0];
-    for i in 1..cells.len() {
-        if cells[i].group_key() != cells[i - 1].group_key() {
-            boundaries.push(i);
-        }
-    }
-    if !cells.is_empty() {
-        boundaries.push(cells.len());
+    for group in cells.chunk_by(Cell::same_group) {
+        boundaries.push(boundaries[boundaries.len() - 1] + group.len());
     }
     boundaries
 }

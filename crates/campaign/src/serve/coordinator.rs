@@ -30,9 +30,10 @@ use crate::merge::{Accepted, MergeAccumulator};
 use crate::plan::CampaignPlan;
 use crate::trace::sum_shard_counters;
 use specstab_telemetry::{
-    obj, CounterSnapshot, EventKind, Json, ParseTally, ServeCounts, ServeHeartbeat, TraceWriter,
+    obj, paths_json, tally_paths, CounterSnapshot, EventKind, Json, ParseTally, ServeCounts,
+    ServeHeartbeat, TraceWriter,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,6 +105,9 @@ pub struct Coordinator {
     /// Sum of the `shard_end` counters of every accepted partial's
     /// telemetry, spool replays included.
     counters: CounterSnapshot,
+    /// Groups per engine path over the `group` events of the same
+    /// telemetry (`/status` `paths`).
+    paths: BTreeMap<String, u64>,
     /// Every partial parse, upload and spool alike (rejected ones too).
     parse: ParseTally,
     started: Instant,
@@ -156,6 +160,7 @@ impl Coordinator {
             uploads_rejected: 0,
             workers: Vec::new(),
             counters: CounterSnapshot::default(),
+            paths: BTreeMap::new(),
             parse: ParseTally::default(),
             started: Instant::now(),
         };
@@ -323,8 +328,8 @@ impl Coordinator {
     /// Validates and folds one partial (uploaded or spooled). On first
     /// acceptance it spools `received` (the upload's bytes; `None` for a
     /// spool replay), marks the shard done, and splices the partial's
-    /// telemetry into the trace and its `shard_end` counters into the
-    /// campaign totals.
+    /// telemetry into the trace, its `shard_end` counters into the
+    /// campaign totals and its `group` paths into the path tally.
     fn fold_partial(
         &mut self,
         mut partial: PartialArtifact,
@@ -389,6 +394,7 @@ impl Coordinator {
                 }
                 self.states[shard_id] = ShardState::Done;
                 self.counters.add(&sum_shard_counters(&telemetry));
+                tally_paths(&mut self.paths, &telemetry);
                 match self.workers.iter_mut().find(|t| t.worker == worker) {
                     Some(t) => {
                         t.shards_accepted += 1;
@@ -423,10 +429,10 @@ impl Coordinator {
     }
 
     /// Builds the live `/status` payload: a `specstab-metrics/v1` snapshot
-    /// of the lease table and per-worker throughput.
+    /// of the lease table, the groups per engine path and per-worker
+    /// throughput.
     fn status_json(&self) -> String {
         let counts = self.counts();
-        let c = &self.counters;
         let wall_us = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
         let wall_secs = self.started.elapsed().as_secs_f64().max(1e-9);
         let workers = self
@@ -457,19 +463,7 @@ impl Coordinator {
                     ("uploads_accepted", Json::UInt(self.uploads_accepted)),
                     ("uploads_rejected", Json::UInt(self.uploads_rejected)),
                     ("wall_us", Json::UInt(wall_us)),
-                    (
-                        "batch_groups",
-                        obj(vec![
-                            ("routed_sync", Json::UInt(c.batch_routed_sync_groups)),
-                            ("routed_rr", Json::UInt(c.batch_routed_rr_groups)),
-                            ("routed_rand", Json::UInt(c.batch_routed_rand_groups)),
-                            ("routed_dist", Json::UInt(c.batch_routed_dist_groups)),
-                            ("fallback_sync", Json::UInt(c.batch_fallback_sync_groups)),
-                            ("fallback_rr", Json::UInt(c.batch_fallback_rr_groups)),
-                            ("fallback_rand", Json::UInt(c.batch_fallback_rand_groups)),
-                            ("fallback_dist", Json::UInt(c.batch_fallback_dist_groups)),
-                        ]),
-                    ),
+                    ("paths", paths_json(&self.paths)),
                     ("workers", Json::Arr(workers)),
                 ]),
             ),

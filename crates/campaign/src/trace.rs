@@ -6,9 +6,10 @@
 //! group, then the group), not in completion order — the executor's
 //! workers finish out of order, and a canonical-order trace is the useful
 //! one for downstream tooling. Timing still reflects reality: each cell
-//! event carries the wall clock its run actually took.
+//! event carries the wall clock its run actually took, and each group
+//! event the engine path its cells took ([`group_path`]).
 
-use crate::executor::{CellResult, GroupSummary};
+use crate::executor::{group_path, CellResult, GroupSummary};
 use specstab_telemetry::event::{CellEvent, CellOutcomeEvent};
 use specstab_telemetry::{CounterSnapshot, Event, EventKind, TraceWriter};
 
@@ -34,10 +35,12 @@ pub fn cell_event(cr: &CellResult) -> EventKind {
     })
 }
 
-/// Emits cell and group events for an executed cell slice in canonical
-/// order: every cell of a scenario group, then the group's summary (with
-/// the group wall clock summed over its cells). `groups` is the matching
-/// aggregate list (a full result's or a shard partial's).
+/// Emits cell and group events for a slice of cells this process
+/// executed, in canonical order: every cell of a scenario group, then the
+/// group's summary, with the group wall clock summed over its cells and
+/// the engine path derived from them — one event per group, however many
+/// work chunks it spanned. `groups` is the matching aggregate list (a
+/// full result's or a shard's).
 ///
 /// # Errors
 ///
@@ -47,15 +50,13 @@ pub fn emit_result_events(
     cells: &[CellResult],
     groups: &[GroupSummary],
 ) -> Result<(), String> {
-    let mut i = 0;
-    while i < cells.len() {
-        let key = cells[i].cell.group_key();
+    for group in cells.chunk_by(|a, b| a.cell.same_group(&b.cell)) {
         let mut wall_us = 0u64;
-        while i < cells.len() && cells[i].cell.group_key() == key {
-            wall_us += cells[i].wall_nanos / 1_000;
-            w.emit(cell_event(&cells[i]))?;
-            i += 1;
+        for cr in group {
+            wall_us += cr.wall_nanos / 1_000;
+            w.emit(cell_event(cr))?;
         }
+        let key = group[0].cell.group_key();
         if let Some(g) = groups.iter().find(|g| g.key == key) {
             w.emit(EventKind::Group {
                 key,
@@ -64,6 +65,7 @@ pub fn emit_result_events(
                 converged: g.converged,
                 violations: g.violations,
                 wall_us,
+                path: group_path(group).into(),
             })?;
         }
     }
@@ -89,7 +91,7 @@ mod tests {
     use super::*;
     use crate::executor::{run_campaign_sequential, CampaignConfig};
     use crate::matrix::ScenarioMatrix;
-    use specstab_telemetry::{parse_ndjson, validate_events};
+    use specstab_telemetry::{metrics_from_events, parse_ndjson, validate_events, PATH_BATCHED};
 
     #[test]
     fn result_events_follow_canonical_order_and_validate() {
@@ -126,6 +128,35 @@ mod tests {
     }
 
     #[test]
+    fn a_group_spanning_two_work_chunks_emits_one_labelled_group_event() {
+        // 40 seeds are two work chunks (32 + 8 cells), run as two batches.
+        let matrix = ScenarioMatrix::builder()
+            .topologies(["ring:8"])
+            .protocols(["ssme"])
+            .daemons(["sync"])
+            .fault_bursts([0])
+            .seeds(0..40)
+            .build();
+        let result = run_campaign_sequential(
+            &matrix,
+            &CampaignConfig { max_steps: 100_000, ..CampaignConfig::default() },
+        );
+        let mut w = TraceWriter::in_memory(None, "run");
+        emit_result_events(&mut w, &result.cells, &result.groups).expect("emit");
+        let events = w.into_events();
+        let groups: Vec<_> = events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Group { runs, path, .. } => Some((*runs, path.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(groups, [(40, PATH_BATCHED)]);
+        let paths = metrics_from_events(&events).req("paths").expect("paths").render_compact();
+        assert_eq!(paths, "{\"batched\":1}", "the sidecar counts the group once");
+    }
+
+    #[test]
     fn shard_counters_sum_field_wise() {
         let snap = |k: u64| CounterSnapshot {
             steps: k,
@@ -138,15 +169,6 @@ mod tests {
             batch_lanes: 7 * k,
             batch_lane_steps: 10 * k,
             batch_idle_lane_steps: 8 * k,
-            batch_scalar_fallbacks: 9 * k,
-            batch_routed_sync_groups: 11 * k,
-            batch_routed_rr_groups: 12 * k,
-            batch_routed_rand_groups: 15 * k,
-            batch_routed_dist_groups: 16 * k,
-            batch_fallback_sync_groups: 13 * k,
-            batch_fallback_rr_groups: 14 * k,
-            batch_fallback_rand_groups: 17 * k,
-            batch_fallback_dist_groups: 18 * k,
         };
         let ev = |shard: u64, kind: EventKind| Event { shard: Some(shard), seq: 1, t_us: 0, kind };
         let events = vec![

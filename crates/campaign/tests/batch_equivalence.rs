@@ -5,15 +5,19 @@
 //! optimization: flipping it off and rerunning the same matrix has to
 //! produce a byte-identical campaign artifact, and the path-independent
 //! engine counters (steps, moves, delta bytes) must read the same under
-//! both settings. This suite lives in its own test binary because the
-//! toggle and the batch telemetry counters are process-wide; the tests
+//! both settings. The route each group took is read back from its cells
+//! (`executor::group_path`). This suite lives in its own test binary
+//! because the toggle and the engine counters are process-wide; the tests
 //! additionally serialize on [`TOGGLE`] so their enable/disable windows
 //! never overlap.
 
 use specstab_campaign::artifact;
-use specstab_campaign::executor::{run_campaign_sequential, set_batching_enabled, CampaignConfig};
+use specstab_campaign::executor::{
+    group_path, run_campaign_sequential, set_batching_enabled, CampaignConfig, CampaignResult,
+};
 use specstab_campaign::matrix::ScenarioMatrix;
-use specstab_telemetry::CounterSnapshot;
+use specstab_kernel::batch::BatchDaemon;
+use specstab_telemetry::{CounterSnapshot, PATH_BATCHED, PATH_SCALAR, PATH_SCALAR_FALLBACK};
 use std::sync::Mutex;
 
 /// Serializes the process-wide batching toggle across tests in this binary.
@@ -26,6 +30,32 @@ fn assert_engine_counters_match(on: &CounterSnapshot, off: &CounterSnapshot) {
     assert_eq!(on.steps, off.steps, "steps must not depend on the engine path");
     assert_eq!(on.moves, off.moves, "moves must not depend on the engine path");
     assert_eq!(on.delta_bytes, off.delta_bytes, "delta bytes must not depend on the engine path");
+}
+
+/// Every group of `result` took the path its daemon and the toggle call
+/// for: sync and dist groups `batched` with batching on (each cell one
+/// lane) and `scalar-fallback` with it off (no cell a lane); every other
+/// group `scalar`. Returns how many groups took each path, in that order.
+fn assert_routes(result: &CampaignResult, batching: bool) -> [usize; 3] {
+    let mut taken = [0; 3];
+    for group in result.cells.chunk_by(|a, b| a.cell.same_group(&b.cell)) {
+        let daemon = &group[0].cell.daemon;
+        let batchable = BatchDaemon::from_spec(daemon).is_some();
+        let lanes = u64::from(batchable && batching);
+        assert!(
+            group.iter().all(|cr| cr.counters.batch_lanes == lanes),
+            "{}: every cell must read batch_lanes {lanes}",
+            group[0].cell.group_key()
+        );
+        let (want, slot) = match (batchable, batching) {
+            (true, true) => (PATH_BATCHED, 0),
+            (true, false) => (PATH_SCALAR_FALLBACK, 1),
+            (false, _) => (PATH_SCALAR, 2),
+        };
+        assert_eq!(group_path(group), want, "{}", group[0].cell.group_key());
+        taken[slot] += 1;
+    }
+    taken
 }
 
 #[test]
@@ -50,39 +80,16 @@ fn batched_campaign_artifact_is_byte_identical_to_scalar() {
     set_batching_enabled(true);
     let batched = run_campaign_sequential(&m, &cfg);
     let mid = specstab_telemetry::global().snapshot();
-    assert!(
-        mid.batch_lanes > before.batch_lanes,
-        "the batched path must actually engage on sync ssme groups"
-    );
-    assert!(
-        mid.batch_routed_sync_groups > before.batch_routed_sync_groups,
-        "sync groups must be counted under the sync routing class"
-    );
-    assert!(
-        mid.batch_routed_dist_groups > before.batch_routed_dist_groups,
-        "dist:0.5 groups must be counted under the dist routing class"
-    );
+    // 2 topologies x 2 daemons x 3 init modes, every group batchable.
+    assert_eq!(assert_routes(&batched, true), [12, 0, 0]);
+    assert_eq!(mid.batch_lanes - before.batch_lanes, m.len() as u64, "one lane per cell");
 
     set_batching_enabled(false);
     let scalar = run_campaign_sequential(&m, &cfg);
     let after = specstab_telemetry::global().snapshot();
     set_batching_enabled(true);
-    assert_eq!(
-        after.batch_lanes, mid.batch_lanes,
-        "no lanes may launch while batching is disabled"
-    );
-    assert!(
-        after.batch_scalar_fallbacks > mid.batch_scalar_fallbacks,
-        "disabled batching must be counted as scalar fallbacks on sync groups"
-    );
-    assert!(
-        after.batch_fallback_sync_groups > mid.batch_fallback_sync_groups,
-        "disabled sync groups must land in the sync fallback class"
-    );
-    assert!(
-        after.batch_fallback_dist_groups > mid.batch_fallback_dist_groups,
-        "disabled dist groups must land in the dist fallback class"
-    );
+    assert_eq!(assert_routes(&scalar, false), [0, 12, 0]);
+    assert_eq!(after.batch_lanes, mid.batch_lanes, "no lanes may launch while batching is off");
     assert_engine_counters_match(&mid.delta(&before), &after.delta(&mid));
 
     assert_eq!(
@@ -97,9 +104,8 @@ fn batched_dijkstra_central_rr_artifact_is_byte_identical_to_scalar() {
     let _guard = TOGGLE.lock().unwrap();
     // All three Dijkstra protocols under the two batchable daemons (sync,
     // and dist:0.5 with its per-lane RNG streams) plus daemons that never
-    // batch (central-rr, central-rand, central-min), so routed sync
-    // groups, routed dist groups and uncounted scalar central groups
-    // coexist in one artifact. The ring matrix carries the two ring
+    // batch (central-rr, central-rand, central-min), so batched sync and
+    // dist groups and scalar central groups coexist in one artifact. The ring matrix carries the two ring
     // protocols (K-state with the standard grid K = n, well under the
     // 256-state u8 lane gate); the four-state protocol needs a line, so
     // it gets its own path matrix.
@@ -125,23 +131,20 @@ fn batched_dijkstra_central_rr_artifact_is_byte_identical_to_scalar() {
     let batched: Vec<_> =
         [&rings, &lines].iter().map(|m| run_campaign_sequential(m, &cfg)).collect();
     let mid = specstab_telemetry::global().snapshot();
-    let on = mid.delta(&before);
-    assert!(on.batch_routed_sync_groups > 0, "sync Dijkstra groups must route batched");
-    assert!(on.batch_routed_dist_groups > 0, "dist:0.5 Dijkstra groups must route batched");
-    // Central groups run scalar and are not routing-counted at all.
-    assert_eq!(on.batch_routed_rr_groups + on.batch_routed_rand_groups, 0);
-    assert_eq!(on.batch_fallback_rr_groups + on.batch_fallback_rand_groups, 0);
-    assert_eq!(on.batch_scalar_fallbacks, 0, "every sync and dist group routes");
+    // Per matrix: 2 topologies x 2 fault modes x (1 or 2 protocols) over
+    // 2 batchable and 3 central daemons.
+    assert_eq!(assert_routes(&batched[0], true), [16, 0, 24]);
+    assert_eq!(assert_routes(&batched[1], true), [8, 0, 12]);
 
     set_batching_enabled(false);
     let scalar: Vec<_> =
         [&rings, &lines].iter().map(|m| run_campaign_sequential(m, &cfg)).collect();
     let after = specstab_telemetry::global().snapshot();
     set_batching_enabled(true);
-    let off = after.delta(&mid);
+    assert_eq!(assert_routes(&scalar[0], false), [0, 16, 24]);
+    assert_eq!(assert_routes(&scalar[1], false), [0, 8, 12]);
+    let (on, off) = (mid.delta(&before), after.delta(&mid));
     assert_eq!(off.batch_lanes, 0, "no lanes may launch while batching is disabled");
-    assert!(off.batch_fallback_dist_groups > 0, "disabled dist groups are counted fallbacks");
-    assert_eq!(off.batch_fallback_rr_groups + off.batch_fallback_rand_groups, 0);
     assert_engine_counters_match(&on, &off);
 
     for (b, s) in batched.iter().zip(&scalar) {

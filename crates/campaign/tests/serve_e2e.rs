@@ -165,7 +165,7 @@ fn expired_lease_is_redispatched_and_artifact_stays_byte_identical() {
 /// the restarted instance re-accepts the checkpoint from disk (worker
 /// `"spool"`, no re-lease of the completed shard) and only the remaining
 /// shards are executed again. The spooled upload keeps its telemetry, so
-/// the resumed coordinator's `/status` routing counts and `campaign_end`
+/// the resumed coordinator's `/status` group paths and `campaign_end`
 /// counters cover the resumed shard too.
 #[test]
 fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
@@ -213,12 +213,8 @@ fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
     let url = CoordinatorUrl::parse(&format!("http://{addr}")).expect("url");
     let (_, body) = request(&url, "GET", "/status", &[], b"").expect("status");
     let status = Json::parse(std::str::from_utf8(&body).unwrap()).expect("parses");
-    let routing = status.req("serve").unwrap().req("batch_groups").unwrap();
-    let routed = ["routed_sync", "routed_dist"]
-        .map(|k| routing.req(k).unwrap().as_u64().unwrap())
-        .iter()
-        .sum::<u64>();
-    assert!(routed > 0, "the resumed shard's lane-routed groups reach /status");
+    let batched = status.req("serve").unwrap().req("paths").unwrap().req("batched").unwrap();
+    assert!(batched.as_u64().unwrap() > 0, "the resumed shard's batched groups reach /status");
     let w2 = run_worker(&worker_opts(&addr, "w2")).expect("worker ok");
     let result = serve.join().expect("serve thread").expect("serve ok").expect("completed");
     assert_eq!(to_json(&result, true), golden(), "resumed artifact drifted");

@@ -5,7 +5,8 @@
 //! the JSON artifact stays byte-identical to the checked-in golden**
 //! (telemetry never perturbs determinism). The workers' shard streams
 //! travel inside their uploads, so the coordinator's trace carries their
-//! cell timing and its `campaign_end` counters equal an in-process run's.
+//! cell timing and group paths, and its `campaign_end` counters and
+//! sidecar path tally equal an in-process run's.
 
 use specstab_telemetry::{parse_ndjson, validate_events, CounterSnapshot, EventKind, Json};
 use std::path::{Path, PathBuf};
@@ -116,10 +117,13 @@ fn traced_workers_run_is_schema_valid_and_keeps_the_golden_byte_identical() {
 
     // The counters the workers measured add up to an in-process run's.
     let inprocess_trace = temp_path("inprocess.events.ndjson");
+    let inprocess_metrics = temp_path("inprocess.metrics.json");
     let status = Command::new(campaign_exe())
         .args(GOLDEN_MATRIX)
         .arg("--trace")
         .arg(&inprocess_trace)
+        .arg("--metrics")
+        .arg(&inprocess_metrics)
         .output()
         .expect("in-process campaign spawns")
         .status;
@@ -146,6 +150,15 @@ fn traced_workers_run_is_schema_valid_and_keeps_the_golden_byte_identical() {
     assert_eq!(totals.req("cells").unwrap().as_u64().unwrap(), 54);
     assert_eq!(totals.req("errors").unwrap().as_u64().unwrap(), 0);
     assert!(totals.req("counters").unwrap().req("moves").unwrap().as_u64().unwrap() > 0);
+
+    // One labelled `group` event per group, wherever it ran: the sync and
+    // dist:0.5 groups on the lane engine, the central-rand ones scalar.
+    let paths = metrics.req("paths").unwrap();
+    assert_eq!(paths.render_compact(), "{\"batched\":12,\"scalar\":6}");
+    let inprocess =
+        Json::parse(&std::fs::read_to_string(&inprocess_metrics).expect("metrics written"))
+            .expect("metrics parse");
+    assert_eq!(inprocess.req("paths").unwrap(), paths, "sidecar paths: workers vs in-process");
 
     // The transport-read timer: `merge_end` counts every partial byte the
     // orchestrator parsed, and the sidecar reports the same total.
@@ -174,7 +187,7 @@ fn traced_workers_run_is_schema_valid_and_keeps_the_golden_byte_identical() {
         .expect("fold_us is a count");
     assert_eq!(transport.req("fold_us").unwrap().as_u64().unwrap(), fold_us);
 
-    for p in [&json_path, &trace_path, &metrics_path, &inprocess_trace] {
+    for p in [&json_path, &trace_path, &metrics_path, &inprocess_trace, &inprocess_metrics] {
         let _ = std::fs::remove_file(p);
     }
 }

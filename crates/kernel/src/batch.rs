@@ -55,10 +55,11 @@
 //! adversarial search state, or pick one vertex per step (`central-rr`,
 //! `central-rand`) have no batched schedule ([`BatchDaemon::from_spec`]
 //! maps them to `None`): their groups always run on the scalar engine,
-//! which commits one move per step in O(degree), and are not
-//! routing-counted. `batch_scalar_fallbacks` in the telemetry snapshot
-//! counts only sync and dist groups that still ran scalar (protocol not
-//! packed, batching disabled).
+//! which commits one move per step in O(degree). Every lane's
+//! [`RunCounters::batch_lanes`] reads 1, which is how the campaign
+//! executor tells a `batched` group from a sync or dist group that still
+//! ran scalar (`scalar-fallback`: protocol not packed, batching disabled)
+//! and from a `scalar` one.
 //!
 //! ## Monitors
 //!
@@ -103,7 +104,7 @@ use crate::protocol::Protocol;
 use crate::spec::LaneSpecification;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use specstab_telemetry::{BatchDaemonClass, RunCounters};
+use specstab_telemetry::RunCounters;
 use specstab_topology::{Graph, VertexId};
 
 /// A fixed-width integer lane word: the primitive the SoA engine can
@@ -211,18 +212,6 @@ impl BatchDaemon {
     #[must_use]
     pub fn is_batched(self) -> bool {
         matches!(self, BatchDaemon::Sync | BatchDaemon::RandomDistributed { .. })
-    }
-
-    /// The telemetry class this daemon's groups are routing-counted
-    /// under.
-    #[must_use]
-    pub fn routing_class(self) -> BatchDaemonClass {
-        match self {
-            BatchDaemon::Sync => BatchDaemonClass::Sync,
-            BatchDaemon::CentralRr => BatchDaemonClass::CentralRr,
-            BatchDaemon::CentralRand => BatchDaemonClass::CentralRand,
-            BatchDaemon::RandomDistributed { .. } => BatchDaemonClass::RandomDistributed,
-        }
     }
 }
 
@@ -657,7 +646,7 @@ fn step_loop<P: PackedProtocol, M: BatchMonitor<P>>(
     let mut stop: Vec<Option<StopReason>> = vec![None; lanes];
     let mut commit = vec![true; lanes];
     let mut moved = vec![0u32; lanes];
-    let mut counters = vec![RunCounters::new(); lanes];
+    let mut counters = vec![RunCounters { batch_lanes: 1, ..RunCounters::new() }; lanes];
     let mut lane_step_slots = 0u64;
     let mut idle_lane_steps = 0u64;
     // A lane commits every pass until it stops for good, so every
@@ -724,9 +713,10 @@ fn step_loop<P: PackedProtocol, M: BatchMonitor<P>>(
     }
 
     // One telemetry flush per lane, mirroring the scalar engine's
-    // once-per-run discipline, plus the batch occupancy tallies.
+    // once-per-run discipline (each lane counts itself in `batch_lanes`),
+    // plus the batch occupancy tallies.
     let telemetry = specstab_telemetry::global();
-    telemetry.record_batch(lanes as u64, lane_step_slots, idle_lane_steps);
+    telemetry.record_batch(lane_step_slots, idle_lane_steps);
     let summaries = (0..lanes)
         .map(|l| {
             telemetry.record_run(&counters[l]);

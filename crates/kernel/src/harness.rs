@@ -247,8 +247,9 @@ pub trait ProtocolHarness: Sized {
     ///
     /// Harnesses may return `false` for *instances* outside their packed
     /// domain (e.g. the K-state Dijkstra ring packs u8 lanes and only
-    /// batches when `K <= 256`); such instances take the counted scalar
-    /// fallback.
+    /// batches when `K <= 256`); such instances run on the scalar engine,
+    /// and their sync and dist:p groups read `scalar-fallback` as their
+    /// engine path in the campaign trace.
     #[must_use]
     fn supports_batch(&self) -> bool {
         false

@@ -5,27 +5,56 @@
 //!
 //! Each file is parsed line-by-line through the strict JSON reader and
 //! checked against the stream discipline (schema header first, dense
-//! per-stream sequence numbers, monotonic timestamps) plus the batch
-//! counter invariant (a stream with zero launched lanes cannot carry idle
-//! lane-steps). Exit code 0 when every file validates; 1 with a
-//! diagnostic on stderr otherwise. CI runs this over the traces the
-//! distributed-pipeline job produces.
+//! per-stream sequence numbers, monotonic timestamps), the lease
+//! discipline of coordinator traces, and two batch invariants: a counter
+//! snapshot with zero launched lanes carries no idle lane-steps, and the
+//! `group` path labels agree with the lane counter. Exit code 0 when every
+//! file validates; 1 with a diagnostic on stderr otherwise. CI runs this
+//! over the traces the distributed-pipeline job produces.
 
 use specstab_telemetry::counters::CounterSnapshot;
-use specstab_telemetry::event::{parse_ndjson, validate_events, Event, EventKind};
+use specstab_telemetry::event::{
+    parse_ndjson, validate_events, Event, EventKind, PATH_BATCHED, PATH_SCALAR,
+    PATH_SCALAR_FALLBACK,
+};
+use specstab_telemetry::metrics::tally_paths;
+use std::collections::BTreeMap;
 
-/// Batch counter invariants on every counter-carrying event: idle
-/// lane-steps are only accumulated inside a batch loop, so they cannot
-/// appear without launched lanes, and the per-daemon-class fallback
-/// counters partition the scalar-fallback total (each fallback is
-/// attributed to exactly one class). Returns the last (most aggregated)
-/// counter snapshot for the summary line.
-fn check_batch_counters(events: &[Event]) -> Result<CounterSnapshot, String> {
-    let mut totals = CounterSnapshot::default();
+/// Batch invariants over the counter snapshots and `group` events. Idle
+/// lane-steps are only accumulated inside a batch loop, so no snapshot
+/// carries them without launched lanes. The path labels agree with the
+/// lane counter: every cell of a `batched` group ran as one lane, and
+/// lanes launch only in `batched` and `scalar-fallback` groups (a fallback
+/// group may have had a chunk batched), so the trace's `batch_lanes` (its
+/// `campaign_end` counters, else its summed `shard_end`s) lies between the
+/// runs of the `batched` groups and the runs of both. Unknown paths are
+/// rejected; traces written before the label (a `group` event without
+/// one) are not held to the agreement. Returns the trace's totals.
+fn check_batch_telemetry(events: &[Event]) -> Result<CounterSnapshot, String> {
+    let (mut campaign, mut shards) = (None, CounterSnapshot::default());
+    let (mut batched, mut fallback, mut unlabelled) = (0u64, 0u64, false);
     for e in events {
         let counters = match &e.kind {
-            EventKind::ShardEnd { counters, .. } => counters,
-            EventKind::CampaignEnd { counters, .. } => counters,
+            EventKind::CampaignEnd { counters, .. } => {
+                campaign = Some(*counters);
+                counters
+            }
+            EventKind::ShardEnd { counters, .. } => {
+                shards.add(counters);
+                counters
+            }
+            EventKind::Group { path, runs, .. } => {
+                match path.as_str() {
+                    PATH_BATCHED => batched += runs,
+                    PATH_SCALAR_FALLBACK => fallback += runs,
+                    PATH_SCALAR => {}
+                    "" => unlabelled = true,
+                    other => {
+                        return Err(format!("event seq {}: unknown group path '{other}'", e.seq))
+                    }
+                }
+                continue;
+            }
             _ => continue,
         };
         if counters.batch_lanes == 0 && counters.batch_idle_lane_steps != 0 {
@@ -34,21 +63,14 @@ fn check_batch_counters(events: &[Event]) -> Result<CounterSnapshot, String> {
                 e.seq, counters.batch_idle_lane_steps
             ));
         }
-        let class_fallbacks = counters.batch_fallback_sync_groups
-            + counters.batch_fallback_rr_groups
-            + counters.batch_fallback_rand_groups
-            + counters.batch_fallback_dist_groups;
-        // Legacy traces carry the total without the class split (parsed
-        // as zeros), so the partition is only enforced once any class
-        // counter is present.
-        if class_fallbacks != 0 && class_fallbacks != counters.batch_scalar_fallbacks {
-            return Err(format!(
-                "event seq {}: per-class fallbacks ({class_fallbacks}) do not partition the \
-                 scalar-fallback total ({})",
-                e.seq, counters.batch_scalar_fallbacks
-            ));
-        }
-        totals = *counters;
+    }
+    let totals = campaign.unwrap_or(shards);
+    let lanes = totals.batch_lanes;
+    if !unlabelled && !(batched..=batched + fallback).contains(&lanes) {
+        return Err(format!(
+            "{lanes} batch lanes launched, but batched groups hold {batched} runs and \
+             scalar-fallback groups {fallback}"
+        ));
     }
     Ok(totals)
 }
@@ -84,24 +106,26 @@ fn check_lease_discipline(events: &[Event]) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs every check over one parsed trace and returns its summary.
+fn check_events(events: &[Event]) -> Result<String, String> {
+    validate_events(events)?;
+    check_lease_discipline(events)?;
+    let totals = check_batch_telemetry(events)?;
+    let mut paths = BTreeMap::new();
+    tally_paths(&mut paths, events);
+    Ok(format!(
+        "{} events; batch: {} lanes, {} idle lane-steps; group paths {paths:?}",
+        events.len(),
+        totals.batch_lanes,
+        totals.batch_idle_lane_steps
+    ))
+}
+
 fn check_file(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let events = parse_ndjson(&text).map_err(|e| format!("{path}: {e}"))?;
-    validate_events(&events).map_err(|e| format!("{path}: {e}"))?;
-    check_lease_discipline(&events).map_err(|e| format!("{path}: {e}"))?;
-    let totals = check_batch_counters(&events).map_err(|e| format!("{path}: {e}"))?;
-    Ok(format!(
-        "{path}: ok ({} events; batch: {} lanes, {} idle lane-steps, {} scalar fallbacks; \
-         routed sync/rr/rand/dist: {}/{}/{}/{})",
-        events.len(),
-        totals.batch_lanes,
-        totals.batch_idle_lane_steps,
-        totals.batch_scalar_fallbacks,
-        totals.batch_routed_sync_groups,
-        totals.batch_routed_rr_groups,
-        totals.batch_routed_rand_groups,
-        totals.batch_routed_dist_groups
-    ))
+    let summary = check_events(&events).map_err(|e| format!("{path}: {e}"))?;
+    Ok(format!("{path}: ok ({summary})"))
 }
 
 fn main() {
@@ -122,5 +146,136 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use specstab_telemetry::EVENTS_SCHEMA;
+
+    /// One valid stream: the header, then `kinds` numbered densely.
+    fn trace(kinds: Vec<EventKind>) -> Vec<Event> {
+        std::iter::once(EventKind::Stream { schema: EVENTS_SCHEMA.into(), source: "run".into() })
+            .chain(kinds)
+            .enumerate()
+            .map(|(seq, kind)| Event { shard: None, seq: seq as u64, t_us: 0, kind })
+            .collect()
+    }
+
+    fn group(path: &str, runs: u64) -> EventKind {
+        EventKind::Group {
+            key: format!("ring:8|ssme|sync|f{runs}"),
+            runs,
+            errors: 0,
+            converged: runs,
+            violations: 0,
+            wall_us: 10,
+            path: path.into(),
+        }
+    }
+
+    fn campaign_end(batch_lanes: u64, batch_idle_lane_steps: u64) -> EventKind {
+        EventKind::CampaignEnd {
+            cells: 60,
+            errors: 0,
+            violations: 0,
+            wall_us: 100,
+            counters: CounterSnapshot {
+                batch_lanes,
+                batch_lane_steps: 10 * batch_lanes,
+                batch_idle_lane_steps,
+                ..CounterSnapshot::default()
+            },
+        }
+    }
+
+    fn shard_end(batch_lanes: u64) -> EventKind {
+        EventKind::ShardEnd {
+            cells: 20,
+            wall_us: 50,
+            counters: CounterSnapshot { batch_lanes, ..CounterSnapshot::default() },
+        }
+    }
+
+    fn granted(shard_id: u64, worker: &str, lease_id: u64) -> EventKind {
+        EventKind::LeaseGranted { shard_id, worker: worker.into(), lease_id, lease_ms: 1_000 }
+    }
+
+    fn rejected(kinds: Vec<EventKind>, reason: &str) {
+        let err = check_events(&trace(kinds)).expect_err("the trace must be rejected");
+        assert!(err.contains(reason), "expected '{reason}' in: {err}");
+    }
+
+    #[test]
+    fn consistent_labelled_traces_pass_with_their_path_tally() {
+        // 40 batched runs plus a fallback group with one batched chunk.
+        let kinds = vec![
+            group(PATH_BATCHED, 40),
+            group(PATH_SCALAR_FALLBACK, 20),
+            group(PATH_SCALAR, 20),
+            campaign_end(40, 3),
+        ];
+        let summary = check_events(&trace(kinds.clone())).expect("consistent");
+        assert!(
+            summary.ends_with(r#"group paths {"batched": 1, "scalar": 1, "scalar-fallback": 1}"#),
+            "{summary}"
+        );
+        let mut upper = kinds;
+        upper[3] = campaign_end(60, 3);
+        check_events(&trace(upper)).expect("every fallback run may have launched a lane");
+        // Without `campaign_end` the totals are the summed `shard_end`s.
+        check_events(&trace(vec![group(PATH_BATCHED, 40), shard_end(25), shard_end(15)]))
+            .expect("shard totals");
+    }
+
+    #[test]
+    fn reused_lease_ids_are_rejected() {
+        rejected(vec![granted(0, "w1", 7), granted(1, "w2", 7)], "lease id 7 reused");
+    }
+
+    #[test]
+    fn expiries_of_leases_never_granted_are_rejected() {
+        let expired = EventKind::LeaseExpired { shard_id: 1, worker: "w1".into(), lease_id: 7 };
+        rejected(vec![granted(0, "w1", 7), expired], "was never granted");
+    }
+
+    #[test]
+    fn idle_lane_steps_without_lanes_are_rejected() {
+        rejected(vec![group(PATH_SCALAR, 4), campaign_end(0, 5)], "with zero batch lanes");
+    }
+
+    #[test]
+    fn batched_groups_need_one_lane_per_run() {
+        rejected(
+            vec![group(PATH_BATCHED, 40), group(PATH_BATCHED, 8), campaign_end(40, 0)],
+            "40 batch lanes launched, but batched groups hold 48 runs",
+        );
+        rejected(
+            vec![group(PATH_BATCHED, 40), shard_end(39)],
+            "39 batch lanes launched, but batched groups hold 40 runs",
+        );
+    }
+
+    #[test]
+    fn lanes_in_an_all_scalar_trace_are_rejected() {
+        rejected(
+            vec![group(PATH_SCALAR, 12), group(PATH_SCALAR, 12), campaign_end(12, 0)],
+            "12 batch lanes launched, but batched groups hold 0 runs and scalar-fallback groups 0",
+        );
+    }
+
+    #[test]
+    fn unknown_paths_are_rejected() {
+        rejected(vec![group("batched:sync", 4), campaign_end(4, 0)], "unknown group path");
+    }
+
+    #[test]
+    fn traces_without_path_labels_still_pass() {
+        // Older traces carry no `path` on their group events, while their
+        // counters still count the lanes.
+        let summary = check_events(&trace(vec![group("", 12), group("", 6), campaign_end(12, 2)]))
+            .expect("an unlabelled trace is not checked for agreement");
+        assert!(summary.ends_with("group paths {}"), "{summary}");
     }
 }

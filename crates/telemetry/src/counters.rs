@@ -12,8 +12,14 @@
 //! increment the global directly: scratch-buffer reuses (recorded at run
 //! entry) and full [`Configuration`] clones (recorded by the instrumented
 //! `Clone` impl in the kernel — the promotion of the old test-only clone
-//! counter). Tests compare [`CounterSnapshot`] deltas, never absolute
-//! values.
+//! counter). A batched run adds its lane-step slots and idle lane-steps
+//! once per batch. Tests compare [`CounterSnapshot`] deltas, never
+//! absolute values.
+//!
+//! Which engine ran a scenario group is not a counter: each cell's
+//! [`RunCounters::batch_lanes`] says whether it ran as a replica lane,
+//! and the campaign executor labels every `group` event with the path
+//! its cells took.
 //!
 //! [`Configuration`]: https://docs.rs/specstab-kernel
 
@@ -28,9 +34,13 @@ pub struct RunCounters {
     pub steps: u64,
     /// Moves (vertex activations) executed.
     pub moves: u64,
-    /// Guard evaluations: every `enabled_rule` call the engine issued —
-    /// the initial full scan, per-fire re-evaluation, touched-set
-    /// maintenance, and daemon previews.
+    /// Guard evaluations performed, defined once for both engines. The
+    /// scalar engine performs `n` at the start of a run, then one per
+    /// vertex of each step's touched ball (the activated vertices and
+    /// their neighbors), plus one per vertex of each daemon preview;
+    /// firing applies the rule cached at the last evaluation. The lane
+    /// engine performs `n` per live lane per pass, because each pass
+    /// refreshes the whole graph.
     pub guard_evals: u64,
     /// Bytes of state moved through step deltas (before + after state per
     /// recorded move).
@@ -46,6 +56,10 @@ pub struct RunCounters {
     /// per predicate call. Flushed by the monitor layer
     /// ([`EngineCounters::record_monitor_evals`]), not by the step loop.
     pub monitor_evals: u64,
+    /// 1 when the run was a replica lane of a batched run, 0 when it ran
+    /// on the scalar engine. Summed over a campaign it counts the lanes
+    /// the batches launched.
+    pub batch_lanes: u64,
 }
 
 impl RunCounters {
@@ -63,21 +77,8 @@ impl RunCounters {
         self.guard_evals += other.guard_evals;
         self.delta_bytes += other.delta_bytes;
         self.monitor_evals += other.monitor_evals;
+        self.batch_lanes += other.batch_lanes;
     }
-}
-
-/// Daemon class of a batch-eligible campaign group, used to attribute
-/// batched-vs-scalar routing decisions per class.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BatchDaemonClass {
-    /// Synchronous daemon groups (`sync`).
-    Sync,
-    /// Central round-robin daemon groups (`central-rr`).
-    CentralRr,
-    /// Central uniform-random daemon groups (`central-rand`).
-    CentralRand,
-    /// Random-distributed daemon groups (`dist:<p>`).
-    RandomDistributed,
 }
 
 /// The process-global aggregate: relaxed atomics, written by batched
@@ -94,15 +95,6 @@ pub struct EngineCounters {
     batch_lanes: AtomicU64,
     batch_lane_steps: AtomicU64,
     batch_idle_lane_steps: AtomicU64,
-    batch_scalar_fallbacks: AtomicU64,
-    batch_routed_sync_groups: AtomicU64,
-    batch_routed_rr_groups: AtomicU64,
-    batch_routed_rand_groups: AtomicU64,
-    batch_routed_dist_groups: AtomicU64,
-    batch_fallback_sync_groups: AtomicU64,
-    batch_fallback_rr_groups: AtomicU64,
-    batch_fallback_rand_groups: AtomicU64,
-    batch_fallback_dist_groups: AtomicU64,
 }
 
 /// A point-in-time copy of the global counters. Monotonically increasing
@@ -126,8 +118,10 @@ pub struct CounterSnapshot {
     /// Full `Configuration::clone` calls (buffer-reusing `clone_from` is
     /// deliberately not counted — that is the allocation-free path).
     pub config_clones: u64,
-    /// Replica lanes launched by batched runs (one per seed-replica that
-    /// entered a batch, regardless of how long it stayed active).
+    /// Replica lanes launched by batched runs: the sum of
+    /// [`RunCounters::batch_lanes`] over finished runs (one per
+    /// seed-replica that entered a batch, regardless of how long it
+    /// stayed active).
     pub batch_lanes: u64,
     /// Total lane-step slots batched runs scheduled: `lanes x iterations`
     /// summed over batches. Lane widths differ across packed protocols
@@ -138,33 +132,6 @@ pub struct CounterSnapshot {
     /// Lane-steps spent masked idle: batch iterations where an
     /// already-stopped lane rode along while siblings kept stepping.
     pub batch_idle_lane_steps: u64,
-    /// Batch-eligible cell groups (sync or dist:p daemon) that fell back
-    /// to the scalar path because the protocol has no packed
-    /// implementation, the instance falls outside the packed domain, or
-    /// batching was disabled. Groups of other daemons are not counted.
-    pub batch_scalar_fallbacks: u64,
-    /// Synchronous-daemon groups routed through the batched engine.
-    pub batch_routed_sync_groups: u64,
-    /// Central round-robin groups routed through the batched engine:
-    /// always 0, central daemons run on the scalar engine uncounted. The
-    /// field stays for the sidecar and header layouts.
-    pub batch_routed_rr_groups: u64,
-    /// Central uniform-random groups routed through the batched engine:
-    /// always 0, like `batch_routed_rr_groups`.
-    pub batch_routed_rand_groups: u64,
-    /// Random-distributed (`dist:<p>`) groups routed through the batched
-    /// engine.
-    pub batch_routed_dist_groups: u64,
-    /// Synchronous-daemon groups that took the scalar fallback.
-    pub batch_fallback_sync_groups: u64,
-    /// Central round-robin groups that took the scalar fallback: always
-    /// 0, like `batch_routed_rr_groups`.
-    pub batch_fallback_rr_groups: u64,
-    /// Central uniform-random groups that took the scalar fallback:
-    /// always 0, like `batch_routed_rr_groups`.
-    pub batch_fallback_rand_groups: u64,
-    /// Random-distributed groups that took the scalar fallback.
-    pub batch_fallback_dist_groups: u64,
 }
 
 impl CounterSnapshot {
@@ -181,15 +148,6 @@ impl CounterSnapshot {
         self.batch_lanes += other.batch_lanes;
         self.batch_lane_steps += other.batch_lane_steps;
         self.batch_idle_lane_steps += other.batch_idle_lane_steps;
-        self.batch_scalar_fallbacks += other.batch_scalar_fallbacks;
-        self.batch_routed_sync_groups += other.batch_routed_sync_groups;
-        self.batch_routed_rr_groups += other.batch_routed_rr_groups;
-        self.batch_routed_rand_groups += other.batch_routed_rand_groups;
-        self.batch_routed_dist_groups += other.batch_routed_dist_groups;
-        self.batch_fallback_sync_groups += other.batch_fallback_sync_groups;
-        self.batch_fallback_rr_groups += other.batch_fallback_rr_groups;
-        self.batch_fallback_rand_groups += other.batch_fallback_rand_groups;
-        self.batch_fallback_dist_groups += other.batch_fallback_dist_groups;
     }
 
     /// Field-wise `self - earlier` (saturating, so a stale `earlier` from
@@ -209,39 +167,12 @@ impl CounterSnapshot {
             batch_idle_lane_steps: self
                 .batch_idle_lane_steps
                 .saturating_sub(earlier.batch_idle_lane_steps),
-            batch_scalar_fallbacks: self
-                .batch_scalar_fallbacks
-                .saturating_sub(earlier.batch_scalar_fallbacks),
-            batch_routed_sync_groups: self
-                .batch_routed_sync_groups
-                .saturating_sub(earlier.batch_routed_sync_groups),
-            batch_routed_rr_groups: self
-                .batch_routed_rr_groups
-                .saturating_sub(earlier.batch_routed_rr_groups),
-            batch_routed_rand_groups: self
-                .batch_routed_rand_groups
-                .saturating_sub(earlier.batch_routed_rand_groups),
-            batch_routed_dist_groups: self
-                .batch_routed_dist_groups
-                .saturating_sub(earlier.batch_routed_dist_groups),
-            batch_fallback_sync_groups: self
-                .batch_fallback_sync_groups
-                .saturating_sub(earlier.batch_fallback_sync_groups),
-            batch_fallback_rr_groups: self
-                .batch_fallback_rr_groups
-                .saturating_sub(earlier.batch_fallback_rr_groups),
-            batch_fallback_rand_groups: self
-                .batch_fallback_rand_groups
-                .saturating_sub(earlier.batch_fallback_rand_groups),
-            batch_fallback_dist_groups: self
-                .batch_fallback_dist_groups
-                .saturating_sub(earlier.batch_fallback_dist_groups),
         }
     }
 }
 
 impl EngineCounters {
-    /// Flushes one finished run's engine tallies — four relaxed adds, the
+    /// Flushes one finished run's engine tallies — five relaxed adds, the
     /// only global traffic a run's step loop generates. `monitor_evals`
     /// is the monitor layer's to flush ([`Self::record_monitor_evals`]).
     pub fn record_run(&self, run: &RunCounters) {
@@ -249,6 +180,7 @@ impl EngineCounters {
         self.moves.fetch_add(run.moves, Ordering::Relaxed);
         self.guard_evals.fetch_add(run.guard_evals, Ordering::Relaxed);
         self.delta_bytes.fetch_add(run.delta_bytes, Ordering::Relaxed);
+        self.batch_lanes.fetch_add(run.batch_lanes, Ordering::Relaxed);
     }
 
     /// Flushes the monitor vertex evaluations of one finished measured run
@@ -269,40 +201,15 @@ impl EngineCounters {
         self.config_clones.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Flushes one finished batched run: the lanes it launched, the total
-    /// lane-step slots it scheduled (`lanes x iterations` — the lane-count
-    /// parameterization that keeps u8x64 and i32x16 batches comparable),
+    /// Flushes one finished batched run's occupancy: the total lane-step
+    /// slots it scheduled (`lanes x iterations` — the lane-count
+    /// parameterization that keeps u8x64 and i32x16 batches comparable)
     /// and the lane-steps spent masked idle after individual lanes
-    /// stopped.
-    pub fn record_batch(&self, lanes: u64, lane_steps: u64, idle_lane_steps: u64) {
-        self.batch_lanes.fetch_add(lanes, Ordering::Relaxed);
+    /// stopped. Its lanes are counted by their own [`Self::record_run`]
+    /// flushes ([`RunCounters::batch_lanes`]).
+    pub fn record_batch(&self, lane_steps: u64, idle_lane_steps: u64) {
         self.batch_lane_steps.fetch_add(lane_steps, Ordering::Relaxed);
         self.batch_idle_lane_steps.fetch_add(idle_lane_steps, Ordering::Relaxed);
-    }
-
-    /// Records a batch-eligible group routed through the batched engine,
-    /// attributed to its daemon class.
-    pub fn record_batch_routed(&self, class: BatchDaemonClass) {
-        match class {
-            BatchDaemonClass::Sync => &self.batch_routed_sync_groups,
-            BatchDaemonClass::CentralRr => &self.batch_routed_rr_groups,
-            BatchDaemonClass::CentralRand => &self.batch_routed_rand_groups,
-            BatchDaemonClass::RandomDistributed => &self.batch_routed_dist_groups,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a batch-eligible group taking the scalar fallback path,
-    /// attributed to its daemon class.
-    pub fn record_batch_fallback(&self, class: BatchDaemonClass) {
-        self.batch_scalar_fallbacks.fetch_add(1, Ordering::Relaxed);
-        match class {
-            BatchDaemonClass::Sync => &self.batch_fallback_sync_groups,
-            BatchDaemonClass::CentralRr => &self.batch_fallback_rr_groups,
-            BatchDaemonClass::CentralRand => &self.batch_fallback_rand_groups,
-            BatchDaemonClass::RandomDistributed => &self.batch_fallback_dist_groups,
-        }
-        .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Copies the current totals.
@@ -319,15 +226,6 @@ impl EngineCounters {
             batch_lanes: self.batch_lanes.load(Ordering::Relaxed),
             batch_lane_steps: self.batch_lane_steps.load(Ordering::Relaxed),
             batch_idle_lane_steps: self.batch_idle_lane_steps.load(Ordering::Relaxed),
-            batch_scalar_fallbacks: self.batch_scalar_fallbacks.load(Ordering::Relaxed),
-            batch_routed_sync_groups: self.batch_routed_sync_groups.load(Ordering::Relaxed),
-            batch_routed_rr_groups: self.batch_routed_rr_groups.load(Ordering::Relaxed),
-            batch_routed_rand_groups: self.batch_routed_rand_groups.load(Ordering::Relaxed),
-            batch_routed_dist_groups: self.batch_routed_dist_groups.load(Ordering::Relaxed),
-            batch_fallback_sync_groups: self.batch_fallback_sync_groups.load(Ordering::Relaxed),
-            batch_fallback_rr_groups: self.batch_fallback_rr_groups.load(Ordering::Relaxed),
-            batch_fallback_rand_groups: self.batch_fallback_rand_groups.load(Ordering::Relaxed),
-            batch_fallback_dist_groups: self.batch_fallback_dist_groups.load(Ordering::Relaxed),
         }
     }
 }
@@ -343,15 +241,6 @@ static GLOBAL: EngineCounters = EngineCounters {
     batch_lanes: AtomicU64::new(0),
     batch_lane_steps: AtomicU64::new(0),
     batch_idle_lane_steps: AtomicU64::new(0),
-    batch_scalar_fallbacks: AtomicU64::new(0),
-    batch_routed_sync_groups: AtomicU64::new(0),
-    batch_routed_rr_groups: AtomicU64::new(0),
-    batch_routed_rand_groups: AtomicU64::new(0),
-    batch_routed_dist_groups: AtomicU64::new(0),
-    batch_fallback_sync_groups: AtomicU64::new(0),
-    batch_fallback_rr_groups: AtomicU64::new(0),
-    batch_fallback_rand_groups: AtomicU64::new(0),
-    batch_fallback_dist_groups: AtomicU64::new(0),
 };
 
 /// The process-global engine counters.
@@ -372,6 +261,7 @@ mod tests {
             guard_evals: 3 * k,
             delta_bytes: 4 * k,
             monitor_evals: 5 * k,
+            batch_lanes: k,
         };
         let mut a = run(1);
         a.add(&run(10));
@@ -387,31 +277,19 @@ mod tests {
             guard_evals: 11,
             delta_bytes: 13,
             monitor_evals: 0,
+            batch_lanes: 1,
         });
         global().record_monitor_evals(19);
         global().record_scratch_reuse();
         global().record_config_clone();
-        global().record_batch(64, 640, 17);
-        global().record_batch_routed(BatchDaemonClass::Sync);
-        global().record_batch_routed(BatchDaemonClass::CentralRr);
-        global().record_batch_routed(BatchDaemonClass::CentralRand);
-        global().record_batch_routed(BatchDaemonClass::RandomDistributed);
-        global().record_batch_fallback(BatchDaemonClass::Sync);
-        global().record_batch_fallback(BatchDaemonClass::CentralRr);
-        global().record_batch_fallback(BatchDaemonClass::CentralRand);
-        global().record_batch_fallback(BatchDaemonClass::RandomDistributed);
+        global().record_batch(640, 17);
         let d = global().snapshot().delta(&before);
         // Other tests in this binary may run concurrently and also flush,
         // so deltas are lower-bounded, not exact.
         assert!(d.steps >= 5 && d.moves >= 7 && d.guard_evals >= 11 && d.delta_bytes >= 13);
         assert!(d.monitor_evals >= 19);
         assert!(d.scratch_reuses >= 1 && d.config_clones >= 1);
-        assert!(d.batch_lanes >= 64 && d.batch_lane_steps >= 640 && d.batch_idle_lane_steps >= 17);
-        assert!(d.batch_scalar_fallbacks >= 4);
-        assert!(d.batch_routed_sync_groups >= 1 && d.batch_routed_rr_groups >= 1);
-        assert!(d.batch_routed_rand_groups >= 1 && d.batch_routed_dist_groups >= 1);
-        assert!(d.batch_fallback_sync_groups >= 1 && d.batch_fallback_rr_groups >= 1);
-        assert!(d.batch_fallback_rand_groups >= 1 && d.batch_fallback_dist_groups >= 1);
+        assert!(d.batch_lanes >= 1 && d.batch_lane_steps >= 640 && d.batch_idle_lane_steps >= 17);
     }
 
     #[test]

@@ -28,6 +28,17 @@ use std::time::Instant;
 /// the event layouts below; readers reject every other value.
 pub const EVENTS_SCHEMA: &str = "specstab-events/v1";
 
+/// `group` event path: every cell of the group ran as a replica lane of
+/// the batched engine.
+pub const PATH_BATCHED: &str = "batched";
+/// `group` event path: the group's daemon has a batched schedule, but not
+/// every cell ran as a lane (protocol or instance not packed, batching
+/// off, a failed harness build or cell setup).
+pub const PATH_SCALAR_FALLBACK: &str = "scalar-fallback";
+/// `group` event path: the group's daemon has no batched schedule, so its
+/// cells ran on the scalar engine.
+pub const PATH_SCALAR: &str = "scalar";
+
 /// Coordinates and outcome summary of one executed cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellEvent {
@@ -112,6 +123,10 @@ pub enum EventKind {
         violations: u64,
         /// Wall-clock microseconds over the group's cells.
         wall_us: u64,
+        /// Engine path that ran the group's cells: [`PATH_BATCHED`],
+        /// [`PATH_SCALAR_FALLBACK`] or [`PATH_SCALAR`] (empty in traces
+        /// written before the label existed).
+        path: String,
     },
     /// `shard_end`: a shard finished all of its cells.
     ShardEnd {
@@ -269,22 +284,14 @@ pub(crate) fn counters_json(c: &CounterSnapshot) -> Json {
         ("batch_lanes", Json::UInt(c.batch_lanes)),
         ("batch_lane_steps", Json::UInt(c.batch_lane_steps)),
         ("batch_idle_lane_steps", Json::UInt(c.batch_idle_lane_steps)),
-        ("batch_scalar_fallbacks", Json::UInt(c.batch_scalar_fallbacks)),
-        ("batch_routed_sync_groups", Json::UInt(c.batch_routed_sync_groups)),
-        ("batch_routed_rr_groups", Json::UInt(c.batch_routed_rr_groups)),
-        ("batch_routed_rand_groups", Json::UInt(c.batch_routed_rand_groups)),
-        ("batch_routed_dist_groups", Json::UInt(c.batch_routed_dist_groups)),
-        ("batch_fallback_sync_groups", Json::UInt(c.batch_fallback_sync_groups)),
-        ("batch_fallback_rr_groups", Json::UInt(c.batch_fallback_rr_groups)),
-        ("batch_fallback_rand_groups", Json::UInt(c.batch_fallback_rand_groups)),
-        ("batch_fallback_dist_groups", Json::UInt(c.batch_fallback_dist_groups)),
     ])
 }
 
 /// Optional counter field: absent in traces written before the batch,
 /// monitor and parse counters existed, which still carry the
 /// `specstab-events/v1` schema — absent reads as zero so old traces keep
-/// validating.
+/// validating. Keys of retired counters, which older traces still carry,
+/// are ignored.
 fn opt_u64(j: &Json, key: &str) -> Result<u64, String> {
     j.get(key).map_or(Ok(0), Json::as_u64)
 }
@@ -301,15 +308,6 @@ fn counters_from_json(j: &Json) -> Result<CounterSnapshot, String> {
         batch_lanes: opt_u64(j, "batch_lanes")?,
         batch_lane_steps: opt_u64(j, "batch_lane_steps")?,
         batch_idle_lane_steps: opt_u64(j, "batch_idle_lane_steps")?,
-        batch_scalar_fallbacks: opt_u64(j, "batch_scalar_fallbacks")?,
-        batch_routed_sync_groups: opt_u64(j, "batch_routed_sync_groups")?,
-        batch_routed_rr_groups: opt_u64(j, "batch_routed_rr_groups")?,
-        batch_routed_rand_groups: opt_u64(j, "batch_routed_rand_groups")?,
-        batch_routed_dist_groups: opt_u64(j, "batch_routed_dist_groups")?,
-        batch_fallback_sync_groups: opt_u64(j, "batch_fallback_sync_groups")?,
-        batch_fallback_rr_groups: opt_u64(j, "batch_fallback_rr_groups")?,
-        batch_fallback_rand_groups: opt_u64(j, "batch_fallback_rand_groups")?,
-        batch_fallback_dist_groups: opt_u64(j, "batch_fallback_dist_groups")?,
     })
 }
 
@@ -369,13 +367,14 @@ impl Event {
                     }
                 }
             }
-            EventKind::Group { key, runs, errors, converged, violations, wall_us } => {
+            EventKind::Group { key, runs, errors, converged, violations, wall_us, path } => {
                 fields.push(("key", Json::Str(key.clone())));
                 fields.push(("runs", Json::UInt(*runs)));
                 fields.push(("errors", Json::UInt(*errors)));
                 fields.push(("converged", Json::UInt(*converged)));
                 fields.push(("violations", Json::UInt(*violations)));
                 fields.push(("wall_us", Json::UInt(*wall_us)));
+                fields.push(("path", Json::Str(path.clone())));
             }
             EventKind::ShardEnd { cells, wall_us, counters } => {
                 fields.push(("cells", Json::UInt(*cells)));
@@ -490,6 +489,7 @@ impl Event {
                 converged: j.req("converged")?.as_u64()?,
                 violations: j.req("violations")?.as_u64()?,
                 wall_us: j.req("wall_us")?.as_u64()?,
+                path: j.get("path").map_or(Ok(""), Json::as_str)?.to_string(),
             },
             "shard_end" => EventKind::ShardEnd {
                 cells: j.req("cells")?.as_u64()?,
@@ -739,15 +739,6 @@ mod tests {
             batch_lanes: 7,
             batch_lane_steps: 70,
             batch_idle_lane_steps: 8,
-            batch_scalar_fallbacks: 9,
-            batch_routed_sync_groups: 10,
-            batch_routed_rr_groups: 11,
-            batch_routed_rand_groups: 14,
-            batch_routed_dist_groups: 15,
-            batch_fallback_sync_groups: 12,
-            batch_fallback_rr_groups: 13,
-            batch_fallback_rand_groups: 16,
-            batch_fallback_dist_groups: 17,
         };
         vec![
             EventKind::Stream { schema: EVENTS_SCHEMA.into(), source: "shard".into() },
@@ -785,6 +776,7 @@ mod tests {
                 converged: 12,
                 violations: 0,
                 wall_us: 5678,
+                path: PATH_BATCHED.into(),
             },
             EventKind::ShardEnd { cells: 36, wall_us: 9999, counters },
             EventKind::LeaseGranted {
@@ -845,17 +837,37 @@ mod tests {
                 assert_eq!(counters.batch_lanes, 0);
                 assert_eq!(counters.batch_lane_steps, 0);
                 assert_eq!(counters.batch_idle_lane_steps, 0);
-                assert_eq!(counters.batch_scalar_fallbacks, 0);
-                assert_eq!(counters.batch_routed_sync_groups, 0);
-                assert_eq!(counters.batch_routed_rr_groups, 0);
-                assert_eq!(counters.batch_routed_rand_groups, 0);
-                assert_eq!(counters.batch_routed_dist_groups, 0);
-                assert_eq!(counters.batch_fallback_sync_groups, 0);
-                assert_eq!(counters.batch_fallback_rr_groups, 0);
-                assert_eq!(counters.batch_fallback_rand_groups, 0);
-                assert_eq!(counters.batch_fallback_dist_groups, 0);
             }
             other => panic!("expected shard_end, got {other:?}"),
+        }
+        // Older traces also carry counters that have since been retired;
+        // the reader ignores their keys.
+        let retired = "{\"event\":\"campaign_end\",\"seq\":0,\"t_us\":0,\"cells\":1,\
+                       \"errors\":0,\"violations\":0,\"wall_us\":2,\"counters\":{\"steps\":1,\
+                       \"moves\":2,\"guard_evals\":3,\"delta_bytes\":4,\"scratch_reuses\":5,\
+                       \"config_clones\":6,\"batch_lanes\":3,\"batch_retired_groups\":2}}";
+        match Event::from_json_line(retired).expect("retired counter keys are ignored").kind {
+            EventKind::CampaignEnd { counters, .. } => {
+                let expected = CounterSnapshot {
+                    steps: 1,
+                    moves: 2,
+                    guard_evals: 3,
+                    delta_bytes: 4,
+                    scratch_reuses: 5,
+                    config_clones: 6,
+                    batch_lanes: 3,
+                    ..CounterSnapshot::default()
+                };
+                assert_eq!(counters, expected);
+            }
+            other => panic!("expected campaign_end, got {other:?}"),
+        }
+        // Group events written before the path label read an empty path.
+        let group = "{\"event\":\"group\",\"seq\":1,\"t_us\":3,\"key\":\"g\",\"runs\":2,\
+                     \"errors\":0,\"converged\":2,\"violations\":0,\"wall_us\":7}";
+        match Event::from_json_line(group).expect("unlabelled group parses").kind {
+            EventKind::Group { runs, path, .. } => assert_eq!((runs, path.as_str()), (2, "")),
+            other => panic!("expected group, got {other:?}"),
         }
         let merge_end = "{\"event\":\"merge_end\",\"seq\":3,\"t_us\":9,\"cells\":4,\"groups\":2}";
         assert_eq!(

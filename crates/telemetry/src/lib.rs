@@ -18,9 +18,9 @@
 //!   [`event::TraceWriter`] (to a file, or in memory for the stream a
 //!   worker ships inside its partial);
 //! * [`metrics`] — the `specstab-metrics/v1` sidecar artifact (wall clock
-//!   per cell/group/shard, throughput, counter totals) built from an event
-//!   stream, kept strictly separate from the deterministic campaign
-//!   artifacts;
+//!   per cell/group/shard, throughput, counter totals, groups per engine
+//!   path) built from an event stream, kept strictly separate from the
+//!   deterministic campaign artifacts;
 //! * [`progress`] — rate-limited stderr heartbeats: cells done/total with
 //!   throughput and ETA for in-process sweeps, and a lease-table variant
 //!   (leased/completed/expired/merged) for the `campaign serve`
@@ -39,10 +39,11 @@ pub mod json;
 pub mod metrics;
 pub mod progress;
 
-pub use counters::{global, BatchDaemonClass, CounterSnapshot, RunCounters};
+pub use counters::{global, CounterSnapshot, RunCounters};
 pub use event::{
     parse_ndjson, validate_events, Event, EventKind, ParseTally, TraceWriter, EVENTS_SCHEMA,
+    PATH_BATCHED, PATH_SCALAR, PATH_SCALAR_FALLBACK,
 };
 pub use json::{obj, Json, MAX_PARSE_DEPTH};
-pub use metrics::{metrics_from_events, METRICS_SCHEMA};
+pub use metrics::{metrics_from_events, paths_json, tally_paths, METRICS_SCHEMA};
 pub use progress::{Heartbeat, ServeCounts, ServeHeartbeat};

@@ -12,6 +12,7 @@
 use crate::counters::CounterSnapshot;
 use crate::event::{counters_json, Event, EventKind, ParseTally};
 use crate::json::{obj, Json};
+use std::collections::BTreeMap;
 
 /// Schema identifier written into every metrics sidecar.
 pub const METRICS_SCHEMA: &str = "specstab-metrics/v1";
@@ -24,6 +25,26 @@ fn moves_per_sec(moves: u64, wall_us: u64) -> Json {
     Json::Num(moves as f64 / (wall_us as f64 / 1_000_000.0))
 }
 
+/// Counts the `group` events of `events` per engine `path` into `tally`:
+/// the groups-per-path count the sidecar's `paths` object, the
+/// coordinator's `/status` and `events_check` report. Groups of traces
+/// written before the path label carry none and are not counted.
+pub fn tally_paths(tally: &mut BTreeMap<String, u64>, events: &[Event]) {
+    for e in events {
+        if let EventKind::Group { path, .. } = &e.kind {
+            if !path.is_empty() {
+                *tally.entry(path.clone()).or_default() += 1;
+            }
+        }
+    }
+}
+
+/// A [`tally_paths`] tally as a JSON object, paths in sorted order.
+#[must_use]
+pub fn paths_json(tally: &BTreeMap<String, u64>) -> Json {
+    Json::Obj(tally.iter().map(|(path, groups)| (path.clone(), Json::UInt(*groups))).collect())
+}
+
 /// Builds the `specstab-metrics/v1` sidecar from a (merged) event
 /// sequence.
 ///
@@ -32,7 +53,9 @@ fn moves_per_sec(moves: u64, wall_us: u64) -> Json {
 /// are reconstructed by summing `shard_end` events, with total wall clock
 /// taken as the slowest shard. Cell and group rows are carried over in
 /// stream order, which for a merged trace is the deterministic
-/// `(shard, seq)` order. Traces containing lease-lifecycle events (a
+/// `(shard, seq)` order; each group row names its engine `path`, and the
+/// `paths` object counts the groups per path ([`tally_paths`]). Traces
+/// containing lease-lifecycle events (a
 /// `campaign serve` coordinator) additionally get a `serve` object with
 /// lease/upload counts and per-worker accepted-cell tallies. Traces with a
 /// `merge_end` event (`run --workers`, `merge`, `serve`) get a `transport`
@@ -77,7 +100,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                 }
                 cells.push(obj(fields));
             }
-            EventKind::Group { key, runs, errors, converged, violations, wall_us } => {
+            EventKind::Group { key, runs, errors, converged, violations, wall_us, path } => {
                 groups.push(obj(vec![
                     ("key", Json::Str(key.clone())),
                     ("runs", Json::UInt(*runs)),
@@ -85,6 +108,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                     ("converged", Json::UInt(*converged)),
                     ("violations", Json::UInt(*violations)),
                     ("wall_us", Json::UInt(*wall_us)),
+                    ("path", Json::Str(path.clone())),
                 ]));
             }
             EventKind::ShardEnd { cells: n, wall_us, counters } => {
@@ -142,9 +166,12 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
         ]),
     };
 
+    let mut paths = BTreeMap::new();
+    tally_paths(&mut paths, events);
     let mut fields = vec![
         ("schema", Json::Str(METRICS_SCHEMA.into())),
         ("totals", totals),
+        ("paths", paths_json(&paths)),
         ("shards", Json::Arr(shards)),
         ("groups", Json::Arr(groups)),
         ("cells", Json::Arr(cells)),
@@ -235,6 +262,7 @@ mod tests {
                     converged: 2,
                     violations: 0,
                     wall_us: 200,
+                    path: "batched".into(),
                 },
             ),
             ev(
@@ -256,8 +284,47 @@ mod tests {
         let mps = totals.req("moves_per_sec").unwrap().as_f64().unwrap();
         assert!((mps - 100.0).abs() < 1e-9, "100 moves over 1s, got {mps}");
         assert_eq!(m.req("cells").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(m.req("groups").unwrap().as_arr().unwrap().len(), 1);
+        let groups = m.req("groups").unwrap().as_arr().unwrap();
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].req("path").unwrap().as_str().unwrap(), "batched");
+        assert_eq!(m.req("paths").unwrap().req("batched").unwrap().as_u64().unwrap(), 1);
         assert!(m.req("shards").unwrap().as_arr().unwrap().is_empty());
+    }
+
+    #[test]
+    fn path_tally_counts_labelled_groups_per_path() {
+        let group = |seq, path: &str| {
+            ev(
+                None,
+                seq,
+                EventKind::Group {
+                    key: format!("g{seq}"),
+                    runs: 40,
+                    errors: 0,
+                    converged: 40,
+                    violations: 0,
+                    wall_us: 1,
+                    path: path.into(),
+                },
+            )
+        };
+        let events = [
+            group(0, "scalar"),
+            group(1, "batched"),
+            ev(None, 2, cell(0, 40)),
+            group(3, "batched"),
+            group(4, ""),
+        ];
+        let mut tally = BTreeMap::new();
+        tally_paths(&mut tally, &events);
+        tally_paths(&mut tally, &events[..2]);
+        let counts: Vec<_> = tally.iter().map(|(p, n)| (p.as_str(), *n)).collect();
+        assert_eq!(
+            counts,
+            [("batched", 3), ("scalar", 2)],
+            "one count per group, unlabelled skipped"
+        );
+        assert_eq!(paths_json(&tally).render_compact(), "{\"batched\":3,\"scalar\":2}");
     }
 
     #[test]
