@@ -37,7 +37,7 @@ fn bench_sync_stabilization(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("random_init", g.name()), &g, |b, g| {
             b.iter(|| run_sync(g, &ssme, random_init.clone(), horizon));
         });
-        let witness = theorem4_witness(&ssme, &g, &dm).expect("diam >= 1");
+        let witness = theorem4_witness(&ssme, &g, dm.diameter()).expect("diam >= 1");
         group.bench_with_input(BenchmarkId::new("adversarial_witness", g.name()), &g, |b, g| {
             b.iter(|| run_sync(g, &ssme, witness.init.clone(), horizon));
         });

@@ -8,7 +8,7 @@ use crate::zoo;
 use specstab_core::bounds;
 use specstab_core::lower_bound::{theorem4_witness, verify_witness};
 use specstab_core::ssme::Ssme;
-use specstab_topology::metrics::DistanceMatrix;
+use specstab_topology::metrics;
 use specstab_unison::analysis;
 
 /// Theorem 4 experiment.
@@ -43,13 +43,12 @@ impl Experiment for E4 {
         );
         let mut all_hold = true;
         for g in zoo::standard(scale) {
-            let dm = DistanceMatrix::new(&g);
-            let diam = dm.diameter();
+            let diam = metrics::diameter(&g);
             if diam == 0 {
                 continue;
             }
             let ssme = Ssme::for_graph(&g).expect("nonempty graph");
-            let w = theorem4_witness(&ssme, &g, &dm).expect("diam >= 1");
+            let w = theorem4_witness(&ssme, &g, diam).expect("diam >= 1");
             let horizon = analysis::ssme_sync_gamma1_bound(g.n(), diam) as usize + 16;
             let outcome = verify_witness(&ssme, &g, &w, horizon);
             let bound = bounds::sync_stabilization_bound(diam) as usize;

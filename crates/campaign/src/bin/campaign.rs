@@ -32,8 +32,7 @@
 
 use specstab_campaign::artifact::{to_csv, to_json, write_atomic, PartialArtifact};
 use specstab_campaign::executor::{
-    resolve_topology, run_campaign_with_progress, set_batching_enabled, CampaignConfig,
-    CampaignResult,
+    run_campaign_with_progress, set_batching_enabled, CampaignConfig, CampaignResult,
 };
 use specstab_campaign::matrix::{Cell, InitMode, ScenarioMatrix};
 use specstab_campaign::merge::MergeAccumulator;
@@ -47,6 +46,8 @@ use specstab_protocols::registry;
 use specstab_telemetry::{
     global, metrics_from_events, parse_ndjson, EventKind, Heartbeat, ParseTally, TraceWriter,
 };
+use specstab_topology::spec::parse_spec;
+use specstab_topology::Graph;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -319,25 +320,27 @@ fn write_metrics(trace_path: &str, out: &str) {
 }
 
 /// Upfront compatibility filter: parses each topology once and asks the
-/// registry (i.e. each harness's typed topology check) which
-/// (topology, protocol) pairs can run, and which protocols support the
-/// witness scenario. Returns the keep-predicate inputs plus human-readable
-/// skip notes. Unparseable or disconnected topologies stay in the matrix —
-/// they surface as per-cell errors exactly as before.
+/// registry (i.e. each harness's structural
+/// `ProtocolHarness::check_graph`) which (topology, protocol) pairs can
+/// run, and which protocols support the witness scenario. Builds no
+/// harness and computes no distance. Returns the keep-predicate inputs
+/// plus human-readable skip notes. Unparseable or disconnected topologies
+/// stay in the matrix — they surface as per-cell errors when the
+/// executor resolves them.
 fn compatibility(args: &Args) -> (HashSet<(String, String)>, HashSet<String>, Vec<String>) {
     let mut incompatible: HashSet<(String, String)> = HashSet::new();
     let mut no_witness: HashSet<String> = HashSet::new();
     let mut notes = Vec::new();
     let mut graphs = HashMap::new();
     for t in &args.topologies {
-        if let Ok(pair) = resolve_topology(t) {
-            graphs.insert(t.clone(), pair);
+        if let Some(g) = parse_spec(t).ok().filter(Graph::is_connected) {
+            graphs.insert(t.clone(), g);
         }
     }
     for p in &args.protocols {
         for t in &args.topologies {
-            let Some((g, diam)) = graphs.get(t) else { continue };
-            match registry::check_topology(p, g, *diam) {
+            let Some(g) = graphs.get(t) else { continue };
+            match registry::check_graph(p, g) {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => {
                     notes.push(format!("skipping {p} on {t}: {e}"));

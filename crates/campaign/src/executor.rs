@@ -7,11 +7,14 @@
 //! Workers claim chunks through a shared atomic cursor (work-stealing by
 //! over-decomposition: each worker pulls the next unclaimed chunk, so
 //! stragglers never idle the pool) and execute the chunk's cells in
-//! canonical order. The main thread reassembles the cells in canonical
-//! order and derives every group's statistics from them with
-//! [`summarize_groups`] — the same function the merge of partial
-//! artifacts calls, so a campaign's statistics are a pure function of its
-//! canonically ordered cells, whichever process ran them.
+//! canonical order. Each distinct topology is resolved (parsed, checked
+//! connected, its diameter swept by BFS) once per run before the workers
+//! start, and they share the result by reference. The main thread
+//! reassembles the cells in canonical order and derives every group's
+//! statistics from them with [`summarize_groups`] — the same function the
+//! merge of partial artifacts calls, so a campaign's statistics are a
+//! pure function of its canonically ordered cells, whichever process ran
+//! them.
 //!
 //! Every cell derives its RNG stream purely from its coordinates
 //! ([`Cell::cell_seed`]), and each group's statistics are fed in canonical
@@ -32,7 +35,7 @@ use specstab_kernel::measure::SpecMonitor;
 use specstab_kernel::protocol::{random_configuration, Protocol};
 use specstab_protocols::registry::{self, HarnessVisitor, ProtocolInfo};
 use specstab_telemetry::{Heartbeat, RunCounters, PATH_BATCHED, PATH_SCALAR, PATH_SCALAR_FALLBACK};
-use specstab_topology::metrics::DistanceMatrix;
+use specstab_topology::metrics;
 use specstab_topology::spec::parse_spec;
 use specstab_topology::Graph;
 use std::any::{Any, TypeId};
@@ -331,23 +334,36 @@ impl ScratchPool {
     }
 }
 
+/// Every distinct topology of a run's cells, resolved once by
+/// [`resolve_topology`] before any worker starts and read by all of them
+/// through `&`: the graph and its diameter, or the per-cell error.
+type Topologies = HashMap<String, Result<(Graph, u32), String>>;
+
+/// Resolves each distinct topology of `cells` once, in first-use order.
+fn resolve_topologies(cells: &[Cell]) -> Topologies {
+    let mut topologies = Topologies::new();
+    for cell in cells {
+        if !topologies.contains_key(&cell.topology) {
+            topologies.insert(cell.topology.clone(), resolve_topology(&cell.topology));
+        }
+    }
+    topologies
+}
+
 /// Executes one contiguous group run in canonical cell order.
 ///
 /// All cells of a run share one group key — hence one topology and one
-/// protocol — so the topology parse and the protocol-runner resolution
-/// happen once per run, and the monomorphized group runner builds the
-/// harness once for all of the run's cells.
+/// protocol — so the protocol-runner resolution happens once per run,
+/// and the monomorphized group runner builds the harness once for all of
+/// the run's cells.
 fn execute_group_run(
     cells: &[Cell],
     config: &CampaignConfig,
-    topo_cache: &mut HashMap<String, Result<(Graph, u32), String>>,
+    topologies: &Topologies,
     scratch: &mut ScratchPool,
 ) -> Vec<CellResult> {
     let first = cells.first().expect("group runs are nonempty");
-    let topo = topo_cache
-        .entry(first.topology.clone())
-        .or_insert_with(|| resolve_topology(&first.topology))
-        .clone();
+    let topo = &topologies[&first.topology];
     let error_results = |n: usize, diam: u32, e: &str| -> Vec<CellResult> {
         cells
             .iter()
@@ -363,7 +379,7 @@ fn execute_group_run(
             })
             .collect()
     };
-    match &topo {
+    match topo {
         Err(e) => error_results(0, 0, e),
         Ok((graph, diam)) => match registry::resolve(&first.protocol, RunnerLookup) {
             Ok(runner) => runner(cells, graph, *diam, config, scratch),
@@ -373,8 +389,8 @@ fn execute_group_run(
 }
 
 /// Derives every group's statistics from canonically ordered cell results:
-/// one [`GroupSummary`] per [`group_runs`] chunk, fed its cells in order,
-/// then the chunks folded with [`fold_groups`]. The executors call it on
+/// one [`GroupSummary`] per `group_runs` chunk, fed its cells in order,
+/// then the chunks folded with `fold_groups`. The executors call it on
 /// their reassembled cells and [`crate::merge`] on the concatenated cells
 /// of a plan's partials, so both produce bit-identical statistics for the
 /// same cells however they were split.
@@ -435,6 +451,7 @@ pub fn run_campaign_with_progress(
     let cells = matrix.cells();
     let runs = group_runs(cells, |c| c);
     let threads = effective_threads(config.threads, runs.len());
+    let topologies = resolve_topologies(cells);
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Vec<CellResult>)>();
 
@@ -443,12 +460,8 @@ pub fn run_campaign_with_progress(
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
-            let cursor = &cursor;
-            let runs = &runs;
+            let (cursor, runs, topologies) = (&cursor, &runs, &topologies);
             scope.spawn(move || {
-                // Per-worker topology cache: matrices reuse few topologies
-                // across many cells, and BFS diameters are cell-invariant.
-                let mut topo_cache: HashMap<String, Result<(Graph, u32), String>> = HashMap::new();
                 // Per-worker scratch pool: engine step buffers are reused
                 // across every run this worker executes.
                 let mut scratch = ScratchPool::new();
@@ -460,7 +473,7 @@ pub fn run_campaign_with_progress(
                     let out = execute_group_run(
                         &cells[runs[idx].clone()],
                         config,
-                        &mut topo_cache,
+                        topologies,
                         &mut scratch,
                     );
                     if tx.send((idx, out)).is_err() {
@@ -510,11 +523,11 @@ fn effective_threads(requested: usize, work_units: usize) -> usize {
 pub fn run_campaign_sequential(matrix: &ScenarioMatrix, config: &CampaignConfig) -> CampaignResult {
     let started = Instant::now();
     let cells = matrix.cells();
-    let mut topo_cache = HashMap::new();
+    let topologies = resolve_topologies(cells);
     let mut scratch = ScratchPool::new();
     let mut all_cells = Vec::with_capacity(cells.len());
     for run in group_runs(cells, |c| c) {
-        all_cells.extend(execute_group_run(&cells[run], config, &mut topo_cache, &mut scratch));
+        all_cells.extend(execute_group_run(&cells[run], config, &topologies, &mut scratch));
     }
     CampaignResult {
         groups: summarize_groups(&all_cells),
@@ -525,10 +538,10 @@ pub fn run_campaign_sequential(matrix: &ScenarioMatrix, config: &CampaignConfig)
     }
 }
 
-/// Resolves a topology spec into a connected graph and its diameter —
-/// the one parse/connectivity/diameter sequence shared by the executor's
-/// per-worker topology cache and by frontends doing upfront
-/// compatibility filtering (so every consumer reports the same errors).
+/// Resolves a topology spec into a connected graph and its diameter,
+/// computed by [`metrics::diameter`]'s BFS sweep (no distance matrix).
+/// The executors resolve each distinct topology of a run once with it,
+/// before any worker starts.
 ///
 /// # Errors
 ///
@@ -536,7 +549,7 @@ pub fn run_campaign_sequential(matrix: &ScenarioMatrix, config: &CampaignConfig)
 pub fn resolve_topology(spec: &str) -> Result<(Graph, u32), String> {
     parse_spec(spec).map_err(|e| e.to_string()).and_then(|g| {
         if g.is_connected() {
-            let diam = DistanceMatrix::new(&g).diameter();
+            let diam = metrics::diameter(&g);
             Ok((g, diam))
         } else {
             Err(format!("'{spec}' is not connected"))
@@ -577,8 +590,8 @@ fn run_harness_group<H: ProtocolHarness>(
     let harness = H::build(graph, diam);
     let first = cells.first().expect("group runs are nonempty");
     // Group keys include the init mode, so a witness group builds its
-    // deterministic witness (an all-pairs distance matrix on the way) once
-    // and clones it for every cell.
+    // deterministic witness (a few BFS rows on the way) once and clones it
+    // for every cell.
     let witness = match &harness {
         Ok(h) if first.init == InitMode::Witness => Some(h.witness_configuration(graph)),
         _ => None,

@@ -28,10 +28,9 @@ use crate::artifact::{write_atomic, PartialArtifact};
 use crate::executor::CampaignResult;
 use crate::merge::{Accepted, MergeAccumulator};
 use crate::plan::CampaignPlan;
-use crate::trace::sum_shard_counters;
 use specstab_telemetry::{
-    obj, paths_json, tally_paths, CounterSnapshot, EventKind, Json, ParseTally, ServeCounts,
-    ServeHeartbeat, TraceWriter,
+    obj, paths_json, sum_shard_counters, tally_paths, CounterSnapshot, EventKind, Json, ParseTally,
+    ServeCounts, ServeHeartbeat, TraceWriter,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -108,6 +107,10 @@ pub struct Coordinator {
     /// Groups per engine path over the `group` events of the same
     /// telemetry (`/status` `paths`).
     paths: BTreeMap<String, u64>,
+    /// Accepted partials that carried no telemetry (a `campaign shard`
+    /// output resumed from the spool): their shards are missing from
+    /// `counters` and `paths`.
+    shards_without_telemetry: u64,
     /// Every partial parse, upload and spool alike (rejected ones too).
     parse: ParseTally,
     started: Instant,
@@ -161,6 +164,7 @@ impl Coordinator {
             workers: Vec::new(),
             counters: CounterSnapshot::default(),
             paths: BTreeMap::new(),
+            shards_without_telemetry: 0,
             parse: ParseTally::default(),
             started: Instant::now(),
         };
@@ -408,10 +412,12 @@ impl Coordinator {
                         moves,
                     }),
                 }
+                self.shards_without_telemetry += u64::from(telemetry.is_empty());
                 self.emit(EventKind::PartialAccepted {
                     shard_id: shard_id as u64,
                     worker: worker.to_string(),
                     cells,
+                    telemetry_events: Some(telemetry.len() as u64),
                 })?;
                 if let Some(w) = self.trace.as_mut() {
                     for event in telemetry {
@@ -462,6 +468,7 @@ impl Coordinator {
                     ("merged_cells", Json::UInt(counts.merged_cells)),
                     ("uploads_accepted", Json::UInt(self.uploads_accepted)),
                     ("uploads_rejected", Json::UInt(self.uploads_rejected)),
+                    ("shards_without_telemetry", Json::UInt(self.shards_without_telemetry)),
                     ("wall_us", Json::UInt(wall_us)),
                     ("paths", paths_json(&self.paths)),
                     ("workers", Json::Arr(workers)),

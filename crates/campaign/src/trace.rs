@@ -11,7 +11,7 @@
 
 use crate::executor::{group_path, CellResult, GroupSummary};
 use specstab_telemetry::event::{CellEvent, CellOutcomeEvent};
-use specstab_telemetry::{CounterSnapshot, Event, EventKind, TraceWriter};
+use specstab_telemetry::{EventKind, TraceWriter};
 
 /// The event payload describing one executed cell.
 #[must_use]
@@ -70,20 +70,6 @@ pub fn emit_result_events(
         }
     }
     Ok(())
-}
-
-/// Field-wise sum of every `shard_end` counter snapshot in an event
-/// sequence — how the orchestrator reconstructs campaign-wide engine
-/// counters it never observed in its own process.
-#[must_use]
-pub fn sum_shard_counters(events: &[Event]) -> CounterSnapshot {
-    let mut total = CounterSnapshot::default();
-    for e in events {
-        if let EventKind::ShardEnd { counters, .. } = &e.kind {
-            total.add(counters);
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -154,28 +140,5 @@ mod tests {
         assert_eq!(groups, [(40, PATH_BATCHED)]);
         let paths = metrics_from_events(&events).req("paths").expect("paths").render_compact();
         assert_eq!(paths, "{\"batched\":1}", "the sidecar counts the group once");
-    }
-
-    #[test]
-    fn shard_counters_sum_field_wise() {
-        let snap = |k: u64| CounterSnapshot {
-            steps: k,
-            moves: 2 * k,
-            guard_evals: 3 * k,
-            delta_bytes: 4 * k,
-            monitor_evals: 19 * k,
-            scratch_reuses: 5 * k,
-            config_clones: 6 * k,
-            batch_lanes: 7 * k,
-            batch_lane_steps: 10 * k,
-            batch_idle_lane_steps: 8 * k,
-        };
-        let ev = |shard: u64, kind: EventKind| Event { shard: Some(shard), seq: 1, t_us: 0, kind };
-        let events = vec![
-            ev(0, EventKind::ShardEnd { cells: 4, wall_us: 1, counters: snap(1) }),
-            ev(1, EventKind::MergeStart { partials: 2 }),
-            ev(1, EventKind::ShardEnd { cells: 4, wall_us: 1, counters: snap(10) }),
-        ];
-        assert_eq!(sum_shard_counters(&events), snap(11));
     }
 }

@@ -23,6 +23,17 @@
 //!          --cells-in-json --json campaign_golden_bfs.json
 //! ```
 //!
+//! `tests/golden/plan_compat.json` (the compatibility filter: which
+//! (topology, protocol) pairs and witness cells `campaign plan` keeps —
+//! the Dijkstra harnesses only on rings or lines, the witness only for
+//! ssme, the unparseable `mobius:9` left in as per-cell errors):
+//!
+//! ```text
+//! campaign plan --topologies ring:8,path:6,torus:3x4,tree:9,star:5,mobius:9 \
+//!          --protocols all --daemons sync,central-rr --faults 0,witness \
+//!          --seeds 2 --shards 3 --out plan_compat.json
+//! ```
+//!
 //! Any engine, daemon, RNG-stream, aggregation or serialization drift shows
 //! up as a byte diff here (and in the CI steps that replay the CLI
 //! invocations and `cmp` the output). If a change is *intentional* —
@@ -33,9 +44,11 @@
 use specstab_campaign::artifact::to_json;
 use specstab_campaign::executor::{run_campaign, CampaignConfig};
 use specstab_campaign::matrix::{InitMode, ScenarioMatrix};
+use std::process::Command;
 
 const GOLDEN: &str = include_str!("golden/campaign_golden.json");
 const GOLDEN_BFS: &str = include_str!("golden/campaign_golden_bfs.json");
+const GOLDEN_PLAN_COMPAT: &str = include_str!("golden/plan_compat.json");
 
 fn golden_matrix() -> ScenarioMatrix {
     ScenarioMatrix::builder()
@@ -90,4 +103,24 @@ fn bfs_campaign_json_matches_checked_in_golden() {
     assert_eq!(result.total_errors(), 0, "bfs golden matrix must be error-free");
     assert_eq!(result.total_violations(), 0);
     assert_matches_golden(&json, GOLDEN_BFS, "campaign_bfs.json");
+}
+
+#[test]
+fn compatibility_filtered_plan_matches_checked_in_golden() {
+    let out =
+        std::env::temp_dir().join(format!("specstab-plan-compat-{}.json", std::process::id()));
+    let output = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["plan", "--topologies", "ring:8,path:6,torus:3x4,tree:9,star:5,mobius:9"])
+        .args(["--protocols", "all", "--daemons", "sync,central-rr", "--faults", "0,witness"])
+        .args(["--seeds", "2", "--shards", "3", "--out"])
+        .arg(&out)
+        .output()
+        .expect("campaign spawns");
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let plan = std::fs::read_to_string(&out).expect("plan written");
+    let _ = std::fs::remove_file(&out);
+    assert_matches_golden(&plan, GOLDEN_PLAN_COMPAT, "plan_compat.json");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("skipping dijkstra4 on ring:8: protocol 'dijkstra4' requires a line"));
+    assert!(stderr.contains("skipping witness init for bfs"), "{stderr}");
 }

@@ -14,7 +14,10 @@ use specstab_campaign::serve::http::{request, CoordinatorUrl};
 use specstab_campaign::serve::wire::{lease_request, renew_request, LeaseReply, UploadReply};
 use specstab_campaign::serve::{run_worker, Coordinator, ServeOptions, WorkOptions};
 use specstab_campaign::shard::execute_shard;
-use specstab_telemetry::{parse_ndjson, validate_events, CounterSnapshot, EventKind, Json};
+use specstab_telemetry::metrics::shards_without_telemetry;
+use specstab_telemetry::{
+    metrics_from_events, parse_ndjson, validate_events, CounterSnapshot, Event, EventKind, Json,
+};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -215,6 +218,7 @@ fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
     let status = Json::parse(std::str::from_utf8(&body).unwrap()).expect("parses");
     let batched = status.req("serve").unwrap().req("paths").unwrap().req("batched").unwrap();
     assert!(batched.as_u64().unwrap() > 0, "the resumed shard's batched groups reach /status");
+    assert_eq!(bare_shards_on_status(&status), 0, "a spooled upload keeps its telemetry");
     let w2 = run_worker(&worker_opts(&addr, "w2")).expect("worker ok");
     let result = serve.join().expect("serve thread").expect("serve ok").expect("completed");
     assert_eq!(to_json(&result, true), golden(), "resumed artifact drifted");
@@ -226,11 +230,15 @@ fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
 
     let text = std::fs::read_to_string(&trace_path).expect("trace written");
     let events = parse_ndjson(&text).expect("trace parses");
+    assert_eq!(shards_without_telemetry(&events), 0);
     let mut resumed_shards = Vec::new();
     let mut leased_shards = Vec::new();
     for e in &events {
         match &e.kind {
-            EventKind::PartialAccepted { shard_id, worker, .. } if worker == "spool" => {
+            EventKind::PartialAccepted { shard_id, worker, telemetry_events, .. }
+                if worker == "spool" =>
+            {
+                assert!(telemetry_events.unwrap() > 0, "spooled upload {shard_id}");
                 resumed_shards.push(*shard_id);
             }
             EventKind::LeaseGranted { shard_id, .. } => leased_shards.push(*shard_id),
@@ -260,6 +268,70 @@ fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
         })
         .expect("merge_end event");
     assert!(parse.bytes >= spooled_bytes, "{} parsed < {spooled_bytes} spooled", parse.bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `/status` `serve.shards_without_telemetry`.
+fn bare_shards_on_status(status: &Json) -> u64 {
+    let serve = status.req("serve").expect("serve object");
+    serve.req("shards_without_telemetry").expect("count").as_u64().expect("integer")
+}
+
+/// A `campaign shard` partial placed in the spool carries no worker
+/// telemetry, so the resumed coordinator's counters and path tally miss
+/// its shard, and the coordinator says so: its `partial_accepted` reads
+/// `telemetry_events` 0, and `/status`, the metrics sidecar and the
+/// `events_check` count read `shards_without_telemetry` 1. The worker
+/// uploads, which carry telemetry, are not counted.
+#[test]
+fn a_spooled_shard_partial_is_counted_as_a_shard_without_telemetry() {
+    let _serial = serial();
+    let dir = scratch("bare-spool");
+    let spool = dir.join("spool");
+    std::fs::create_dir_all(&spool).expect("spool dir");
+    let plan = CampaignPlan::new(&matrix(), &config(), 3);
+    let bare = execute_shard(&plan, 0, 1).expect("shard 0");
+    std::fs::write(spool.join("shard-0.partial.json"), bare.to_json()).expect("spooled");
+    let trace_path = dir.join("bare.events.ndjson");
+    let coordinator = Coordinator::bind(
+        plan,
+        "127.0.0.1:0",
+        ServeOptions {
+            lease_ms: 30_000,
+            spool,
+            trace_path: Some(trace_path.clone()),
+            stop_after_uploads: None,
+        },
+    )
+    .expect("bind");
+    let addr = coordinator.local_addr().expect("addr").to_string();
+    let serve = std::thread::spawn(move || coordinator.run());
+    let url = CoordinatorUrl::parse(&format!("http://{addr}")).expect("url");
+    let (_, body) = request(&url, "GET", "/status", &[], b"").expect("status");
+    let status = Json::parse(std::str::from_utf8(&body).unwrap()).expect("parses");
+    assert_eq!(bare_shards_on_status(&status), 1);
+    let w1 = run_worker(&worker_opts(&addr, "w1")).expect("worker ok");
+    assert_eq!(w1.executed, 2);
+    let result = serve.join().expect("serve thread").expect("serve ok").expect("completed");
+    assert_eq!(to_json(&result, true), golden(), "artifact drifted");
+
+    let text = std::fs::read_to_string(&trace_path).expect("trace written");
+    let events: Vec<Event> = parse_ndjson(&text).expect("trace parses");
+    let accepted: Vec<(&str, Option<u64>)> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::PartialAccepted { worker, telemetry_events, .. } => {
+                Some((worker.as_str(), *telemetry_events))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(accepted.len(), 3);
+    assert_eq!(accepted[0], ("spool", Some(0)));
+    assert!(accepted[1..].iter().all(|&(w, n)| w == "w1" && n.unwrap() > 0), "{accepted:?}");
+    assert_eq!(shards_without_telemetry(&events), 1);
+    let transport = metrics_from_events(&events).req("transport").expect("transport").clone();
+    assert_eq!(transport.req("shards_without_telemetry").unwrap().as_u64().unwrap(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -200,8 +200,8 @@ mod tests {
         // witness execution and check depths never grow along the erosion.
         let g = generators::path(9).unwrap();
         let ssme = Ssme::for_graph(&g).unwrap();
-        let dm = specstab_topology::metrics::DistanceMatrix::new(&g);
-        let witness = crate::lower_bound::theorem4_witness(&ssme, &g, &dm).unwrap();
+        let diam = specstab_topology::metrics::diameter(&g);
+        let witness = crate::lower_bound::theorem4_witness(&ssme, &g, diam).unwrap();
         let sim = Simulator::new(&g, &ssme);
         let mut d = SynchronousDaemon::new();
         let mut tr = TraceRecorder::new();

@@ -239,7 +239,7 @@ mod tests {
         for g in [generators::path(11).unwrap(), generators::ring(12).unwrap()] {
             let dm = DistanceMatrix::new(&g);
             let ssme = Ssme::for_graph(&g).unwrap();
-            let w = theorem4_witness(&ssme, &g, &dm).unwrap();
+            let w = theorem4_witness(&ssme, &g, dm.diameter()).unwrap();
             let horizon = analysis::ssme_sync_gamma1_bound(g.n(), dm.diameter()) as usize + 8;
             let tr = record(&g, &ssme, w.init, horizon);
             let configs = tr.configs();

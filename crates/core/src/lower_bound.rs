@@ -25,7 +25,7 @@ use specstab_kernel::daemon::SynchronousDaemon;
 use specstab_kernel::engine::{RunLimits, Simulator};
 use specstab_kernel::observer::TraceRecorder;
 use specstab_kernel::spec::Specification;
-use specstab_topology::metrics::DistanceMatrix;
+use specstab_topology::metrics::{bfs_into, DistanceMatrix};
 use specstab_topology::{Graph, VertexId};
 use specstab_unison::clock::ClockValue;
 use std::error::Error;
@@ -38,6 +38,12 @@ pub enum LowerBoundError {
     /// `diam(g) = 0` (single vertex): mutual exclusion is trivial and the
     /// bound is vacuous.
     DegenerateDiameter,
+    /// The supplied diameter is not the graph's: no vertex has that
+    /// eccentricity, or a vertex searched before one does has a larger one.
+    DiameterMismatch {
+        /// The diameter the caller supplied.
+        diam: u32,
+    },
 }
 
 impl fmt::Display for LowerBoundError {
@@ -45,6 +51,9 @@ impl fmt::Display for LowerBoundError {
         match self {
             LowerBoundError::DegenerateDiameter => {
                 write!(f, "theorem 4 witness requires diam(g) >= 1")
+            }
+            LowerBoundError::DiameterMismatch { diam } => {
+                write!(f, "theorem 4 witness: {diam} is not the graph's diameter")
             }
         }
     }
@@ -88,21 +97,42 @@ pub fn k_local_state<S: Clone>(
     dm.ball(v, k).into_iter().map(|u| (u, config.get(u).clone())).collect()
 }
 
-/// Builds the Theorem 4 witness for an SSME instance.
+/// Builds the Theorem 4 witness for an SSME instance from the graph's
+/// resolved diameter, reading two BFS rows instead of all-pairs
+/// distances.
+///
+/// `u` is the first vertex, in index order, whose eccentricity is `diam`
+/// (one BFS per vertex until it is found) and `v` the first vertex at
+/// distance `diam` from `u`: the pair [`DistanceMatrix::peripheral_pair`]
+/// returns (the first pair in row-major order at the maximum distance).
+/// One more BFS, from `v`, gives the second ball.
 ///
 /// # Errors
 ///
-/// [`LowerBoundError::DegenerateDiameter`] when `diam(g) = 0`.
+/// [`LowerBoundError::DegenerateDiameter`] when `diam = 0`;
+/// [`LowerBoundError::DiameterMismatch`] when `diam` is not attained, or a
+/// vertex searched before `u` has a larger eccentricity.
 pub fn theorem4_witness(
     ssme: &Ssme,
     graph: &Graph,
-    dm: &DistanceMatrix,
+    diam: u32,
 ) -> Result<Theorem4Witness, LowerBoundError> {
-    let diam = dm.diameter();
     if diam == 0 {
         return Err(LowerBoundError::DegenerateDiameter);
     }
-    let (u, v) = dm.peripheral_pair();
+    let n = graph.n();
+    let (mut from_u, mut from_v, mut queue) = (vec![0; n], vec![0; n], Vec::with_capacity(n));
+    // The search stops at the first vertex whose eccentricity reaches
+    // `diam`, leaving that vertex's row in `from_u`.
+    let (u, _) = graph
+        .vertices()
+        .map(|x| (x, bfs_into(graph, x, &mut from_u, &mut queue)))
+        .find(|&(_, ecc)| ecc >= diam)
+        .filter(|&(_, ecc)| ecc == diam)
+        .ok_or(LowerBoundError::DiameterMismatch { diam })?;
+    let v = from_u.iter().position(|&d| d == diam).map(VertexId::new);
+    let v = v.expect("ecc(u) = diam is attained in u's row");
+    bfs_into(graph, v, &mut from_v, &mut queue);
     let t_u64 = bounds::sync_stabilization_bound(diam) - 1; // ⌈diam/2⌉ − 1
     let t = usize::try_from(t_u64).expect("t fits usize");
     let t32 = u32::try_from(t).expect("t fits u32");
@@ -114,10 +144,10 @@ pub fn theorem4_witness(
         .value(ssme.privilege_raw(v) - t_u64 as i64)
         .expect("privilege slot - t stays in stab");
     let filler = clock.value(-1).expect("-1 is an initial value for α = n >= 1");
-    let init = Configuration::from_fn(graph.n(), |x| {
-        if dm.dist(u, x) <= t32 {
+    let init = Configuration::from_fn(n, |x| {
+        if from_u[x.index()] <= t32 {
             cu
-        } else if dm.dist(v, x) <= t32 {
+        } else if from_v[x.index()] <= t32 {
             cv
         } else {
             filler
@@ -171,7 +201,7 @@ mod tests {
     fn check_graph(g: &Graph) {
         let dm = DistanceMatrix::new(g);
         let ssme = Ssme::for_graph(g).unwrap();
-        let witness = theorem4_witness(&ssme, g, &dm).unwrap();
+        let witness = theorem4_witness(&ssme, g, dm.diameter()).unwrap();
         let bound = bounds::sync_stabilization_bound(dm.diameter()) as usize;
         assert_eq!(witness.t + 1, bound, "{}", g.name());
         let horizon = analysis::ssme_sync_gamma1_bound(g.n(), dm.diameter()) as usize + 10;
@@ -226,12 +256,94 @@ mod tests {
     #[test]
     fn witness_rejects_single_vertex() {
         let g = generators::path(1).unwrap();
-        let dm = DistanceMatrix::new(&g);
         let ssme = Ssme::for_graph(&g).unwrap();
         assert_eq!(
-            theorem4_witness(&ssme, &g, &dm).unwrap_err(),
+            theorem4_witness(&ssme, &g, 0).unwrap_err(),
             LowerBoundError::DegenerateDiameter
         );
+    }
+
+    #[test]
+    fn witness_rejects_a_diameter_the_graph_does_not_have() {
+        // ring:8 has every eccentricity 4; path:5 has diam 4 and ecc(v0) 4.
+        let ring = generators::ring(8).unwrap();
+        let ssme = Ssme::for_graph(&ring).unwrap();
+        for diam in [3, 5] {
+            let err = theorem4_witness(&ssme, &ring, diam).unwrap_err();
+            assert_eq!(err, LowerBoundError::DiameterMismatch { diam });
+            assert!(err.to_string().contains("not the graph's diameter"), "{err}");
+        }
+        let path = generators::path(5).unwrap();
+        let ssme = Ssme::for_graph(&path).unwrap();
+        let err = theorem4_witness(&ssme, &path, 2).unwrap_err();
+        assert_eq!(err, LowerBoundError::DiameterMismatch { diam: 2 });
+    }
+
+    /// The witness as built from all-pairs distances: the matrix's
+    /// peripheral pair and the balls read off its rows.
+    fn witness_from_matrix(ssme: &Ssme, g: &Graph, dm: &DistanceMatrix) -> Theorem4Witness {
+        let (u, v) = dm.peripheral_pair();
+        let t = bounds::sync_stabilization_bound(dm.diameter()) - 1;
+        let clock = ssme.clock();
+        let cu = clock.value(ssme.privilege_raw(u) - t as i64).unwrap();
+        let cv = clock.value(ssme.privilege_raw(v) - t as i64).unwrap();
+        let filler = clock.value(-1).unwrap();
+        let t32 = u32::try_from(t).unwrap();
+        let init = Configuration::from_fn(g.n(), |x| {
+            if dm.dist(u, x) <= t32 {
+                cu
+            } else if dm.dist(v, x) <= t32 {
+                cv
+            } else {
+                filler
+            }
+        });
+        Theorem4Witness { u, v, t: usize::try_from(t).unwrap(), init }
+    }
+
+    #[test]
+    fn witness_from_bfs_rows_equals_the_matrix_construction() {
+        let mut specs: Vec<String> = [
+            "ring:3",
+            "ring:8",
+            "ring:9",
+            "ring:16",
+            "path:2",
+            "path:7",
+            "path:8",
+            "star:6",
+            "complete:2",
+            "complete:6",
+            "grid:3x4",
+            "grid:4x4",
+            "grid:2x7",
+            "torus:3x3",
+            "torus:4x6",
+            "torus:5x5",
+            "hypercube:1",
+            "hypercube:4",
+            "petersen",
+            "wheel:7",
+            "lollipop:4x3",
+            "barbell:3x2",
+            "caterpillar:4x2",
+            "bintree:15",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        specs.extend((0..20).map(|s| format!("tree:{}:{s}", 5 + s)));
+        specs.extend((0..20).map(|s| format!("er:{}:0.2:{s}", 6 + s)));
+        for spec in &specs {
+            let g = specstab_topology::spec::parse_spec(spec).unwrap();
+            let dm = DistanceMatrix::new(&g);
+            let ssme = Ssme::for_graph(&g).unwrap();
+            let w = theorem4_witness(&ssme, &g, dm.diameter()).unwrap();
+            let reference = witness_from_matrix(&ssme, &g, &dm);
+            assert_eq!((w.u, w.v), dm.peripheral_pair(), "{spec}");
+            assert_eq!(w.t, reference.t, "{spec}");
+            assert_eq!(w.init, reference.init, "{spec}");
+        }
     }
 
     #[test]
@@ -255,7 +367,7 @@ mod tests {
         ] {
             let dm = DistanceMatrix::new(&g);
             let ssme = Ssme::for_graph(&g).unwrap();
-            let w = theorem4_witness(&ssme, &g, &dm).unwrap();
+            let w = theorem4_witness(&ssme, &g, dm.diameter()).unwrap();
             let t = u32::try_from(w.t).unwrap();
             let bu = dm.ball(w.u, t);
             let bv = dm.ball(w.v, t);

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
-use specstab_topology::metrics::DistanceMatrix;
+use specstab_topology::metrics;
 use specstab_topology::{Graph, VertexId};
 use specstab_unison::clock::{CherryClock, ClockValue};
 use specstab_unison::protocol::AsyncUnison;
@@ -156,8 +156,7 @@ impl Ssme {
     ///
     /// [`SsmeError::EmptyGraph`] for `n == 0`.
     pub fn for_graph(graph: &Graph) -> Result<Self, SsmeError> {
-        let dm = DistanceMatrix::new(graph);
-        Self::new(graph, dm.diameter(), IdAssignment::identity(graph.n()))
+        Self::new(graph, metrics::diameter(graph), IdAssignment::identity(graph.n()))
     }
 
     /// Ablation constructor (experiment E7): SSME semantics over an

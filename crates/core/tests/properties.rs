@@ -112,7 +112,7 @@ proptest! {
         let dm = DistanceMatrix::new(&g);
         prop_assume!(dm.diameter() >= 1);
         let ssme = Ssme::for_graph(&g).expect("nonempty");
-        let w = theorem4_witness(&ssme, &g, &dm).expect("diam >= 1");
+        let w = theorem4_witness(&ssme, &g, dm.diameter()).expect("diam >= 1");
         let horizon = analysis::ssme_sync_gamma1_bound(g.n(), dm.diameter()) as usize + 8;
         let outcome = verify_witness(&ssme, &g, &w, horizon);
         prop_assert!(outcome.both_privileged_at_t, "{}", g.name());

@@ -178,7 +178,7 @@ fn theorem4_witness_is_tight_on_zoo() {
             continue;
         }
         let ssme = Ssme::for_graph(&g).unwrap();
-        let witness = theorem4_witness(&ssme, &g, &dm).unwrap();
+        let witness = theorem4_witness(&ssme, &g, dm.diameter()).unwrap();
         let horizon = analysis::ssme_sync_gamma1_bound(g.n(), dm.diameter()) as usize + 10;
         let outcome = verify_witness(&ssme, &g, &witness, horizon);
         let bound = bounds::sync_stabilization_bound(dm.diameter()) as usize;

@@ -58,7 +58,7 @@
 //! All reusable buffers live in [`StepScratch`]; [`Simulator::run`] creates
 //! one per run, and [`Simulator::run_with_scratch`] lets batch drivers reuse
 //! buffers across runs. The clone-based original loop is retained as
-//! [`Simulator::run_reference`] for differential testing (compiled under
+//! `Simulator::run_reference` for differential testing (compiled under
 //! `cfg(test)` or the `reference` feature only — release builds drop it).
 
 use crate::config::Configuration;

@@ -150,15 +150,36 @@ pub trait ProtocolHarness: Sized {
     /// Registry name of the protocol (e.g. `"ssme"`).
     const NAME: &'static str;
 
-    /// Builds the protocol (and its specification) for `graph`.
-    ///
-    /// `diam` is the graph's diameter, supplied by the caller because grid
-    /// drivers compute it once per topology.
+    /// Whether the protocol can run on `graph`, decided from the graph's
+    /// structure alone: no harness is built and no distance is computed,
+    /// so frontends filter a matrix's (topology, protocol) pairs with it
+    /// before any cell runs. The default accepts every graph; harnesses
+    /// whose protocol needs a shape (a ring, a line) override it, and
+    /// their [`ProtocolHarness::build`] calls it first, so on a connected
+    /// graph `build` fails with exactly the error this returns.
     ///
     /// # Errors
     ///
     /// [`HarnessError::IncompatibleTopology`] when the protocol cannot run
-    /// on `graph`, [`HarnessError::Build`] for any other failure.
+    /// on `graph`.
+    fn check_graph(graph: &Graph) -> Result<(), HarnessError> {
+        let _ = graph;
+        Ok(())
+    }
+
+    /// Builds the protocol (and its specification) for `graph`.
+    ///
+    /// `diam` is the graph's diameter, supplied by the caller because grid
+    /// drivers resolve it once per topology; harnesses keep what they need
+    /// of it (SSME's clock and witness) instead of recomputing distances.
+    /// Shape requirements are [`ProtocolHarness::check_graph`]'s, which
+    /// `build` relies on.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::IncompatibleTopology`] when the protocol cannot run
+    /// on `graph` (the error [`ProtocolHarness::check_graph`] returns),
+    /// [`HarnessError::Build`] for any other failure.
     fn build(graph: &Graph, diam: u32) -> Result<Self, HarnessError>;
 
     /// The protocol instance.
@@ -191,6 +212,9 @@ pub trait ProtocolHarness: Sized {
     /// The deterministic adversarial witness initial configuration, for
     /// protocols with a matching lower-bound construction (e.g. SSME's
     /// Theorem 4 witness attaining the `⌈diam/2⌉` synchronous bound).
+    /// `graph` must be the graph the harness was built for: the witness
+    /// uses the diameter [`ProtocolHarness::build`] received, and reads
+    /// single-source BFS rows of `graph`, never all-pairs distances.
     ///
     /// # Errors
     ///

@@ -15,7 +15,7 @@ use rand::Rng;
 use specstab_kernel::config::Configuration;
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
 use specstab_kernel::spec::{Aggregate, LocalCounts, LocalSpecification, Specification};
-use specstab_topology::metrics::DistanceMatrix;
+use specstab_topology::metrics;
 use specstab_topology::{Graph, VertexId};
 
 /// Rule index: the unique "adopt correct level" rule.
@@ -113,11 +113,18 @@ pub struct BfsSpec {
 }
 
 impl BfsSpec {
-    /// Creates the specification (computes true distances once).
+    /// Creates the specification: the true distances are one BFS row
+    /// from `root`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is disconnected or `root` is out of range.
     #[must_use]
     pub fn new(graph: &Graph, root: VertexId) -> Self {
-        let dm = DistanceMatrix::new(graph);
-        let dist = graph.vertices().map(|v| dm.dist(root, v)).collect();
+        let mut dist = vec![0; graph.n()];
+        let mut queue = Vec::new();
+        metrics::bfs_into(graph, root, &mut dist, &mut queue);
+        assert_eq!(queue.len(), graph.n(), "BfsSpec requires a connected graph");
         Self { root, dist }
     }
 
@@ -187,6 +194,19 @@ mod tests {
         build_config_graph, enumerate_all_configurations, worst_steps_to, SearchDaemon,
     };
     use specstab_topology::generators;
+    use specstab_topology::metrics::DistanceMatrix;
+
+    #[test]
+    fn spec_distances_equal_the_matrix_row() {
+        for spec in ["ring:9", "path:7", "star:5", "grid:3x4", "torus:4x5", "tree:11", "petersen"] {
+            let g = specstab_topology::spec::parse_spec(spec).unwrap();
+            let dm = DistanceMatrix::new(&g);
+            for root in g.vertices() {
+                let row: Vec<u32> = g.vertices().map(|v| dm.dist(root, v)).collect();
+                assert_eq!(BfsSpec::new(&g, root).distances(), &row[..], "{spec} from {root}");
+            }
+        }
+    }
 
     #[test]
     fn terminal_configuration_is_bfs_levels() {

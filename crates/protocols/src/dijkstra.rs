@@ -60,6 +60,18 @@ impl fmt::Display for DijkstraError {
 
 impl Error for DijkstraError {}
 
+/// Whether `graph` is the standard ring `ring(n)`, `n >= 3`: exactly `n`
+/// edges, each vertex `i` adjacent to `i + 1 mod n`. The one ring test of
+/// the K-state and three-state protocols and of their harnesses'
+/// compatibility checks.
+#[must_use]
+pub(crate) fn is_ring(graph: &Graph) -> bool {
+    let n = graph.n();
+    n >= 3
+        && graph.m() == n
+        && (0..n).all(|i| graph.contains_edge(VertexId::new(i), VertexId::new((i + 1) % n)))
+}
+
 /// Dijkstra's K-state protocol instance.
 #[derive(Clone, Debug)]
 pub struct DijkstraRing {
@@ -76,14 +88,8 @@ impl DijkstraRing {
     /// [`DijkstraError::KTooSmall`] if `k < n`.
     pub fn new(graph: &Graph, k: u64) -> Result<Self, DijkstraError> {
         let n = graph.n();
-        if n < 3 || graph.m() != n {
+        if !is_ring(graph) {
             return Err(DijkstraError::NotARing);
-        }
-        for i in 0..n {
-            let next = VertexId::new((i + 1) % n);
-            if !graph.contains_edge(VertexId::new(i), next) {
-                return Err(DijkstraError::NotARing);
-            }
         }
         if k < n as u64 {
             return Err(DijkstraError::KTooSmall { k, n });

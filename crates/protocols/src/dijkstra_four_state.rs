@@ -75,6 +75,17 @@ impl fmt::Display for FourStateError {
 
 impl Error for FourStateError {}
 
+/// Whether `graph` is the standard line `path(n)`, `n >= 2`: exactly
+/// `n - 1` edges, each vertex `i < n - 1` adjacent to `i + 1`. The one line
+/// test of the protocol and of its harness's compatibility check.
+#[must_use]
+pub(crate) fn is_line(graph: &Graph) -> bool {
+    let n = graph.n();
+    n >= 2
+        && graph.m() == n - 1
+        && (0..n - 1).all(|i| graph.contains_edge(VertexId::new(i), VertexId::new(i + 1)))
+}
+
 /// Dijkstra's four-state protocol instance.
 #[derive(Clone, Debug)]
 pub struct DijkstraFourState {
@@ -88,16 +99,10 @@ impl DijkstraFourState {
     ///
     /// [`FourStateError::NotALine`] otherwise.
     pub fn new(graph: &Graph) -> Result<Self, FourStateError> {
-        let n = graph.n();
-        if n < 2 || graph.m() != n - 1 {
+        if !is_line(graph) {
             return Err(FourStateError::NotALine);
         }
-        for i in 0..n - 1 {
-            if !graph.contains_edge(VertexId::new(i), VertexId::new(i + 1)) {
-                return Err(FourStateError::NotALine);
-            }
-        }
-        Ok(Self { n })
+        Ok(Self { n: graph.n() })
     }
 
     /// Number of machines.

@@ -77,16 +77,10 @@ impl DijkstraThreeState {
     ///
     /// [`ThreeStateError::NotARing`] otherwise.
     pub fn new(graph: &Graph) -> Result<Self, ThreeStateError> {
-        let n = graph.n();
-        if n < 3 || graph.m() != n {
+        if !crate::dijkstra::is_ring(graph) {
             return Err(ThreeStateError::NotARing);
         }
-        for i in 0..n {
-            if !graph.contains_edge(VertexId::new(i), VertexId::new((i + 1) % n)) {
-                return Err(ThreeStateError::NotARing);
-            }
-        }
-        Ok(Self { n })
+        Ok(Self { n: graph.n() })
     }
 
     /// Number of machines.

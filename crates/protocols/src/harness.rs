@@ -13,9 +13,9 @@
 //! synchronous theorem bound.
 
 use crate::bfs::{BfsSpec, MinPlusOneBfs};
-use crate::dijkstra::{DijkstraError, DijkstraRing, DijkstraSpec};
-use crate::dijkstra_four_state::{DijkstraFourState, FourState, FourStateError, FourStateSpec};
-use crate::dijkstra_three_state::{DijkstraThreeState, ThreeStateError, ThreeStateSpec};
+use crate::dijkstra::{is_ring, DijkstraRing, DijkstraSpec};
+use crate::dijkstra_four_state::{is_line, DijkstraFourState, FourState, FourStateSpec};
+use crate::dijkstra_three_state::{DijkstraThreeState, ThreeStateSpec};
 use crate::matching::{MatchState, MatchingSpec, MaximalMatching};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -31,12 +31,36 @@ use specstab_kernel::harness::{
 };
 use specstab_kernel::measure::StabilizationReport;
 use specstab_kernel::spec::LaneSpecification;
-use specstab_topology::metrics::DistanceMatrix;
 use specstab_topology::{Graph, VertexId};
 use specstab_unison::clock::ClockValue;
+use std::fmt::Display;
 
 /// Per-lane reports of a measured batched run.
 type LaneReports<S> = Vec<(StabilizationReport, Configuration<S>)>;
+
+/// `H`'s [`HarnessError::Build`] for a construction failure.
+fn build_error<H: ProtocolHarness>(reason: impl Display) -> HarnessError {
+    HarnessError::Build { protocol: H::NAME.to_string(), reason: reason.to_string() }
+}
+
+/// `H`'s compatibility verdict on `graph` for a protocol that needs a
+/// graph shape: `Ok` when `has_shape`, else the typed
+/// [`HarnessError::IncompatibleTopology`] naming `requirement`.
+fn require_shape<H: ProtocolHarness>(
+    graph: &Graph,
+    has_shape: bool,
+    requirement: &str,
+) -> Result<(), HarnessError> {
+    if has_shape {
+        Ok(())
+    } else {
+        Err(HarnessError::IncompatibleTopology {
+            protocol: H::NAME.to_string(),
+            requirement: requirement.to_string(),
+            topology: graph.name().to_string(),
+        })
+    }
+}
 
 /// The packed harnesses' `batched_measure`: `run_batch` under a
 /// [`LaneMonitor`] over the lane form of the harness's specification,
@@ -70,6 +94,8 @@ where
 pub struct SsmeHarness {
     ssme: Ssme,
     spec: SpecMe,
+    /// `diam(g)` as resolved by the caller of `build`.
+    diam: u32,
 }
 
 impl SsmeHarness {
@@ -86,11 +112,10 @@ impl ProtocolHarness for SsmeHarness {
     const NAME: &'static str = "ssme";
 
     fn build(graph: &Graph, diam: u32) -> Result<Self, HarnessError> {
-        let ssme = Ssme::new(graph, diam, IdAssignment::identity(graph.n())).map_err(|e| {
-            HarnessError::Build { protocol: Self::NAME.to_string(), reason: e.to_string() }
-        })?;
+        let ssme = Ssme::new(graph, diam, IdAssignment::identity(graph.n()))
+            .map_err(build_error::<Self>)?;
         let spec = SpecMe::new(ssme.clone());
-        Ok(Self { ssme, spec })
+        Ok(Self { ssme, spec, diam })
     }
 
     fn protocol(&self) -> &Ssme {
@@ -108,10 +133,7 @@ impl ProtocolHarness for SsmeHarness {
     ) -> Result<Configuration<ClockValue>, HarnessError> {
         // A legitimate resting point: every clock at the same stabilized
         // value.
-        let healthy = self.ssme.clock().value(0).map_err(|e| HarnessError::Build {
-            protocol: Self::NAME.to_string(),
-            reason: e.to_string(),
-        })?;
+        let healthy = self.ssme.clock().value(0).map_err(build_error::<Self>)?;
         Ok(Configuration::from_fn(graph.n(), |_| healthy))
     }
 
@@ -119,17 +141,17 @@ impl ProtocolHarness for SsmeHarness {
         true
     }
 
+    /// The Theorem 4 witness for the diameter the harness was built with:
+    /// BFS rows from the vertices up to the first one of eccentricity
+    /// `diam`, plus one row from its partner (see
+    /// [`specstab_core::lower_bound::theorem4_witness`]).
     fn witness_configuration(
         &self,
         graph: &Graph,
     ) -> Result<Configuration<ClockValue>, HarnessError> {
-        let dm = DistanceMatrix::new(graph);
-        specstab_core::lower_bound::theorem4_witness(&self.ssme, graph, &dm)
+        specstab_core::lower_bound::theorem4_witness(&self.ssme, graph, self.diam)
             .map(|w| w.init)
-            .map_err(|e| HarnessError::Build {
-                protocol: Self::NAME.to_string(),
-                reason: e.to_string(),
-            })
+            .map_err(build_error::<Self>)
     }
 
     /// The shared kernel zoo plus the protocol-specific greedy adversaries
@@ -188,17 +210,13 @@ impl ProtocolHarness for DijkstraHarness {
     type Spec = DijkstraSpec;
     const NAME: &'static str = "dijkstra";
 
+    fn check_graph(graph: &Graph) -> Result<(), HarnessError> {
+        require_shape::<Self>(graph, is_ring(graph), "a unidirectional ring of n >= 3 machines")
+    }
+
     fn build(graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
-        let proto = DijkstraRing::new(graph, graph.n() as u64).map_err(|e| match e {
-            DijkstraError::NotARing => HarnessError::IncompatibleTopology {
-                protocol: Self::NAME.to_string(),
-                requirement: "a unidirectional ring of n >= 3 machines".to_string(),
-                topology: graph.name().to_string(),
-            },
-            other => {
-                HarnessError::Build { protocol: Self::NAME.to_string(), reason: other.to_string() }
-            }
-        })?;
+        Self::check_graph(graph)?;
+        let proto = DijkstraRing::new(graph, graph.n() as u64).map_err(build_error::<Self>)?;
         let spec = DijkstraSpec::new(proto.clone());
         Ok(Self { proto, spec })
     }
@@ -263,14 +281,13 @@ impl ProtocolHarness for Dijkstra3Harness {
     type Spec = ThreeStateSpec;
     const NAME: &'static str = "dijkstra3";
 
+    fn check_graph(graph: &Graph) -> Result<(), HarnessError> {
+        require_shape::<Self>(graph, is_ring(graph), "a ring of n >= 3 machines")
+    }
+
     fn build(graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
-        let proto = DijkstraThreeState::new(graph).map_err(|ThreeStateError::NotARing| {
-            HarnessError::IncompatibleTopology {
-                protocol: Self::NAME.to_string(),
-                requirement: "a ring of n >= 3 machines".to_string(),
-                topology: graph.name().to_string(),
-            }
-        })?;
+        Self::check_graph(graph)?;
+        let proto = DijkstraThreeState::new(graph).map_err(build_error::<Self>)?;
         let spec = ThreeStateSpec::new(proto.clone());
         Ok(Self { proto, spec })
     }
@@ -321,14 +338,13 @@ impl ProtocolHarness for Dijkstra4Harness {
     type Spec = FourStateSpec;
     const NAME: &'static str = "dijkstra4";
 
+    fn check_graph(graph: &Graph) -> Result<(), HarnessError> {
+        require_shape::<Self>(graph, is_line(graph), "a line of n >= 2 machines")
+    }
+
     fn build(graph: &Graph, _diam: u32) -> Result<Self, HarnessError> {
-        let proto = DijkstraFourState::new(graph).map_err(|FourStateError::NotALine| {
-            HarnessError::IncompatibleTopology {
-                protocol: Self::NAME.to_string(),
-                requirement: "a line of n >= 2 machines".to_string(),
-                topology: graph.name().to_string(),
-            }
-        })?;
+        Self::check_graph(graph)?;
+        let proto = DijkstraFourState::new(graph).map_err(build_error::<Self>)?;
         let spec = FourStateSpec::new(proto.clone());
         Ok(Self { proto, spec })
     }
@@ -471,6 +487,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use specstab_topology::generators;
+    use specstab_topology::metrics::DistanceMatrix;
 
     fn diam(g: &Graph) -> u32 {
         DistanceMatrix::new(g).diameter()
@@ -528,8 +545,7 @@ mod tests {
         let d = diam(&g);
         let h = SsmeHarness::build(&g, d).unwrap();
         let init = h.witness_configuration(&g).unwrap();
-        let dm = DistanceMatrix::new(&g);
-        let w = specstab_core::lower_bound::theorem4_witness(h.ssme(), &g, &dm).unwrap();
+        let w = specstab_core::lower_bound::theorem4_witness(h.ssme(), &g, d).unwrap();
         assert_eq!(init, w.init);
     }
 

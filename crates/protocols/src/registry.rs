@@ -166,32 +166,41 @@ pub fn parse_protocol_list(spec: &str) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-struct CompatCheck<'a> {
-    graph: &'a Graph,
-    diam: u32,
-}
+struct GraphCheck<'a>(&'a Graph);
 
-impl HarnessVisitor for CompatCheck<'_> {
+impl HarnessVisitor for GraphCheck<'_> {
     type Output = Result<(), HarnessError>;
     fn visit<H: ProtocolHarness + 'static>(self, _info: &'static ProtocolInfo) -> Self::Output {
-        H::build(self.graph, self.diam).map(|_| ())
+        H::check_graph(self.0)
     }
 }
 
 /// Whether the named protocol can run on `graph` — the registry-driven
-/// replacement for ad-hoc per-protocol topology `match`es. Builds the
-/// harness and reports its typed error.
+/// replacement for ad-hoc per-protocol topology `match`es. Asks the
+/// harness's [`ProtocolHarness::check_graph`], which decides from the
+/// graph's structure alone: no harness is built and no distance computed.
 ///
 /// # Errors
 ///
 /// The unknown-protocol message (outer) or the harness's typed
 /// [`HarnessError`] (inner).
+pub fn check_graph(name: &str, graph: &Graph) -> Result<Result<(), HarnessError>, String> {
+    resolve(name, GraphCheck(graph))
+}
+
+/// [`check_graph`] under the signature of callers that resolve the
+/// diameter first. `diam` is unused: compatibility is structural.
+///
+/// # Errors
+///
+/// As [`check_graph`].
 pub fn check_topology(
     name: &str,
     graph: &Graph,
     diam: u32,
 ) -> Result<Result<(), HarnessError>, String> {
-    resolve(name, CompatCheck { graph, diam })
+    let _ = diam;
+    check_graph(name, graph)
 }
 
 #[cfg(test)]
@@ -246,6 +255,63 @@ mod tests {
         assert_eq!(parse_protocol_list("ssme,bfs,ssme").unwrap(), vec!["ssme", "bfs"]);
         assert_eq!(parse_protocol_list("bfs,all").unwrap().len(), PROTOCOLS.len());
         assert_eq!(parse_protocol_list("bfs,all").unwrap()[0], "bfs");
+    }
+
+    /// A harness's structural verdict next to its `build` outcome.
+    struct CheckAndBuild<'a> {
+        graph: &'a Graph,
+        diam: u32,
+    }
+
+    impl HarnessVisitor for CheckAndBuild<'_> {
+        type Output = (Result<(), HarnessError>, Result<(), HarnessError>);
+        fn visit<H: ProtocolHarness + 'static>(self, _info: &'static ProtocolInfo) -> Self::Output {
+            (H::check_graph(self.graph), H::build(self.graph, self.diam).map(drop))
+        }
+    }
+
+    #[test]
+    fn check_graph_agrees_with_build_on_every_protocol() {
+        let specs = [
+            "ring:3",
+            "ring:4",
+            "ring:9",
+            "path:1",
+            "path:2",
+            "path:6",
+            "star:3",
+            "star:6",
+            "grid:1x2",
+            "grid:1x5",
+            "grid:3x4",
+            "torus:3x3",
+            "torus:4x5",
+            "tree:2",
+            "tree:9",
+            "tree:12:3",
+            "bintree:7",
+            "complete:1",
+            "complete:2",
+            "complete:3",
+            "complete:5",
+            "petersen",
+            "er:8:0.3:1",
+            "er:12:0.2:2",
+            "er:10:0.0:3",
+        ];
+        let mut rejected = 0;
+        for spec in specs {
+            let g = specstab_topology::spec::parse_spec(spec).unwrap();
+            let diam = DistanceMatrix::new(&g).diameter();
+            for p in PROTOCOLS {
+                let (check, build) = resolve(p.name, CheckAndBuild { graph: &g, diam }).unwrap();
+                assert_eq!(check, build, "{} on {spec}", p.name);
+                assert_eq!(check_graph(p.name, &g).unwrap(), check, "{} on {spec}", p.name);
+                rejected += usize::from(check.is_err());
+            }
+        }
+        // The Dijkstra harnesses reject most of the spread.
+        assert!(rejected > 40, "{rejected}");
     }
 
     #[test]

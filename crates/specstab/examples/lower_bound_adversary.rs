@@ -13,10 +13,9 @@ use specstab::prelude::*;
 
 fn main() {
     let g = generators::path(11).expect("valid path"); // diam 10, t = 4
-    let dm = DistanceMatrix::new(&g);
-    let diam = dm.diameter();
+    let diam = metrics::diameter(&g);
     let ssme = Ssme::for_graph(&g).expect("nonempty graph");
-    let witness = theorem4_witness(&ssme, &g, &dm).expect("diam >= 1");
+    let witness = theorem4_witness(&ssme, &g, diam).expect("diam >= 1");
 
     println!("graph: {g} (diam = {diam})");
     println!(

@@ -29,7 +29,7 @@
 //! // SSME on a 4x5 torus: safety stabilizes within ⌈diam/2⌉ = 2
 //! // synchronous steps from ANY initial configuration.
 //! let g = generators::torus(4, 5).expect("valid dimensions");
-//! let diam = DistanceMatrix::new(&g).diameter();
+//! let diam = metrics::diameter(&g);
 //! let ssme = Ssme::for_graph(&g).expect("nonempty graph");
 //! let spec = SpecMe::new(ssme.clone());
 //!
@@ -100,7 +100,7 @@ pub mod prelude {
     pub use specstab_protocols::matching::{MatchingSpec, MaximalMatching};
     pub use specstab_protocols::registry;
     pub use specstab_topology::generators;
-    pub use specstab_topology::metrics::DistanceMatrix;
+    pub use specstab_topology::metrics::{self, DistanceMatrix};
     pub use specstab_topology::spec::parse_spec;
     pub use specstab_topology::{Graph, GraphBuilder, VertexId};
     pub use specstab_unison::clock::{CherryClock, ClockValue};

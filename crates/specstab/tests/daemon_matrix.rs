@@ -111,7 +111,7 @@ n 6
         );
     }
     // The witness is tight here too.
-    let w = theorem4_witness(&ssme, &g, &dm).expect("diam >= 1");
+    let w = theorem4_witness(&ssme, &g, dm.diameter()).expect("diam >= 1");
     let outcome = verify_witness(&ssme, &g, &w, 500);
     assert!(outcome.both_privileged_at_t);
     assert_eq!(

@@ -67,7 +67,7 @@ fn theorem4_tight_on_custom_graph() {
         .expect("connected");
     let dm = DistanceMatrix::new(&g);
     let ssme = Ssme::for_graph(&g).expect("nonempty");
-    let w = theorem4_witness(&ssme, &g, &dm).expect("diam >= 1");
+    let w = theorem4_witness(&ssme, &g, dm.diameter()).expect("diam >= 1");
     let outcome = verify_witness(&ssme, &g, &w, 500);
     assert!(outcome.both_privileged_at_t);
     assert_eq!(
@@ -85,7 +85,7 @@ fn shuffled_identities_preserve_all_guarantees() {
         let ids = IdAssignment::shuffled(g.n(), id_seed);
         let ssme = Ssme::new(&g, dm.diameter(), ids).expect("valid ids");
         let spec = SpecMe::new(ssme.clone());
-        let w = theorem4_witness(&ssme, &g, &dm).expect("diam >= 1");
+        let w = theorem4_witness(&ssme, &g, dm.diameter()).expect("diam >= 1");
         let outcome = verify_witness(&ssme, &g, &w, 500);
         assert!(outcome.both_privileged_at_t, "id seed {id_seed}");
         assert_eq!(

@@ -107,7 +107,7 @@ fn ssme_beats_dijkstra_in_the_speculated_case() {
         let g = generators::ring(n).expect("valid ring");
         let dm = DistanceMatrix::new(&g);
         let ssme = Ssme::for_graph(&g).expect("nonempty");
-        let w = theorem4_witness(&ssme, &g, &dm).expect("diam >= 1");
+        let w = theorem4_witness(&ssme, &g, dm.diameter()).expect("diam >= 1");
         let outcome = verify_witness(
             &ssme,
             &g,

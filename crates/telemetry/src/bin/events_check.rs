@@ -8,16 +8,19 @@
 //! per-stream sequence numbers, monotonic timestamps), the lease
 //! discipline of coordinator traces, and two batch invariants: a counter
 //! snapshot with zero launched lanes carries no idle lane-steps, and the
-//! `group` path labels agree with the lane counter. Exit code 0 when every
-//! file validates; 1 with a diagnostic on stderr otherwise. CI runs this
-//! over the traces the distributed-pipeline job produces.
+//! `group` path labels agree with the lane counter. Each file's summary
+//! line also counts the uploads a coordinator accepted without worker
+//! telemetry (`shards_without_telemetry`), whose shards the trace's
+//! counters and path tally leave out. Exit code 0 when every file
+//! validates; 1 with a diagnostic on stderr otherwise. CI runs this over
+//! the traces the distributed-pipeline job produces.
 
 use specstab_telemetry::counters::CounterSnapshot;
 use specstab_telemetry::event::{
     parse_ndjson, validate_events, Event, EventKind, PATH_BATCHED, PATH_SCALAR,
     PATH_SCALAR_FALLBACK,
 };
-use specstab_telemetry::metrics::tally_paths;
+use specstab_telemetry::metrics::{shards_without_telemetry, sum_shard_counters, tally_paths};
 use std::collections::BTreeMap;
 
 /// Batch invariants over the counter snapshots and `group` events. Idle
@@ -31,7 +34,7 @@ use std::collections::BTreeMap;
 /// rejected; traces written before the label (a `group` event without
 /// one) are not held to the agreement. Returns the trace's totals.
 fn check_batch_telemetry(events: &[Event]) -> Result<CounterSnapshot, String> {
-    let (mut campaign, mut shards) = (None, CounterSnapshot::default());
+    let mut campaign = None;
     let (mut batched, mut fallback, mut unlabelled) = (0u64, 0u64, false);
     for e in events {
         let counters = match &e.kind {
@@ -39,10 +42,7 @@ fn check_batch_telemetry(events: &[Event]) -> Result<CounterSnapshot, String> {
                 campaign = Some(*counters);
                 counters
             }
-            EventKind::ShardEnd { counters, .. } => {
-                shards.add(counters);
-                counters
-            }
+            EventKind::ShardEnd { counters, .. } => counters,
             EventKind::Group { path, runs, .. } => {
                 match path.as_str() {
                     PATH_BATCHED => batched += runs,
@@ -64,7 +64,7 @@ fn check_batch_telemetry(events: &[Event]) -> Result<CounterSnapshot, String> {
             ));
         }
     }
-    let totals = campaign.unwrap_or(shards);
+    let totals = campaign.unwrap_or_else(|| sum_shard_counters(events));
     let lanes = totals.batch_lanes;
     if !unlabelled && !(batched..=batched + fallback).contains(&lanes) {
         return Err(format!(
@@ -114,10 +114,12 @@ fn check_events(events: &[Event]) -> Result<String, String> {
     let mut paths = BTreeMap::new();
     tally_paths(&mut paths, events);
     Ok(format!(
-        "{} events; batch: {} lanes, {} idle lane-steps; group paths {paths:?}",
+        "{} events; batch: {} lanes, {} idle lane-steps; shards_without_telemetry {}; \
+         group paths {paths:?}",
         events.len(),
         totals.batch_lanes,
-        totals.batch_idle_lane_steps
+        totals.batch_idle_lane_steps,
+        shards_without_telemetry(events)
     ))
 }
 
@@ -227,6 +229,19 @@ mod tests {
         // Without `campaign_end` the totals are the summed `shard_end`s.
         check_events(&trace(vec![group(PATH_BATCHED, 40), shard_end(25), shard_end(15)]))
             .expect("shard totals");
+    }
+
+    #[test]
+    fn the_summary_counts_uploads_without_telemetry() {
+        let accepted = |shard_id: u64, telemetry_events: Option<u64>| EventKind::PartialAccepted {
+            shard_id,
+            worker: "w1".into(),
+            cells: 9,
+            telemetry_events,
+        };
+        let kinds = vec![accepted(0, Some(0)), accepted(1, Some(12)), accepted(2, None)];
+        let summary = check_events(&trace(kinds)).expect("valid");
+        assert!(summary.contains("; shards_without_telemetry 1;"), "{summary}");
     }
 
     #[test]

@@ -170,6 +170,10 @@ pub enum EventKind {
         worker: String,
         /// Cells the partial carries.
         cells: u64,
+        /// Events of worker telemetry the partial carried (0 for a
+        /// partial written by `campaign shard --out`, which has none).
+        /// `None` when read from a trace written before the count.
+        telemetry_events: Option<u64>,
     },
     /// `partial_rejected`: an upload failed validation (bad schema, wrong
     /// plan fingerprint, range mismatch) and was discarded.
@@ -392,10 +396,13 @@ impl Event {
                 fields.push(("worker", Json::Str(worker.clone())));
                 fields.push(("lease_id", Json::UInt(*lease_id)));
             }
-            EventKind::PartialAccepted { shard_id, worker, cells } => {
+            EventKind::PartialAccepted { shard_id, worker, cells, telemetry_events } => {
                 fields.push(("shard_id", Json::UInt(*shard_id)));
                 fields.push(("worker", Json::Str(worker.clone())));
                 fields.push(("cells", Json::UInt(*cells)));
+                if let Some(n) = telemetry_events {
+                    fields.push(("telemetry_events", Json::UInt(*n)));
+                }
             }
             EventKind::PartialRejected { worker, reason } => {
                 fields.push(("worker", Json::Str(worker.clone())));
@@ -511,6 +518,7 @@ impl Event {
                 shard_id: j.req("shard_id")?.as_u64()?,
                 worker: j.req("worker")?.as_str()?.to_string(),
                 cells: j.req("cells")?.as_u64()?,
+                telemetry_events: j.get("telemetry_events").map(Json::as_u64).transpose()?,
             },
             "partial_rejected" => EventKind::PartialRejected {
                 worker: j.req("worker")?.as_str()?.to_string(),
@@ -786,7 +794,18 @@ mod tests {
                 lease_ms: 30_000,
             },
             EventKind::LeaseExpired { shard_id: 4, worker: "worker-\"a\"".into(), lease_id: 17 },
-            EventKind::PartialAccepted { shard_id: 4, worker: "w2".into(), cells: 18 },
+            EventKind::PartialAccepted {
+                shard_id: 4,
+                worker: "w2".into(),
+                cells: 18,
+                telemetry_events: Some(0),
+            },
+            EventKind::PartialAccepted {
+                shard_id: 5,
+                worker: "w1".into(),
+                cells: 18,
+                telemetry_events: Some(31),
+            },
             EventKind::PartialRejected {
                 worker: "w3".into(),
                 reason: "plan fingerprint mismatch\n(line two)".into(),
@@ -874,6 +893,14 @@ mod tests {
             Event::from_json_line(merge_end).expect("legacy merge_end parses").kind,
             EventKind::MergeEnd { cells: 4, groups: 2, parse: ParseTally::default(), fold_us: 0 }
         );
+        let accepted = "{\"event\":\"partial_accepted\",\"seq\":4,\"t_us\":9,\"shard_id\":0,\
+                        \"worker\":\"spool\",\"cells\":9}";
+        match Event::from_json_line(accepted).expect("legacy partial_accepted parses").kind {
+            EventKind::PartialAccepted { telemetry_events, .. } => {
+                assert_eq!(telemetry_events, None, "an older trace does not say");
+            }
+            other => panic!("expected partial_accepted, got {other:?}"),
+        }
     }
 
     #[test]

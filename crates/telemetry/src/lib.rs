@@ -45,5 +45,7 @@ pub use event::{
     PATH_BATCHED, PATH_SCALAR, PATH_SCALAR_FALLBACK,
 };
 pub use json::{obj, Json, MAX_PARSE_DEPTH};
-pub use metrics::{metrics_from_events, paths_json, tally_paths, METRICS_SCHEMA};
+pub use metrics::{
+    metrics_from_events, paths_json, sum_shard_counters, tally_paths, METRICS_SCHEMA,
+};
 pub use progress::{Heartbeat, ServeCounts, ServeHeartbeat};

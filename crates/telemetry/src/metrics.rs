@@ -39,6 +39,33 @@ pub fn tally_paths(tally: &mut BTreeMap<String, u64>, events: &[Event]) {
     }
 }
 
+/// Field-wise sum of every `shard_end` counter snapshot in `events`: the
+/// campaign-wide engine counters of shards that ran in other processes.
+/// The coordinator's totals, and the sidecar's and `events_check`'s for a
+/// trace without `campaign_end`, are this sum.
+#[must_use]
+pub fn sum_shard_counters(events: &[Event]) -> CounterSnapshot {
+    let mut total = CounterSnapshot::default();
+    for e in events {
+        if let EventKind::ShardEnd { counters, .. } = &e.kind {
+            total.add(counters);
+        }
+    }
+    total
+}
+
+/// The uploads a coordinator accepted without worker telemetry: its
+/// `partial_accepted` events that carried no events (a partial written by
+/// `campaign shard --out` and resumed from the spool). Their shards'
+/// cells, groups and counters are missing from the trace's tallies.
+/// Events of traces older than the count are not counted.
+#[must_use]
+pub fn shards_without_telemetry(events: &[Event]) -> u64 {
+    let bare =
+        |e: &&Event| matches!(e.kind, EventKind::PartialAccepted { telemetry_events: Some(0), .. });
+    events.iter().filter(bare).count() as u64
+}
+
 /// A [`tally_paths`] tally as a JSON object, paths in sorted order.
 #[must_use]
 pub fn paths_json(tally: &BTreeMap<String, u64>) -> Json {
@@ -50,7 +77,8 @@ pub fn paths_json(tally: &BTreeMap<String, u64>) -> Json {
 ///
 /// Totals prefer the `campaign_end` event when present (its counters cover
 /// the whole process, including work outside shard ranges); otherwise they
-/// are reconstructed by summing `shard_end` events, with total wall clock
+/// are reconstructed by summing `shard_end` events
+/// ([`sum_shard_counters`]), with total wall clock
 /// taken as the slowest shard. Cell and group rows are carried over in
 /// stream order, which for a merged trace is the deterministic
 /// `(shard, seq)` order; each group row names its engine `path`, and the
@@ -60,15 +88,15 @@ pub fn paths_json(tally: &BTreeMap<String, u64>) -> Json {
 /// lease/upload counts and per-worker accepted-cell tallies. Traces with a
 /// `merge_end` event (`run --workers`, `merge`, `serve`) get a `transport`
 /// object: the partial-artifact bytes the merge parsed, the microseconds
-/// the parses took, their throughput in MiB/s, and the microseconds the
-/// fold into the result took.
+/// the parses took, their throughput in MiB/s, the microseconds the fold
+/// into the result took, and the accepted uploads that carried no worker
+/// telemetry ([`shards_without_telemetry`]).
 #[must_use]
 pub fn metrics_from_events(events: &[Event]) -> Json {
     let mut cells = Vec::new();
     let mut groups = Vec::new();
     let mut shards = Vec::new();
     let mut campaign_end = None;
-    let mut shard_totals = CounterSnapshot::default();
     let mut shard_cells = 0u64;
     let mut shard_wall_max = 0u64;
     let mut total_moves = 0u64;
@@ -112,7 +140,6 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                 ]));
             }
             EventKind::ShardEnd { cells: n, wall_us, counters } => {
-                shard_totals.add(counters);
                 shard_cells += n;
                 shard_wall_max = shard_wall_max.max(*wall_us);
                 shards.push(obj(vec![
@@ -162,7 +189,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
             ("cells", Json::UInt(shard_cells)),
             ("wall_us", Json::UInt(shard_wall_max)),
             ("moves_per_sec", moves_per_sec(total_moves, shard_wall_max)),
-            ("counters", counters_json(&shard_totals)),
+            ("counters", counters_json(&sum_shard_counters(events))),
         ]),
     };
 
@@ -190,6 +217,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                 ("parse_us", Json::UInt(t.us)),
                 ("parse_mib_per_s", Json::Num(mib_per_s)),
                 ("fold_us", Json::UInt(fold_us)),
+                ("shards_without_telemetry", Json::UInt(shards_without_telemetry(events))),
             ]),
         ));
     }
@@ -378,8 +406,8 @@ mod tests {
                     lease_ms: 30_000,
                 },
             ),
-            ev(None, 3, EventKind::PartialAccepted { shard_id: 0, worker: "w2".into(), cells: 9 }),
-            ev(None, 4, EventKind::PartialAccepted { shard_id: 1, worker: "w2".into(), cells: 3 }),
+            ev(None, 3, accepted(0, 9, Some(14))),
+            ev(None, 4, accepted(1, 3, None)),
             ev(
                 None,
                 5,
@@ -397,6 +425,33 @@ mod tests {
         assert_eq!(workers[0].req("worker").unwrap().as_str().unwrap(), "w2");
         assert_eq!(workers[0].req("shards_accepted").unwrap().as_u64().unwrap(), 2);
         assert_eq!(workers[0].req("cells_accepted").unwrap().as_u64().unwrap(), 12);
+    }
+
+    fn accepted(shard_id: u64, cells: u64, telemetry_events: Option<u64>) -> EventKind {
+        EventKind::PartialAccepted { shard_id, worker: "w2".into(), cells, telemetry_events }
+    }
+
+    #[test]
+    fn transport_counts_the_uploads_that_carried_no_telemetry() {
+        let merge_end =
+            EventKind::MergeEnd { cells: 27, groups: 3, parse: ParseTally::default(), fold_us: 0 };
+        let count = |kinds: Vec<EventKind>| {
+            let events: Vec<Event> =
+                kinds.into_iter().enumerate().map(|(i, k)| ev(None, i as u64, k)).collect();
+            let m = metrics_from_events(&events);
+            let n = m.req("transport").unwrap().req("shards_without_telemetry").unwrap();
+            (n.as_u64().unwrap(), shards_without_telemetry(&events))
+        };
+        // A `campaign shard` partial (0 events) counts; a worker upload
+        // and an older trace's event (no count) do not.
+        let kinds = vec![
+            accepted(0, 9, Some(0)),
+            accepted(1, 9, Some(12)),
+            accepted(2, 9, None),
+            merge_end.clone(),
+        ];
+        assert_eq!(count(kinds), (1, 1));
+        assert_eq!(count(vec![accepted(1, 9, Some(12)), merge_end]), (0, 0));
     }
 
     #[test]
@@ -434,5 +489,27 @@ mod tests {
         let rendered = metrics_from_events(&events).render();
         let back = Json::parse(&rendered).expect("metrics sidecar parses strictly");
         assert_eq!(back.req("schema").unwrap().as_str().unwrap(), METRICS_SCHEMA);
+    }
+
+    #[test]
+    fn shard_counters_sum_field_wise() {
+        let snap = |k: u64| CounterSnapshot {
+            steps: k,
+            moves: 2 * k,
+            guard_evals: 3 * k,
+            delta_bytes: 4 * k,
+            monitor_evals: 19 * k,
+            scratch_reuses: 5 * k,
+            config_clones: 6 * k,
+            batch_lanes: 7 * k,
+            batch_lane_steps: 10 * k,
+            batch_idle_lane_steps: 8 * k,
+        };
+        let events = vec![
+            ev(Some(0), 1, EventKind::ShardEnd { cells: 4, wall_us: 1, counters: snap(1) }),
+            ev(Some(1), 1, EventKind::MergeStart { partials: 2 }),
+            ev(Some(1), 2, EventKind::ShardEnd { cells: 4, wall_us: 1, counters: snap(10) }),
+        ];
+        assert_eq!(sum_shard_counters(&events), snap(11));
     }
 }

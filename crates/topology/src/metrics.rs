@@ -2,35 +2,97 @@
 //!
 //! The paper's complexity statements are functions of `n`, `m` and
 //! `diam(g)`; the SSME protocol itself takes `diam(g)` as a constant known
-//! to every vertex. [`DistanceMatrix`] provides exact all-pairs shortest
-//! path distances via one BFS per vertex (`O(n·m)`), which is ample at
-//! simulation scale.
+//! to every vertex. Everything here rests on one primitive, [`bfs_into`]:
+//! a breadth-first search over caller-owned buffers. [`diameter`] runs it
+//! once per vertex over two reused `O(n)` buffers, which is all a consumer
+//! of `diam(g)` needs; [`DistanceMatrix`] keeps every row, giving exact
+//! all-pairs distances in `O(n²)` memory for tests, experiments and
+//! examples that read arbitrary pairs.
 
 use crate::graph::{Graph, VertexId};
 use std::collections::VecDeque;
 
-/// Distance not defined (vertices in different components).
-const UNREACHED: u32 = u32::MAX;
+/// The distance [`bfs_into`] leaves at vertices the search did not reach
+/// (another component).
+pub const UNREACHED: u32 = u32::MAX;
+
+/// Breadth-first search from `source` over caller-owned buffers.
+///
+/// Writes `dist(source, x)` into `dist[x]` ([`UNREACHED`] for vertices in
+/// other components) and leaves the reached vertices in `queue`, in BFS
+/// order, so `queue.len() == g.n()` exactly when the graph is connected.
+/// Returns the eccentricity of `source` within its component. Neither
+/// buffer is reallocated once `queue` has held `n` vertices, so a sweep
+/// over every source allocates nothing after its first search.
+///
+/// ```
+/// use specstab_topology::{generators, metrics::bfs_into, VertexId};
+///
+/// let g = generators::path(4).expect("n >= 1");
+/// let (mut dist, mut queue) = (vec![0; g.n()], Vec::new());
+/// assert_eq!(bfs_into(&g, VertexId::new(1), &mut dist, &mut queue), 2);
+/// assert_eq!(dist, vec![1, 0, 1, 2]);
+/// assert_eq!(queue.len(), 4);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `dist.len() != g.n()` or `source` is out of range.
+pub fn bfs_into(g: &Graph, source: VertexId, dist: &mut [u32], queue: &mut Vec<VertexId>) -> u32 {
+    assert_eq!(dist.len(), g.n(), "the distance row must have one entry per vertex");
+    dist.fill(UNREACHED);
+    queue.clear();
+    queue.reserve(g.n());
+    dist[source.index()] = 0;
+    queue.push(source);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let next = dist[u.index()] + 1;
+        for &w in g.neighbors(u) {
+            if dist[w.index()] == UNREACHED {
+                dist[w.index()] = next;
+                queue.push(w);
+            }
+        }
+    }
+    // BFS dequeues in nondecreasing distance: the last vertex is farthest.
+    queue.last().map_or(0, |&x| dist[x.index()])
+}
 
 /// Single-source BFS distances from `source`.
 ///
 /// Unreachable vertices get `None`.
 #[must_use]
 pub fn bfs_distances(g: &Graph, source: VertexId) -> Vec<Option<u32>> {
-    let mut dist = vec![UNREACHED; g.n()];
-    let mut queue = VecDeque::new();
-    dist[source.index()] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()];
-        for &w in g.neighbors(u) {
-            if dist[w.index()] == UNREACHED {
-                dist[w.index()] = du + 1;
-                queue.push_back(w);
-            }
-        }
-    }
+    let mut dist = vec![0; g.n()];
+    bfs_into(g, source, &mut dist, &mut Vec::new());
     dist.into_iter().map(|d| (d != UNREACHED).then_some(d)).collect()
+}
+
+/// `diam(g)` of a **connected** graph: the largest eccentricity, from one
+/// [`bfs_into`] per vertex over two reused buffers (`O(n·m)` time, `O(n)`
+/// memory, no distance matrix). `0` for the empty graph.
+///
+/// ```
+/// use specstab_topology::{generators, metrics};
+///
+/// assert_eq!(metrics::diameter(&generators::torus(4, 6).expect("valid")), 5);
+/// ```
+///
+/// # Panics
+///
+/// Panics if the graph is disconnected, like [`DistanceMatrix::new`].
+#[must_use]
+pub fn diameter(g: &Graph) -> u32 {
+    let mut dist = vec![0; g.n()];
+    let mut queue = Vec::with_capacity(g.n());
+    let mut diam = 0;
+    for v in g.vertices() {
+        diam = diam.max(bfs_into(g, v, &mut dist, &mut queue));
+        assert_eq!(queue.len(), g.n(), "diameter requires a connected graph");
+    }
+    diam
 }
 
 /// All-pairs shortest-path distances of a **connected** graph.
@@ -50,7 +112,8 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Computes all-pairs distances with one BFS per vertex.
+    /// Computes all-pairs distances with one [`bfs_into`] per vertex,
+    /// each writing its row of the matrix in place.
     ///
     /// # Panics
     ///
@@ -59,12 +122,11 @@ impl DistanceMatrix {
     #[must_use]
     pub fn new(g: &Graph) -> Self {
         let n = g.n();
-        let mut dist = vec![UNREACHED; n * n];
-        for v in g.vertices() {
-            let row = bfs_distances(g, v);
-            for (u, d) in row.into_iter().enumerate() {
-                dist[v.index() * n + u] = d.expect("DistanceMatrix requires a connected graph");
-            }
+        let mut dist = vec![0; n * n];
+        let mut queue = Vec::with_capacity(n);
+        for (v, row) in g.vertices().zip(dist.chunks_exact_mut(n.max(1))) {
+            bfs_into(g, v, row, &mut queue);
+            assert_eq!(queue.len(), n, "DistanceMatrix requires a connected graph");
         }
         Self { n, dist }
     }
@@ -186,6 +248,81 @@ mod tests {
         let g = GraphBuilder::new(3).edge(0, 1).build().unwrap();
         let d = bfs_distances(&g, VertexId::new(0));
         assert_eq!(d[2], None);
+    }
+
+    /// Every generator family at small sizes, by topology spec.
+    fn families() -> Vec<Graph> {
+        [
+            "ring:3",
+            "ring:8",
+            "ring:11",
+            "path:1",
+            "path:2",
+            "path:7",
+            "star:2",
+            "star:6",
+            "complete:1",
+            "complete:5",
+            "grid:1x5",
+            "grid:3x4",
+            "torus:3x3",
+            "torus:4x6",
+            "hypercube:1",
+            "hypercube:4",
+            "tree:9",
+            "tree:13:7",
+            "bintree:10",
+            "caterpillar:4x2",
+            "wheel:7",
+            "lollipop:4x3",
+            "barbell:3x2",
+            "petersen",
+            "er:12:0.3:1",
+            "er:16:0.1:5",
+        ]
+        .iter()
+        .map(|s| crate::spec::parse_spec(s).unwrap())
+        .collect()
+    }
+
+    #[test]
+    fn diameter_equals_the_matrix_diameter_on_every_family() {
+        for g in families() {
+            assert_eq!(diameter(&g), DistanceMatrix::new(&g).diameter(), "{}", g.name());
+        }
+    }
+
+    #[test]
+    fn bfs_into_rows_equal_the_matrix_rows_over_reused_buffers() {
+        let (mut dist, mut queue) = (Vec::new(), Vec::new());
+        for g in families() {
+            let dm = DistanceMatrix::new(&g);
+            dist.resize(g.n(), 0);
+            for v in g.vertices() {
+                let ecc = bfs_into(&g, v, &mut dist, &mut queue);
+                assert_eq!(ecc, dm.eccentricity(v), "{} from {v}", g.name());
+                assert!(g.vertices().all(|u| dist[u.index()] == dm.dist(v, u)), "{}", g.name());
+                assert_eq!(queue.len(), g.n());
+                assert_eq!(queue[0], v);
+                assert!(queue.windows(2).all(|w| dist[w[0].index()] <= dist[w[1].index()]));
+            }
+        }
+    }
+
+    #[test]
+    fn bfs_into_marks_other_components_unreached() {
+        let g = GraphBuilder::new(4).edge(0, 1).edge(2, 3).build().unwrap();
+        let (mut dist, mut queue) = (vec![7; 4], Vec::new());
+        assert_eq!(bfs_into(&g, VertexId::new(3), &mut dist, &mut queue), 1);
+        assert_eq!(dist, vec![UNREACHED, UNREACHED, 1, 0]);
+        assert_eq!(queue, vec![VertexId::new(3), VertexId::new(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "connected")]
+    fn diameter_rejects_disconnected_graphs() {
+        let g = GraphBuilder::new(3).edge(0, 1).build().unwrap();
+        let _ = diameter(&g);
     }
 
     #[test]

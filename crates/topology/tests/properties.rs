@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use specstab_topology::chordless::{self, SearchBudget};
 use specstab_topology::cycle_space;
 use specstab_topology::generators;
-use specstab_topology::metrics::{girth, DistanceMatrix};
+use specstab_topology::metrics::{self, girth, DistanceMatrix};
 use specstab_topology::{Graph, VertexId};
 
 /// Strategy producing small connected random graphs.
@@ -41,6 +41,11 @@ proptest! {
         prop_assert_eq!(dm.diameter(), max_ecc);
         prop_assert!(dm.radius() <= dm.diameter());
         prop_assert!(dm.diameter() <= 2 * dm.radius());
+    }
+
+    #[test]
+    fn bfs_sweep_diameter_equals_the_matrix_diameter(g in small_connected_graph()) {
+        prop_assert_eq!(metrics::diameter(&g), DistanceMatrix::new(&g).diameter());
     }
 
     #[test]

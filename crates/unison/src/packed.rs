@@ -6,7 +6,7 @@
 //! Clock values pack into `i32` lanes (the cherry domain `[-α, K-1]` of
 //! every practical instance fits comfortably). The guard arithmetic is the
 //! scalar guard's, shared with it: the division-free per-neighbor term
-//! [`neighbor_term`] and the exclusive guard combination [`guards`] of
+//! `neighbor_term` and the exclusive guard combination `guards` of
 //! [`crate::protocol`], instantiated at `i32`.
 //!
 //! A row is evaluated in fixed-width lane chunks — 8 lanes, then 4, then

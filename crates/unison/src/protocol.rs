@@ -29,7 +29,7 @@
 //! ([`AsyncUnison::normal_step`] and friends, over
 //! [`CherryClock::d_k`]/[`CherryClock::le_local`]). The engine's guard,
 //! [`Protocol::enabled_rule`], evaluates all three in one division-free
-//! pass over the neighbors ([`neighbor_term`]) and picks the rule from a
+//! pass over the neighbors (`neighbor_term`) and picks the rule from a
 //! table; the lane-packed step ([`crate::packed`]) shares the same
 //! per-neighbor term and guard combination, so the paths cannot drift.
 
