@@ -237,10 +237,10 @@ fn bench_dijkstra3_on(group: &mut criterion::BenchmarkGroup<'_>, n: usize) {
 
 /// The campaign's measured scalar cell: ssme under the central-rand daemon
 /// with the executor's measurement observer (`SpecMonitor` over specME,
-/// early stop on legitimacy) attached — what `campaign` runs on the cells
-/// past ssme's central batch gate. From a pinned full random burst the
-/// run stays far from legitimacy, so every sample executes the whole step
-/// budget.
+/// early stop on legitimacy) attached — what `campaign` runs on every
+/// central-rand cell (central daemons never batch). From a pinned full
+/// random burst the run stays far from legitimacy, so every sample
+/// executes the whole step budget.
 fn bench_measured_ssme_on(group: &mut criterion::BenchmarkGroup<'_>, g: &Graph, label: &str) {
     const STEPS: usize = 20_000;
     let h = SsmeHarness::build(g, DistanceMatrix::new(g).diameter()).expect("ssme builds");

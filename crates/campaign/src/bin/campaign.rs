@@ -44,7 +44,7 @@ use specstab_campaign::shard::{execute_shard, execute_shard_traced};
 use specstab_campaign::trace::emit_result_events;
 use specstab_protocols::registry;
 use specstab_telemetry::{
-    global, metrics_from_events, parse_ndjson, EventKind, Heartbeat, ParseTally, TraceWriter,
+    metrics_from_events, parse_ndjson, EventKind, Heartbeat, ParseTally, TraceWriter,
 };
 use specstab_topology::spec::parse_spec;
 use specstab_topology::Graph;
@@ -469,11 +469,9 @@ fn cmd_run(argv: &[String]) -> ! {
             max_steps: config.max_steps as u64,
         },
     );
-    let before = global().snapshot();
     let heartbeat = Heartbeat::new(matrix.len() as u64);
     let result = run_campaign_with_progress(&matrix, &config, Some(&heartbeat));
     heartbeat.finish();
-    let counters = global().snapshot().delta(&before);
     eprintln!(
         "campaign: done in {:?} on {} threads ({:.0} cells/s)",
         result.wall,
@@ -490,7 +488,7 @@ fn cmd_run(argv: &[String]) -> ! {
             errors: result.total_errors(),
             violations: result.total_violations(),
             wall_us: u64::try_from(result.wall.as_micros()).unwrap_or(u64::MAX),
-            counters,
+            counters: result.cells.iter().map(|cr| &cr.counters).sum(),
         },
     );
     finish_trace(trace, args.trace.as_deref(), args.metrics.as_deref());

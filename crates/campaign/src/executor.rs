@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use specstab_kernel::batch::BatchDaemon;
 use specstab_kernel::config::Configuration;
-use specstab_kernel::daemon::DaemonClass;
+use specstab_kernel::daemon::{BoxedDaemon, DaemonClass};
 use specstab_kernel::engine::{Simulator, StepScratch};
 use specstab_kernel::fault::inject_faults_in_place;
 use specstab_kernel::harness::{HarnessError, HarnessState, ProtocolHarness};
@@ -674,11 +674,11 @@ type GroupWitness<H> = Result<Configuration<HarnessState<H>>, HarnessError>;
 /// becomes one replica lane of a single structure-of-arrays run (see
 /// `specstab_kernel::batch`).
 ///
-/// Per-lane seeding, initial-configuration construction and measurement
-/// semantics replicate [`run_harness_cell`] exactly, so the per-cell
-/// outcomes are bit-identical to the scalar path. Returns `None` when any
-/// cell's setup fails (bad daemon spec, witness error, ...) — the scalar
-/// loop then reruns the chunk and attributes the error to the right cell.
+/// Every lane starts from [`cell_setup`], as [`run_harness_cell`] does,
+/// and is measured with the same semantics, so the per-cell outcomes are
+/// bit-identical to the scalar path. Returns `None` when any cell's setup
+/// fails (bad daemon spec, witness error, ...) — the scalar loop then
+/// reruns the chunk and attributes the error to the right cell.
 ///
 /// `wall_nanos` is the batch total split evenly across the lanes: lanes
 /// run fused, so no truer per-cell attribution exists (telemetry only,
@@ -699,24 +699,14 @@ fn run_batched_group<H: ProtocolHarness>(
     let mut inits = Vec::with_capacity(cells.len());
     for cell in cells {
         let cell_seed = cell.cell_seed(config.seed);
+        let setup = cell_setup(harness, cell, graph, cell_seed, witness).ok()?;
+        seeds.push(cell_seed);
+        classes.push(setup.daemon.class());
         // The lane's RNG seed is exactly the scalar path's daemon seed:
         // a random-daemon lane replays the scalar cell's pick sequence
         // draw for draw.
-        let daemon_seed = mix(cell_seed, 0x000D_AE17);
-        let daemon = harness.daemon(&cell.daemon, daemon_seed).ok()?;
-        let mut rng = StdRng::seed_from_u64(mix(cell_seed, 0x1217));
-        let init = match cell.init {
-            InitMode::Burst(0) => random_configuration(graph, harness.protocol(), &mut rng),
-            InitMode::Burst(faults) => {
-                let healthy = harness.legitimate_configuration(graph, &mut rng).ok()?;
-                burst_configuration(graph, harness.protocol(), healthy, faults, &mut rng)
-            }
-            InitMode::Witness => witness?.as_ref().ok()?.clone(),
-        };
-        seeds.push(cell_seed);
-        classes.push(daemon.class());
-        lane_seeds.push(daemon_seed);
-        inits.push(init);
+        lane_seeds.push(setup.daemon_seed);
+        inits.push(setup.init);
     }
     let lane_seeds: &[u64] = if mode.needs_lane_seeds() { &lane_seeds } else { &[] };
     let reports = harness.batched_measure(
@@ -760,9 +750,56 @@ fn run_batched_group<H: ProtocolHarness>(
     )
 }
 
-/// Runs one cell on an already-built harness: resolve the daemon,
-/// construct the initial configuration (burst into the harness's
-/// legitimate configuration, or the adversarial witness where supported),
+/// Stream label of a cell's daemon seed, mixed into the cell seed.
+const DAEMON_STREAM: u64 = 0x000D_AE17;
+/// Stream label of a cell's initial-configuration RNG seed.
+const INIT_STREAM: u64 = 0x1217;
+
+/// How a cell starts, on either engine path: its daemon, the seed the
+/// daemon was built with, and its initial configuration.
+struct CellSetup<H: ProtocolHarness> {
+    daemon: BoxedDaemon<HarnessState<H>>,
+    daemon_seed: u64,
+    init: Configuration<HarnessState<H>>,
+}
+
+/// Sets up one cell on an already-built harness: resolves the daemon from
+/// the cell's daemon seed stream and constructs the initial configuration
+/// from its init stream (a full random burst, `faults` corrupted vertices
+/// of the harness's legitimate configuration, or the group's witness).
+/// Both engine paths start their cells here, so a lane starts from the
+/// configuration and seed of its scalar twin.
+///
+/// # Errors
+///
+/// The failure message, with the daemon's class when the daemon parsed.
+fn cell_setup<H: ProtocolHarness>(
+    harness: &H,
+    cell: &Cell,
+    graph: &Graph,
+    cell_seed: u64,
+    witness: Option<&GroupWitness<H>>,
+) -> Result<CellSetup<H>, (Option<DaemonClass>, String)> {
+    let daemon_seed = mix(cell_seed, DAEMON_STREAM);
+    let daemon = harness.daemon(&cell.daemon, daemon_seed).map_err(|e| (None, e))?;
+    let failed = |e: HarnessError| (Some(daemon.class()), e.to_string());
+    let mut rng = StdRng::seed_from_u64(mix(cell_seed, INIT_STREAM));
+    let init = match cell.init {
+        // Full burst: the initial configuration is uniformly arbitrary —
+        // don't construct the legitimate resting point only to discard it.
+        InitMode::Burst(0) => random_configuration(graph, harness.protocol(), &mut rng),
+        InitMode::Burst(faults) => {
+            let healthy = harness.legitimate_configuration(graph, &mut rng).map_err(failed)?;
+            burst_configuration(graph, harness.protocol(), healthy, faults, &mut rng)
+        }
+        InitMode::Witness => {
+            witness.expect("witness groups build their witness").clone().map_err(failed)?
+        }
+    };
+    Ok(CellSetup { daemon, daemon_seed, init })
+}
+
+/// Runs one cell on an already-built harness: set it up ([`cell_setup`]),
 /// execute one measured run on pooled scratch buffers, and check the
 /// harness's synchronous theorem bound.
 ///
@@ -781,28 +818,12 @@ fn run_harness_cell<H: ProtocolHarness>(
     witness: Option<&GroupWitness<H>>,
     scratch: &mut ScratchPool,
 ) -> (Option<DaemonClass>, RunCounters, Result<CellOutcome, String>) {
-    let mut daemon = match harness.daemon(&cell.daemon, mix(cell_seed, 0x000D_AE17)) {
-        Ok(d) => d,
-        Err(e) => return (None, RunCounters::default(), Err(e)),
-    };
+    let CellSetup { mut daemon, init, .. } =
+        match cell_setup(harness, cell, graph, cell_seed, witness) {
+            Ok(setup) => setup,
+            Err((class, e)) => return (class, RunCounters::default(), Err(e)),
+        };
     let class = Some(daemon.class());
-    let mut rng = StdRng::seed_from_u64(mix(cell_seed, 0x1217));
-    let init = match cell.init {
-        // Full burst: the initial configuration is uniformly arbitrary —
-        // don't construct the legitimate resting point only to discard it.
-        InitMode::Burst(0) => random_configuration(graph, harness.protocol(), &mut rng),
-        InitMode::Burst(faults) => {
-            let healthy = match harness.legitimate_configuration(graph, &mut rng) {
-                Ok(c) => c,
-                Err(e) => return (class, RunCounters::default(), Err(e.to_string())),
-            };
-            burst_configuration(graph, harness.protocol(), healthy, faults, &mut rng)
-        }
-        InitMode::Witness => match witness.expect("witness groups build their witness") {
-            Ok(c) => c.clone(),
-            Err(e) => return (class, RunCounters::default(), Err(e.to_string())),
-        },
-    };
     let sim = Simulator::new(graph, harness.protocol());
     let report = SpecMonitor::new(harness.spec(), config.early_stop_margin).run_with_scratch(
         &sim,

@@ -29,7 +29,7 @@ use crate::executor::CampaignResult;
 use crate::merge::{Accepted, MergeAccumulator};
 use crate::plan::CampaignPlan;
 use specstab_telemetry::{
-    obj, paths_json, sum_shard_counters, tally_paths, CounterSnapshot, EventKind, Json, ParseTally,
+    obj, paths_json, sum_shard_counters, tally_paths, EventKind, Json, ParseTally, RunCounters,
     ServeCounts, ServeHeartbeat, TraceWriter,
 };
 use std::collections::{BTreeMap, HashMap};
@@ -103,7 +103,7 @@ pub struct Coordinator {
     workers: Vec<WorkerTally>,
     /// Sum of the `shard_end` counters of every accepted partial's
     /// telemetry, spool replays included.
-    counters: CounterSnapshot,
+    counters: RunCounters,
     /// Groups per engine path over the `group` events of the same
     /// telemetry (`/status` `paths`).
     paths: BTreeMap<String, u64>,
@@ -162,7 +162,7 @@ impl Coordinator {
             uploads_accepted: 0,
             uploads_rejected: 0,
             workers: Vec::new(),
-            counters: CounterSnapshot::default(),
+            counters: RunCounters::default(),
             paths: BTreeMap::new(),
             shards_without_telemetry: 0,
             parse: ParseTally::default(),

@@ -16,7 +16,7 @@ use crate::executor::{run_campaign, CampaignConfig, CampaignResult};
 use crate::matrix::ScenarioMatrix;
 use crate::plan::CampaignPlan;
 use crate::trace::emit_result_events;
-use specstab_telemetry::{global, EventKind, TraceWriter};
+use specstab_telemetry::{EventKind, TraceWriter};
 use std::time::Instant;
 
 /// Executes shard `shard_id` of `plan` in-process on `threads` worker
@@ -36,10 +36,8 @@ pub fn execute_shard(
 
 /// [`execute_shard`], recording the shard's event stream into `w`:
 /// `shard_start`, the result's `cell` and `group` events, and `shard_end`
-/// with the shard's wall clock and engine-counter delta. The delta is
-/// read from the process-global counters, so it is exact when this is the
-/// only shard the process executes at the time (one shard per
-/// `campaign shard` or `campaign work` process).
+/// with the shard's wall clock and the sum of its cells' engine counters,
+/// exact whatever else the process runs at the time.
 ///
 /// # Errors
 ///
@@ -52,7 +50,6 @@ pub fn execute_shard_traced(
     threads: usize,
 ) -> Result<PartialArtifact, String> {
     let started = Instant::now();
-    let before = global().snapshot();
     plan.shard_cells(shard_id)?;
     let shard = plan.shards[shard_id];
     w.emit(EventKind::ShardStart { start: shard.start as u64, end: shard.end as u64 })?;
@@ -61,7 +58,7 @@ pub fn execute_shard_traced(
     w.emit(EventKind::ShardEnd {
         cells: result.cells.len() as u64,
         wall_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-        counters: global().snapshot().delta(&before),
+        counters: result.cells.iter().map(|cr| &cr.counters).sum(),
     })?;
     Ok(package(plan, shard_id, result))
 }
@@ -86,6 +83,8 @@ fn package(plan: &CampaignPlan, shard_id: usize, result: CampaignResult) -> Part
 mod tests {
     use super::*;
     use crate::executor::run_campaign_sequential;
+    use specstab_telemetry::RunCounters;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn matrix() -> ScenarioMatrix {
         ScenarioMatrix::builder()
@@ -115,6 +114,58 @@ mod tests {
             }
         }
         assert!(execute_shard(&plan, 99, 1).is_err());
+    }
+
+    /// A traced shard's `shard_end` counters are the sum of its own cells'
+    /// counters while another thread keeps running campaigns in the same
+    /// process. The shard reruns until a foreign campaign has finished
+    /// during one of its runs, so the check covers a real overlap.
+    #[test]
+    fn traced_shard_counters_sum_its_own_cells_while_other_campaigns_run() {
+        let cfg = CampaignConfig { max_steps: 100_000, ..CampaignConfig::default() };
+        let plan = CampaignPlan::new(&matrix(), &cfg, 1);
+        let foreign = ScenarioMatrix::builder()
+            .topologies(["ring:5"])
+            .protocols(["ssme"])
+            .daemons(["sync", "central-rand"])
+            .fault_bursts([0])
+            .seeds(0..2)
+            .build();
+        let (stop, finished) = (AtomicBool::new(false), AtomicU64::new(0));
+        let (runs, foreign_runs) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let _ = run_campaign_sequential(&foreign, &cfg);
+                    finished.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            let mut runs = Vec::new();
+            for _ in 0..50 {
+                let before = finished.load(Ordering::Relaxed);
+                let mut w = TraceWriter::in_memory(Some(0), "shard");
+                let partial = execute_shard_traced(&mut w, &plan, 0, 1).expect("valid shard");
+                let overlapped = finished.load(Ordering::Relaxed) > before;
+                let reported = w.into_events().into_iter().find_map(|e| match e.kind {
+                    EventKind::ShardEnd { counters, .. } => Some(counters),
+                    _ => None,
+                });
+                let own: RunCounters = partial.cells.iter().map(|cr| &cr.counters).sum();
+                runs.push((reported, own));
+                if overlapped {
+                    break;
+                }
+            }
+            // Stop the foreign campaigns before asserting: the scope joins
+            // their thread even when this closure panics.
+            stop.store(true, Ordering::Relaxed);
+            (runs, finished.load(Ordering::Relaxed))
+        });
+        assert!(foreign_runs > 0, "the foreign thread ran campaigns");
+        for (reported, own) in &runs {
+            assert!(own.steps > 0 && own.batch_lanes > 0, "the shard ran cells, some as lanes");
+            assert_eq!(reported.as_ref(), Some(own), "shard_end counts only the shard's cells");
+        }
+        assert!(runs.len() < 50, "no foreign campaign finished during any of 50 shard runs");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! through `executor::run_batched_group`) must be an invisible
 //! optimization: flipping it off and rerunning the same matrix has to
 //! produce a byte-identical campaign artifact, and the path-independent
-//! engine counters (steps, moves, delta bytes) must read the same under
-//! both settings. The route each group took is read back from its cells
-//! (`executor::group_path`). This suite lives in its own test binary
-//! because the toggle and the engine counters are process-wide; the tests
+//! engine counters (steps, moves, delta bytes) summed over the cells must
+//! read the same under both settings. The route each group took is read
+//! back from its cells (`executor::group_path`). This suite lives in its
+//! own test binary because the toggle is process-wide; the tests
 //! additionally serialize on [`TOGGLE`] so their enable/disable windows
 //! never overlap.
 
@@ -17,19 +17,33 @@ use specstab_campaign::executor::{
 };
 use specstab_campaign::matrix::ScenarioMatrix;
 use specstab_kernel::batch::BatchDaemon;
-use specstab_telemetry::{CounterSnapshot, PATH_BATCHED, PATH_SCALAR, PATH_SCALAR_FALLBACK};
+use specstab_telemetry::{RunCounters, PATH_BATCHED, PATH_SCALAR, PATH_SCALAR_FALLBACK};
 use std::sync::Mutex;
 
 /// Serializes the process-wide batching toggle across tests in this binary.
 static TOGGLE: Mutex<()> = Mutex::new(());
 
-/// The batched (`on`) and scalar (`off`) windows of one matrix executed
-/// the same steps and moves and moved the same state bytes.
-fn assert_engine_counters_match(on: &CounterSnapshot, off: &CounterSnapshot) {
-    assert!(on.steps > 0, "the windows executed steps");
+/// The cells of the batched (`on`) and scalar (`off`) runs of the same
+/// matrices executed the same steps and moves and moved the same state
+/// bytes. With batching on, every cell of a batchable daemon ran as one
+/// lane; with it off, no cell did.
+fn assert_engine_counters_match(on: &[CampaignResult], off: &[CampaignResult]) {
+    let total = |results: &[CampaignResult]| -> RunCounters {
+        results.iter().flat_map(|r| &r.cells).map(|cr| &cr.counters).sum()
+    };
+    let batchable = on
+        .iter()
+        .flat_map(|r| &r.cells)
+        .filter(|cr| BatchDaemon::from_spec(&cr.cell.daemon).is_some())
+        .count();
+    let (on, off) = (total(on), total(off));
+    assert!(on.steps > 0, "the runs executed steps");
     assert_eq!(on.steps, off.steps, "steps must not depend on the engine path");
     assert_eq!(on.moves, off.moves, "moves must not depend on the engine path");
     assert_eq!(on.delta_bytes, off.delta_bytes, "delta bytes must not depend on the engine path");
+    assert_eq!(on.batch_lanes, batchable as u64, "one lane per batchable cell with batching on");
+    assert_eq!(off.batch_lanes, 0, "no lanes may launch while batching is off");
+    assert_eq!(off.batch_lane_steps, 0, "no lane-steps while batching is off");
 }
 
 /// Every group of `result` took the path its daemon and the toggle call
@@ -76,21 +90,16 @@ fn batched_campaign_artifact_is_byte_identical_to_scalar() {
         .build();
     let cfg = CampaignConfig { max_steps: 200_000, ..CampaignConfig::default() };
 
-    let before = specstab_telemetry::global().snapshot();
     set_batching_enabled(true);
     let batched = run_campaign_sequential(&m, &cfg);
-    let mid = specstab_telemetry::global().snapshot();
     // 2 topologies x 2 daemons x 3 init modes, every group batchable.
     assert_eq!(assert_routes(&batched, true), [12, 0, 0]);
-    assert_eq!(mid.batch_lanes - before.batch_lanes, m.len() as u64, "one lane per cell");
 
     set_batching_enabled(false);
     let scalar = run_campaign_sequential(&m, &cfg);
-    let after = specstab_telemetry::global().snapshot();
     set_batching_enabled(true);
     assert_eq!(assert_routes(&scalar, false), [0, 12, 0]);
-    assert_eq!(after.batch_lanes, mid.batch_lanes, "no lanes may launch while batching is off");
-    assert_engine_counters_match(&mid.delta(&before), &after.delta(&mid));
+    assert_engine_counters_match(std::slice::from_ref(&batched), std::slice::from_ref(&scalar));
 
     assert_eq!(
         artifact::to_json(&batched, true),
@@ -126,11 +135,9 @@ fn batched_dijkstra_central_rr_artifact_is_byte_identical_to_scalar() {
         .build();
     let cfg = CampaignConfig { max_steps: 200_000, ..CampaignConfig::default() };
 
-    let before = specstab_telemetry::global().snapshot();
     set_batching_enabled(true);
     let batched: Vec<_> =
         [&rings, &lines].iter().map(|m| run_campaign_sequential(m, &cfg)).collect();
-    let mid = specstab_telemetry::global().snapshot();
     // Per matrix: 2 topologies x 2 fault modes x (1 or 2 protocols) over
     // 2 batchable and 3 central daemons.
     assert_eq!(assert_routes(&batched[0], true), [16, 0, 24]);
@@ -139,13 +146,10 @@ fn batched_dijkstra_central_rr_artifact_is_byte_identical_to_scalar() {
     set_batching_enabled(false);
     let scalar: Vec<_> =
         [&rings, &lines].iter().map(|m| run_campaign_sequential(m, &cfg)).collect();
-    let after = specstab_telemetry::global().snapshot();
     set_batching_enabled(true);
     assert_eq!(assert_routes(&scalar[0], false), [0, 16, 24]);
     assert_eq!(assert_routes(&scalar[1], false), [0, 8, 12]);
-    let (on, off) = (mid.delta(&before), after.delta(&mid));
-    assert_eq!(off.batch_lanes, 0, "no lanes may launch while batching is disabled");
-    assert_engine_counters_match(&on, &off);
+    assert_engine_counters_match(&batched, &scalar);
 
     for (b, s) in batched.iter().zip(&scalar) {
         assert_eq!(

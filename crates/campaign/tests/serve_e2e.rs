@@ -16,23 +16,14 @@ use specstab_campaign::serve::{run_worker, Coordinator, ServeOptions, WorkOption
 use specstab_campaign::shard::execute_shard;
 use specstab_telemetry::metrics::shards_without_telemetry;
 use specstab_telemetry::{
-    metrics_from_events, parse_ndjson, validate_events, CounterSnapshot, Event, EventKind, Json,
+    metrics_from_events, parse_ndjson, validate_events, Event, EventKind, Json, RunCounters,
 };
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-/// Serializes this suite's tests. Workers run as threads of the test
-/// process, and a shard's `shard_end` counters are a delta of the
-/// process-global engine counters: exact only while nothing else in the
-/// process executes cells.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn matrix() -> ScenarioMatrix {
     ScenarioMatrix::builder()
@@ -53,7 +44,7 @@ fn golden() -> String {
 }
 
 /// The `campaign_end` counters of a trace file.
-fn campaign_end_counters(trace: &Path) -> CounterSnapshot {
+fn campaign_end_counters(trace: &Path) -> RunCounters {
     let events = parse_ndjson(&std::fs::read_to_string(trace).expect("trace written"))
         .expect("trace parses");
     events
@@ -67,7 +58,7 @@ fn campaign_end_counters(trace: &Path) -> CounterSnapshot {
 
 /// `campaign_end` counters of the suite's matrix run in-process by the
 /// `campaign` binary with `--trace`.
-fn inprocess_counters(dir: &Path) -> CounterSnapshot {
+fn inprocess_counters(dir: &Path) -> RunCounters {
     let trace = dir.join("inprocess.events.ndjson");
     let output = Command::new(env!("CARGO_BIN_EXE_campaign"))
         .args(["--topologies", "ring:6,path:5", "--protocols", "ssme"])
@@ -105,7 +96,6 @@ fn worker_opts(addr: &str, id: &str) -> WorkOptions {
 /// coordinator trace validates and shows the whole lease lifecycle.
 #[test]
 fn expired_lease_is_redispatched_and_artifact_stays_byte_identical() {
-    let _serial = serial();
     let dir = scratch("drill");
     let trace_path = dir.join("serve.events.ndjson");
     let plan = CampaignPlan::new(&matrix(), &config(), 4);
@@ -172,7 +162,6 @@ fn expired_lease_is_redispatched_and_artifact_stays_byte_identical() {
 /// counters cover the resumed shard too.
 #[test]
 fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
-    let _serial = serial();
     let dir = scratch("resume");
     let spool = dir.join("spool");
     let plan = CampaignPlan::new(&matrix(), &config(), 3);
@@ -224,9 +213,8 @@ fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
     assert_eq!(to_json(&result, true), golden(), "resumed artifact drifted");
 
     let (resumed, inprocess) = (campaign_end_counters(&trace_path), inprocess_counters(&dir));
-    assert_eq!(resumed.steps, inprocess.steps, "campaign_end steps cover the spooled shard");
-    assert_eq!(resumed.moves, inprocess.moves, "campaign_end moves cover the spooled shard");
-    assert!(resumed.moves > 0);
+    assert_eq!(resumed, inprocess, "campaign_end counters cover the spooled shard");
+    assert!(resumed.moves > 0 && resumed.batch_lanes > 0);
 
     let text = std::fs::read_to_string(&trace_path).expect("trace written");
     let events = parse_ndjson(&text).expect("trace parses");
@@ -285,7 +273,6 @@ fn bare_shards_on_status(status: &Json) -> u64 {
 /// uploads, which carry telemetry, are not counted.
 #[test]
 fn a_spooled_shard_partial_is_counted_as_a_shard_without_telemetry() {
-    let _serial = serial();
     let dir = scratch("bare-spool");
     let spool = dir.join("spool");
     std::fs::create_dir_all(&spool).expect("spool dir");
@@ -341,7 +328,6 @@ fn a_spooled_shard_partial_is_counted_as_a_shard_without_telemetry() {
 /// is the single-process one.
 #[test]
 fn stalled_client_does_not_stall_the_coordinator() {
-    let _serial = serial();
     let dir = scratch("stalled");
     let plan = CampaignPlan::new(&matrix(), &config(), 4);
     let coordinator = Coordinator::bind(
@@ -399,7 +385,6 @@ fn stalled_client_does_not_stall_the_coordinator() {
 /// artifact is the single-process one.
 #[test]
 fn upload_with_an_altered_cell_is_rejected_and_the_campaign_completes() {
-    let _serial = serial();
     let dir = scratch("altered");
     let plan = CampaignPlan::new(&matrix(), &config(), 3);
     let coordinator = Coordinator::bind(
@@ -455,7 +440,6 @@ fn upload_with_an_altered_cell_is_rejected_and_the_campaign_completes() {
 /// and the duplicate-upload acknowledgement.
 #[test]
 fn wire_endpoints_status_duplicates_and_rejections() {
-    let _serial = serial();
     let dir = scratch("wire");
     let plan = CampaignPlan::new(&matrix(), &config(), 2);
     let total_cells = plan.cells.len();

@@ -78,11 +78,13 @@
 //! Replicas converge at different steps. A stopped lane keeps riding the
 //! batch GPU-warp style — its commits are masked off so its state (and
 //! hence its extracted final configuration) freezes at the stop step.
-//! The masked work is surfaced as `batch_idle_lane_steps`, counted **per
-//! logical step**: every pass that commits at least one lane charges one
-//! step-slot per lane, so `batch_lane_steps − batch_idle_lane_steps`
-//! equals the total steps executed across lanes and occupancy stays
-//! comparable across lane widths (u8×64 vs i32×16 packing).
+//! The masked work is surfaced per lane, counted **per logical step**:
+//! every pass that commits at least one lane charges each lane one
+//! step-slot ([`RunCounters::batch_lane_steps`]), idle for a lane that
+//! already stopped ([`RunCounters::batch_idle_lane_steps`]), so a lane's
+//! `batch_lane_steps − batch_idle_lane_steps` equals the steps it
+//! executed and occupancy stays comparable across lane widths (u8×64 vs
+//! i32×16 packing).
 //!
 //! # Equivalence contract
 //!
@@ -415,8 +417,8 @@ pub struct LaneSummary<S> {
     pub moves: u64,
     /// Why the lane stopped.
     pub stop: StopReason,
-    /// The lane's deterministic engine counters (already flushed to the
-    /// global telemetry aggregate).
+    /// The lane's deterministic engine counters, its share of the batch's
+    /// occupancy included.
     pub counters: RunCounters,
 }
 
@@ -565,7 +567,6 @@ where
     }
 
     fn finish(self, lanes: Vec<LaneSummary<P::State>>) -> Vec<Self::Report> {
-        specstab_telemetry::global().record_monitor_evals(self.evals.iter().sum());
         lanes
             .into_iter()
             .zip(self.records)
@@ -647,8 +648,6 @@ fn step_loop<P: PackedProtocol, M: BatchMonitor<P>>(
     let mut commit = vec![true; lanes];
     let mut moved = vec![0u32; lanes];
     let mut counters = vec![RunCounters { batch_lanes: 1, ..RunCounters::new() }; lanes];
-    let mut lane_step_slots = 0u64;
-    let mut idle_lane_steps = 0u64;
     // A lane commits every pass until it stops for good, so every
     // committing lane's configuration index is the pass count.
     let mut index = 0;
@@ -680,14 +679,6 @@ fn step_loop<P: PackedProtocol, M: BatchMonitor<P>>(
         if committed == 0 {
             break;
         }
-        // Charge the pass one step-slot per lane, idle for the lanes that
-        // do not commit. Counting per logical step (instead of per
-        // evaluation pass) keeps occupancy comparable across lane widths —
-        // a u8-packed batch runs 64 replicas per cache line where an
-        // i32-packed one runs 16 — and makes `lane_step_slots −
-        // idle_lane_steps` exactly the steps executed.
-        lane_step_slots += lanes as u64;
-        idle_lane_steps += (lanes - committed) as u64;
         match sampler.as_mut() {
             None => {
                 soa.commit_fired(&commit);
@@ -712,21 +703,24 @@ fn step_loop<P: PackedProtocol, M: BatchMonitor<P>>(
         soa.refresh(graph, protocol);
     }
 
-    // One telemetry flush per lane, mirroring the scalar engine's
-    // once-per-run discipline (each lane counts itself in `batch_lanes`),
-    // plus the batch occupancy tallies.
-    let telemetry = specstab_telemetry::global();
-    telemetry.record_batch(lane_step_slots, idle_lane_steps);
+    // Every committing pass charged each lane one step-slot, idle once
+    // the lane had stopped. Counting per logical step (instead of per
+    // evaluation pass) keeps occupancy comparable across lane widths — a
+    // u8-packed batch runs 64 replicas per cache line where an i32-packed
+    // one runs 16.
+    for c in &mut counters {
+        c.batch_lane_steps = index as u64;
+        c.batch_idle_lane_steps = c.batch_lane_steps - c.steps;
+    }
+    let batch: RunCounters = counters.iter().sum();
+    specstab_telemetry::global().record_batch(batch.batch_lane_steps, batch.batch_idle_lane_steps);
     let summaries = (0..lanes)
-        .map(|l| {
-            telemetry.record_run(&counters[l]);
-            LaneSummary {
-                final_config: unpack_lane(protocol, &soa.state, lanes, l),
-                steps: counters[l].steps as usize,
-                moves: counters[l].moves,
-                stop: stop[l].expect("every lane stopped"),
-                counters: counters[l],
-            }
+        .map(|l| LaneSummary {
+            final_config: unpack_lane(protocol, &soa.state, lanes, l),
+            steps: counters[l].steps as usize,
+            moves: counters[l].moves,
+            stop: stop[l].expect("every lane stopped"),
+            counters: counters[l],
         })
         .collect();
     monitor.finish(summaries)

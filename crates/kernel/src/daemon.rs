@@ -239,16 +239,6 @@ impl<'a, S: Clone> SelectionContext<'a, S> {
         (self.apply_into)(set, scratch);
         scratch
     }
-
-    /// Clone-returning preview, retained for callers that want an owned
-    /// successor (allocates; prefer [`SelectionContext::preview`] on hot
-    /// paths).
-    #[must_use]
-    pub fn preview_cloned(&self, set: &[VertexId]) -> Configuration<S> {
-        let mut next = self.config.clone();
-        (self.apply_into)(set, &mut next);
-        next
-    }
 }
 
 /// A daemon: picks a nonempty subset of the enabled vertices each step.

@@ -108,7 +108,8 @@ pub struct RunSummary<S> {
     pub stop: StopReason,
     /// Deterministic telemetry tallies of this run (steps, moves, guard
     /// evaluations, delta bytes), accumulated in plain locals by the step
-    /// loop and flushed to the process-global aggregate exactly once, here.
+    /// loop. The run's caller carries them on (a campaign cell keeps them
+    /// in its result); nothing is added to a process-wide total.
     pub counters: RunCounters,
 }
 
@@ -394,7 +395,7 @@ impl<'a, P: Protocol> Simulator<'a, P> {
             // buffer reuse, the amortization `run_with_scratch` exists for.
             specstab_telemetry::global().record_scratch_reuse();
         }
-        // Telemetry tallies live in plain locals (flushed once at run end):
+        // Telemetry tallies live in plain locals returned in the summary:
         // no atomics on the hot path, no cross-thread contamination. Daemon
         // preview evaluations happen behind a `Fn` closure, so they go
         // through a `Cell` instead of a `&mut` local.
@@ -511,7 +512,6 @@ impl<'a, P: Protocol> Simulator<'a, P> {
         counters.steps = steps as u64;
         counters.moves = moves;
         counters.guard_evals += preview_evals.get();
-        specstab_telemetry::global().record_run(&counters);
         RunSummary { final_config: config, steps, moves, stop, counters }
     }
 
@@ -607,7 +607,6 @@ impl<'a, P: Protocol> Simulator<'a, P> {
         counters.steps = steps as u64;
         counters.moves = moves;
         counters.guard_evals += preview_evals.get();
-        specstab_telemetry::global().record_run(&counters);
         RunSummary { final_config: config, steps, moves, stop, counters }
     }
 }

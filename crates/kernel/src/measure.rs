@@ -57,8 +57,7 @@ pub struct StabilizationReport {
     pub ended_legitimate: bool,
     /// The run's deterministic engine counters (see
     /// [`crate::engine::RunSummary::counters`]) plus the monitor layer's
-    /// `monitor_evals`, passed through so batch drivers can aggregate
-    /// telemetry without touching the global.
+    /// `monitor_evals`: everything a campaign cell counts.
     pub counters: RunCounters,
 }
 
@@ -199,9 +198,10 @@ impl<'a, S, Sp: LocalSpecification<S>> SpecMonitor<'a, S, Sp> {
     }
 
     /// Executes one measured run on `sim` with caller-supplied engine
-    /// scratch buffers (see [`MeasurementContext::run_with_scratch`]) and
-    /// flushes `monitor_evals` to the global telemetry. The engine's step
-    /// loop runs monomorphized over this monitor: no `dyn` call per step.
+    /// scratch buffers (see [`MeasurementContext::run_with_scratch`]); the
+    /// report's counters carry the run's `monitor_evals`. The engine's
+    /// step loop runs monomorphized over this monitor: no `dyn` call per
+    /// step.
     pub fn run_with_scratch<P: Protocol<State = S>>(
         mut self,
         sim: &Simulator<'_, P>,
@@ -212,7 +212,6 @@ impl<'a, S, Sp: LocalSpecification<S>> SpecMonitor<'a, S, Sp> {
     ) -> StabilizationReport {
         let limits = RunLimits::with_max_steps(max_steps);
         let summary = sim.run_observed(init, daemon, limits, &mut self, scratch);
-        specstab_telemetry::global().record_monitor_evals(self.evals);
         self.report(&summary)
     }
 
@@ -386,7 +385,6 @@ impl<S> MeasurementContext<S> {
         // Every monitor scans all n vertices once per configuration.
         let monitors = 2 + usize::from(self.stopper.is_some());
         let monitor_evals = (monitors * (summary.steps + 1) * sim.graph().n()) as u64;
-        specstab_telemetry::global().record_monitor_evals(monitor_evals);
         StabilizationReport {
             steps_run: summary.steps,
             moves: summary.moves,

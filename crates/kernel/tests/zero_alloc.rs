@@ -88,11 +88,10 @@ fn assert_zero_steady_state_clones(
         after.config_clones,
         s.steps
     );
-    // The same snapshot delta also proves the batched run flush and the
-    // cross-run scratch reuse instrument.
-    assert_eq!(after.steps, s.steps as u64, "run flush must carry the step count");
-    assert_eq!(after.moves, s.moves, "run flush must carry the move count");
+    // The same snapshot delta also proves the cross-run scratch reuse
+    // instrument; the run's own counters carry its steps and moves.
     assert_eq!(s.counters.steps, s.steps as u64, "per-run counters mirror the summary");
+    assert_eq!(s.counters.moves, s.moves, "per-run counters mirror the summary");
     assert!(after.scratch_reuses >= 1, "warmed scratch must be detected as reused");
 
     // --- Central round-robin: exercises the incremental enabled-set merge

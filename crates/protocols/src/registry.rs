@@ -33,8 +33,9 @@ pub struct ProtocolInfo {
     /// Whether the protocol defines an adversarial witness configuration.
     pub has_witness: bool,
     /// Whether the protocol supports lane-packed batched stepping
-    /// (see `specstab_kernel::batch`) — routed under the synchronous,
-    /// central round-robin, central-rand and random-distributed daemons.
+    /// (see `specstab_kernel::batch`) — routed under the synchronous and
+    /// random-distributed (`dist:p`) daemons; central daemons always run
+    /// on the scalar engine.
     pub batched: bool,
 }
 

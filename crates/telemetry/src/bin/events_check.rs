@@ -6,8 +6,8 @@
 //! Each file is parsed line-by-line through the strict JSON reader and
 //! checked against the stream discipline (schema header first, dense
 //! per-stream sequence numbers, monotonic timestamps), the lease
-//! discipline of coordinator traces, and two batch invariants: a counter
-//! snapshot with zero launched lanes carries no idle lane-steps, and the
+//! discipline of coordinator traces, and two batch invariants: a counters
+//! object with zero launched lanes carries no idle lane-steps, and the
 //! `group` path labels agree with the lane counter. Each file's summary
 //! line also counts the uploads a coordinator accepted without worker
 //! telemetry (`shards_without_telemetry`), whose shards the trace's
@@ -15,7 +15,7 @@
 //! validates; 1 with a diagnostic on stderr otherwise. CI runs this over
 //! the traces the distributed-pipeline job produces.
 
-use specstab_telemetry::counters::CounterSnapshot;
+use specstab_telemetry::counters::RunCounters;
 use specstab_telemetry::event::{
     parse_ndjson, validate_events, Event, EventKind, PATH_BATCHED, PATH_SCALAR,
     PATH_SCALAR_FALLBACK,
@@ -23,9 +23,9 @@ use specstab_telemetry::event::{
 use specstab_telemetry::metrics::{shards_without_telemetry, sum_shard_counters, tally_paths};
 use std::collections::BTreeMap;
 
-/// Batch invariants over the counter snapshots and `group` events. Idle
-/// lane-steps are only accumulated inside a batch loop, so no snapshot
-/// carries them without launched lanes. The path labels agree with the
+/// Batch invariants over the counters objects and `group` events. Idle
+/// lane-steps are only accumulated by replica lanes, so no total carries
+/// them without launched lanes. The path labels agree with the
 /// lane counter: every cell of a `batched` group ran as one lane, and
 /// lanes launch only in `batched` and `scalar-fallback` groups (a fallback
 /// group may have had a chunk batched), so the trace's `batch_lanes` (its
@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 /// runs of the `batched` groups and the runs of both. Unknown paths are
 /// rejected; traces written before the label (a `group` event without
 /// one) are not held to the agreement. Returns the trace's totals.
-fn check_batch_telemetry(events: &[Event]) -> Result<CounterSnapshot, String> {
+fn check_batch_telemetry(events: &[Event]) -> Result<RunCounters, String> {
     let mut campaign = None;
     let (mut batched, mut fallback, mut unlabelled) = (0u64, 0u64, false);
     for e in events {
@@ -183,11 +183,11 @@ mod tests {
             errors: 0,
             violations: 0,
             wall_us: 100,
-            counters: CounterSnapshot {
+            counters: RunCounters {
                 batch_lanes,
                 batch_lane_steps: 10 * batch_lanes,
                 batch_idle_lane_steps,
-                ..CounterSnapshot::default()
+                ..RunCounters::default()
             },
         }
     }
@@ -196,7 +196,7 @@ mod tests {
         EventKind::ShardEnd {
             cells: 20,
             wall_us: 50,
-            counters: CounterSnapshot { batch_lanes, ..CounterSnapshot::default() },
+            counters: RunCounters { batch_lanes, ..RunCounters::default() },
         }
     }
 

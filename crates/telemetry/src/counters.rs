@@ -1,20 +1,19 @@
-//! Engine counters: deterministic per-run tallies plus the process-global
-//! lock-free aggregate.
+//! Engine counters: deterministic per-run tallies plus a small
+//! process-global aggregate of what no run owns.
 //!
-//! The discipline that keeps counting off the hot path: the step loop
-//! accumulates into plain `u64` locals ([`RunCounters`]) and flushes **one
-//! batched relaxed-atomic add per run** into the [`global`]
-//! [`EngineCounters`]. No per-step or per-move atomics, so the steady
-//! state above 1e7 moves/s is untouched; no global reads inside a run, so
-//! concurrent workers never contaminate each other's per-run numbers.
+//! Counters ride with the cells. The step loop accumulates into plain
+//! `u64` locals ([`RunCounters`]) and hands them back in the run's
+//! summary; every campaign total (`shard_end`, `campaign_end`) is the
+//! [`Sum`] of its cells' counters. No per-step atomics, so the steady
+//! state above 1e7 moves/s is untouched, and no process-wide delta, so a
+//! total never counts work another campaign in the same process ran.
 //!
-//! Two instruments are inherently process-wide rather than per-run and
-//! increment the global directly: scratch-buffer reuses (recorded at run
-//! entry) and full [`Configuration`] clones (recorded by the instrumented
-//! `Clone` impl in the kernel — the promotion of the old test-only clone
-//! counter). A batched run adds its lane-step slots and idle lane-steps
-//! once per batch. Tests compare [`CounterSnapshot`] deltas, never
-//! absolute values.
+//! The [`global`] [`EngineCounters`] keeps only instruments of the process
+//! itself: scratch-buffer reuses (recorded at run entry), full
+//! [`Configuration`] clones (recorded by the instrumented `Clone` impl in
+//! the kernel), both of which vary with scheduling, and the lane-step
+//! totals each batch adds once. Tests compare [`CounterSnapshot`] deltas,
+//! never absolute values.
 //!
 //! Which engine ran a scenario group is not a counter: each cell's
 //! [`RunCounters::batch_lanes`] says whether it ran as a replica lane,
@@ -23,11 +22,13 @@
 //!
 //! [`Configuration`]: https://docs.rs/specstab-kernel
 
+use std::iter::Sum;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tallies of one engine run, accumulated in plain locals by the step
-/// loop. Deterministic: a run's counters depend only on its inputs, never
-/// on scheduling or thread count.
+/// loop. Deterministic: a run's counters depend only on its inputs (for a
+/// replica lane, on the inputs of its batch), never on scheduling or
+/// thread count.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunCounters {
     /// Steps (actions) executed.
@@ -53,13 +54,25 @@ pub struct RunCounters {
     /// safety and legitimacy sweeps read (`n` for safety plus the rows
     /// the legitimacy sweep covered before every lane's verdict was
     /// decided). The full-scan reference `MeasurementContext` counts `n`
-    /// per predicate call. Flushed by the monitor layer
-    /// ([`EngineCounters::record_monitor_evals`]), not by the step loop.
+    /// per predicate call. Added by the monitor layer, not by the step
+    /// loop.
     pub monitor_evals: u64,
     /// 1 when the run was a replica lane of a batched run, 0 when it ran
     /// on the scalar engine. Summed over a campaign it counts the lanes
     /// the batches launched.
     pub batch_lanes: u64,
+    /// The lane's share of its batch's occupancy: the passes of the batch
+    /// in which any lane committed (0 on the scalar engine). Summed over
+    /// a batch's lanes it is the batch's `lanes × passes` lane-step
+    /// slots. Lane widths differ across packed protocols (u8 packs 64
+    /// replicas per cache line, i32 packs 16), so occupancy is reported
+    /// against this explicit total rather than a width assumption:
+    /// occupancy = 1 − idle / lane-steps.
+    pub batch_lane_steps: u64,
+    /// The passes of the lane's batch after the lane stopped
+    /// (`batch_lane_steps − steps`): the lane-steps it rode along masked
+    /// idle while siblings kept stepping.
+    pub batch_idle_lane_steps: u64,
 }
 
 impl RunCounters {
@@ -69,8 +82,7 @@ impl RunCounters {
         Self::default()
     }
 
-    /// Adds `other` into `self` (aggregating runs of a cell, shard, or
-    /// campaign).
+    /// Adds `other` into `self`, field by field.
     pub fn add(&mut self, other: &Self) {
         self.steps += other.steps;
         self.moves += other.moves;
@@ -78,21 +90,28 @@ impl RunCounters {
         self.delta_bytes += other.delta_bytes;
         self.monitor_evals += other.monitor_evals;
         self.batch_lanes += other.batch_lanes;
+        self.batch_lane_steps += other.batch_lane_steps;
+        self.batch_idle_lane_steps += other.batch_idle_lane_steps;
     }
 }
 
-/// The process-global aggregate: relaxed atomics, written by batched
-/// per-run flushes and the two process-wide instruments.
+/// The field-wise total of runs, cells, shards or campaigns: every counter
+/// total the campaign reports is this sum over its cells.
+impl<'a> Sum<&'a RunCounters> for RunCounters {
+    fn sum<I: Iterator<Item = &'a RunCounters>>(iter: I) -> Self {
+        iter.fold(Self::new(), |mut total, c| {
+            total.add(c);
+            total
+        })
+    }
+}
+
+/// The process-global aggregate: relaxed atomics for the instruments no
+/// run owns.
 #[derive(Debug, Default)]
 pub struct EngineCounters {
-    steps: AtomicU64,
-    moves: AtomicU64,
-    guard_evals: AtomicU64,
-    delta_bytes: AtomicU64,
-    monitor_evals: AtomicU64,
     scratch_reuses: AtomicU64,
     config_clones: AtomicU64,
-    batch_lanes: AtomicU64,
     batch_lane_steps: AtomicU64,
     batch_idle_lane_steps: AtomicU64,
 }
@@ -101,68 +120,28 @@ pub struct EngineCounters {
 /// per field; meaningful only as deltas between two snapshots.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
-    /// Total steps flushed by finished runs.
-    pub steps: u64,
-    /// Total moves flushed by finished runs.
-    pub moves: u64,
-    /// Total guard evaluations flushed by finished runs.
-    pub guard_evals: u64,
-    /// Total delta bytes flushed by finished runs.
-    pub delta_bytes: u64,
-    /// Total monitor vertex evaluations flushed by finished measured runs
-    /// (see [`RunCounters::monitor_evals`]).
-    pub monitor_evals: u64,
     /// Runs that entered with already-sized scratch buffers (cross-run
     /// buffer reuse — the amortization the `ScratchPool` exists for).
     pub scratch_reuses: u64,
     /// Full `Configuration::clone` calls (buffer-reusing `clone_from` is
     /// deliberately not counted — that is the allocation-free path).
     pub config_clones: u64,
-    /// Replica lanes launched by batched runs: the sum of
-    /// [`RunCounters::batch_lanes`] over finished runs (one per
-    /// seed-replica that entered a batch, regardless of how long it
-    /// stayed active).
-    pub batch_lanes: u64,
-    /// Total lane-step slots batched runs scheduled: `lanes x iterations`
-    /// summed over batches. Lane widths differ across packed protocols
-    /// (u8 packs 64 replicas per cache line, i32 packs 16), so occupancy
-    /// is reported against this explicit total rather than a width
-    /// assumption: occupancy = 1 - idle / lane-steps.
+    /// Lane-step slots batched runs scheduled: the sum of
+    /// [`RunCounters::batch_lane_steps`] over their lanes.
     pub batch_lane_steps: u64,
-    /// Lane-steps spent masked idle: batch iterations where an
-    /// already-stopped lane rode along while siblings kept stepping.
+    /// Lane-steps batched runs spent masked idle: the sum of
+    /// [`RunCounters::batch_idle_lane_steps`] over their lanes.
     pub batch_idle_lane_steps: u64,
 }
 
 impl CounterSnapshot {
-    /// Field-wise `self += other`: folds the counters of several processes
-    /// or shards into one total.
-    pub fn add(&mut self, other: &Self) {
-        self.steps += other.steps;
-        self.moves += other.moves;
-        self.guard_evals += other.guard_evals;
-        self.delta_bytes += other.delta_bytes;
-        self.monitor_evals += other.monitor_evals;
-        self.scratch_reuses += other.scratch_reuses;
-        self.config_clones += other.config_clones;
-        self.batch_lanes += other.batch_lanes;
-        self.batch_lane_steps += other.batch_lane_steps;
-        self.batch_idle_lane_steps += other.batch_idle_lane_steps;
-    }
-
     /// Field-wise `self - earlier` (saturating, so a stale `earlier` from
     /// another epoch degrades to zeros instead of wrapping).
     #[must_use]
     pub fn delta(&self, earlier: &Self) -> Self {
         Self {
-            steps: self.steps.saturating_sub(earlier.steps),
-            moves: self.moves.saturating_sub(earlier.moves),
-            guard_evals: self.guard_evals.saturating_sub(earlier.guard_evals),
-            delta_bytes: self.delta_bytes.saturating_sub(earlier.delta_bytes),
-            monitor_evals: self.monitor_evals.saturating_sub(earlier.monitor_evals),
             scratch_reuses: self.scratch_reuses.saturating_sub(earlier.scratch_reuses),
             config_clones: self.config_clones.saturating_sub(earlier.config_clones),
-            batch_lanes: self.batch_lanes.saturating_sub(earlier.batch_lanes),
             batch_lane_steps: self.batch_lane_steps.saturating_sub(earlier.batch_lane_steps),
             batch_idle_lane_steps: self
                 .batch_idle_lane_steps
@@ -172,23 +151,6 @@ impl CounterSnapshot {
 }
 
 impl EngineCounters {
-    /// Flushes one finished run's engine tallies — five relaxed adds, the
-    /// only global traffic a run's step loop generates. `monitor_evals`
-    /// is the monitor layer's to flush ([`Self::record_monitor_evals`]).
-    pub fn record_run(&self, run: &RunCounters) {
-        self.steps.fetch_add(run.steps, Ordering::Relaxed);
-        self.moves.fetch_add(run.moves, Ordering::Relaxed);
-        self.guard_evals.fetch_add(run.guard_evals, Ordering::Relaxed);
-        self.delta_bytes.fetch_add(run.delta_bytes, Ordering::Relaxed);
-        self.batch_lanes.fetch_add(run.batch_lanes, Ordering::Relaxed);
-    }
-
-    /// Flushes the monitor vertex evaluations of one finished measured run
-    /// (or batch).
-    pub fn record_monitor_evals(&self, evals: u64) {
-        self.monitor_evals.fetch_add(evals, Ordering::Relaxed);
-    }
-
     /// Records a run entering with scratch buffers already sized for its
     /// graph (cross-run reuse).
     pub fn record_scratch_reuse(&self) {
@@ -201,12 +163,14 @@ impl EngineCounters {
         self.config_clones.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Flushes one finished batched run's occupancy: the total lane-step
-    /// slots it scheduled (`lanes x iterations` — the lane-count
-    /// parameterization that keeps u8x64 and i32x16 batches comparable)
-    /// and the lane-steps spent masked idle after individual lanes
-    /// stopped. Its lanes are counted by their own [`Self::record_run`]
-    /// flushes ([`RunCounters::batch_lanes`]).
+    /// Adds one finished batched run's occupancy, once per batch: the
+    /// lane-step slots it scheduled and the lane-steps spent masked idle,
+    /// i.e. the sums of its lanes' [`RunCounters::batch_lane_steps`] and
+    /// [`RunCounters::batch_idle_lane_steps`]. The lanes carry the same
+    /// numbers into every campaign total; the global copy serves readers
+    /// that take a process-wide window instead of summing cells: the
+    /// benchmark's traced replay (`perfbench`) reads the two totals
+    /// through `global().snapshot().delta(..)`.
     pub fn record_batch(&self, lane_steps: u64, idle_lane_steps: u64) {
         self.batch_lane_steps.fetch_add(lane_steps, Ordering::Relaxed);
         self.batch_idle_lane_steps.fetch_add(idle_lane_steps, Ordering::Relaxed);
@@ -216,14 +180,8 @@ impl EngineCounters {
     #[must_use]
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
-            steps: self.steps.load(Ordering::Relaxed),
-            moves: self.moves.load(Ordering::Relaxed),
-            guard_evals: self.guard_evals.load(Ordering::Relaxed),
-            delta_bytes: self.delta_bytes.load(Ordering::Relaxed),
-            monitor_evals: self.monitor_evals.load(Ordering::Relaxed),
             scratch_reuses: self.scratch_reuses.load(Ordering::Relaxed),
             config_clones: self.config_clones.load(Ordering::Relaxed),
-            batch_lanes: self.batch_lanes.load(Ordering::Relaxed),
             batch_lane_steps: self.batch_lane_steps.load(Ordering::Relaxed),
             batch_idle_lane_steps: self.batch_idle_lane_steps.load(Ordering::Relaxed),
         }
@@ -231,14 +189,8 @@ impl EngineCounters {
 }
 
 static GLOBAL: EngineCounters = EngineCounters {
-    steps: AtomicU64::new(0),
-    moves: AtomicU64::new(0),
-    guard_evals: AtomicU64::new(0),
-    delta_bytes: AtomicU64::new(0),
-    monitor_evals: AtomicU64::new(0),
     scratch_reuses: AtomicU64::new(0),
     config_clones: AtomicU64::new(0),
-    batch_lanes: AtomicU64::new(0),
     batch_lane_steps: AtomicU64::new(0),
     batch_idle_lane_steps: AtomicU64::new(0),
 };
@@ -262,53 +214,34 @@ mod tests {
             delta_bytes: 4 * k,
             monitor_evals: 5 * k,
             batch_lanes: k,
+            batch_lane_steps: 6 * k,
+            batch_idle_lane_steps: 7 * k,
         };
         let mut a = run(1);
         a.add(&run(10));
         assert_eq!(a, run(11));
+        assert_eq!([run(1), run(10), run(100)].iter().sum::<RunCounters>(), run(111));
+        assert_eq!(std::iter::empty::<&RunCounters>().sum::<RunCounters>(), RunCounters::new());
     }
 
     #[test]
     fn global_flush_and_snapshot_deltas() {
         let before = global().snapshot();
-        global().record_run(&RunCounters {
-            steps: 5,
-            moves: 7,
-            guard_evals: 11,
-            delta_bytes: 13,
-            monitor_evals: 0,
-            batch_lanes: 1,
-        });
-        global().record_monitor_evals(19);
         global().record_scratch_reuse();
         global().record_config_clone();
         global().record_batch(640, 17);
         let d = global().snapshot().delta(&before);
-        // Other tests in this binary may run concurrently and also flush,
+        // Other tests in this binary may run concurrently and also record,
         // so deltas are lower-bounded, not exact.
-        assert!(d.steps >= 5 && d.moves >= 7 && d.guard_evals >= 11 && d.delta_bytes >= 13);
-        assert!(d.monitor_evals >= 19);
         assert!(d.scratch_reuses >= 1 && d.config_clones >= 1);
-        assert!(d.batch_lanes >= 1 && d.batch_lane_steps >= 640 && d.batch_idle_lane_steps >= 17);
-    }
-
-    #[test]
-    fn snapshot_add_is_the_inverse_of_delta() {
-        let a =
-            CounterSnapshot { steps: 3, monitor_evals: 5, batch_lanes: 7, ..Default::default() };
-        let b =
-            CounterSnapshot { steps: 1, monitor_evals: 2, config_clones: 4, ..Default::default() };
-        let mut sum = a;
-        sum.add(&b);
-        assert_eq!(sum.delta(&b), a);
-        assert_eq!(sum.monitor_evals, 7);
+        assert!(d.batch_lane_steps >= 640 && d.batch_idle_lane_steps >= 17);
     }
 
     #[test]
     fn delta_saturates_instead_of_wrapping() {
         let lo = CounterSnapshot::default();
-        let hi = CounterSnapshot { steps: 3, ..Default::default() };
-        assert_eq!(lo.delta(&hi).steps, 0);
-        assert_eq!(hi.delta(&lo).steps, 3);
+        let hi = CounterSnapshot { config_clones: 3, ..Default::default() };
+        assert_eq!(lo.delta(&hi).config_clones, 0);
+        assert_eq!(hi.delta(&lo).config_clones, 3);
     }
 }

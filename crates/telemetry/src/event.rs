@@ -17,7 +17,7 @@
 //! the worker's upload is accepted; [`validate_events`] checks every
 //! stream of such a trace independently.
 
-use crate::counters::CounterSnapshot;
+use crate::counters::RunCounters;
 use crate::json::{obj, Json};
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
@@ -134,8 +134,8 @@ pub enum EventKind {
         cells: u64,
         /// Shard wall-clock microseconds.
         wall_us: u64,
-        /// Engine-counter totals accumulated by the shard process.
-        counters: CounterSnapshot,
+        /// The sum of the shard's cells' engine counters.
+        counters: RunCounters,
     },
     /// `lease_granted`: the serve coordinator leased a shard to a worker.
     LeaseGranted {
@@ -212,8 +212,9 @@ pub enum EventKind {
         violations: u64,
         /// Campaign wall-clock microseconds.
         wall_us: u64,
-        /// Engine-counter totals for the whole campaign.
-        counters: CounterSnapshot,
+        /// The sum of the campaign's cells' engine counters (a
+        /// coordinator's is the sum of its accepted shards' `shard_end`s).
+        counters: RunCounters,
     },
 }
 
@@ -276,39 +277,36 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-pub(crate) fn counters_json(c: &CounterSnapshot) -> Json {
+pub(crate) fn counters_json(c: &RunCounters) -> Json {
     obj(vec![
         ("steps", Json::UInt(c.steps)),
         ("moves", Json::UInt(c.moves)),
         ("guard_evals", Json::UInt(c.guard_evals)),
         ("delta_bytes", Json::UInt(c.delta_bytes)),
         ("monitor_evals", Json::UInt(c.monitor_evals)),
-        ("scratch_reuses", Json::UInt(c.scratch_reuses)),
-        ("config_clones", Json::UInt(c.config_clones)),
         ("batch_lanes", Json::UInt(c.batch_lanes)),
         ("batch_lane_steps", Json::UInt(c.batch_lane_steps)),
         ("batch_idle_lane_steps", Json::UInt(c.batch_idle_lane_steps)),
     ])
 }
 
-/// Optional counter field: absent in traces written before the batch,
-/// monitor and parse counters existed, which still carry the
-/// `specstab-events/v1` schema — absent reads as zero so old traces keep
-/// validating. Keys of retired counters, which older traces still carry,
-/// are ignored.
+/// Optional counter field: absent in traces written before the batch and
+/// monitor counters existed, which still carry the `specstab-events/v1`
+/// schema — absent reads as zero so old traces keep validating. Keys of
+/// retired counters, which older traces still carry (the process-wide
+/// `scratch_reuses` and `config_clones`, the routing tallies), are
+/// ignored.
 fn opt_u64(j: &Json, key: &str) -> Result<u64, String> {
     j.get(key).map_or(Ok(0), Json::as_u64)
 }
 
-fn counters_from_json(j: &Json) -> Result<CounterSnapshot, String> {
-    Ok(CounterSnapshot {
+fn counters_from_json(j: &Json) -> Result<RunCounters, String> {
+    Ok(RunCounters {
         steps: j.req("steps")?.as_u64()?,
         moves: j.req("moves")?.as_u64()?,
         guard_evals: j.req("guard_evals")?.as_u64()?,
         delta_bytes: j.req("delta_bytes")?.as_u64()?,
         monitor_evals: opt_u64(j, "monitor_evals")?,
-        scratch_reuses: j.req("scratch_reuses")?.as_u64()?,
-        config_clones: j.req("config_clones")?.as_u64()?,
         batch_lanes: opt_u64(j, "batch_lanes")?,
         batch_lane_steps: opt_u64(j, "batch_lane_steps")?,
         batch_idle_lane_steps: opt_u64(j, "batch_idle_lane_steps")?,
@@ -736,14 +734,12 @@ mod tests {
 
     /// One exemplar of every event kind (used by the round-trip tests).
     pub(crate) fn one_of_each() -> Vec<EventKind> {
-        let counters = CounterSnapshot {
+        let counters = RunCounters {
             steps: 1,
             moves: 2,
             guard_evals: 3,
             delta_bytes: 4,
             monitor_evals: 19,
-            scratch_reuses: 5,
-            config_clones: 6,
             batch_lanes: 7,
             batch_lane_steps: 70,
             batch_idle_lane_steps: 8,
@@ -842,6 +838,28 @@ mod tests {
     }
 
     #[test]
+    fn counter_objects_carry_the_eight_cell_counters() {
+        let Json::Obj(fields) = counters_json(&RunCounters::default()) else {
+            panic!("counters render as an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "steps",
+                "moves",
+                "guard_evals",
+                "delta_bytes",
+                "monitor_evals",
+                "batch_lanes",
+                "batch_lane_steps",
+                "batch_idle_lane_steps"
+            ],
+            "process-wide instruments stay out of the events"
+        );
+    }
+
+    #[test]
     fn pre_batch_counter_objects_still_parse_with_zeros() {
         // Traces written before the batch counters existed carry the same
         // schema tag; the batch fields are optional and default to 0.
@@ -859,23 +877,22 @@ mod tests {
             }
             other => panic!("expected shard_end, got {other:?}"),
         }
-        // Older traces also carry counters that have since been retired;
-        // the reader ignores their keys.
+        // Older traces also carry counters that have since been retired
+        // (the process-wide `scratch_reuses` and `config_clones`, routing
+        // tallies); the reader ignores their keys.
         let retired = "{\"event\":\"campaign_end\",\"seq\":0,\"t_us\":0,\"cells\":1,\
                        \"errors\":0,\"violations\":0,\"wall_us\":2,\"counters\":{\"steps\":1,\
                        \"moves\":2,\"guard_evals\":3,\"delta_bytes\":4,\"scratch_reuses\":5,\
                        \"config_clones\":6,\"batch_lanes\":3,\"batch_retired_groups\":2}}";
         match Event::from_json_line(retired).expect("retired counter keys are ignored").kind {
             EventKind::CampaignEnd { counters, .. } => {
-                let expected = CounterSnapshot {
+                let expected = RunCounters {
                     steps: 1,
                     moves: 2,
                     guard_evals: 3,
                     delta_bytes: 4,
-                    scratch_reuses: 5,
-                    config_clones: 6,
                     batch_lanes: 3,
-                    ..CounterSnapshot::default()
+                    ..RunCounters::default()
                 };
                 assert_eq!(counters, expected);
             }

@@ -6,9 +6,11 @@
 //! perturbing their outputs:
 //!
 //! * [`counters`] — cheap per-run engine counters (steps, moves, guard
-//!   evaluations, delta bytes) accumulated in plain locals by the step loop
-//!   and flushed to a process-global lock-free aggregate once per run,
-//!   plus process-wide instruments (scratch reuses, configuration clones);
+//!   and monitor evaluations, delta bytes, lane occupancy) accumulated in
+//!   plain locals by the step loop and carried by each cell, so every
+//!   campaign total is a sum of cells; plus a process-global lock-free
+//!   aggregate of the instruments no run owns (scratch reuses,
+//!   configuration clones, batch lane-step totals);
 //! * [`json`] — the workspace's hand-rolled JSON value type: deterministic
 //!   insertion-ordered writer (pretty and compact) and a strict,
 //!   depth-bounded recursive-descent reader;

@@ -4,12 +4,12 @@
 //! `metrics.json` is the artifact you look at to understand *how* a
 //! campaign ran — wall clock per cell/group/shard, throughput, engine
 //! counter totals — while `campaign.json` stays the artifact that says
-//! *what* it computed. The two never mix: metrics carry timestamps and
-//! host-dependent counters and are therefore non-reproducible by design,
-//! which is exactly why they are a separate file instead of extra fields
-//! on the deterministic artifact.
+//! *what* it computed. The two never mix: metrics carry wall-clock
+//! timings and are therefore non-reproducible by design, which is exactly
+//! why they are a separate file instead of extra fields on the
+//! deterministic artifact.
 
-use crate::counters::CounterSnapshot;
+use crate::counters::RunCounters;
 use crate::event::{counters_json, Event, EventKind, ParseTally};
 use crate::json::{obj, Json};
 use std::collections::BTreeMap;
@@ -39,19 +39,19 @@ pub fn tally_paths(tally: &mut BTreeMap<String, u64>, events: &[Event]) {
     }
 }
 
-/// Field-wise sum of every `shard_end` counter snapshot in `events`: the
-/// campaign-wide engine counters of shards that ran in other processes.
-/// The coordinator's totals, and the sidecar's and `events_check`'s for a
+/// Sum of every `shard_end`'s counters in `events`: the engine counters
+/// of the cells those shards ran, in whichever processes. The
+/// coordinator's totals, and the sidecar's and `events_check`'s for a
 /// trace without `campaign_end`, are this sum.
 #[must_use]
-pub fn sum_shard_counters(events: &[Event]) -> CounterSnapshot {
-    let mut total = CounterSnapshot::default();
-    for e in events {
-        if let EventKind::ShardEnd { counters, .. } = &e.kind {
-            total.add(counters);
-        }
-    }
-    total
+pub fn sum_shard_counters(events: &[Event]) -> RunCounters {
+    events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::ShardEnd { counters, .. } => Some(counters),
+            _ => None,
+        })
+        .sum()
 }
 
 /// The uploads a coordinator accepted without worker telemetry: its
@@ -75,9 +75,9 @@ pub fn paths_json(tally: &BTreeMap<String, u64>) -> Json {
 /// Builds the `specstab-metrics/v1` sidecar from a (merged) event
 /// sequence.
 ///
-/// Totals prefer the `campaign_end` event when present (its counters cover
-/// the whole process, including work outside shard ranges); otherwise they
-/// are reconstructed by summing `shard_end` events
+/// Totals prefer the `campaign_end` event when present (its counters are
+/// the sum of the campaign's cells); otherwise they are reconstructed by
+/// summing `shard_end` events
 /// ([`sum_shard_counters`]), with total wall clock
 /// taken as the slowest shard. Cell and group rows are carried over in
 /// stream order, which for a merged trace is the deterministic
@@ -253,8 +253,8 @@ mod tests {
     use super::*;
     use crate::event::{CellEvent, CellOutcomeEvent, EVENTS_SCHEMA};
 
-    fn counters(moves: u64) -> CounterSnapshot {
-        CounterSnapshot { steps: moves / 2, moves, ..Default::default() }
+    fn counters(moves: u64) -> RunCounters {
+        RunCounters { steps: moves / 2, moves, ..Default::default() }
     }
 
     fn ev(shard: Option<u64>, seq: u64, kind: EventKind) -> Event {
@@ -493,14 +493,12 @@ mod tests {
 
     #[test]
     fn shard_counters_sum_field_wise() {
-        let snap = |k: u64| CounterSnapshot {
+        let snap = |k: u64| RunCounters {
             steps: k,
             moves: 2 * k,
             guard_evals: 3 * k,
             delta_bytes: 4 * k,
             monitor_evals: 19 * k,
-            scratch_reuses: 5 * k,
-            config_clones: 6 * k,
             batch_lanes: 7 * k,
             batch_lane_steps: 10 * k,
             batch_idle_lane_steps: 8 * k,

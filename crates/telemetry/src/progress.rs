@@ -8,9 +8,11 @@
 //! roughly one line per second reaches the terminal no matter how fast
 //! cells complete.
 //!
-//! Deliberately **not** used inside shard subprocesses: their stderr is a
-//! pipe the orchestrator only drains on failure, so a chatty heartbeat
-//! there could fill the pipe buffer and deadlock the worker.
+//! Only an in-process `campaign run` prints [`Heartbeat`] lines. Shard
+//! executions (`campaign shard`, `campaign work`) print none: the
+//! children of `run --workers` write their stderr to a file that is shown
+//! only when a child fails, and the coordinator reports progress for the
+//! whole run with [`ServeHeartbeat`]'s `[serve]` lines.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -44,15 +46,7 @@ impl Heartbeat {
     /// Records one finished cell (with the moves it executed) and prints a
     /// progress line if the rate limiter allows.
     pub fn cell_done(&self, moves: u64) {
-        self.add_done(1, moves);
-    }
-
-    /// Records `cells` finished cells at once — the shape the subprocess
-    /// orchestrator reports in, where a whole shard completes in one step
-    /// (pass `moves: 0` when move counts are not observable, e.g. before
-    /// worker partials are parsed; the moves/s segment is then omitted).
-    pub fn add_done(&self, cells: u64, moves: u64) {
-        let done = self.done.fetch_add(cells, Ordering::Relaxed) + cells;
+        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let total_moves = self.moves.fetch_add(moves, Ordering::Relaxed) + moves;
         let Ok(mut last) = self.last_print.lock() else { return };
         let now = Instant::now();
@@ -87,17 +81,13 @@ impl Heartbeat {
             let remaining = elapsed / done as f64 * (self.total - done) as f64;
             format_secs(remaining)
         };
-        // The moves/s segment only appears when moves are observable
-        // (the subprocess orchestrator reports cells without moves).
         #[allow(clippy::cast_precision_loss)]
-        let rates = if elapsed > 0.0 && moves > 0 {
+        let rates = if elapsed > 0.0 {
             format!(
                 "{} cells/s | {} moves/s",
                 format_rate(done as f64 / elapsed),
                 format_rate(moves as f64 / elapsed)
             )
-        } else if elapsed > 0.0 {
-            format!("{} cells/s", format_rate(done as f64 / elapsed))
         } else {
             String::from("-- cells/s")
         };
