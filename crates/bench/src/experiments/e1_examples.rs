@@ -9,21 +9,54 @@
 
 use super::{Experiment, ExperimentResult, RunConfig};
 use crate::fit::power_fit;
-use crate::support::{measure_with_spec, random_inits};
 use crate::table::{fnum, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use specstab_campaign::executor::{run_campaign, CampaignConfig, CampaignResult};
+use specstab_campaign::matrix::ScenarioMatrix;
 use specstab_kernel::daemon::{CentralDaemon, CentralStrategy, SynchronousDaemon};
 use specstab_kernel::engine::{RunLimits, Simulator};
 use specstab_kernel::protocol::random_configuration;
-use specstab_protocols::bfs::{BfsSpec, MinPlusOneBfs};
-use specstab_protocols::dijkstra::{DijkstraRing, DijkstraSpec};
 use specstab_protocols::matching::MaximalMatching;
-use specstab_topology::metrics::DistanceMatrix;
-use specstab_topology::{generators, VertexId};
+use specstab_topology::spec::parse_spec;
+use specstab_topology::{generators, metrics, VertexId};
 
 /// Section 3 examples experiment.
 pub struct E1;
+
+/// Samples `protocol` on `topologies` from random full bursts under the
+/// synchronous and the random central daemon, on the campaign engine.
+fn sync_vs_central(
+    topologies: &[String],
+    protocol: &str,
+    runs: u64,
+    cfg: &RunConfig,
+) -> CampaignResult {
+    run_campaign(
+        &ScenarioMatrix::builder()
+            .topologies(topologies.iter().cloned())
+            .protocols([protocol])
+            .daemons(["sync", "central-rand"])
+            .fault_bursts([0])
+            .seeds(0..runs)
+            .build(),
+        &CampaignConfig { seed: cfg.seed, ..Default::default() },
+    )
+}
+
+/// The worst legitimacy entry of the `sync` and the `central-rand` group
+/// on `topology`, and whether every cell of both groups ran.
+fn worst_entries(result: &CampaignResult, topology: &str) -> (usize, usize, bool) {
+    let group = |daemon: &str| {
+        result
+            .groups
+            .iter()
+            .find(|g| g.topology == topology && g.daemon == daemon)
+            .expect("one group per topology and daemon")
+    };
+    let (sync, central) = (group("sync"), group("central-rand"));
+    (sync.entry.max() as usize, central.entry.max() as usize, sync.errors + central.errors == 0)
+}
 
 impl Experiment for E1 {
     fn id(&self) -> &'static str {
@@ -40,31 +73,21 @@ impl Experiment for E1 {
         let mut notes = Vec::new();
         let mut all_hold = true;
 
-        // --- Dijkstra's K-state mutual exclusion on rings -------------
+        // --- Dijkstra's K-state mutual exclusion on rings (K = n) -------
         let sizes: Vec<usize> =
             if cfg.quick { vec![5, 8, 11] } else { vec![5, 8, 11, 16, 23, 32, 45] };
         let runs = if cfg.quick { 8 } else { 30 };
+        let rings: Vec<String> = sizes.iter().map(|n| format!("ring:{n}")).collect();
+        let dij_run = sync_vs_central(&rings, "dijkstra", runs, cfg);
         let mut dijkstra = Table::new(
             "Dijkstra K-state on rings: measured worst stabilization (steps)",
             &["n", "sync max", "2n-3 (exact law)", "central max", "central/n²", "sync ≤ Θ(n)"],
         );
         let mut ns = Vec::new();
         let mut centrals = Vec::new();
-        for &n in &sizes {
-            let g = generators::ring(n).expect("n >= 3");
-            let p = DijkstraRing::new(&g, n as u64).expect("ring with K = n");
-            let spec = DijkstraSpec::new(p.clone());
-            let mut sync_max = 0usize;
-            let mut central_max = 0usize;
-            for init in random_inits(&g, &p, runs, cfg.seed) {
-                let mut sd = SynchronousDaemon::new();
-                let r = measure_with_spec(&g, &p, &spec, &mut sd, init.clone(), 100_000);
-                sync_max = sync_max.max(r.legitimacy_entry);
-                let mut cd = CentralDaemon::new(CentralStrategy::Random(cfg.seed));
-                let r = measure_with_spec(&g, &p, &spec, &mut cd, init, 2_000_000);
-                central_max = central_max.max(r.legitimacy_entry);
-            }
-            let within = sync_max <= 2 * n - 3;
+        for (&n, ring) in sizes.iter().zip(&rings) {
+            let (sync_max, central_max, ran) = worst_entries(&dij_run, ring);
+            let within = ran && sync_max <= 2 * n - 3;
             all_hold &= within;
             ns.push(n as f64);
             centrals.push(central_max.max(1) as f64);
@@ -85,43 +108,32 @@ impl Experiment for E1 {
              is the right order, not the exact constant)"
         ));
 
-        // --- min+1 BFS -------------------------------------------------
+        // --- min+1 BFS (root 0) ----------------------------------------
         let bfs_sizes: Vec<usize> = if cfg.quick { vec![8, 12] } else { vec![8, 12, 18, 26] };
+        let bfs_graphs: Vec<String> = bfs_sizes
+            .iter()
+            .flat_map(|n| [format!("path:{n}"), format!("er:{n}:0.25:{}", cfg.seed)])
+            .collect();
+        let bfs_run = sync_vs_central(&bfs_graphs, "bfs", runs, cfg);
         let mut bfs = Table::new(
             "min+1 BFS (root 0): measured stabilization (steps)",
             &["graph", "n", "ecc(root)", "sync max", "central max", "sync ≤ ecc+2"],
         );
-        for &n in &bfs_sizes {
-            for g in [
-                generators::path(n).expect("valid path"),
-                generators::erdos_renyi_connected(n, 0.25, cfg.seed).expect("valid graph"),
-            ] {
-                let root = VertexId::new(0);
-                let p = MinPlusOneBfs::new(&g, root);
-                let spec = BfsSpec::new(&g, root);
-                let dm = DistanceMatrix::new(&g);
-                let ecc = dm.eccentricity(root) as usize;
-                let mut sync_max = 0usize;
-                let mut central_max = 0usize;
-                for init in random_inits(&g, &p, runs, cfg.seed ^ 7) {
-                    let mut sd = SynchronousDaemon::new();
-                    let r = measure_with_spec(&g, &p, &spec, &mut sd, init.clone(), 100_000);
-                    sync_max = sync_max.max(r.legitimacy_entry);
-                    let mut cd = CentralDaemon::new(CentralStrategy::Random(cfg.seed ^ 9));
-                    let r = measure_with_spec(&g, &p, &spec, &mut cd, init, 2_000_000);
-                    central_max = central_max.max(r.legitimacy_entry);
-                }
-                let within = sync_max <= ecc + 2;
-                all_hold &= within;
-                bfs.push_row(vec![
-                    g.name().to_string(),
-                    n.to_string(),
-                    ecc.to_string(),
-                    sync_max.to_string(),
-                    central_max.to_string(),
-                    within.to_string(),
-                ]);
-            }
+        for spec in &bfs_graphs {
+            let g = parse_spec(spec).expect("valid topology spec");
+            let ecc = metrics::bfs_distances(&g, VertexId::new(0)).into_iter().flatten().max();
+            let ecc = ecc.unwrap_or(0) as usize;
+            let (sync_max, central_max, ran) = worst_entries(&bfs_run, spec);
+            let within = ran && sync_max <= ecc + 2;
+            all_hold &= within;
+            bfs.push_row(vec![
+                spec.clone(),
+                g.n().to_string(),
+                ecc.to_string(),
+                sync_max.to_string(),
+                central_max.to_string(),
+                within.to_string(),
+            ]);
         }
         notes.push(
             "min+1: claimed Θ(n²) under ud / Θ(diam) under sd; measured synchronous \
@@ -147,7 +159,7 @@ impl Experiment for E1 {
                 let moves_bound = 4 * g.n() as u64 + 2 * g.m() as u64;
                 let mut sync_max = 0usize;
                 let mut moves_max = 0u64;
-                for seed in 0..runs as u64 {
+                for seed in 0..runs {
                     let mut rng = StdRng::seed_from_u64(cfg.seed ^ seed);
                     let init = random_configuration(&g, &p, &mut rng);
                     let mut sd = SynchronousDaemon::new();

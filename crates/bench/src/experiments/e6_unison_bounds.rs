@@ -2,17 +2,24 @@
 //! unison stabilization within `α + lcp(g) + diam(g)` steps (the paper's
 //! `[3]`), and SSME's `Γ1` entry within `2n + diam(g)` synchronous steps
 //! (Case 3 of the Theorem 2 proof).
+//!
+//! The SSME table runs on the campaign engine. The unison is no registered
+//! protocol, so its table measures runs with the kernel's full-scan
+//! `measure_with_early_stop`.
 
 use super::{Experiment, ExperimentResult, RunConfig};
-use crate::support::{measure_ssme, random_inits};
 use crate::table::Table;
 use crate::zoo;
-use specstab_core::ssme::Ssme;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use specstab_campaign::executor::{run_campaign, CampaignConfig};
+use specstab_campaign::matrix::ScenarioMatrix;
 use specstab_kernel::daemon::SynchronousDaemon;
 use specstab_kernel::measure::measure_with_early_stop;
+use specstab_kernel::protocol::random_configuration;
 use specstab_kernel::spec::Specification;
 use specstab_topology::chordless::{self, SearchBudget};
-use specstab_topology::metrics::DistanceMatrix;
+use specstab_topology::metrics;
 use specstab_unison::params::safe_params;
 use specstab_unison::{analysis, AsyncUnison, SpecAu};
 
@@ -37,14 +44,9 @@ impl Experiment for E6 {
             "asynchronous unison under sd: measured Γ1 entry vs α + lcp + diam",
             &["graph", "α", "lcp", "diam", "bound", "measured max", "within"],
         );
-        let mut ssme_t = Table::new(
-            "SSME under sd: measured Γ1 entry vs 2n + diam",
-            &["graph", "n", "diam", "bound 2n+diam", "measured max", "within"],
-        );
         let mut all_hold = true;
         for g in zoo::standard(scale) {
-            let dm = DistanceMatrix::new(&g);
-            let diam = dm.diameter();
+            let diam = metrics::diameter(&g);
             // Unison with safe parameters (α = n, K = n + 1).
             let params = safe_params(g.n());
             let clock = params.clock().expect("safe parameters are valid");
@@ -54,19 +56,18 @@ impl Experiment for E6 {
                 .expect("zoo graphs are small enough for exact lcp");
             let bound = analysis::sync_stabilization_bound(params.alpha, lcp, diam);
             let mut max_entry = 0usize;
-            for init in random_inits(&g, &unison, runs, cfg.seed) {
+            for i in 0..runs {
+                let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(i));
+                let init = random_configuration(&g, &unison, &mut rng);
                 let mut d = SynchronousDaemon::new();
-                let s = spec;
-                let l = spec;
-                let st = spec;
                 let r = measure_with_early_stop(
                     &g,
                     &unison,
                     &mut d,
                     init,
-                    Box::new(move |c, g| s.is_safe(c, g)),
-                    Box::new(move |c, g| l.is_legitimate(c, g)),
-                    Box::new(move |c, g| st.is_legitimate(c, g)),
+                    Box::new(move |c, g| spec.is_safe(c, g)),
+                    Box::new(move |c, g| spec.is_legitimate(c, g)),
+                    Box::new(move |c, g| spec.is_legitimate(c, g)),
                     200_000,
                     3,
                 );
@@ -83,25 +84,35 @@ impl Experiment for E6 {
                 max_entry.to_string(),
                 within.to_string(),
             ]);
+        }
 
-            // SSME Γ1 entry vs 2n + diam.
-            let ssme = Ssme::for_graph(&g).expect("nonempty graph");
-            let ssme_bound = analysis::ssme_sync_gamma1_bound(g.n(), diam);
-            let mut ssme_max = 0usize;
-            for init in random_inits(&g, &ssme, runs, cfg.seed ^ 21) {
-                let mut d = SynchronousDaemon::new();
-                let r = measure_ssme(&g, &ssme, &mut d, init, 400_000);
-                ssme_max = ssme_max.max(r.legitimacy_entry);
-            }
-            let ssme_within = (ssme_max as u64) <= ssme_bound;
-            all_hold &= ssme_within;
+        // SSME Γ1 entry vs 2n + diam, on the campaign engine.
+        let ssme = run_campaign(
+            &ScenarioMatrix::builder()
+                .topologies(zoo::standard_specs(scale))
+                .protocols(["ssme"])
+                .daemons(["sync"])
+                .fault_bursts([0])
+                .seeds(0..runs)
+                .build(),
+            &CampaignConfig { seed: cfg.seed, ..Default::default() },
+        );
+        let mut ssme_t = Table::new(
+            "SSME under sd: measured Γ1 entry vs 2n + diam",
+            &["graph", "n", "diam", "bound 2n+diam", "measured max", "within"],
+        );
+        for g in &ssme.groups {
+            let ssme_bound = analysis::ssme_sync_gamma1_bound(g.n, g.diam);
+            let ssme_max = g.entry.max() as u64;
+            let within = g.errors == 0 && ssme_max <= ssme_bound;
+            all_hold &= within;
             ssme_t.push_row(vec![
-                g.name().to_string(),
-                g.n().to_string(),
-                diam.to_string(),
+                g.topology.clone(),
+                g.n.to_string(),
+                g.diam.to_string(),
                 ssme_bound.to_string(),
                 ssme_max.to_string(),
-                ssme_within.to_string(),
+                within.to_string(),
             ]);
         }
         ExperimentResult {

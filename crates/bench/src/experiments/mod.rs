@@ -1,6 +1,6 @@
 //! The experiment registry: one experiment per paper artifact.
 //!
-//! See DESIGN.md §3 for the experiment index. Every experiment produces
+//! [`all`] lists the experiments in order. Every experiment produces
 //! tables (rendered as text and CSV) plus free-form notes recording the
 //! paper-claim-versus-measured comparison.
 

@@ -27,7 +27,8 @@
 //!
 //! Protocols are registry names (see `--list-protocols`); combinations a
 //! protocol cannot run — incompatible topologies, witness injection for
-//! protocols without a witness — are skipped up front with a note, so
+//! protocols without a witness, daemons only other protocols define
+//! (ssme's `adversary-*`) — are skipped up front with a note, so
 //! `--protocols all` sweeps exactly the runnable grid.
 
 use specstab_campaign::artifact::{to_csv, to_json, write_atomic, PartialArtifact};
@@ -319,18 +320,44 @@ fn write_metrics(trace_path: &str, out: &str) {
     eprintln!("campaign: metrics sidecar -> {out}");
 }
 
+/// What the upfront compatibility filter skips, with one note per skip.
+struct Compatibility {
+    /// (topology, protocol) pairs the protocol cannot run on.
+    incompatible: HashSet<(String, String)>,
+    /// Protocols without a witness construction, when the witness init is
+    /// on the init axis.
+    no_witness: HashSet<String>,
+    /// (protocol, daemon) pairs whose daemon only other protocols define:
+    /// a handful at most, scanned without allocating per cell.
+    foreign_daemons: Vec<(String, String)>,
+    notes: Vec<String>,
+}
+
+impl Compatibility {
+    /// Whether `cell` survives the filter.
+    fn keeps(&self, cell: &Cell) -> bool {
+        !self.incompatible.contains(&(cell.topology.clone(), cell.protocol.clone()))
+            && (cell.init != InitMode::Witness || !self.no_witness.contains(&cell.protocol))
+            && !self.foreign_daemons.iter().any(|(p, d)| *p == cell.protocol && *d == cell.daemon)
+    }
+}
+
 /// Upfront compatibility filter: parses each topology once and asks the
-/// registry (i.e. each harness's structural
-/// `ProtocolHarness::check_graph`) which (topology, protocol) pairs can
-/// run, and which protocols support the witness scenario. Builds no
-/// harness and computes no distance. Returns the keep-predicate inputs
-/// plus human-readable skip notes. Unparseable or disconnected topologies
-/// stay in the matrix — they surface as per-cell errors when the
-/// executor resolves them.
-fn compatibility(args: &Args) -> (HashSet<(String, String)>, HashSet<String>, Vec<String>) {
-    let mut incompatible: HashSet<(String, String)> = HashSet::new();
-    let mut no_witness: HashSet<String> = HashSet::new();
-    let mut notes = Vec::new();
+/// registry which (topology, protocol) pairs can run (each harness's
+/// structural `ProtocolHarness::check_graph`), which protocols support
+/// the witness scenario, and which (protocol, daemon) pairs a daemon
+/// defined only for other protocols rules out
+/// (`ProtocolHarness::accepts_daemon`). Builds no harness and computes no
+/// distance. Unparseable or disconnected topologies, and daemon specs no
+/// registered protocol accepts (typos), stay in the matrix — they surface
+/// as per-cell errors when the executor runs them.
+fn compatibility(args: &Args) -> Compatibility {
+    let mut compat = Compatibility {
+        incompatible: HashSet::new(),
+        no_witness: HashSet::new(),
+        foreign_daemons: Vec::new(),
+        notes: Vec::new(),
+    };
     let mut graphs = HashMap::new();
     for t in &args.topologies {
         if let Some(g) = parse_spec(t).ok().filter(Graph::is_connected) {
@@ -343,43 +370,47 @@ fn compatibility(args: &Args) -> (HashSet<(String, String)>, HashSet<String>, Ve
             match registry::check_graph(p, g) {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => {
-                    notes.push(format!("skipping {p} on {t}: {e}"));
-                    incompatible.insert((t.clone(), p.clone()));
+                    compat.notes.push(format!("skipping {p} on {t}: {e}"));
+                    compat.incompatible.insert((t.clone(), p.clone()));
                 }
                 Err(e) => fail(&e),
+            }
+        }
+        for d in &args.daemons {
+            let accepts = |name: &str| registry::accepts_daemon(name, d) == Ok(true);
+            if !accepts(p) && registry::names().into_iter().any(accepts) {
+                compat
+                    .notes
+                    .push(format!("skipping daemon {d} for {p}: defined for other protocols"));
+                compat.foreign_daemons.push((p.clone(), d.clone()));
             }
         }
         let wants_witness = args.faults.contains(&InitMode::Witness);
         let has_witness = registry::info(p).is_some_and(|i| i.has_witness);
         if wants_witness && !has_witness {
-            notes.push(format!(
+            compat.notes.push(format!(
                 "skipping witness init for {p}: no adversarial witness construction"
             ));
-            no_witness.insert(p.clone());
+            compat.no_witness.insert(p.clone());
         }
     }
-    (incompatible, no_witness, notes)
+    compat
 }
 
 /// Builds the (compatibility-filtered) matrix the argument set describes,
 /// printing skip notes.
 fn build_matrix(args: &Args) -> ScenarioMatrix {
-    let (incompatible, no_witness, notes) = compatibility(args);
-    for note in &notes {
+    let compat = compatibility(args);
+    for note in &compat.notes {
         eprintln!("campaign: {note}");
     }
-    let keep = |cell: &Cell| {
-        let topo_ok = !incompatible.contains(&(cell.topology.clone(), cell.protocol.clone()));
-        let witness_ok = cell.init != InitMode::Witness || !no_witness.contains(&cell.protocol);
-        topo_ok && witness_ok
-    };
     let matrix = ScenarioMatrix::builder()
         .topologies(args.topologies.clone())
         .protocols(args.protocols.clone())
         .daemons(args.daemons.clone())
         .init_modes(args.faults.clone())
         .seeds(0..args.seeds)
-        .build_where(keep);
+        .build_where(|cell| compat.keeps(cell));
     if matrix.is_empty() {
         fail("no runnable cells (every combination was skipped or an axis is empty)");
     }
@@ -391,7 +422,7 @@ fn build_matrix(args: &Args) -> ScenarioMatrix {
         args.daemons.len(),
         args.faults.len(),
         args.seeds,
-        if notes.is_empty() { "" } else { ", incompatible combinations skipped" },
+        if compat.notes.is_empty() { "" } else { ", incompatible combinations skipped" },
     );
     matrix
 }

@@ -850,8 +850,9 @@ fn run_harness_cell<H: ProtocolHarness>(
 
 /// Builds the initial configuration for a burst-mode scenario: a full
 /// random burst when `faults == 0`, otherwise `faults` (clamped to `n`)
-/// corrupted vertices of `healthy`. Public so other frontends (e.g. the
-/// `simulate` CLI) share the exact partial-burst semantics.
+/// corrupted vertices of `healthy`. Public so code that replays cells
+/// outside the executor starts them from the executor's exact
+/// partial-burst semantics.
 pub fn burst_configuration<P: Protocol>(
     graph: &Graph,
     protocol: &P,

@@ -124,3 +124,20 @@ fn compatibility_filtered_plan_matches_checked_in_golden() {
     assert!(stderr.contains("skipping dijkstra4 on ring:8: protocol 'dijkstra4' requires a line"));
     assert!(stderr.contains("skipping witness init for bfs"), "{stderr}");
 }
+
+#[test]
+fn daemons_defined_for_other_protocols_are_skipped_up_front() {
+    // ssme's greedy adversaries are no daemon of bfs: the filter drops
+    // bfs x adversary-central with a note instead of erroring its cells.
+    let output = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["--topologies", "ring:6", "--protocols", "ssme,bfs"])
+        .args(["--daemons", "sync,adversary-central", "--faults", "0", "--seeds", "2"])
+        .output()
+        .expect("campaign spawns");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{stderr}");
+    assert!(stderr.contains("skipping daemon adversary-central for bfs"), "{stderr}");
+    assert!(!stderr.contains("for ssme"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("total: 6 cells, 3 groups, 0 violations, 0 errors"), "{stdout}");
+}

@@ -24,7 +24,8 @@
 //! use specstab_core::spec_me::SpecMe;
 //! use specstab_core::bounds;
 //! use specstab_kernel::daemon::SynchronousDaemon;
-//! use specstab_kernel::measure::{measure_stabilization, MeasureSettings};
+//! use specstab_kernel::engine::Simulator;
+//! use specstab_kernel::measure::MeasurementContext;
 //! use specstab_kernel::protocol::random_configuration;
 //! use specstab_kernel::spec::Specification;
 //! use specstab_topology::{generators, metrics::DistanceMatrix};
@@ -39,12 +40,11 @@
 //! let mut daemon = SynchronousDaemon::new();
 //! let s = spec.clone();
 //! let l = spec.clone();
-//! let report = measure_stabilization(
-//!     &g, &ssme, &mut daemon, init,
+//! let report = MeasurementContext::new(
 //!     Box::new(move |c, g| s.is_safe(c, g)),
 //!     Box::new(move |c, g| l.is_legitimate(c, g)),
-//!     &MeasureSettings::new(500),
-//! );
+//! )
+//! .run(&Simulator::new(&g, &ssme), &mut daemon, init, 500);
 //! // Theorem 2: safety stabilizes within ⌈diam/2⌉ synchronous steps.
 //! assert!(report.stabilization_steps as u64 <= bounds::sync_stabilization_bound(diam));
 //! ```

@@ -7,18 +7,15 @@
 //! for the weaker daemon `d' ≺ d`. The weak daemon captures the executions
 //! speculated to be frequent (for SSME: synchronous ones).
 //!
-//! This module measures *speculation profiles* — the stabilization time as
+//! This module defines *speculation profiles* — the stabilization time as
 //! a function of the daemon, the paper's central conceptual move — and
-//! checks Definition 4's requirements against empirical data and claimed
-//! bound functions.
+//! checks Definition 4's requirements against them and claimed bound
+//! functions. The campaign engine measures the profiles: its
+//! `specstab_campaign::report::to_speculation_profile` projects a
+//! campaign's scenario groups onto a [`SpeculationProfile`].
 
 use crate::ssme::Ssme;
-use specstab_kernel::config::Configuration;
-use specstab_kernel::daemon::{AdversaryMetric, Daemon, DaemonClass};
-use specstab_kernel::measure::{measure_with_early_stop, StabilizationReport};
-use specstab_kernel::observer::ConfigPredicate;
-use specstab_kernel::protocol::Protocol;
-use specstab_topology::Graph;
+use specstab_kernel::daemon::{AdversaryMetric, DaemonClass};
 use specstab_unison::clock::ClockValue;
 use specstab_unison::SpecAu;
 use std::fmt;
@@ -120,56 +117,6 @@ impl SpeculationVerdict {
     }
 }
 
-/// Measures a protocol's stabilization time under each daemon, from the
-/// same set of initial configurations.
-///
-/// `safety`/`legitimacy` are factories so each run gets fresh predicates.
-#[allow(clippy::too_many_arguments)]
-pub fn profile<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    daemons: &mut [Box<dyn Daemon<P::State>>],
-    inits: &[Configuration<P::State>],
-    safety: &dyn Fn() -> ConfigPredicate<P::State>,
-    legitimacy: &dyn Fn() -> ConfigPredicate<P::State>,
-    max_steps: usize,
-    stop_margin: usize,
-) -> SpeculationProfile {
-    let mut entries = Vec::with_capacity(daemons.len());
-    for daemon in daemons.iter_mut() {
-        let mut reports: Vec<StabilizationReport> = Vec::with_capacity(inits.len());
-        for init in inits {
-            reports.push(measure_with_early_stop(
-                graph,
-                protocol,
-                daemon.as_mut(),
-                init.clone(),
-                safety(),
-                legitimacy(),
-                legitimacy(),
-                max_steps,
-                stop_margin,
-            ));
-        }
-        let max = reports.iter().map(|r| r.stabilization_steps).max().unwrap_or(0);
-        let mean = if reports.is_empty() {
-            0.0
-        } else {
-            reports.iter().map(|r| r.stabilization_steps as f64).sum::<f64>() / reports.len() as f64
-        };
-        let converged = reports.iter().filter(|r| r.ended_legitimate).count();
-        entries.push(ProfileEntry {
-            daemon: daemon.name(),
-            class: daemon.class(),
-            runs: reports.len(),
-            max_stabilization: max,
-            mean_stabilization: mean,
-            converged_runs: converged,
-        });
-    }
-    SpeculationProfile { protocol: protocol.name(), graph: format!("{graph}"), entries }
-}
-
 /// Checks Definition 4 against a measured profile:
 ///
 /// * `weak ≺ strong` in the daemon partial order;
@@ -204,78 +151,6 @@ pub fn check_definition4(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds;
-    use crate::spec_me::SpecMe;
-    use crate::ssme::Ssme;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use specstab_kernel::daemon::{
-        CentralDaemon, CentralStrategy, RandomDistributedDaemon, SynchronousDaemon,
-    };
-    use specstab_kernel::protocol::random_configuration;
-    use specstab_kernel::spec::Specification;
-    use specstab_topology::generators;
-    use specstab_topology::metrics::DistanceMatrix;
-    use specstab_unison::analysis;
-
-    #[test]
-    fn ssme_profile_on_small_ring_satisfies_definition4() {
-        let g = generators::ring(6).unwrap();
-        let dm = DistanceMatrix::new(&g);
-        let ssme = Ssme::for_graph(&g).unwrap();
-        let spec = SpecMe::new(ssme.clone());
-        let inits: Vec<_> = (0..6u64)
-            .map(|s| {
-                let mut rng = StdRng::seed_from_u64(s);
-                random_configuration(&g, &ssme, &mut rng)
-            })
-            .collect();
-        let mut daemons: Vec<Box<dyn Daemon<_>>> = vec![
-            Box::new(SynchronousDaemon::new()),
-            Box::new(RandomDistributedDaemon::new(0.5, 7)),
-            Box::new(CentralDaemon::new(CentralStrategy::Random(7))),
-        ];
-        let spec_s = spec.clone();
-        let spec_l = spec.clone();
-        let horizon = bounds::unfair_stabilization_bound(g.n(), dm.diameter());
-        let prof = profile(
-            &g,
-            &ssme,
-            &mut daemons,
-            &inits,
-            &move || {
-                let s = spec_s.clone();
-                Box::new(move |c: &Configuration<_>, g: &Graph| s.is_safe(c, g))
-            },
-            &move || {
-                let l = spec_l.clone();
-                Box::new(move |c: &Configuration<_>, g: &Graph| l.is_legitimate(c, g))
-            },
-            usize::try_from(horizon).unwrap_or(usize::MAX).min(2_000_000),
-            5,
-        );
-        assert_eq!(prof.entries.len(), 3);
-        // Theorem 2 check under sd.
-        let sd = prof.entry_for(DaemonClass::synchronous()).unwrap();
-        assert!(sd.max_stabilization as u64 <= bounds::sync_stabilization_bound(dm.diameter()));
-        assert_eq!(sd.converged_runs, sd.runs);
-        // Definition 4 verdict for (ud, sd).
-        let verdict = check_definition4(
-            &prof,
-            DaemonClass::unfair_distributed(),
-            DaemonClass::synchronous(),
-            bounds::sync_stabilization_bound(dm.diameter()),
-        );
-        assert!(verdict.daemons_ordered);
-        assert!(verdict.stabilizes_under_strong);
-        assert!(verdict.weak_within_claimed_bound);
-        assert!(verdict.holds());
-        // The display renders one line per daemon.
-        let text = prof.to_string();
-        assert!(text.contains("synchronous"));
-        assert!(text.contains("SSME"));
-        let _ = analysis::ssme_sync_gamma1_bound(g.n(), dm.diameter());
-    }
 
     #[test]
     fn verdict_fails_for_unordered_daemons() {

@@ -255,6 +255,16 @@ pub trait ProtocolHarness: Sized {
         parse_daemon_spec(spec, seed)
     }
 
+    /// Whether [`ProtocolHarness::daemon`] resolves `spec`, decided
+    /// without building a harness, so frontends can drop the (protocol,
+    /// daemon) pairs a protocol cannot run before any cell runs. The
+    /// default accepts the kernel zoo ([`parse_daemon_spec`]); harnesses
+    /// that extend [`ProtocolHarness::daemon`] extend this to match.
+    #[must_use]
+    fn accepts_daemon(spec: &str) -> bool {
+        parse_daemon_spec::<HarnessState<Self>>(spec, 0).is_ok()
+    }
+
     /// The theorem bound applicable under the **synchronous** daemon, when
     /// the literature provides one for this protocol.
     #[must_use]

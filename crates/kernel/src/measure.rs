@@ -293,25 +293,11 @@ impl<S, Sp: LocalSpecification<S>> Observer<S> for SpecMonitor<'_, S, Sp> {
     }
 }
 
-/// Parameters for [`measure_stabilization`].
-pub struct MeasureSettings {
-    /// Hard cap on executed steps.
-    pub max_steps: usize,
-}
-
-impl MeasureSettings {
-    /// Settings with a step cap.
-    #[must_use]
-    pub fn new(max_steps: usize) -> Self {
-        Self { max_steps }
-    }
-}
-
 /// The reusable per-run measurement context over closure predicates:
 /// safety + legitimacy monitors and optional early stopping, bundled so
-/// every caller (the `measure_*` helpers here, the experiments, ad-hoc
-/// tools) assembles identical [`StabilizationReport`]s. Moves come from
-/// the run summary.
+/// every caller ([`measure_with_early_stop`], the experiments on
+/// protocols outside the registry, examples) assembles identical
+/// [`StabilizationReport`]s. Moves come from the run summary.
 ///
 /// Each monitor evaluates its predicate on the whole configuration after
 /// every step, so a context is also the full-scan reference for
@@ -400,23 +386,6 @@ impl<S> MeasurementContext<S> {
     }
 }
 
-/// Runs `protocol` from `init` under `daemon`, measuring safety violations
-/// and legitimacy entry. The run uses the full step budget (or stops at a
-/// terminal configuration); use [`measure_with_early_stop`] to cut runs
-/// short once a closed legitimate region is reached.
-pub fn measure_stabilization<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    daemon: &mut dyn Daemon<P::State>,
-    init: Configuration<P::State>,
-    safety: ConfigPredicate<P::State>,
-    legitimacy: ConfigPredicate<P::State>,
-    settings: &MeasureSettings,
-) -> StabilizationReport {
-    let sim = Simulator::new(graph, protocol);
-    MeasurementContext::new(safety, legitimacy).run(&sim, daemon, init, settings.max_steps)
-}
-
 /// Convenience: run once with early stopping once a *closed* legitimacy
 /// predicate has held for `margin + 1` consecutive configurations.
 ///
@@ -479,14 +448,11 @@ mod tests {
         let g = generators::path(6).unwrap();
         let init = Configuration::from_fn(6, |v| if v.index() == 0 { 9 } else { 0 });
         let mut d = SynchronousDaemon::new();
-        let report = measure_stabilization(
-            &g,
-            &MaxProto,
+        let report = MeasurementContext::new(uniform_pred(), uniform_pred()).run(
+            &Simulator::new(&g, &MaxProto),
             &mut d,
             init,
-            uniform_pred(),
-            uniform_pred(),
-            &MeasureSettings::new(100),
+            100,
         );
         assert_eq!(report.stabilization_steps, 5);
         assert_eq!(report.legitimacy_entry, 5);

@@ -106,6 +106,16 @@ impl SsmeHarness {
     }
 }
 
+/// The candidate moves of the greedy adversary an SSME-only daemon spec
+/// names, or `None` for every other spec.
+fn ssme_adversary_moves(spec: &str) -> Option<AdversaryMoves> {
+    match spec {
+        "adversary-central" => Some(AdversaryMoves::Singletons),
+        "adversary-dist" => Some(AdversaryMoves::SingletonsAndAll),
+        _ => None,
+    }
+}
+
 impl ProtocolHarness for SsmeHarness {
     type Protocol = Ssme;
     type Spec = SpecMe;
@@ -158,19 +168,16 @@ impl ProtocolHarness for SsmeHarness {
     /// (`adversary-central`, `adversary-dist`) driven by the Γ1 disorder
     /// metric.
     fn daemon(&self, spec: &str, seed: u64) -> Result<BoxedDaemon<ClockValue>, String> {
-        match spec {
-            "adversary-central" => Ok(Box::new(GreedyAdversary::new(
-                ssme_disorder_metric(&self.ssme),
-                AdversaryMoves::Singletons,
-                seed,
-            ))),
-            "adversary-dist" => Ok(Box::new(GreedyAdversary::new(
-                ssme_disorder_metric(&self.ssme),
-                AdversaryMoves::SingletonsAndAll,
-                seed,
-            ))),
-            other => parse_daemon_spec(other, seed),
+        match ssme_adversary_moves(spec) {
+            Some(moves) => {
+                Ok(Box::new(GreedyAdversary::new(ssme_disorder_metric(&self.ssme), moves, seed)))
+            }
+            None => parse_daemon_spec(spec, seed),
         }
+    }
+
+    fn accepts_daemon(spec: &str) -> bool {
+        ssme_adversary_moves(spec).is_some() || parse_daemon_spec::<ClockValue>(spec, 0).is_ok()
     }
 
     /// Theorem 2: `⌈diam/2⌉` synchronous stabilization steps.

@@ -189,6 +189,27 @@ pub fn check_graph(name: &str, graph: &Graph) -> Result<Result<(), HarnessError>
     resolve(name, GraphCheck(graph))
 }
 
+struct DaemonCheck<'a>(&'a str);
+
+impl HarnessVisitor for DaemonCheck<'_> {
+    type Output = bool;
+    fn visit<H: ProtocolHarness + 'static>(self, _info: &'static ProtocolInfo) -> bool {
+        H::accepts_daemon(self.0)
+    }
+}
+
+/// Whether the named protocol resolves the daemon spec `spec`, asked of
+/// the harness's [`ProtocolHarness::accepts_daemon`]: no harness is
+/// built. Frontends use it to skip the protocol-specific daemons (ssme's
+/// greedy adversaries) on the other protocols of a matrix.
+///
+/// # Errors
+///
+/// The unknown-protocol message.
+pub fn accepts_daemon(name: &str, spec: &str) -> Result<bool, String> {
+    resolve(name, DaemonCheck(spec))
+}
+
 /// [`check_graph`] under the signature of callers that resolve the
 /// diameter first. `diam` is unused: compatibility is structural.
 ///
@@ -313,6 +334,55 @@ mod tests {
         }
         // The Dijkstra harnesses reject most of the spread.
         assert!(rejected > 40, "{rejected}");
+    }
+
+    /// A harness's daemon verdict next to what its built `daemon` does.
+    struct AcceptAndResolve<'a> {
+        graph: &'a Graph,
+        spec: &'a str,
+    }
+
+    impl HarnessVisitor for AcceptAndResolve<'_> {
+        type Output = (bool, bool);
+        fn visit<H: ProtocolHarness + 'static>(self, _info: &'static ProtocolInfo) -> Self::Output {
+            let diam = specstab_topology::metrics::diameter(self.graph);
+            let h = H::build(self.graph, diam).expect("a compatible graph");
+            (H::accepts_daemon(self.spec), h.daemon(self.spec, 7).is_ok())
+        }
+    }
+
+    #[test]
+    fn accepts_daemon_agrees_with_daemon_on_every_protocol() {
+        let graphs = [generators::ring(8).unwrap(), generators::path(8).unwrap()];
+        let specs = [
+            "sync",
+            "central-rr",
+            "central-rand",
+            "central-min",
+            "central-max",
+            "central-oldest",
+            "dist:0.5",
+            "dist:1.5",
+            "kbounded:2",
+            "kbounded:2:0.3",
+            "kbounded:x",
+            "adversary-central",
+            "adversary-dist",
+            "adversary-",
+            "warp-drive",
+        ];
+        for p in PROTOCOLS {
+            let graph = graphs.iter().find(|g| check_graph(p.name, g).unwrap().is_ok()).unwrap();
+            for spec in specs {
+                let (accepts, resolves) =
+                    resolve(p.name, AcceptAndResolve { graph, spec }).unwrap();
+                assert_eq!(accepts, resolves, "{} with {spec}", p.name);
+                assert_eq!(accepts_daemon(p.name, spec), Ok(accepts), "{} with {spec}", p.name);
+            }
+        }
+        assert_eq!(accepts_daemon("ssme", "adversary-dist"), Ok(true));
+        assert_eq!(accepts_daemon("bfs", "adversary-dist"), Ok(false));
+        assert!(accepts_daemon("warp", "sync").is_err());
     }
 
     #[test]

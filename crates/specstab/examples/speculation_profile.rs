@@ -2,8 +2,8 @@
 //!
 //! The paper's central conceptual move (Definition 4) is to read the
 //! stabilization time not as one number but as a *function of the
-//! adversary*. This example profiles SSME on a ring under three daemons
-//! and prints the Definition 4 verdict: SSME is
+//! adversary*. This example samples SSME on a ring under four daemons on
+//! the campaign engine and prints the Definition 4 verdict: SSME is
 //! `(ud, sd, diam·n³, ⌈diam/2⌉)`-speculatively stabilizing.
 //!
 //! Run with: `cargo run --release --example speculation_profile`
@@ -11,46 +11,23 @@
 use specstab::prelude::*;
 
 fn main() {
-    let n = 12;
-    let g = generators::ring(n).expect("valid ring");
-    let dm = DistanceMatrix::new(&g);
-    let ssme = Ssme::for_graph(&g).expect("nonempty graph");
-    let spec = SpecMe::new(ssme.clone());
-
-    // The same arbitrary initial configurations for every daemon.
-    let inits: Vec<Configuration<ClockValue>> = (0..12u64)
-        .map(|s| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(s);
-            random_configuration(&g, &ssme, &mut rng)
-        })
-        .collect();
-
-    let mut daemons: Vec<Box<dyn Daemon<ClockValue>>> = vec![
-        Box::new(SynchronousDaemon::new()),
-        Box::new(RandomDistributedDaemon::new(0.5, 7)),
-        Box::new(CentralDaemon::new(CentralStrategy::Random(7))),
-        Box::new(CentralDaemon::new(CentralStrategy::RoundRobin)),
-    ];
-    let (s, l) = (spec.clone(), spec);
-    let prof = profile(
-        &g,
-        &ssme,
-        &mut daemons,
-        &inits,
-        &move || {
-            let s = s.clone();
-            Box::new(move |c: &_, g: &_| s.is_safe(c, g))
-        },
-        &move || {
-            let l = l.clone();
-            Box::new(move |c: &_, g: &_| l.is_legitimate(c, g))
-        },
-        2_000_000,
-        3,
+    let ring = "ring:12";
+    // The same 12 seeds, hence the same arbitrary initial configurations,
+    // under every daemon.
+    let result = run_campaign(
+        &ScenarioMatrix::builder()
+            .topologies([ring])
+            .protocols(["ssme"])
+            .daemons(["sync", "dist:0.5", "central-rand", "central-rr"])
+            .fault_bursts([0])
+            .seeds(0..12)
+            .build(),
+        &CampaignConfig::default(),
     );
+    let prof = to_speculation_profile(&result, ring, "ssme", InitMode::Burst(0));
     println!("{prof}");
 
-    let bound = bounds::sync_stabilization_bound(dm.diameter());
+    let bound = bounds::sync_stabilization_bound(result.groups[0].diam);
     let verdict = check_definition4(
         &prof,
         DaemonClass::unfair_distributed(),

@@ -37,17 +37,15 @@
 //! let init = random_configuration(&g, &ssme, &mut rng);
 //! let mut daemon = SynchronousDaemon::new();
 //! let (s, l) = (spec.clone(), spec.clone());
-//! let report = measure_stabilization(
-//!     &g, &ssme, &mut daemon, init,
+//! let report = MeasurementContext::new(
 //!     Box::new(move |c, g| s.is_safe(c, g)),
 //!     Box::new(move |c, g| l.is_legitimate(c, g)),
-//!     &MeasureSettings::new(500),
-//! );
+//! )
+//! .run(&Simulator::new(&g, &ssme), &mut daemon, init, 500);
 //! assert!(report.stabilization_steps as u64 <= bounds::sync_stabilization_bound(diam));
 //! ```
 //!
-//! See `examples/` for runnable walk-throughs and DESIGN.md for the
-//! paper-to-code map.
+//! See `examples/` for runnable walk-throughs.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -71,7 +69,7 @@ pub mod prelude {
     pub use specstab_core::bounds;
     pub use specstab_core::lower_bound::{theorem4_witness, verify_witness};
     pub use specstab_core::spec_me::{starved_vertices, CsCounter, SpecMe};
-    pub use specstab_core::speculation::{check_definition4, profile, SpeculationProfile};
+    pub use specstab_core::speculation::{check_definition4, SpeculationProfile};
     pub use specstab_core::ssme::{IdAssignment, Ssme};
     pub use specstab_kernel::config::Configuration;
     pub use specstab_kernel::daemon::{
@@ -82,10 +80,7 @@ pub mod prelude {
     pub use specstab_kernel::engine::{RunLimits, RunSummary, Simulator, StepScratch, StopReason};
     pub use specstab_kernel::fault::{inject_faults, inject_faults_in_place};
     pub use specstab_kernel::harness::{BoundMetric, HarnessError, ProtocolHarness, TheoremBound};
-    pub use specstab_kernel::measure::{
-        measure_stabilization, measure_with_early_stop, MeasureSettings, MeasurementContext,
-        SpecMonitor,
-    };
+    pub use specstab_kernel::measure::{measure_with_early_stop, MeasurementContext, SpecMonitor};
     pub use specstab_kernel::observer::{
         ConfigTrace, LegitimacyMonitor, MoveCounter, Observer, SafetyMonitor, TraceRecorder,
     };

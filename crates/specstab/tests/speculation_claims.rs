@@ -3,46 +3,31 @@
 
 use specstab::prelude::*;
 
-fn ssme_profile(n: usize, runs: usize) -> (SpeculationProfile, u32) {
-    let g = generators::ring(n).expect("valid ring");
-    let dm = DistanceMatrix::new(&g);
-    let ssme = Ssme::for_graph(&g).expect("nonempty");
-    let spec = SpecMe::new(ssme.clone());
-    let inits: Vec<Configuration<ClockValue>> = (0..runs as u64)
-        .map(|s| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(s);
-            random_configuration(&g, &ssme, &mut rng)
-        })
-        .collect();
-    let mut daemons: Vec<Box<dyn Daemon<ClockValue>>> = vec![
-        Box::new(SynchronousDaemon::new()),
-        Box::new(RandomDistributedDaemon::new(0.5, 11)),
-        Box::new(CentralDaemon::new(CentralStrategy::Random(11))),
-    ];
-    let (s, l) = (spec.clone(), spec);
-    let prof = profile(
-        &g,
-        &ssme,
-        &mut daemons,
-        &inits,
-        &move || {
-            let s = s.clone();
-            Box::new(move |c: &_, g: &_| s.is_safe(c, g))
-        },
-        &move || {
-            let l = l.clone();
-            Box::new(move |c: &_, g: &_| l.is_legitimate(c, g))
-        },
-        2_000_000,
-        3,
+/// The speculation profile of `protocol` on `ring:n` under the synchronous,
+/// a random distributed and the random central daemon, each from 8 random
+/// full bursts on the campaign engine, and the ring's diameter.
+fn ring_profile(protocol: &str, n: usize) -> (SpeculationProfile, u32) {
+    let ring = format!("ring:{n}");
+    let result = run_campaign(
+        &ScenarioMatrix::builder()
+            .topologies([ring.clone()])
+            .protocols([protocol])
+            .daemons(["sync", "dist:0.5", "central-rand"])
+            .fault_bursts([0])
+            .seeds(0..8)
+            .build(),
+        &CampaignConfig::default(),
     );
-    (prof, dm.diameter())
+    assert_eq!(result.total_errors(), 0, "{protocol} on {ring}");
+    (to_speculation_profile(&result, &ring, protocol, InitMode::Burst(0)), result.groups[0].diam)
 }
 
 #[test]
 fn ssme_satisfies_definition4_on_rings() {
     for n in [6usize, 9, 12] {
-        let (prof, diam) = ssme_profile(n, 8);
+        let (prof, diam) = ring_profile("ssme", n);
+        // The display renders a header and one line per daemon.
+        assert_eq!(prof.to_string().lines().count(), 4, "{prof}");
         let verdict = check_definition4(
             &prof,
             DaemonClass::unfair_distributed(),
@@ -58,37 +43,7 @@ fn dijkstra_satisfies_definition4_on_rings() {
     // Section 3: Dijkstra's protocol is (ud, sd, n², n)-speculatively
     // stabilizing — verify the empirical side with the exact 2n−3 sd law.
     for n in [6usize, 10] {
-        let g = generators::ring(n).expect("valid ring");
-        let p = DijkstraRing::new(&g, n as u64).expect("K = n");
-        let spec = DijkstraSpec::new(p.clone());
-        let inits: Vec<Configuration<u64>> = (0..8u64)
-            .map(|s| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(s);
-                random_configuration(&g, &p, &mut rng)
-            })
-            .collect();
-        let mut daemons: Vec<Box<dyn Daemon<u64>>> = vec![
-            Box::new(SynchronousDaemon::new()),
-            Box::new(RandomDistributedDaemon::new(0.5, 13)),
-            Box::new(CentralDaemon::new(CentralStrategy::Random(13))),
-        ];
-        let (s, l) = (spec.clone(), spec);
-        let prof = profile(
-            &g,
-            &p,
-            &mut daemons,
-            &inits,
-            &move || {
-                let s = s.clone();
-                Box::new(move |c: &_, g: &_| s.is_safe(c, g))
-            },
-            &move || {
-                let l = l.clone();
-                Box::new(move |c: &_, g: &_| l.is_legitimate(c, g))
-            },
-            1_000_000,
-            3,
-        );
+        let (prof, _) = ring_profile("dijkstra", n);
         let verdict = check_definition4(
             &prof,
             DaemonClass::unfair_distributed(),
@@ -128,7 +83,7 @@ fn daemon_partial_order_drives_stabilization_monotonicity() {
     // conv_time(π, d') ≤ conv_time(π, d) when d' ⪯ d: the synchronous
     // entry never exceeds the sampled distributed worst case by more than
     // the sampling noise — here we check the ordering of the *bounds*.
-    let (prof, diam) = ssme_profile(10, 8);
+    let (prof, diam) = ring_profile("ssme", 10);
     let sd = prof.entry_for(DaemonClass::synchronous()).expect("measured");
     assert!(
         (sd.max_stabilization as u64) <= bounds::sync_stabilization_bound(diam),

@@ -20,7 +20,8 @@
 //!
 //! ```
 //! use specstab_kernel::daemon::SynchronousDaemon;
-//! use specstab_kernel::measure::{measure_stabilization, MeasureSettings};
+//! use specstab_kernel::engine::Simulator;
+//! use specstab_kernel::measure::MeasurementContext;
 //! use specstab_kernel::protocol::random_configuration;
 //! use specstab_kernel::spec::Specification;
 //! use specstab_topology::generators;
@@ -36,12 +37,11 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let init = random_configuration(&g, &unison, &mut rng);
 //! let mut daemon = SynchronousDaemon::new();
-//! let report = measure_stabilization(
-//!     &g, &unison, &mut daemon, init,
+//! let report = MeasurementContext::new(
 //!     Box::new(move |c, g| spec.is_safe(c, g)),
 //!     Box::new(move |c, g| spec.is_legitimate(c, g)),
-//!     &MeasureSettings::new(200),
-//! );
+//! )
+//! .run(&Simulator::new(&g, &unison), &mut daemon, init, 200);
 //! assert!(report.ended_legitimate);
 //! ```
 #![forbid(unsafe_code)]
