@@ -2,51 +2,7 @@
 //!
 //! The reproduction is not expected to match the paper's absolute
 //! constants, but the *shape* (who wins, what order of growth) must hold.
-//! [`ratio_stats`] summarizes `measured / claimed` across a sweep: a shape
-//! matches when the ratio stays within a bounded band (no systematic drift
-//! to 0 or ∞).
-
-/// Summary of a measured/claimed ratio series.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RatioStats {
-    /// Minimum ratio.
-    pub min: f64,
-    /// Maximum ratio.
-    pub max: f64,
-    /// Geometric mean of the ratios.
-    pub geo_mean: f64,
-    /// `max / min`: the drift factor across the sweep (≈1 for a perfect
-    /// shape match; bounded for a Θ-match).
-    pub drift: f64,
-}
-
-/// Computes ratio statistics of `measured[i] / claimed[i]`.
-///
-/// # Panics
-///
-/// Panics if the series differ in length, are empty, or contain
-/// non-positive claimed values.
-#[must_use]
-pub fn ratio_stats(measured: &[f64], claimed: &[f64]) -> RatioStats {
-    assert_eq!(measured.len(), claimed.len(), "series length mismatch");
-    assert!(!measured.is_empty(), "empty series");
-    let ratios: Vec<f64> = measured
-        .iter()
-        .zip(claimed)
-        .map(|(&m, &c)| {
-            assert!(c > 0.0, "claimed values must be positive");
-            m / c
-        })
-        .collect();
-    let min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = ratios.iter().copied().fold(0.0f64, f64::max);
-    let geo_mean = if ratios.iter().any(|&r| r <= 0.0) {
-        0.0
-    } else {
-        (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
-    };
-    RatioStats { min, max, geo_mean, drift: if min > 0.0 { max / min } else { f64::INFINITY } }
-}
+//! [`power_fit`] reports the measured growth order of a sweep.
 
 /// Least-squares exponent fit: assuming `y ≈ a · x^b`, returns `(a, b)`
 /// from a log-log regression. Useful for reporting the measured growth
@@ -78,24 +34,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn perfect_shape_has_unit_drift() {
-        let measured = [2.0, 4.0, 8.0];
-        let claimed = [1.0, 2.0, 4.0];
-        let s = ratio_stats(&measured, &claimed);
-        assert!((s.geo_mean - 2.0).abs() < 1e-9);
-        assert!((s.drift - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn drift_detects_shape_mismatch() {
-        // Measured grows quadratically against a linear claim.
-        let measured = [1.0, 4.0, 16.0, 64.0];
-        let claimed = [1.0, 2.0, 4.0, 8.0];
-        let s = ratio_stats(&measured, &claimed);
-        assert!(s.drift > 7.0);
-    }
-
-    #[test]
     fn power_fit_recovers_exponent() {
         let xs = [4.0, 8.0, 16.0, 32.0];
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x * x).collect();
@@ -115,6 +53,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_series_rejected() {
-        let _ = ratio_stats(&[1.0], &[1.0, 2.0]);
+        let _ = power_fit(&[1.0], &[1.0, 2.0]);
     }
 }

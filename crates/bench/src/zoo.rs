@@ -1,29 +1,19 @@
 //! The topology zoo used by the experiments.
 
-use specstab_topology::{generators, Graph};
+use specstab_topology::spec::parse_spec;
+use specstab_topology::Graph;
 
-/// The standard experiment zoo: one representative per structural family.
+/// The standard experiment zoo: one representative per structural family,
+/// the graphs of [`standard_specs`].
 ///
 /// `scale` stretches instance sizes (1 = the quick sizes used in tests).
 #[must_use]
 pub fn standard(scale: usize) -> Vec<Graph> {
-    let s = scale.max(1);
-    vec![
-        generators::ring(6 * s).expect("valid ring"),
-        generators::ring(6 * s + 1).expect("valid ring"),
-        generators::path(6 * s).expect("valid path"),
-        generators::star(4 * s + 1).expect("valid star"),
-        generators::grid(3, 2 * s + 1).expect("valid grid"),
-        generators::torus(3, s + 3).expect("valid torus"),
-        generators::complete(s + 4).expect("valid complete"),
-        generators::binary_tree(4 * s + 3).expect("valid tree"),
-        generators::petersen(),
-        generators::erdos_renyi_connected(5 * s + 5, 0.25, 42).expect("valid random graph"),
-    ]
+    standard_specs(scale).iter().map(|spec| parse_spec(spec).expect("valid zoo spec")).collect()
 }
 
-/// The standard zoo as campaign topology specs (same instances as
-/// [`standard`], in the `specstab_topology::spec` grammar).
+/// The standard zoo as campaign topology specs, in the
+/// `specstab_topology::spec` grammar.
 #[must_use]
 pub fn standard_specs(scale: usize) -> Vec<String> {
     let s = scale.max(1);
@@ -39,18 +29,6 @@ pub fn standard_specs(scale: usize) -> Vec<String> {
         "petersen".to_string(),
         format!("er:{}:0.25", 5 * s + 5),
     ]
-}
-
-/// Ring sweep for scaling experiments.
-#[must_use]
-pub fn ring_sweep(sizes: &[usize]) -> Vec<Graph> {
-    sizes.iter().map(|&n| generators::ring(n).expect("ring size >= 3")).collect()
-}
-
-/// Path sweep (maximal diameter per vertex count).
-#[must_use]
-pub fn path_sweep(sizes: &[usize]) -> Vec<Graph> {
-    sizes.iter().map(|&n| generators::path(n).expect("path size >= 1")).collect()
 }
 
 #[cfg(test)]
@@ -69,13 +47,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), zoo.len());
-    }
-
-    #[test]
-    fn sweeps_produce_requested_sizes() {
-        let rings = ring_sweep(&[4, 8, 12]);
-        assert_eq!(rings.iter().map(Graph::n).collect::<Vec<_>>(), vec![4, 8, 12]);
-        let paths = path_sweep(&[5, 9]);
-        assert_eq!(paths.iter().map(Graph::n).collect::<Vec<_>>(), vec![5, 9]);
     }
 }

@@ -32,17 +32,15 @@
 //! `--protocols all` sweeps exactly the runnable grid.
 
 use specstab_campaign::artifact::{to_csv, to_json, write_atomic, PartialArtifact};
-use specstab_campaign::executor::{
-    run_campaign_with_progress, set_batching_enabled, CampaignConfig, CampaignResult,
-};
+use specstab_campaign::executor::{run_campaign_with_progress, CampaignConfig, CampaignResult};
 use specstab_campaign::matrix::{Cell, InitMode, ScenarioMatrix};
 use specstab_campaign::merge::MergeAccumulator;
 use specstab_campaign::plan::{group_boundaries, CampaignPlan};
-use specstab_campaign::report::speculation_profile_table;
+use specstab_campaign::report::{render_table, speculation_profile_table};
 use specstab_campaign::serve::http::{request, CoordinatorUrl};
 use specstab_campaign::serve::{run_worker, Coordinator, ServeOptions, WorkOptions};
 use specstab_campaign::shard::{execute_shard, execute_shard_traced};
-use specstab_campaign::trace::emit_result_events;
+use specstab_campaign::trace::{campaign_start, emit_result_events, plan_events};
 use specstab_protocols::registry;
 use specstab_telemetry::{
     metrics_from_events, parse_ndjson, EventKind, Heartbeat, ParseTally, TraceWriter,
@@ -52,40 +50,49 @@ use specstab_topology::Graph;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
+use std::str::FromStr;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
+
+// Matrix defaults of `run` and `plan`. The large instances sweep at >1e7
+// moves/s on the CSR topology and stamp-based step loop, so
+// thousand-vertex cells are part of the default grid.
+const DEFAULT_TOPOLOGIES: &str = "ring:12,torus:3x4,tree:12,path:12,ring:1024,torus:32x32";
+const DEFAULT_PROTOCOLS: &str = "ssme";
+const DEFAULT_DAEMONS: &str = "sync,central-rand,dist:0.5";
+const DEFAULT_FAULTS: &str = "0,2,witness";
+const DEFAULT_SEEDS: u64 = 12;
 
 fn usage() -> ! {
     eprintln!(
         "usage: campaign [run|plan|shard|merge|serve|work] [options]\n\
          \n\
          campaign [run] [--topologies <spec,..>] [--protocols <name,..|all>] \
-         [--daemons <spec,..>] [--faults <k|witness,..>] [--seeds <count>] [--threads <n>] \
-         [--workers <n>] [--max-steps <n>] [--seed <base>] [--batch on|off] [--json <path>] \
+         [--daemons <spec,..>] [--faults <k|witness,..>] [--seeds <count>] [--max-steps <n>] \
+         [--seed <base>] [--threads <n>] [--workers <n>] [--shards <n>] [--json <path>] \
          [--csv <path>] [--trace <path>] [--metrics <path>] [--cells-in-json] \
          [--list-protocols]\n\
-         campaign plan  [matrix options as above] --shards <n> [--out <path>]\n\
-         campaign shard --plan <path> --shard <id> [--threads <n>] [--batch on|off] \
-         [--out <path>] [--trace <path>]\n\
+         campaign plan  [--topologies .. --seed <base> as above] [--shards <n>] [--out <path>] \
+         [--trace <path>] [--list-protocols]\n\
+         campaign shard --plan <path> --shard <id> [--threads <n>] [--out <path>] \
+         [--trace <path>]\n\
          campaign merge [--json <path>] [--csv <path>] [--cells-in-json] [--trace <path>] \
          <partial.json>..\n\
          campaign serve --plan <path> [--listen <addr>] [--spool <dir>] [--lease-ms <n>] \
          [--stop-after-uploads <n>] [--json <path>] [--csv <path>] [--cells-in-json] \
          [--trace <path>] [--metrics <path>]\n\
          campaign work  --coordinator <http://host:port> [--worker-id <id>] [--threads <n>] \
-         [--batch on|off] [--lease-only]\n\
+         [--lease-only]\n\
          \n\
-         run --workers N serves the plan from a coordinator on a loopback port to N local\n\
-         campaign work processes (--threads then sets threads PER WORKER, default 1) --\n\
-         the same lease/upload/spool transport as serve; artifacts are byte-identical to\n\
-         the in-process run (--workers 0).\n\
+         run --workers N serves the plan (--shards of it, default 4 per worker) from a\n\
+         coordinator on a loopback port to N local campaign work processes (--threads then\n\
+         sets threads PER WORKER, default 1) -- the same lease/upload/spool transport as\n\
+         serve; artifacts are byte-identical to the in-process run (--workers 0).\n\
          \n\
-         --batch toggles the lane-packed batched group engine (default on; forwarded to\n\
-         run's worker processes). Sync and dist:<p> groups of packed protocols route\n\
-         through it at every size; dist lanes step per-lane RNG streams that replay the\n\
+         Sync and dist:<p> groups of packed protocols run on the lane-packed batched\n\
+         engine at every size; dist lanes step per-lane RNG streams that replay the\n\
          scalar seeds exactly. Every other daemon, central-rr and central-rand included,\n\
-         runs on the scalar engine. Batched and scalar execution produce byte-identical\n\
-         artifacts — off exists for A/B timing and differential testing.\n\
+         runs on the scalar engine. Both engines produce byte-identical artifacts.\n\
          \n\
          serve coordinates a plan over HTTP: pull-workers (campaign work) lease shards,\n\
          execute, and upload partials; expired leases are re-dispatched; every accepted\n\
@@ -100,9 +107,9 @@ fn usage() -> ! {
          specstab-metrics/v1 runtime sidecar. Both are pure observability: JSON/CSV\n\
          artifacts stay byte-identical with tracing on.\n\
          \n\
-         defaults: topologies ring:12,torus:3x4,tree:12,path:12,ring:1024,torus:32x32  \n\
-         \x20         protocols ssme  \n\
-         \x20         daemons sync,central-rand,dist:0.5  faults 0,2,witness  seeds 12\n\
+         defaults: topologies {DEFAULT_TOPOLOGIES}  \n\
+         \x20         protocols {DEFAULT_PROTOCOLS}  \n\
+         \x20         daemons {DEFAULT_DAEMONS}  faults {DEFAULT_FAULTS}  seeds {DEFAULT_SEEDS}\n\
          protocols:      {} | all  (see --list-protocols)\n\
          topology specs: {}\n\
          daemon specs:   sync | central-rr | central-rand | central-min | central-max \
@@ -114,154 +121,178 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// One subcommand: its name, the arguments it accepts and its body.
+/// [`parse_flags`] walks `argv` against the two flag lists (each
+/// whitespace-separated); any other argument is a usage error.
+struct Subcommand {
+    name: &'static str,
+    /// Flags that take the next argument as their value.
+    values: &'static str,
+    /// Flags that take no value.
+    switches: &'static str,
+    /// Whether bare arguments are accepted (merge's partial artifacts).
+    positional: bool,
+    body: fn(&Flags) -> !,
+}
+
+/// The six subcommands; bare flags run the first.
+const SUBCOMMANDS: [Subcommand; 6] = [
+    Subcommand {
+        name: "run",
+        values: "--topologies --protocols --daemons --faults --seeds --max-steps --seed \
+                 --threads --workers --shards --json --csv --trace --metrics",
+        switches: "--cells-in-json --list-protocols",
+        positional: false,
+        body: cmd_run,
+    },
+    Subcommand {
+        name: "plan",
+        values: "--topologies --protocols --daemons --faults --seeds --max-steps --seed \
+                 --shards --out --trace",
+        switches: "--list-protocols",
+        positional: false,
+        body: cmd_plan,
+    },
+    Subcommand {
+        name: "shard",
+        values: "--plan --shard --threads --out --trace",
+        switches: "",
+        positional: false,
+        body: cmd_shard,
+    },
+    Subcommand {
+        name: "merge",
+        values: "--json --csv --trace",
+        switches: "--cells-in-json",
+        positional: true,
+        body: cmd_merge,
+    },
+    Subcommand {
+        name: "serve",
+        values: "--plan --listen --spool --lease-ms --stop-after-uploads --json --csv --trace \
+                 --metrics",
+        switches: "--cells-in-json",
+        positional: false,
+        body: cmd_serve,
+    },
+    Subcommand {
+        name: "work",
+        values: "--coordinator --worker-id --threads",
+        switches: "--lease-only",
+        positional: false,
+        body: cmd_work,
+    },
+];
+
+/// The arguments of one invocation, as [`parse_flags`] read them.
+#[derive(Default)]
+struct Flags {
+    values: HashMap<&'static str, String>,
+    switches: HashSet<&'static str>,
+    positional: Vec<String>,
+}
+
+impl Flags {
+    /// The value of `flag`, if given (the last occurrence wins).
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.values.get(flag).map(String::as_str)
+    }
+
+    /// The value of `flag` as a number; an unparsable one is a usage error.
+    fn num<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.get(flag).map(|v| v.parse().unwrap_or_else(|_| usage()))
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(switch)
+    }
+}
+
+/// The one walk over `argv`: each argument must be one of `cmd`'s flags
+/// (a valued flag followed by its value) or, where `cmd` takes them, a
+/// bare argument. Also enforces the one rule between flags: `--metrics`
+/// needs `--trace`, the stream the sidecar is distilled from.
+fn parse_flags(cmd: &Subcommand, argv: &[String]) -> Flags {
+    let find = |list: &'static str, arg: &str| list.split_whitespace().find(|f| *f == arg);
+    let mut flags = Flags::default();
+    let mut args = argv.iter();
+    while let Some(arg) = args.next() {
+        if let Some(flag) = find(cmd.values, arg) {
+            let Some(value) = args.next() else { usage() };
+            flags.values.insert(flag, value.clone());
+        } else if let Some(switch) = find(cmd.switches, arg) {
+            flags.switches.insert(switch);
+        } else if cmd.positional && !arg.starts_with("--") {
+            flags.positional.push(arg.clone());
+        } else {
+            usage();
+        }
+    }
+    if flags.get("--metrics").is_some() && flags.get("--trace").is_none() {
+        fail("--metrics requires --trace (the sidecar is distilled from the event stream)");
+    }
+    flags
+}
+
 /// Renders the protocol registry (the `--list-protocols` output).
 fn registry_table() -> String {
-    let mut out = String::from("registered protocols:\n");
-    let rows: Vec<[String; 6]> = registry::PROTOCOLS
+    let yes = |on: bool| if on { "yes" } else { "-" }.to_string();
+    let rows: Vec<Vec<String>> = registry::PROTOCOLS
         .iter()
         .map(|p| {
-            [
+            vec![
                 p.name.to_string(),
                 p.states.to_string(),
                 p.topology.to_string(),
-                if p.has_witness { "yes".into() } else { "-".into() },
-                if p.batched { "yes".into() } else { "-".into() },
+                yes(p.has_witness),
+                yes(p.batched),
                 p.summary.to_string(),
             ]
         })
         .collect();
     let headers = ["name", "states", "topology", "witness", "batched", "summary"];
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in &rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.chars().count());
-        }
-    }
-    let mut line = |cells: &[String]| {
-        let mut s = String::from("  ");
-        for (i, cell) in cells.iter().enumerate() {
-            if i > 0 {
-                s.push_str("  ");
-            }
-            s.push_str(cell);
-            s.extend(std::iter::repeat_n(' ', widths[i] - cell.chars().count()));
-        }
-        out.push_str(s.trim_end());
-        out.push('\n');
-    };
-    line(&headers.iter().map(|h| (*h).to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in &rows {
-        line(row.as_ref());
-    }
-    out
+    render_table("registered protocols", &headers, &rows)
 }
 
+/// The matrix and campaign parameters `run` and `plan` share.
 struct Args {
     topologies: Vec<String>,
     protocols: Vec<String>,
     daemons: Vec<String>,
     faults: Vec<InitMode>,
     seeds: u64,
-    threads: usize,
-    workers: usize,
+    /// `--shards`; 0 picks the subcommand's default.
     shards: usize,
-    max_steps: usize,
-    seed: u64,
-    json: Option<String>,
-    csv: Option<String>,
-    out: Option<String>,
-    trace: Option<String>,
-    metrics: Option<String>,
-    cells_in_json: bool,
-    batch: bool,
+    config: CampaignConfig,
 }
 
-/// Parses a `--batch` value (`on`/`off`).
-fn parse_batch(val: &str) -> bool {
-    match val {
-        "on" => true,
-        "off" => false,
-        _ => usage(),
+/// Reads the matrix options, answering `--list-protocols` first.
+fn matrix_args(flags: &Flags) -> Args {
+    if flags.has("--list-protocols") {
+        print!("{}", registry_table());
+        std::process::exit(0);
     }
-}
-
-fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args {
-        topologies: vec![
-            "ring:12".into(),
-            "torus:3x4".into(),
-            "tree:12".into(),
-            "path:12".into(),
-            // Large instances: with the CSR topology + stamp-based step
-            // loop these sweep at >1e7 moves/s, so thousand-vertex cells
-            // are part of the default grid rather than a special request.
-            "ring:1024".into(),
-            "torus:32x32".into(),
-        ],
-        protocols: vec!["ssme".into()],
-        daemons: vec!["sync".into(), "central-rand".into(), "dist:0.5".into()],
-        faults: vec![InitMode::Burst(0), InitMode::Burst(2), InitMode::Witness],
-        seeds: 12,
-        threads: 0,
-        workers: 0,
-        shards: 0,
-        max_steps: 2_000_000,
-        seed: 0xC0FFEE,
-        json: None,
-        csv: None,
-        out: None,
-        trace: None,
-        metrics: None,
-        cells_in_json: false,
-        batch: true,
+    let list = |flag: &str, default: &'static str| split_list(flags.get(flag).unwrap_or(default));
+    let protocols = flags.get("--protocols").unwrap_or(DEFAULT_PROTOCOLS);
+    let defaults = CampaignConfig::default();
+    let args = Args {
+        topologies: list("--topologies", DEFAULT_TOPOLOGIES),
+        protocols: registry::parse_protocol_list(protocols).unwrap_or_else(|e| fail(&e)),
+        daemons: list("--daemons", DEFAULT_DAEMONS),
+        faults: list("--faults", DEFAULT_FAULTS)
+            .iter()
+            .map(|f| InitMode::parse(f).unwrap_or_else(|e| fail(&e)))
+            .collect(),
+        seeds: flags.num("--seeds").unwrap_or(DEFAULT_SEEDS),
+        shards: flags.num("--shards").unwrap_or(0),
+        config: CampaignConfig {
+            threads: flags.num("--threads").unwrap_or(defaults.threads),
+            max_steps: flags.num("--max-steps").unwrap_or(defaults.max_steps),
+            seed: flags.num("--seed").unwrap_or(defaults.seed),
+            ..defaults
+        },
     };
-    let mut i = 0;
-    while i < argv.len() {
-        let key = argv[i].as_str();
-        if key == "--help" || key == "-h" {
-            usage();
-        }
-        if key == "--list-protocols" {
-            print!("{}", registry_table());
-            std::process::exit(0);
-        }
-        if key == "--cells-in-json" {
-            args.cells_in_json = true;
-            i += 1;
-            continue;
-        }
-        let Some(val) = argv.get(i + 1).cloned() else { usage() };
-        match key {
-            "--topologies" => args.topologies = split_list(&val),
-            "--protocols" => {
-                args.protocols = registry::parse_protocol_list(&val).unwrap_or_else(|e| fail(&e));
-            }
-            "--daemons" => args.daemons = split_list(&val),
-            "--faults" => {
-                args.faults = split_list(&val)
-                    .iter()
-                    .map(|f| InitMode::parse(f).unwrap_or_else(|e| fail(&e)))
-                    .collect();
-            }
-            "--seeds" => args.seeds = val.parse().unwrap_or_else(|_| usage()),
-            "--threads" => args.threads = val.parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.workers = val.parse().unwrap_or_else(|_| usage()),
-            "--shards" => args.shards = val.parse().unwrap_or_else(|_| usage()),
-            "--max-steps" => args.max_steps = val.parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val.parse().unwrap_or_else(|_| usage()),
-            "--batch" => args.batch = parse_batch(&val),
-            "--json" => args.json = Some(val),
-            "--csv" => args.csv = Some(val),
-            "--out" => args.out = Some(val),
-            "--trace" => args.trace = Some(val),
-            "--metrics" => args.metrics = Some(val),
-            _ => usage(),
-        }
-        i += 2;
-    }
     if args.topologies.is_empty()
-        || args.protocols.is_empty()
         || args.daemons.is_empty()
         || args.faults.is_empty()
         || args.seeds == 0
@@ -280,10 +311,18 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// Reads and parses a `--plan` file.
+fn load_plan(path: &str) -> CampaignPlan {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
+    CampaignPlan::from_json(&text).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")))
+}
+
 /// Opens the `--trace` event stream when one was requested; every
 /// subcommand funnels through here so streams carry a consistent header.
-fn open_trace(path: Option<&str>, shard: Option<u64>, source: &str) -> Option<TraceWriter> {
-    path.map(|p| TraceWriter::create(Path::new(p), shard, source).unwrap_or_else(|e| fail(&e)))
+fn open_trace(flags: &Flags, shard: Option<u64>, source: &str) -> Option<TraceWriter> {
+    let path = flags.get("--trace")?;
+    Some(TraceWriter::create(Path::new(path), shard, source).unwrap_or_else(|e| fail(&e)))
 }
 
 /// Emits one event into an open trace (no-op without `--trace`), dying on
@@ -297,19 +336,20 @@ fn trace_emit(trace: &mut Option<TraceWriter>, kind: EventKind) {
 
 /// Flushes the trace and, when `--metrics` was also given, writes the
 /// sidecar (see [`write_metrics`]).
-fn finish_trace(trace: Option<TraceWriter>, trace_path: Option<&str>, metrics: Option<&str>) {
-    let Some(w) = trace else { return };
+fn finish_trace(trace: Option<TraceWriter>, flags: &Flags) {
+    let (Some(w), Some(path)) = (trace, flags.get("--trace")) else { return };
     w.finish().unwrap_or_else(|e| fail(&e));
-    let path = trace_path.expect("trace writer implies a trace path");
     eprintln!("campaign: event stream -> {path}");
-    if let Some(out) = metrics {
-        write_metrics(path, out);
-    }
+    write_metrics(flags);
 }
 
-/// Reads a finished event stream back through the strict parser and
-/// writes the `specstab-metrics/v1` sidecar distilled from it.
-fn write_metrics(trace_path: &str, out: &str) {
+/// When `--metrics` was given, reads the finished `--trace` stream back
+/// through the strict parser and writes the `specstab-metrics/v1` sidecar
+/// distilled from it.
+fn write_metrics(flags: &Flags) {
+    let (Some(trace_path), Some(out)) = (flags.get("--trace"), flags.get("--metrics")) else {
+        return;
+    };
     let text = std::fs::read_to_string(trace_path)
         .unwrap_or_else(|e| fail(&format!("reading {trace_path}: {e}")));
     let events =
@@ -427,28 +467,19 @@ fn build_matrix(args: &Args) -> ScenarioMatrix {
     matrix
 }
 
-fn config_of(args: &Args) -> CampaignConfig {
-    CampaignConfig {
-        threads: args.threads,
-        max_steps: args.max_steps,
-        seed: args.seed,
-        early_stop_margin: 3,
-    }
-}
-
-/// Renders the profile table, writes the requested artifacts, surfaces
-/// cell errors/bound violations, and exits accordingly — the shared tail
-/// of `campaign [run]` and `campaign merge`.
-fn emit_result(result: &CampaignResult, json: Option<&str>, csv: Option<&str>, cells: bool) -> ! {
+/// Renders the profile table, writes the requested artifacts (`--json`,
+/// `--csv`, `--cells-in-json`), surfaces cell errors/bound violations, and
+/// exits accordingly — the shared tail of `run`, `merge` and `serve`.
+fn emit_result(result: &CampaignResult, flags: &Flags) -> ! {
     print!("{}", speculation_profile_table(result));
-    if let Some(path) = json {
-        let body = to_json(result, cells);
+    if let Some(path) = flags.get("--json") {
+        let body = to_json(result, flags.has("--cells-in-json"));
         if let Err(e) = write_atomic(Path::new(path), &body) {
             fail(&format!("writing {path}: {e}"));
         }
         eprintln!("campaign: JSON artifact -> {path}");
     }
-    if let Some(path) = csv {
+    if let Some(path) = flags.get("--csv") {
         if let Err(e) = write_atomic(Path::new(path), &to_csv(result)) {
             fail(&format!("writing {path}: {e}"));
         }
@@ -479,29 +510,17 @@ fn emit_result(result: &CampaignResult, json: Option<&str>, csv: Option<&str>, c
 
 /// `campaign [run]`: the default sweep — in-process, or over `--workers N`
 /// local `campaign work` processes (byte-identical either way).
-fn cmd_run(argv: &[String]) -> ! {
-    let args = parse_args(argv);
-    set_batching_enabled(args.batch);
-    if args.metrics.is_some() && args.trace.is_none() {
-        fail("--metrics requires --trace (the sidecar is distilled from the event stream)");
-    }
+fn cmd_run(flags: &Flags) -> ! {
+    let args = matrix_args(flags);
+    let workers = flags.num("--workers").unwrap_or(0);
     let matrix = build_matrix(&args);
-    let config = config_of(&args);
-    if args.workers > 0 {
-        run_workers(&args, &matrix, &config);
+    if workers > 0 {
+        run_workers(flags, &args, &matrix, workers);
     }
-    let mut trace = open_trace(args.trace.as_deref(), None, "run");
-    trace_emit(
-        &mut trace,
-        EventKind::CampaignStart {
-            cells: matrix.len() as u64,
-            groups: group_boundaries(matrix.cells()).len().saturating_sub(1) as u64,
-            seed: config.seed,
-            max_steps: config.max_steps as u64,
-        },
-    );
+    let mut trace = open_trace(flags, None, "run");
+    trace_emit(&mut trace, campaign_start(matrix.cells(), &args.config));
     let heartbeat = Heartbeat::new(matrix.len() as u64);
-    let result = run_campaign_with_progress(&matrix, &config, Some(&heartbeat));
+    let result = run_campaign_with_progress(&matrix, &args.config, Some(&heartbeat));
     heartbeat.finish();
     eprintln!(
         "campaign: done in {:?} on {} threads ({:.0} cells/s)",
@@ -522,8 +541,8 @@ fn cmd_run(argv: &[String]) -> ! {
             counters: result.cells.iter().map(|cr| &cr.counters).sum(),
         },
     );
-    finish_trace(trace, args.trace.as_deref(), args.metrics.as_deref());
-    emit_result(&result, args.json.as_deref(), args.csv.as_deref(), args.cells_in_json);
+    finish_trace(trace, flags);
+    emit_result(&result, flags);
 }
 
 /// `campaign run --workers N`: plans ~4 group-aligned shards per worker
@@ -532,27 +551,24 @@ fn cmd_run(argv: &[String]) -> ! {
 /// [`Coordinator`] on a loopback port and a temporary spool to N
 /// `campaign work` children — the transport `campaign serve` uses. The
 /// coordinator writes the `--trace` stream, worker shard streams included.
-fn run_workers(args: &Args, matrix: &ScenarioMatrix, config: &CampaignConfig) -> ! {
-    let shard_count =
-        if args.shards > 0 { args.shards } else { args.workers.saturating_mul(4).max(1) };
-    let plan = CampaignPlan::new(matrix, config, shard_count);
+fn run_workers(flags: &Flags, args: &Args, matrix: &ScenarioMatrix, workers: usize) -> ! {
+    let shard_count = if args.shards > 0 { args.shards } else { workers.saturating_mul(4).max(1) };
+    let plan = CampaignPlan::new(matrix, &args.config, shard_count);
     let dir = std::env::temp_dir().join(format!("specstab-campaign-{}", std::process::id()));
     let started = Instant::now();
+    let threads = args.config.threads.max(1);
     let outcome = std::fs::create_dir_all(&dir)
         .map_err(|e| format!("creating {}: {e}", dir.display()))
-        .and_then(|()| serve_to_workers(args, plan, &dir));
+        .and_then(|()| serve_to_workers(flags, plan, &dir, workers, threads));
     let _ = std::fs::remove_dir_all(&dir);
     let result = outcome.unwrap_or_else(|e| fail(&e));
-    if let (Some(trace), Some(out)) = (args.trace.as_deref(), args.metrics.as_deref()) {
-        write_metrics(trace, out);
-    }
+    write_metrics(flags);
     eprintln!(
-        "campaign: done in {:?} on {} workers ({:.0} cells/s)",
+        "campaign: done in {:?} on {workers} workers ({:.0} cells/s)",
         started.elapsed(),
-        args.workers,
         result.cells.len() as f64 / started.elapsed().as_secs_f64().max(1e-9),
     );
-    emit_result(&result, args.json.as_deref(), args.csv.as_deref(), args.cells_in_json);
+    emit_result(&result, flags);
 }
 
 /// One `campaign work` child and where its stderr goes: a file, because a
@@ -569,16 +585,23 @@ struct WorkerProcess {
 const CHILD_POLL: Duration = Duration::from_millis(50);
 
 /// Binds the loopback coordinator on `dir`'s spool, spawns the children
-/// (no more than there are shards) and supervises both. The run fails as
-/// soon as a child exits unsuccessfully, or when every child has exited
-/// while the coordinator still serves an incomplete tiling — it never
-/// waits for leases nobody will take. Children still running when the
-/// tiling completes (idle on a wait reply) are killed and reaped.
-fn serve_to_workers(args: &Args, plan: CampaignPlan, dir: &Path) -> Result<CampaignResult, String> {
-    let children = args.workers.min(plan.shards.len());
+/// (no more than there are shards, each with `threads` threads) and
+/// supervises both. The run fails as soon as a child exits unsuccessfully,
+/// or when every child has exited while the coordinator still serves an
+/// incomplete tiling — it never waits for leases nobody will take.
+/// Children still running when the tiling completes (idle on a wait
+/// reply) are killed and reaped.
+fn serve_to_workers(
+    flags: &Flags,
+    plan: CampaignPlan,
+    dir: &Path,
+    workers: usize,
+    threads: usize,
+) -> Result<CampaignResult, String> {
+    let children = workers.min(plan.shards.len());
     let options = ServeOptions {
         spool: dir.join("spool"),
-        trace_path: args.trace.as_deref().map(PathBuf::from),
+        trace_path: flags.get("--trace").map(PathBuf::from),
         ..ServeOptions::default()
     };
     let coordinator = Coordinator::bind(plan, "127.0.0.1:0", options)?;
@@ -592,10 +615,7 @@ fn serve_to_workers(args: &Args, plan: CampaignPlan, dir: &Path) -> Result<Campa
         let stderr = dir.join(format!("worker-{i}.stderr"));
         let mut cmd = Command::new(&exe);
         cmd.args(["work", "--coordinator", &url, "--worker-id", &format!("worker-{i}")])
-            .args(["--threads", &args.threads.max(1).to_string()]);
-        if !args.batch {
-            cmd.args(["--batch", "off"]);
-        }
+            .args(["--threads", &threads.to_string()]);
         let spawned = std::fs::File::create(&stderr)
             .and_then(|log| cmd.stdout(Stdio::null()).stderr(log).spawn())
             .map_err(|e| format!("spawning worker {i}: {e}"));
@@ -659,34 +679,24 @@ fn stop_workers(workers: &mut [WorkerProcess]) {
 }
 
 /// `campaign plan`: enumerate the matrix and write the shard plan.
-fn cmd_plan(argv: &[String]) -> ! {
-    let args = parse_args(argv);
+fn cmd_plan(flags: &Flags) -> ! {
+    let args = matrix_args(flags);
     let matrix = build_matrix(&args);
     let shard_count = if args.shards > 0 { args.shards } else { 4 };
-    let plan = CampaignPlan::new(&matrix, &config_of(&args), shard_count);
-    let path = args.out.as_deref().unwrap_or("campaign_plan.json");
+    let plan = CampaignPlan::new(&matrix, &args.config, shard_count);
+    let path = flags.get("--out").unwrap_or("campaign_plan.json");
     if let Err(e) = std::fs::write(path, plan.to_json()) {
         fail(&format!("writing {path}: {e}"));
     }
-    let groups = group_boundaries(&plan.cells).len().saturating_sub(1);
-    let mut trace = open_trace(args.trace.as_deref(), None, "plan");
-    trace_emit(
-        &mut trace,
-        EventKind::CampaignStart {
-            cells: plan.cells.len() as u64,
-            groups: groups as u64,
-            seed: plan.config.seed,
-            max_steps: plan.config.max_steps as u64,
-        },
-    );
-    trace_emit(
-        &mut trace,
-        EventKind::Plan { cells: plan.cells.len() as u64, shards: plan.shards.len() as u64 },
-    );
-    finish_trace(trace, args.trace.as_deref(), None);
+    let mut trace = open_trace(flags, None, "plan");
+    for event in plan_events(&plan) {
+        trace_emit(&mut trace, event);
+    }
+    finish_trace(trace, flags);
     eprintln!(
-        "campaign: plan -> {path} ({} cells, {groups} groups, {} shards)",
+        "campaign: plan -> {path} ({} cells, {} groups, {} shards)",
         plan.cells.len(),
+        group_boundaries(&plan.cells).len().saturating_sub(1),
         plan.shards.len()
     );
     for s in &plan.shards {
@@ -699,40 +709,22 @@ fn cmd_plan(argv: &[String]) -> ! {
 /// artifact. Cell errors are recorded in the partial (the merge decides
 /// the final exit code), so a shard run only fails on I/O or plan
 /// problems.
-fn cmd_shard(argv: &[String]) -> ! {
-    let mut plan_path: Option<String> = None;
-    let mut shard_id: Option<usize> = None;
-    let mut threads = 1usize;
-    let mut out: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        let Some(val) = argv.get(i + 1).cloned() else { usage() };
-        match argv[i].as_str() {
-            "--plan" => plan_path = Some(val),
-            "--shard" => shard_id = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--threads" => threads = val.parse().unwrap_or_else(|_| usage()),
-            "--batch" => set_batching_enabled(parse_batch(&val)),
-            "--out" => out = Some(val),
-            "--trace" => trace_path = Some(val),
-            _ => usage(),
-        }
-        i += 2;
-    }
-    let (Some(plan_path), Some(shard_id)) = (plan_path, shard_id) else { usage() };
-    let text = std::fs::read_to_string(&plan_path)
-        .unwrap_or_else(|e| fail(&format!("reading {plan_path}: {e}")));
-    let plan = CampaignPlan::from_json(&text)
-        .unwrap_or_else(|e| fail(&format!("parsing {plan_path}: {e}")));
-    let mut trace = open_trace(trace_path.as_deref(), Some(shard_id as u64), "shard");
+fn cmd_shard(flags: &Flags) -> ! {
+    let (Some(plan_path), Some(shard_id)) = (flags.get("--plan"), flags.num("--shard")) else {
+        usage()
+    };
+    let threads = flags.num("--threads").unwrap_or(1);
+    let plan = load_plan(plan_path);
+    let mut trace = open_trace(flags, Some(shard_id as u64), "shard");
     let started = Instant::now();
     let partial = match trace.as_mut() {
         Some(w) => execute_shard_traced(w, &plan, shard_id, threads),
         None => execute_shard(&plan, shard_id, threads),
     }
     .unwrap_or_else(|e| fail(&e));
-    finish_trace(trace, trace_path.as_deref(), None);
-    let out = out.unwrap_or_else(|| format!("shard-{shard_id}.partial.json"));
+    finish_trace(trace, flags);
+    let out =
+        flags.get("--out").map_or_else(|| format!("shard-{shard_id}.partial.json"), str::to_string);
     // Atomic write: a shard worker killed mid-write must never leave a
     // truncated partial for a later merge or coordinator spool resume.
     if let Err(e) = write_atomic(Path::new(&out), &partial.to_json()) {
@@ -750,88 +742,38 @@ fn cmd_shard(argv: &[String]) -> ! {
 /// `campaign serve`: the networked coordinator — lease shards to
 /// pull-workers over HTTP, fold uploads incrementally, spool checkpoints,
 /// write the final artifact when the tiling completes.
-fn cmd_serve(argv: &[String]) -> ! {
-    let mut plan_path: Option<String> = None;
-    let mut listen = String::from("127.0.0.1:7177");
-    let mut options = ServeOptions::default();
-    let mut json: Option<String> = None;
-    let mut csv: Option<String> = None;
-    let mut cells_in_json = false;
-    let mut trace_path: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i] == "--cells-in-json" {
-            cells_in_json = true;
-            i += 1;
-            continue;
-        }
-        let Some(val) = argv.get(i + 1).cloned() else { usage() };
-        match argv[i].as_str() {
-            "--plan" => plan_path = Some(val),
-            "--listen" => listen = val,
-            "--spool" => options.spool = PathBuf::from(val),
-            "--lease-ms" => options.lease_ms = val.parse().unwrap_or_else(|_| usage()),
-            "--stop-after-uploads" => {
-                options.stop_after_uploads = Some(val.parse().unwrap_or_else(|_| usage()));
-            }
-            "--json" => json = Some(val),
-            "--csv" => csv = Some(val),
-            "--trace" => trace_path = Some(val),
-            "--metrics" => metrics = Some(val),
-            _ => usage(),
-        }
-        i += 2;
-    }
-    let Some(plan_path) = plan_path else { usage() };
-    if metrics.is_some() && trace_path.is_none() {
-        fail("--metrics requires --trace (the sidecar is distilled from the event stream)");
-    }
-    options.trace_path = trace_path.as_deref().map(PathBuf::from);
-    let text = std::fs::read_to_string(&plan_path)
-        .unwrap_or_else(|e| fail(&format!("reading {plan_path}: {e}")));
-    let plan = CampaignPlan::from_json(&text)
-        .unwrap_or_else(|e| fail(&format!("parsing {plan_path}: {e}")));
-    let coordinator = Coordinator::bind(plan, &listen, options).unwrap_or_else(|e| fail(&e));
+fn cmd_serve(flags: &Flags) -> ! {
+    let Some(plan_path) = flags.get("--plan") else { usage() };
+    let defaults = ServeOptions::default();
+    let options = ServeOptions {
+        lease_ms: flags.num("--lease-ms").unwrap_or(defaults.lease_ms),
+        spool: flags.get("--spool").map_or(defaults.spool, PathBuf::from),
+        trace_path: flags.get("--trace").map(PathBuf::from),
+        stop_after_uploads: flags.num("--stop-after-uploads"),
+    };
+    let listen = flags.get("--listen").unwrap_or("127.0.0.1:7177");
+    let coordinator =
+        Coordinator::bind(load_plan(plan_path), listen, options).unwrap_or_else(|e| fail(&e));
     let outcome = coordinator.run().unwrap_or_else(|e| fail(&e));
     let Some(result) = outcome else {
         eprintln!("campaign: serve stopped before completion (fault injection)");
         std::process::exit(3);
     };
-    if let (Some(trace), Some(out)) = (trace_path.as_deref(), metrics.as_deref()) {
-        write_metrics(trace, out);
-    }
-    emit_result(&result, json.as_deref(), csv.as_deref(), cells_in_json);
+    write_metrics(flags);
+    emit_result(&result, flags);
 }
 
 /// `campaign work`: the elastic pull-worker loop against a coordinator.
-fn cmd_work(argv: &[String]) -> ! {
-    let mut opts = WorkOptions {
-        coordinator: String::new(),
-        worker_id: format!("worker-{}", std::process::id()),
-        threads: 1,
-        lease_only: false,
+fn cmd_work(flags: &Flags) -> ! {
+    let Some(coordinator) = flags.get("--coordinator").filter(|c| !c.is_empty()) else { usage() };
+    let opts = WorkOptions {
+        coordinator: coordinator.to_string(),
+        worker_id: flags
+            .get("--worker-id")
+            .map_or_else(|| format!("worker-{}", std::process::id()), str::to_string),
+        threads: flags.num("--threads").unwrap_or(1),
+        lease_only: flags.has("--lease-only"),
     };
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i] == "--lease-only" {
-            opts.lease_only = true;
-            i += 1;
-            continue;
-        }
-        let Some(val) = argv.get(i + 1).cloned() else { usage() };
-        match argv[i].as_str() {
-            "--coordinator" => opts.coordinator = val,
-            "--worker-id" => opts.worker_id = val,
-            "--threads" => opts.threads = val.parse().unwrap_or_else(|_| usage()),
-            "--batch" => set_batching_enabled(parse_batch(&val)),
-            _ => usage(),
-        }
-        i += 2;
-    }
-    if opts.coordinator.is_empty() {
-        usage();
-    }
     let summary = run_worker(&opts).unwrap_or_else(|e| fail(&e));
     eprintln!(
         "campaign: worker {} done ({} executed, {} duplicates, {} abandoned)",
@@ -841,50 +783,23 @@ fn cmd_work(argv: &[String]) -> ! {
 }
 
 /// `campaign merge`: fold partial artifacts into the final artifact.
-fn cmd_merge(argv: &[String]) -> ! {
-    let mut json: Option<String> = None;
-    let mut csv: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut cells_in_json = false;
-    let mut inputs: Vec<PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--cells-in-json" => {
-                cells_in_json = true;
-                i += 1;
-            }
-            "--json" | "--csv" | "--trace" => {
-                let Some(val) = argv.get(i + 1).cloned() else { usage() };
-                match argv[i].as_str() {
-                    "--json" => json = Some(val),
-                    "--csv" => csv = Some(val),
-                    _ => trace_path = Some(val),
-                }
-                i += 2;
-            }
-            flag if flag.starts_with("--") => usage(),
-            path => {
-                inputs.push(PathBuf::from(path));
-                i += 1;
-            }
-        }
-    }
+fn cmd_merge(flags: &Flags) -> ! {
+    let inputs = &flags.positional;
     if inputs.is_empty() {
         fail("merge needs at least one partial artifact");
     }
     let mut parse = ParseTally::default();
     let mut acc = MergeAccumulator::new();
-    for p in &inputs {
-        let text = std::fs::read_to_string(p)
-            .unwrap_or_else(|e| fail(&format!("reading {}: {e}", p.display())));
+    for p in inputs {
+        let text =
+            std::fs::read_to_string(p).unwrap_or_else(|e| fail(&format!("reading {p}: {e}")));
         let partial = parse
             .time(&text, PartialArtifact::from_json)
-            .unwrap_or_else(|e| fail(&format!("parsing {}: {e}", p.display())));
-        acc.accept(partial).unwrap_or_else(|e| fail(&format!("merging {}: {e}", p.display())));
+            .unwrap_or_else(|e| fail(&format!("parsing {p}: {e}")));
+        acc.accept(partial).unwrap_or_else(|e| fail(&format!("merging {p}: {e}")));
     }
     eprintln!("campaign: merging {} partials", inputs.len());
-    let mut trace = open_trace(trace_path.as_deref(), None, "merge");
+    let mut trace = open_trace(flags, None, "merge");
     trace_emit(&mut trace, EventKind::MergeStart { partials: inputs.len() as u64 });
     let folding = Instant::now();
     let result = acc.finish().unwrap_or_else(|e| fail(&e));
@@ -898,21 +813,17 @@ fn cmd_merge(argv: &[String]) -> ! {
             fold_us,
         },
     );
-    finish_trace(trace, trace_path.as_deref(), None);
-    emit_result(&result, json.as_deref(), csv.as_deref(), cells_in_json);
+    finish_trace(trace, flags);
+    emit_result(&result, flags);
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("plan") => cmd_plan(&argv[1..]),
-        Some("shard") => cmd_shard(&argv[1..]),
-        Some("merge") => cmd_merge(&argv[1..]),
-        Some("serve") => cmd_serve(&argv[1..]),
-        Some("work") => cmd_work(&argv[1..]),
-        Some("run") => cmd_run(&argv[1..]),
-        // Bare flags: the historical single-process interface (`campaign
-        // --topologies ...`), equivalent to `campaign run`.
-        _ => cmd_run(&argv),
-    }
+    // Bare flags are the historical single-process interface (`campaign
+    // --topologies ...`), equivalent to `campaign run`.
+    let (cmd, rest) = match SUBCOMMANDS.iter().find(|c| argv.first().is_some_and(|a| a == c.name)) {
+        Some(cmd) => (cmd, &argv[1..]),
+        None => (&SUBCOMMANDS[0], &argv[..]),
+    };
+    (cmd.body)(&parse_flags(cmd, rest))
 }

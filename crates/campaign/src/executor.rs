@@ -45,15 +45,17 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Process-wide toggle for the lane-packed batched group path. On by
-/// default; the differential test suite flips it off to force the scalar
-/// reference path on otherwise-batchable groups.
+/// default; the campaign's differential suite (`tests/batch_equivalence.rs`)
+/// flips it off to force the scalar reference path on otherwise-batchable
+/// groups. No `campaign` flag sets it.
 static BATCHING: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables the batched group path for this process.
 ///
 /// Batched and scalar execution produce bit-identical cell outcomes (the
 /// equivalence the kernel's differential suite proves), so this toggle
-/// never changes artifacts — it exists for tests and for A/B timing runs.
+/// never changes artifacts — it exists for in-process differential tests
+/// and A/B timing.
 pub fn set_batching_enabled(on: bool) {
     BATCHING.store(on, Ordering::Relaxed);
 }
@@ -390,8 +392,8 @@ fn execute_group_run(
 
 /// Derives every group's statistics from canonically ordered cell results:
 /// one [`GroupSummary`] per `group_runs` chunk, fed its cells in order,
-/// then the chunks folded with `fold_groups`. The executors call it on
-/// their reassembled cells and [`crate::merge`] on the concatenated cells
+/// then the chunks folded with `fold_groups`. [`run_campaign`] calls it on
+/// its reassembled cells and [`crate::merge`] on the concatenated cells
 /// of a plan's partials, so both produce bit-identical statistics for the
 /// same cells however they were split.
 #[must_use]
@@ -515,33 +517,10 @@ fn effective_threads(requested: usize, work_units: usize) -> usize {
     available.clamp(1, work_units.max(1))
 }
 
-/// Sequential reference executor: runs the group runs one by one on the
-/// calling thread with identical per-cell seeding and the same
-/// aggregation. Exists so tests can cross-check the parallel path; also
-/// handy in constrained environments.
-#[must_use]
-pub fn run_campaign_sequential(matrix: &ScenarioMatrix, config: &CampaignConfig) -> CampaignResult {
-    let started = Instant::now();
-    let cells = matrix.cells();
-    let topologies = resolve_topologies(cells);
-    let mut scratch = ScratchPool::new();
-    let mut all_cells = Vec::with_capacity(cells.len());
-    for run in group_runs(cells, |c| c) {
-        all_cells.extend(execute_group_run(&cells[run], config, &topologies, &mut scratch));
-    }
-    CampaignResult {
-        groups: summarize_groups(&all_cells),
-        cells: all_cells,
-        threads_used: 1,
-        wall: started.elapsed(),
-        config: config.clone(),
-    }
-}
-
 /// Resolves a topology spec into a connected graph and its diameter,
 /// computed by [`metrics::diameter`]'s BFS sweep (no distance matrix).
-/// The executors resolve each distinct topology of a run once with it,
-/// before any worker starts.
+/// [`run_campaign`] resolves each distinct topology of a run once with
+/// it, before any worker starts.
 ///
 /// # Errors
 ///
@@ -896,7 +875,7 @@ mod tests {
         let m = tiny_matrix();
         let cfg = CampaignConfig { threads: 4, max_steps: 100_000, ..Default::default() };
         let par = run_campaign(&m, &cfg);
-        let seq = run_campaign_sequential(&m, &cfg);
+        let seq = run_campaign(&m, &CampaignConfig { threads: 1, ..cfg });
         assert_eq!(par.cells.len(), seq.cells.len());
         for (a, b) in par.cells.iter().zip(seq.cells.iter()) {
             assert_eq!(a.cell, b.cell);
@@ -915,7 +894,7 @@ mod tests {
             .fault_bursts([1])
             .seeds(0..3)
             .build();
-        let result = run_campaign_sequential(&m, &CampaignConfig::default());
+        let result = run_campaign(&m, &CampaignConfig::default());
         let (sync, central) = result.cells.split_at(3);
         assert_eq!(group_path(sync), PATH_BATCHED);
         assert_eq!(group_path(central), PATH_SCALAR);
@@ -975,8 +954,8 @@ mod tests {
     #[test]
     fn oversized_groups_chunk_without_losing_determinism() {
         // One group x 80 seeds: split into three work units (so seed-heavy
-        // campaigns parallelize), yet parallel and sequential execution
-        // still agree byte-for-byte because chunk boundaries are fixed.
+        // campaigns parallelize), yet 4 threads and 1 thread still agree
+        // byte-for-byte because chunk boundaries are fixed.
         let m = ScenarioMatrix::builder()
             .topologies(["ring:8"])
             .protocols(["ssme"])
@@ -987,7 +966,7 @@ mod tests {
         assert_eq!(super::group_runs(m.cells(), |c| c).len(), 3);
         let cfg = CampaignConfig { threads: 4, max_steps: 100_000, ..Default::default() };
         let par = run_campaign(&m, &cfg);
-        let seq = run_campaign_sequential(&m, &cfg);
+        let seq = run_campaign(&m, &CampaignConfig { threads: 1, ..cfg });
         assert_eq!(par.groups.len(), 1);
         let g = &par.groups[0];
         assert_eq!(g.runs, 80);
@@ -1000,9 +979,9 @@ mod tests {
             "chunked aggregation must stay thread-count invariant"
         );
         // Independent reference for the chunk-merge path: recompute the
-        // group statistics naively from the per-cell outcomes (both
-        // executors share summarize_groups, so the par==seq check alone
-        // cannot catch a merge bug).
+        // group statistics naively from the per-cell outcomes (both runs
+        // share summarize_groups, so the par==seq check alone cannot catch
+        // a merge bug).
         let entries: Vec<f64> = par
             .cells
             .iter()
@@ -1032,7 +1011,7 @@ mod tests {
     #[should_panic(expected = "merging different groups")]
     fn merge_rejects_mismatched_groups() {
         let m = tiny_matrix();
-        let r = run_campaign_sequential(&m, &CampaignConfig::default());
+        let r = run_campaign(&m, &CampaignConfig::default());
         let mut a = r.groups[0].clone();
         a.merge(&r.groups[1]);
     }

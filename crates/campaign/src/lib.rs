@@ -88,8 +88,7 @@ pub mod trace;
 
 pub use artifact::PartialArtifact;
 pub use executor::{
-    batching_enabled, run_campaign, run_campaign_sequential, set_batching_enabled, CampaignConfig,
-    CampaignResult,
+    batching_enabled, run_campaign, set_batching_enabled, CampaignConfig, CampaignResult,
 };
 pub use matrix::{Cell, ScenarioMatrix};
 pub use merge::{merge_partials, Accepted, MergeAccumulator};

@@ -213,7 +213,7 @@ pub fn merge_partials(partials: Vec<PartialArtifact>) -> Result<CampaignResult, 
 mod tests {
     use super::*;
     use crate::artifact::to_json;
-    use crate::executor::{run_campaign_sequential, CampaignConfig};
+    use crate::executor::{run_campaign, CampaignConfig};
     use crate::matrix::ScenarioMatrix;
     use crate::plan::CampaignPlan;
     use crate::shard::execute_shard;
@@ -236,7 +236,7 @@ mod tests {
     fn merged_shards_reproduce_the_single_process_artifact() {
         let m = matrix();
         let cfg = config();
-        let golden = to_json(&run_campaign_sequential(&m, &cfg), true);
+        let golden = to_json(&run_campaign(&m, &cfg), true);
         let plan = CampaignPlan::new(&m, &cfg, 3);
         // Shuffled supply order: merge must canonicalize.
         let partials: Vec<_> = [2usize, 0, 1]
@@ -280,7 +280,7 @@ mod tests {
     fn duplicate_uploads_are_acknowledged_and_dropped() {
         let m = matrix();
         let cfg = config();
-        let golden = to_json(&run_campaign_sequential(&m, &cfg), true);
+        let golden = to_json(&run_campaign(&m, &cfg), true);
         let plan = CampaignPlan::new(&m, &cfg, 3);
         let all: Vec<_> =
             (0..3).map(|id| execute_shard(&plan, id, 1).expect("valid shard")).collect();

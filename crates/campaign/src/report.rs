@@ -12,8 +12,11 @@ use specstab_core::speculation::{ProfileEntry, SpeculationProfile};
 use specstab_kernel::daemon::{Centrality, Fairness, Synchrony};
 use std::fmt::Write as _;
 
-/// Renders a fixed-width text table.
-fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+/// Renders a fixed-width text table under a `## {title}` line: columns
+/// padded to their widest cell, two spaces apart, a dash rule under the
+/// header.
+#[must_use]
+pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -163,7 +166,7 @@ pub fn speculation_profile_table(result: &CampaignResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{run_campaign_sequential, CampaignConfig};
+    use crate::executor::{run_campaign, CampaignConfig};
     use crate::matrix::ScenarioMatrix;
 
     #[test]
@@ -174,7 +177,7 @@ mod tests {
             .daemons(["dist:0.5", "sync", "central-rr"])
             .seeds(0..2)
             .build();
-        let r = run_campaign_sequential(&m, &CampaignConfig::default());
+        let r = run_campaign(&m, &CampaignConfig::default());
         let table = speculation_profile_table(&r);
         let sync_at = table.find("sync ").expect("sync row");
         let rr_at = table.find("central-rr").expect("rr row");

@@ -28,6 +28,7 @@ use crate::artifact::{write_atomic, PartialArtifact};
 use crate::executor::CampaignResult;
 use crate::merge::{Accepted, MergeAccumulator};
 use crate::plan::CampaignPlan;
+use crate::trace::plan_events;
 use specstab_telemetry::{
     obj, paths_json, sum_shard_counters, tally_paths, EventKind, Json, ParseTally, RunCounters,
     ServeCounts, ServeHeartbeat, TraceWriter,
@@ -168,17 +169,9 @@ impl Coordinator {
             parse: ParseTally::default(),
             started: Instant::now(),
         };
-        coordinator.emit(EventKind::CampaignStart {
-            cells: coordinator.plan.cells.len() as u64,
-            groups: crate::plan::group_boundaries(&coordinator.plan.cells).len().saturating_sub(1)
-                as u64,
-            seed: coordinator.plan.config.seed,
-            max_steps: coordinator.plan.config.max_steps as u64,
-        })?;
-        coordinator.emit(EventKind::Plan {
-            cells: coordinator.plan.cells.len() as u64,
-            shards: coordinator.plan.shards.len() as u64,
-        })?;
+        for event in plan_events(&coordinator.plan) {
+            coordinator.emit(event)?;
+        }
         coordinator.replay_spool()?;
         Ok(coordinator)
     }

@@ -82,7 +82,6 @@ fn package(plan: &CampaignPlan, shard_id: usize, result: CampaignResult) -> Part
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::run_campaign_sequential;
     use specstab_telemetry::RunCounters;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -101,7 +100,7 @@ mod tests {
         let m = matrix();
         let cfg = CampaignConfig { max_steps: 100_000, ..CampaignConfig::default() };
         let plan = CampaignPlan::new(&m, &cfg, 3);
-        let full = run_campaign_sequential(&m, &cfg);
+        let full = run_campaign(&m, &cfg);
         for shard in &plan.shards {
             let partial = execute_shard(&plan, shard.id, 1).expect("valid shard");
             assert_eq!(partial.start, shard.start);
@@ -135,7 +134,7 @@ mod tests {
         let (runs, foreign_runs) = std::thread::scope(|scope| {
             scope.spawn(|| {
                 while !stop.load(Ordering::Relaxed) {
-                    let _ = run_campaign_sequential(&foreign, &cfg);
+                    let _ = run_campaign(&foreign, &cfg);
                     finished.fetch_add(1, Ordering::Relaxed);
                 }
             });

@@ -1,6 +1,7 @@
-//! Bridges campaign execution results into the `specstab-events/v1`
-//! stream: the mapping from [`CellResult`]/[`GroupSummary`] to event
-//! payloads, shared by every `campaign` subcommand that takes `--trace`.
+//! Bridges campaigns into the `specstab-events/v1` stream: the events
+//! that open a campaign's trace, and the mapping from
+//! [`CellResult`]/[`GroupSummary`] to event payloads, shared by every
+//! `campaign` subcommand that takes `--trace`.
 //!
 //! Events are emitted **post-hoc** in canonical matrix order (cells of a
 //! group, then the group), not in completion order — the executor's
@@ -9,9 +10,33 @@
 //! event carries the wall clock its run actually took, and each group
 //! event the engine path its cells took ([`group_path`]).
 
-use crate::executor::{group_path, CellResult, GroupSummary};
+use crate::executor::{group_path, CampaignConfig, CellResult, GroupSummary};
+use crate::matrix::Cell;
+use crate::plan::{group_boundaries, CampaignPlan};
 use specstab_telemetry::event::{CellEvent, CellOutcomeEvent};
 use specstab_telemetry::{EventKind, TraceWriter};
+
+/// The `campaign_start` event of a campaign over `cells` (in canonical
+/// matrix order) run with `config`.
+#[must_use]
+pub fn campaign_start(cells: &[Cell], config: &CampaignConfig) -> EventKind {
+    EventKind::CampaignStart {
+        cells: cells.len() as u64,
+        groups: group_boundaries(cells).len().saturating_sub(1) as u64,
+        seed: config.seed,
+        max_steps: config.max_steps as u64,
+    }
+}
+
+/// The events that open a planned campaign's trace (`campaign plan`'s and
+/// the coordinator's): `campaign_start`, then `plan`.
+#[must_use]
+pub fn plan_events(plan: &CampaignPlan) -> [EventKind; 2] {
+    [
+        campaign_start(&plan.cells, &plan.config),
+        EventKind::Plan { cells: plan.cells.len() as u64, shards: plan.shards.len() as u64 },
+    ]
+}
 
 /// The event payload describing one executed cell.
 #[must_use]
@@ -75,7 +100,7 @@ pub fn emit_result_events(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{run_campaign_sequential, CampaignConfig};
+    use crate::executor::run_campaign;
     use crate::matrix::ScenarioMatrix;
     use specstab_telemetry::{metrics_from_events, parse_ndjson, validate_events, PATH_BATCHED};
 
@@ -88,7 +113,7 @@ mod tests {
             .fault_bursts([1])
             .seeds(0..2)
             .build();
-        let result = run_campaign_sequential(
+        let result = run_campaign(
             &matrix,
             &CampaignConfig { max_steps: 100_000, ..CampaignConfig::default() },
         );
@@ -123,7 +148,7 @@ mod tests {
             .fault_bursts([0])
             .seeds(0..40)
             .build();
-        let result = run_campaign_sequential(
+        let result = run_campaign(
             &matrix,
             &CampaignConfig { max_steps: 100_000, ..CampaignConfig::default() },
         );

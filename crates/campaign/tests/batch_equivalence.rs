@@ -13,7 +13,7 @@
 
 use specstab_campaign::artifact;
 use specstab_campaign::executor::{
-    group_path, run_campaign_sequential, set_batching_enabled, CampaignConfig, CampaignResult,
+    group_path, run_campaign, set_batching_enabled, CampaignConfig, CampaignResult,
 };
 use specstab_campaign::matrix::ScenarioMatrix;
 use specstab_kernel::batch::BatchDaemon;
@@ -72,6 +72,31 @@ fn assert_routes(result: &CampaignResult, batching: bool) -> [usize; 3] {
     taken
 }
 
+/// Runs `matrices` with batching on, then off, and switches it back on.
+/// Callers hold [`TOGGLE`].
+fn run_on_and_off(
+    matrices: &[&ScenarioMatrix],
+    cfg: &CampaignConfig,
+) -> (Vec<CampaignResult>, Vec<CampaignResult>) {
+    let run = |on: bool| {
+        set_batching_enabled(on);
+        matrices.iter().map(|m| run_campaign(m, cfg)).collect::<Vec<_>>()
+    };
+    let (batched, scalar) = (run(true), run(false));
+    set_batching_enabled(true);
+    (batched, scalar)
+}
+
+fn assert_artifacts_match(on: &[CampaignResult], off: &[CampaignResult]) {
+    for (b, s) in on.iter().zip(off) {
+        assert_eq!(
+            artifact::to_json(b, true),
+            artifact::to_json(s, true),
+            "batched and scalar campaign artifacts must be byte-identical"
+        );
+    }
+}
+
 #[test]
 fn batched_campaign_artifact_is_byte_identical_to_scalar() {
     let _guard = TOGGLE.lock().unwrap();
@@ -89,23 +114,12 @@ fn batched_campaign_artifact_is_byte_identical_to_scalar() {
         .seeds(0..6)
         .build();
     let cfg = CampaignConfig { max_steps: 200_000, ..CampaignConfig::default() };
-
-    set_batching_enabled(true);
-    let batched = run_campaign_sequential(&m, &cfg);
+    let (batched, scalar) = run_on_and_off(&[&m], &cfg);
     // 2 topologies x 2 daemons x 3 init modes, every group batchable.
-    assert_eq!(assert_routes(&batched, true), [12, 0, 0]);
-
-    set_batching_enabled(false);
-    let scalar = run_campaign_sequential(&m, &cfg);
-    set_batching_enabled(true);
-    assert_eq!(assert_routes(&scalar, false), [0, 12, 0]);
-    assert_engine_counters_match(std::slice::from_ref(&batched), std::slice::from_ref(&scalar));
-
-    assert_eq!(
-        artifact::to_json(&batched, true),
-        artifact::to_json(&scalar, true),
-        "batched and scalar campaign artifacts must be byte-identical"
-    );
+    assert_eq!(assert_routes(&batched[0], true), [12, 0, 0]);
+    assert_eq!(assert_routes(&scalar[0], false), [0, 12, 0]);
+    assert_engine_counters_match(&batched, &scalar);
+    assert_artifacts_match(&batched, &scalar);
 }
 
 #[test]
@@ -134,28 +148,62 @@ fn batched_dijkstra_central_rr_artifact_is_byte_identical_to_scalar() {
         .seeds(0..5)
         .build();
     let cfg = CampaignConfig { max_steps: 200_000, ..CampaignConfig::default() };
-
-    set_batching_enabled(true);
-    let batched: Vec<_> =
-        [&rings, &lines].iter().map(|m| run_campaign_sequential(m, &cfg)).collect();
+    let (batched, scalar) = run_on_and_off(&[&rings, &lines], &cfg);
     // Per matrix: 2 topologies x 2 fault modes x (1 or 2 protocols) over
     // 2 batchable and 3 central daemons.
     assert_eq!(assert_routes(&batched[0], true), [16, 0, 24]);
     assert_eq!(assert_routes(&batched[1], true), [8, 0, 12]);
-
-    set_batching_enabled(false);
-    let scalar: Vec<_> =
-        [&rings, &lines].iter().map(|m| run_campaign_sequential(m, &cfg)).collect();
-    set_batching_enabled(true);
     assert_eq!(assert_routes(&scalar[0], false), [0, 16, 24]);
     assert_eq!(assert_routes(&scalar[1], false), [0, 8, 12]);
     assert_engine_counters_match(&batched, &scalar);
+    assert_artifacts_match(&batched, &scalar);
+}
 
-    for (b, s) in batched.iter().zip(&scalar) {
-        assert_eq!(
-            artifact::to_json(b, true),
-            artifact::to_json(s, true),
-            "batched and scalar Dijkstra campaign artifacts must be byte-identical"
-        );
-    }
+/// The campaign parameters of the golden invocations.
+fn golden_config() -> CampaignConfig {
+    CampaignConfig { seed: 51966, max_steps: 500_000, ..CampaignConfig::default() }
+}
+
+#[test]
+fn dijkstra3_rings_up_to_160_are_byte_identical_batched_and_scalar() {
+    let _guard = TOGGLE.lock().unwrap();
+    // The dense lane schedule at every ring size: dijkstra3's sync and
+    // dist:0.5 groups run on the packed u8-lane engine (the dist lanes on
+    // per-lane RNG streams that replay the scalar daemon seeds), while
+    // central-rr and central-rand always run scalar.
+    let m = ScenarioMatrix::builder()
+        .topologies(["ring:8", "ring:13", "ring:40", "ring:160"])
+        .protocols(["dijkstra3"])
+        .daemons(["sync", "central-rr", "central-rand", "dist:0.5"])
+        .fault_bursts([0, 1])
+        .seeds(0..3)
+        .build();
+    let (batched, scalar) = run_on_and_off(&[&m], &golden_config());
+    // 4 rings x 2 fault modes over 2 batchable and 2 central daemons.
+    assert_eq!(assert_routes(&batched[0], true), [16, 0, 16]);
+    assert_eq!(assert_routes(&scalar[0], false), [0, 16, 16]);
+    assert_engine_counters_match(&batched, &scalar);
+    assert_artifacts_match(&batched, &scalar);
+}
+
+#[test]
+fn ssme_past_the_lane_monitor_block_is_byte_identical_batched_and_scalar() {
+    let _guard = TOGGLE.lock().unwrap();
+    // The lane monitor past its 32-row legitimacy block (n = 64) under
+    // sync and three dist:p densities, from full bursts, 2-fault bursts
+    // and the Theorem 4 witness.
+    let m = ScenarioMatrix::builder()
+        .topologies(["ring:64", "torus:8x8"])
+        .protocols(["ssme"])
+        .daemons(["sync", "dist:0.1", "dist:0.5", "dist:0.9"])
+        .fault_bursts([0, 2])
+        .with_witness()
+        .seeds(0..3)
+        .build();
+    let (batched, scalar) = run_on_and_off(&[&m], &golden_config());
+    // 2 topologies x 4 daemons x 3 init modes, every group batchable.
+    assert_eq!(assert_routes(&batched[0], true), [24, 0, 0]);
+    assert_eq!(assert_routes(&scalar[0], false), [0, 24, 0]);
+    assert_engine_counters_match(&batched, &scalar);
+    assert_artifacts_match(&batched, &scalar);
 }

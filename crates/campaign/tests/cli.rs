@@ -10,12 +10,12 @@ use specstab_protocols::registry;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// A scratch directory one test owns, removed when dropped. Every
+/// A temporary directory one test owns, removed when dropped. Every
 /// invocation runs inside it, so nothing a subcommand might write by
 /// default lands in the source tree.
-struct Scratch(PathBuf);
+struct WorkDir(PathBuf);
 
-impl Scratch {
+impl WorkDir {
     fn new(test: &str) -> Self {
         let dir = std::env::temp_dir().join(format!("specstab-cli-{test}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir writable");
@@ -51,7 +51,7 @@ impl Scratch {
     }
 }
 
-impl Drop for Scratch {
+impl Drop for WorkDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
@@ -67,7 +67,7 @@ fn with<'a>(head: &[&'a str], tail: &[&'a str]) -> Vec<&'a str> {
 
 #[test]
 fn unknown_flags_are_usage_errors_in_every_subcommand() {
-    let s = Scratch::new("unknown");
+    let s = WorkDir::new("unknown");
     let missing = s.path("missing.json");
     s.assert_usage(&["--bogus", "1"]);
     s.assert_usage(&["run", "--bogus", "1"]);
@@ -80,7 +80,7 @@ fn unknown_flags_are_usage_errors_in_every_subcommand() {
 
 #[test]
 fn flags_missing_their_value_are_usage_errors() {
-    let s = Scratch::new("missing-value");
+    let s = WorkDir::new("missing-value");
     let missing = s.path("missing.json");
     s.assert_usage(&["--json"]);
     s.assert_usage(&["run", "--seeds"]);
@@ -93,7 +93,7 @@ fn flags_missing_their_value_are_usage_errors() {
 
 #[test]
 fn unparsable_counts_are_usage_errors() {
-    let s = Scratch::new("counts");
+    let s = WorkDir::new("counts");
     let missing = s.path("missing.json");
     s.assert_usage(&["--seeds", "many"]);
     s.assert_usage(&["run", "--threads", "x"]);
@@ -106,7 +106,7 @@ fn unparsable_counts_are_usage_errors() {
 
 #[test]
 fn rule_violations_exit_2_with_their_error_line() {
-    let s = Scratch::new("rules");
+    let s = WorkDir::new("rules");
     let metrics = s.path("m.json");
     let missing = s.path("missing.json");
     let rule = "--metrics requires --trace (the sidecar is distilled from the event stream)";
@@ -117,8 +117,35 @@ fn rule_violations_exit_2_with_their_error_line() {
 }
 
 #[test]
+fn flags_a_subcommand_does_not_use_are_unknown_to_it() {
+    let s = WorkDir::new("unused");
+    let (plan, out, missing) = (s.path("plan.json"), s.path("out.json"), s.path("missing.json"));
+    // `plan` writes a plan and nothing else: it neither runs the matrix
+    // nor writes an artifact or a sidecar, so it takes none of their flags.
+    let plan_argv = with(&["plan", "--out", &plan], &TINY);
+    for unused in [
+        &["--json", &out][..],
+        &["--csv", &out],
+        &["--metrics", &out],
+        &["--cells-in-json"],
+        &["--threads", "2"],
+        &["--workers", "2"],
+    ] {
+        s.assert_usage(&with(&plan_argv, unused));
+    }
+    // `run` writes artifacts (`--json`, `--csv`), not a plan.
+    s.assert_usage(&with(&["run", "--out", &out], &TINY));
+    // The engine follows from the daemon; no subcommand takes `--batch`.
+    s.assert_usage(&with(&["run", "--batch", "on"], &TINY));
+    s.assert_usage(&["shard", "--plan", &missing, "--shard", "0", "--batch", "off"]);
+    s.assert_usage(&["work", "--coordinator", "not-a-url", "--batch", "on"]);
+    assert!(!Path::new(&plan).exists(), "no plan may be written");
+    assert!(!Path::new(&out).exists(), "no artifact may be written");
+}
+
+#[test]
 fn list_protocols_names_every_protocol_with_its_capabilities() {
-    let s = Scratch::new("list");
+    let s = WorkDir::new("list");
     let out = s.campaign(&["--list-protocols"]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).expect("utf-8 table");

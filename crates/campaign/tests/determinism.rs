@@ -1,9 +1,8 @@
 //! Campaign determinism contract: identical seeds produce byte-identical
-//! artifacts, independent of thread count and of the parallel/sequential
-//! execution path.
+//! artifacts, independent of thread count.
 
 use specstab_campaign::artifact::{to_csv, to_json};
-use specstab_campaign::executor::{run_campaign, run_campaign_sequential, CampaignConfig};
+use specstab_campaign::executor::{run_campaign, CampaignConfig};
 use specstab_campaign::matrix::{InitMode, ScenarioMatrix};
 use std::path::PathBuf;
 
@@ -91,10 +90,12 @@ fn json_artifact_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn parallel_path_matches_sequential_reference_bytes() {
+    // Four workers claiming chunks out of order against one worker
+    // claiming them in canonical order.
     let edges = EdgeListFile::new("sequential");
     let m = matrix(&edges);
     let par = run_campaign(&m, &config(4));
-    let seq = run_campaign_sequential(&m, &config(1));
+    let seq = run_campaign(&m, &config(1));
     assert_eq!(to_json(&par, true), to_json(&seq, true));
 }
 

@@ -7,7 +7,7 @@
 //! artifact byte-identical to a single-process run every time.
 
 use specstab_campaign::artifact::to_json;
-use specstab_campaign::executor::{run_campaign_sequential, CampaignConfig};
+use specstab_campaign::executor::{run_campaign, CampaignConfig};
 use specstab_campaign::matrix::ScenarioMatrix;
 use specstab_campaign::plan::CampaignPlan;
 use specstab_campaign::serve::http::{request, CoordinatorUrl};
@@ -40,7 +40,7 @@ fn config() -> CampaignConfig {
 }
 
 fn golden() -> String {
-    to_json(&run_campaign_sequential(&matrix(), &config()), true)
+    to_json(&run_campaign(&matrix(), &config()), true)
 }
 
 /// The `campaign_end` counters of a trace file.

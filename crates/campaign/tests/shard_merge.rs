@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use specstab_campaign::artifact::{to_csv, to_json, PartialArtifact};
-use specstab_campaign::executor::{run_campaign_sequential, CampaignConfig, CampaignResult};
+use specstab_campaign::executor::{run_campaign, CampaignConfig, CampaignResult};
 use specstab_campaign::matrix::ScenarioMatrix;
 use specstab_campaign::merge::merge_partials;
 use specstab_campaign::plan::{cells_fingerprint, group_boundaries, CampaignPlan};
@@ -70,7 +70,7 @@ fn reference() -> &'static Reference {
     static REF: OnceLock<Reference> = OnceLock::new();
     REF.get_or_init(|| {
         let m = matrix();
-        let result = run_campaign_sequential(&m, &config());
+        let result = run_campaign(&m, &config());
         let boundaries = group_boundaries(m.cells());
         Reference {
             golden_json: to_json(&result, true),

@@ -34,9 +34,11 @@ pub fn dijkstra_sync_entry_law(n: usize) -> u64 {
     (2 * n).saturating_sub(3) as u64
 }
 
-/// The `Θ(n²)` unfair-daemon envelope used when reporting Dijkstra's
-/// measured worst cases (the constant is instance-dependent; the paper
-/// states the order).
+/// The order `n²` of Dijkstra's unfair-daemon stabilization time, which is
+/// all the paper states. It is not an upper bound: the exact central
+/// worst case on ring-n is (3n + 1)(n − 2)/2 steps for n = 4..6 (13, 24,
+/// 38; pinned in `specstab_protocols::dijkstra`'s tests), above n² from
+/// n = 6 on.
 #[must_use]
 pub fn dijkstra_unfair_order(n: usize) -> u64 {
     (n as u64) * (n as u64)

@@ -337,7 +337,7 @@ mod tests {
     use specstab_kernel::measure::measure_with_early_stop;
     use specstab_kernel::protocol::random_configuration;
     use specstab_kernel::search::{
-        build_config_graph, enumerate_all_configurations, worst_steps_to, SearchDaemon,
+        build_config_graph, enumerate_all_configurations, worst_steps_to, SearchDaemon, SearchError,
     };
     use specstab_topology::generators;
 
@@ -455,39 +455,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exact_worst_case_under_central_daemon_is_quadratic_order() {
-        // Exhaustive on ring-4 with K=4 (256 configurations): the exact
-        // central-daemon worst case must exist (no divergence) and exceed
-        // n (it is Θ(n²) in general).
-        let (g, p) = ring_proto(4);
+    /// The exact worst-case legitimacy entry of the K-state ring on
+    /// ring-`n` over every initial configuration and every choice
+    /// `daemon` may make; `Err(Divergent)` when it can avoid legitimacy
+    /// forever.
+    fn exact_worst_case(n: usize, k: usize, daemon: SearchDaemon) -> Result<u32, SearchError> {
+        let g = generators::ring(n).unwrap();
+        let p = DijkstraRing::with_undersized_k(&g, k as u64).unwrap();
         let spec = DijkstraSpec::new(p.clone());
         let all = enumerate_all_configurations(&g, &p, 100_000).unwrap();
-        let cg = build_config_graph(&g, &p, &all, SearchDaemon::Central, 1_000_000).unwrap();
-        let worst = worst_steps_to(&cg, |c| spec.is_legitimate(c, &g)).unwrap();
-        let max = worst.iter().max().copied().unwrap();
-        assert!(max >= 4, "worst case {max} suspiciously small");
-        assert!(max <= 32, "worst case {max} above the n² envelope");
+        let cg = build_config_graph(&g, &p, &all, daemon, 100_000)?;
+        let worst = worst_steps_to(&cg, |c| spec.is_legitimate(c, &g))?;
+        Ok(worst.into_iter().max().unwrap())
+    }
+
+    /// The exact worst case on ring-4, 5 and 6: (3n + 1)(n − 2)/2 = 13, 24
+    /// and 38 steps. Quadratic, as the paper states, but above n² from
+    /// n = 6 on.
+    fn exact_entry(n: usize) -> u32 {
+        ((3 * n + 1) * (n - 2) / 2) as u32
+    }
+
+    #[test]
+    fn exact_worst_case_under_central_daemon_is_quadratic_order() {
+        // Exhaustive on ring-4..6: K = n − 1 already stabilizes under the
+        // central daemon (Hoepman), with the same worst case as K = n.
+        for n in 4..=6 {
+            for k in [n - 1, n] {
+                let worst = exact_worst_case(n, k, SearchDaemon::Central);
+                assert_eq!(worst, Ok(exact_entry(n)), "ring-{n}, K = {k}");
+            }
+        }
     }
 
     #[test]
     fn exact_worst_case_under_distributed_daemon_converges() {
-        // The same instance under the FULL unfair distributed game: the
-        // protocol still converges from everywhere (Dijkstra's protocol
-        // tolerates the distributed daemon for K ≥ n).
-        let (g, p) = ring_proto(4);
-        let spec = DijkstraSpec::new(p.clone());
-        let all = enumerate_all_configurations(&g, &p, 100_000).unwrap();
-        let cg = build_config_graph(
-            &g,
-            &p,
-            &all,
-            SearchDaemon::Distributed { max_enabled: 4 },
-            5_000_000,
-        )
-        .unwrap();
-        let worst = worst_steps_to(&cg, |c| spec.is_legitimate(c, &g));
-        assert!(worst.is_ok(), "distributed daemon must not prevent stabilization");
+        // The FULL unfair distributed game: K = n stabilizes from
+        // everywhere within the central worst case (Hoepman's K = N
+        // result), and K = n − 1 no longer does.
+        for n in 4..=6 {
+            let daemon = SearchDaemon::Distributed { max_enabled: n };
+            assert_eq!(exact_worst_case(n, n, daemon), Ok(exact_entry(n)), "ring-{n}, K = n");
+            let worst = exact_worst_case(n, n - 1, daemon);
+            assert_eq!(worst, Err(SearchError::Divergent), "ring-{n}, K = n - 1");
+        }
     }
 
     #[test]
@@ -510,15 +521,12 @@ mod tests {
 
     #[test]
     fn undersized_k_breaks_stabilization() {
-        // Classic counterexample: K = 2 on a ring of 4 under the central
-        // daemon admits an execution never reaching a single-token config.
-        let g = generators::ring(4).unwrap();
-        let p = DijkstraRing::with_undersized_k(&g, 2).unwrap();
-        let spec = DijkstraSpec::new(p.clone());
-        let all = enumerate_all_configurations(&g, &p, 100_000).unwrap();
-        let cg = build_config_graph(&g, &p, &all, SearchDaemon::Central, 1_000_000).unwrap();
-        let worst = worst_steps_to(&cg, |c| spec.is_legitimate(c, &g));
-        assert!(worst.is_err(), "K=2 on ring-4 should diverge under the central daemon");
+        // K = n − 2 (the classic K = 2 counterexample on ring-4) admits a
+        // central execution that never reaches a single-token configuration.
+        for n in 4..=6 {
+            let worst = exact_worst_case(n, n - 2, SearchDaemon::Central);
+            assert_eq!(worst, Err(SearchError::Divergent), "ring-{n}, K = n - 2");
+        }
     }
 
     #[test]

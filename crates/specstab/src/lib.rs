@@ -60,9 +60,7 @@ pub use specstab_unison as unison;
 pub mod prelude {
     pub use rand::SeedableRng;
     pub use specstab_campaign::artifact::{to_csv, to_json};
-    pub use specstab_campaign::executor::{
-        run_campaign, run_campaign_sequential, CampaignConfig, CampaignResult,
-    };
+    pub use specstab_campaign::executor::{run_campaign, CampaignConfig, CampaignResult};
     pub use specstab_campaign::matrix::{Cell, InitMode, ScenarioMatrix};
     pub use specstab_campaign::report::{speculation_profile_table, to_speculation_profile};
     pub use specstab_campaign::stats::{OnlineStats, P2Quantile};

@@ -33,7 +33,7 @@ pub const EVENTS_SCHEMA: &str = "specstab-events/v1";
 pub const PATH_BATCHED: &str = "batched";
 /// `group` event path: the group's daemon has a batched schedule, but not
 /// every cell ran as a lane (protocol or instance not packed, batching
-/// off, a failed harness build or cell setup).
+/// switched off in-process, a failed harness build or cell setup).
 pub const PATH_SCALAR_FALLBACK: &str = "scalar-fallback";
 /// `group` event path: the group's daemon has no batched schedule, so its
 /// cells ran on the scalar engine.
