@@ -253,6 +253,18 @@ impl Protocol for Ssme {
         self.unison.enabled_rule(view)
     }
 
+    const SUMMED_GUARD_MAX_DEGREE: Option<usize> = AsyncUnison::SUMMED_GUARD_MAX_DEGREE;
+
+    #[inline]
+    fn guard_term(&self, own: &ClockValue, neighbor: &ClockValue) -> u64 {
+        self.unison.guard_term(own, neighbor)
+    }
+
+    #[inline]
+    fn rule_from_sum(&self, own: &ClockValue, sum: u64) -> Option<RuleId> {
+        self.unison.rule_from_sum(own, sum)
+    }
+
     #[inline]
     fn apply(&self, view: &View<'_, ClockValue>, rule: RuleId) -> ClockValue {
         self.unison.apply(view, rule)

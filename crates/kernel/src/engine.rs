@@ -18,11 +18,19 @@
 //!    was last evaluated, so a guard is evaluated once per change of its
 //!    neighborhood, not again to fire;
 //! 3. collects the **touched** set, the radius-1 ball around the step's
-//!    delta (the activated vertices and their neighbors), deduplicated by
-//!    a generation-stamped mark array (one store per mark, clearing is a
-//!    generation bump, no sort);
-//! 4. re-evaluates the touched guards into the rule cache and flips their
-//!    bits in the enabled set: nothing outside the ball can change status;
+//!    delta (the activated vertices and their neighbors): for one mover,
+//!    the vertex and its neighbor slice (the graph is simple, so each
+//!    appears once); for several, deduplicated by a generation-stamped
+//!    mark array (one store per mark, clearing is a generation bump, no
+//!    sort);
+//! 4. re-derives the touched rules into the rule cache and flips their
+//!    bits in the enabled set: nothing outside the ball can change status.
+//!    A protocol with the summed guard form
+//!    ([`Protocol::SUMMED_GUARD_MAX_DEGREE`]) keeps one guard sum per
+//!    vertex: after a one-vertex step each neighbor's sum is patched with
+//!    the terms of its edge to the mover, and the mover's sum is rebuilt
+//!    in the same pass over its neighborhood, so a central step reads one
+//!    neighborhood instead of one per touched vertex;
 //! 5. hands the step to the observer — generic, so a single monitor such
 //!    as [`crate::measure::SpecMonitor`] runs without `dyn` calls, while
 //!    a `&mut [&mut dyn Observer]` slice fans out to several.
@@ -38,8 +46,8 @@
 //!   into a reused buffer which is swapped with the current configuration
 //!   and then *repaired* from the step's delta (`O(|activated|)` instead
 //!   of an `O(n)` copy);
-//! * the enabled set, the rule cache, the touched set and the stamps are
-//!   sized once per run and updated in place;
+//! * the enabled set, the rule cache, the guard sums, the touched set and
+//!   the stamps are sized once per run and updated in place;
 //! * daemons write their selection into a reused scratch buffer and preview
 //!   candidate actions into a per-daemon scratch configuration
 //!   ([`crate::daemon::SelectionContext::preview`]);
@@ -118,7 +126,8 @@ pub struct RunSummary<S> {
 /// One `StepScratch` holds every buffer a run mutates per step: the
 /// double-buffered successor configuration, the daemon's selection, the
 /// touched set (activated vertices + neighbors), the fired `(vertex, rule)`
-/// pairs, the step delta, the enabled set and the per-vertex rule cache.
+/// pairs, the step delta, the enabled set, the per-vertex rule cache and
+/// guard sums.
 /// After warm-up (first step sizes the buffers) a steady-state step
 /// allocates nothing.
 ///
@@ -137,6 +146,10 @@ pub struct StepScratch<S> {
     /// wherever its guard is (re)evaluated, so firing applies it without
     /// evaluating the guard again. `rules[v].is_some()` iff `v ∈ enabled`.
     rules: Vec<Option<RuleId>>,
+    /// Each vertex's guard sum `Σ_{u ∈ N(v)} guard_term(r_v, r_u)` in the
+    /// current configuration, beside `rules`, in a run that uses the
+    /// protocol's summed guard form; empty otherwise.
+    sums: Vec<u64>,
     /// Generation-stamped dense mark array: `stamps[v] == generation` means
     /// "v is in the set currently being deduplicated". Clearing the set is
     /// one `generation` bump — no `O(n)` memset, no comparison sort.
@@ -156,6 +169,7 @@ impl<S> StepScratch<S> {
             deltas: Vec::new(),
             enabled: EnabledSet::default(),
             rules: Vec::new(),
+            sums: Vec::new(),
             stamps: Vec::new(),
             generation: 0,
         }
@@ -214,6 +228,32 @@ impl<'a, P: Protocol> Simulator<'a, P> {
     ) -> Option<RuleId> {
         let view = View::new_unchecked(v, self.graph, config);
         self.protocol.enabled_rule(&view)
+    }
+
+    /// The guard sum `Σ_{u ∈ N(v)} guard_term(r_v, r_u)` of `v` in `config`
+    /// (see [`Protocol::SUMMED_GUARD_MAX_DEGREE`]).
+    #[inline]
+    fn guard_sum(&self, config: &Configuration<P::State>, v: VertexId) -> u64 {
+        let own = config.get(v);
+        self.graph.neighbors(v).iter().map(|&u| self.protocol.guard_term(own, config.get(u))).sum()
+    }
+
+    /// The rule of `v` in `config` derived from its guard sum `sum`; debug
+    /// builds check it against a fresh [`Protocol::enabled_rule`].
+    #[inline]
+    fn rule_from_sum(
+        &self,
+        config: &Configuration<P::State>,
+        v: VertexId,
+        sum: u64,
+    ) -> Option<RuleId> {
+        let rule = self.protocol.rule_from_sum(config.get(v), sum);
+        debug_assert_eq!(
+            rule,
+            self.enabled_rule_unchecked(config, v),
+            "the guard sum of {v} disagrees with its guard"
+        );
+        rule
     }
 
     /// All enabled vertices of `config`, sorted by index.
@@ -377,6 +417,7 @@ impl<'a, P: Protocol> Simulator<'a, P> {
             deltas,
             enabled,
             rules,
+            sums,
             stamps,
             generation,
         } = scratch;
@@ -402,8 +443,21 @@ impl<'a, P: Protocol> Simulator<'a, P> {
         let mut counters = RunCounters::new();
         let preview_evals = std::cell::Cell::new(0u64);
         counters.guard_evals += n as u64;
+        // The summed guard form holds only up to the protocol's degree
+        // limit; past it, this run evaluates the full guard throughout.
+        let summed = P::SUMMED_GUARD_MAX_DEGREE
+            .is_some_and(|max_degree| self.graph.max_degree() <= max_degree);
         rules.clear();
-        rules.extend(self.graph.vertices().map(|v| self.enabled_rule(&config, v)));
+        sums.clear();
+        if summed {
+            for v in self.graph.vertices() {
+                let sum = self.guard_sum(&config, v);
+                sums.push(sum);
+                rules.push(self.rule_from_sum(&config, v, sum));
+            }
+        } else {
+            rules.extend(self.graph.vertices().map(|v| self.enabled_rule(&config, v)));
+        }
         for v in self.graph.vertices() {
             enabled.set(v, rules[v.index()].is_some());
         }
@@ -465,26 +519,61 @@ impl<'a, P: Protocol> Simulator<'a, P> {
             }
             counters.delta_bytes += (deltas.len() * 2 * std::mem::size_of::<P::State>()) as u64;
             // Incremental enablement update: only activated vertices and
-            // their neighbors can change status. Stamp-dedup while
-            // collecting; the order is irrelevant to the bitset.
+            // their neighbors can change status.
             touched.clear();
-            *generation += 1;
-            let gen = *generation;
-            for &v in selection.iter() {
-                if stamps[v.index()] != gen {
-                    stamps[v.index()] = gen;
-                    touched.push(v);
+            if let [v] = selection[..] {
+                // One mover: the graph is simple, so its ball is itself
+                // plus its neighbor slice, with nothing to deduplicate.
+                let neighbors = self.graph.neighbors(v);
+                touched.push(v);
+                touched.extend_from_slice(neighbors);
+                if summed {
+                    // Only the terms on the mover's own edges changed:
+                    // patch each neighbor's sum by its edge's terms and
+                    // rebuild the mover's in the same pass.
+                    let (_, before, after) = &deltas[0];
+                    let mut sum = 0;
+                    for &u in neighbors {
+                        let ru = next.get(u);
+                        let patched = &mut sums[u.index()];
+                        *patched = *patched - self.protocol.guard_term(ru, before)
+                            + self.protocol.guard_term(ru, after);
+                        sum += self.protocol.guard_term(after, ru);
+                    }
+                    sums[v.index()] = sum;
                 }
-                for &u in self.graph.neighbors(v) {
-                    if stamps[u.index()] != gen {
-                        stamps[u.index()] = gen;
-                        touched.push(u);
+            } else {
+                // Several movers: stamp-dedup while collecting; the order
+                // is irrelevant to the bitset. With movers next to each
+                // other, patching would need a mover mark and saves little
+                // over rebuilding the ball's sums.
+                *generation += 1;
+                let gen = *generation;
+                for &v in selection.iter() {
+                    if stamps[v.index()] != gen {
+                        stamps[v.index()] = gen;
+                        touched.push(v);
+                    }
+                    for &u in self.graph.neighbors(v) {
+                        if stamps[u.index()] != gen {
+                            stamps[u.index()] = gen;
+                            touched.push(u);
+                        }
+                    }
+                }
+                if summed {
+                    for &v in touched.iter() {
+                        sums[v.index()] = self.guard_sum(next, v);
                     }
                 }
             }
             counters.guard_evals += touched.len() as u64;
             for &v in touched.iter() {
-                let rule = self.enabled_rule_unchecked(next, v);
+                let rule = if summed {
+                    self.rule_from_sum(next, v, sums[v.index()])
+                } else {
+                    self.enabled_rule_unchecked(next, v)
+                };
                 rules[v.index()] = rule;
                 enabled.set(v, rule.is_some());
             }

@@ -193,6 +193,43 @@ pub trait Protocol {
     /// [`Protocol::enabled_rule`] for the same view.
     fn apply(&self, view: &View<'_, Self::State>, rule: RuleId) -> Self::State;
 
+    /// The summed guard form, off by default (`None`). `Some(max_degree)`
+    /// promises that at every vertex `v` of degree at most `max_degree`
+    ///
+    /// ```text
+    /// enabled_rule(v) = rule_from_sum(r_v, Σ_{u ∈ N(v)} guard_term(r_v, r_u))
+    /// ```
+    ///
+    /// where the sum of any `max_degree` terms fits in a `u64`. A step of
+    /// the engine then re-derives a neighbor's rule by patching its sum
+    /// with the terms of the one edge that changed, instead of re-reading
+    /// the neighbor's whole neighborhood. Runs on a graph with a vertex of
+    /// larger degree (the protocol's packed counts would carry) evaluate
+    /// [`Protocol::enabled_rule`] instead.
+    const SUMMED_GUARD_MAX_DEGREE: Option<usize> = None;
+
+    /// The term a neighbor in state `neighbor` adds to the guard sum of a
+    /// vertex in state `own` (see [`Protocol::SUMMED_GUARD_MAX_DEGREE`]).
+    ///
+    /// # Panics
+    ///
+    /// The default panics: only protocols with the summed form are asked.
+    fn guard_term(&self, own: &Self::State, neighbor: &Self::State) -> u64 {
+        let _ = (own, neighbor);
+        unreachable!("{} has no summed guard form", self.name())
+    }
+
+    /// The enabled rule of a vertex in state `own` whose neighbors' guard
+    /// terms sum to `sum` (see [`Protocol::SUMMED_GUARD_MAX_DEGREE`]).
+    ///
+    /// # Panics
+    ///
+    /// The default panics: only protocols with the summed form are asked.
+    fn rule_from_sum(&self, own: &Self::State, sum: u64) -> Option<RuleId> {
+        let _ = (own, sum);
+        unreachable!("{} has no summed guard form", self.name())
+    }
+
     /// Samples a uniformly arbitrary state for `v`, used to build arbitrary
     /// initial configurations and to model transient faults.
     fn random_state(&self, v: VertexId, rng: &mut StdRng) -> Self::State;

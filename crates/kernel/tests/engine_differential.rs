@@ -71,6 +71,74 @@ impl Protocol for MaxProto {
     }
 }
 
+/// A toy unison over `Z_5` with the summed guard form and two 2-bit
+/// counter lanes, so its sums carry past degree 3: a neighbor one tick
+/// behind counts in lane 0, one more than a tick away in lane 1. `TICK`
+/// when no neighbor is behind or far, `RESET` to 0 when one is far.
+/// `enabled_rule` reads the neighbors directly, so the reference loop
+/// checks the engine's sums against an independent guard; rings and paths
+/// run on the sums, while tori and trees of degree 4 or more exceed the
+/// lanes and must run on `enabled_rule`.
+#[derive(Clone)]
+struct LaneClock;
+
+impl LaneClock {
+    const PERIOD: u8 = 5;
+    const TICK: RuleId = RuleId::new(0);
+    const RESET: RuleId = RuleId::new(1);
+
+    fn behind(own: u8, neighbor: u8) -> bool {
+        (neighbor + 1) % Self::PERIOD == own
+    }
+
+    fn far(own: u8, neighbor: u8) -> bool {
+        neighbor != own && !Self::behind(own, neighbor) && !Self::behind(neighbor, own)
+    }
+
+    fn rule(own: u8, behind: bool, far: bool) -> Option<RuleId> {
+        if !behind && !far {
+            Some(Self::TICK)
+        } else if far && own != 0 {
+            Some(Self::RESET)
+        } else {
+            None
+        }
+    }
+}
+
+impl Protocol for LaneClock {
+    type State = u8;
+    const SUMMED_GUARD_MAX_DEGREE: Option<usize> = Some(3);
+    fn name(&self) -> String {
+        "lane-clock".into()
+    }
+    fn rules(&self) -> Vec<RuleInfo> {
+        vec![RuleInfo::new("TICK"), RuleInfo::new("RESET")]
+    }
+    fn enabled_rule(&self, view: &View<'_, u8>) -> Option<RuleId> {
+        let own = *view.state();
+        let behind = view.neighbor_states().any(|(_, &s)| Self::behind(own, s));
+        let far = view.neighbor_states().any(|(_, &s)| Self::far(own, s));
+        Self::rule(own, behind, far)
+    }
+    fn guard_term(&self, own: &u8, neighbor: &u8) -> u64 {
+        u64::from(Self::behind(*own, *neighbor)) | u64::from(Self::far(*own, *neighbor)) << 2
+    }
+    fn rule_from_sum(&self, own: &u8, sum: u64) -> Option<RuleId> {
+        Self::rule(*own, sum & 3 != 0, (sum >> 2) & 3 != 0)
+    }
+    fn apply(&self, view: &View<'_, u8>, rule: RuleId) -> u8 {
+        if rule == Self::TICK {
+            (view.state() + 1) % Self::PERIOD
+        } else {
+            0
+        }
+    }
+    fn random_state(&self, _v: VertexId, rng: &mut StdRng) -> u8 {
+        rng.gen_range(0..Self::PERIOD)
+    }
+}
+
 /// Observer recording everything an execution exposes, for exact
 /// event-stream comparison between the two engine paths.
 struct FullRecorder<S> {
@@ -221,6 +289,33 @@ proptest! {
                 } else {
                     Box::new(max_enabled_adversary(
                         Arc::new(MaxProto),
+                        AdversaryMoves::SingletonsAndAll,
+                        seed,
+                    ))
+                }
+            },
+            &label,
+            seed,
+            5_000,
+        );
+    }
+
+    /// The summed guard × every daemon including the greedy adversary: the
+    /// patched sums derive the same rules as a full re-evaluation, on
+    /// graphs within the lanes' degree limit and past it.
+    #[test]
+    fn summed_guard_matches_reference(kind in any::<u8>(), n in 2usize..12, daemon_idx in 0usize..8, seed in any::<u64>()) {
+        let g = graph_for(kind, n, seed);
+        let label = format!("daemon#{daemon_idx}");
+        differential_case(
+            &LaneClock,
+            &g,
+            || -> Box<dyn Daemon<u8>> {
+                if daemon_idx < 7 {
+                    zoo_daemon::<u8>(daemon_idx, seed)
+                } else {
+                    Box::new(max_enabled_adversary(
+                        Arc::new(LaneClock),
                         AdversaryMoves::SingletonsAndAll,
                         seed,
                     ))

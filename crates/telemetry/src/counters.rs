@@ -35,13 +35,14 @@ pub struct RunCounters {
     pub steps: u64,
     /// Moves (vertex activations) executed.
     pub moves: u64,
-    /// Guard evaluations performed, defined once for both engines. The
-    /// scalar engine performs `n` at the start of a run, then one per
-    /// vertex of each step's touched ball (the activated vertices and
-    /// their neighbors), plus one per vertex of each daemon preview;
-    /// firing applies the rule cached at the last evaluation. The lane
-    /// engine performs `n` per live lane per pass, because each pass
-    /// refreshes the whole graph.
+    /// Guard evaluations, defined once for both engines: one per vertex
+    /// whose enabled rule is (re)derived, whether from a full guard
+    /// evaluation or from a patched guard sum. The scalar engine derives
+    /// `n` at the start of a run, then one per vertex of each step's
+    /// touched ball (the activated vertices and their neighbors), plus
+    /// one per vertex of each daemon preview; firing applies the rule
+    /// cached at the last derivation. The lane engine derives `n` per
+    /// live lane per pass, because each pass refreshes the whole graph.
     pub guard_evals: u64,
     /// Bytes of state moved through step deltas (before + after state per
     /// recorded move).

@@ -27,11 +27,15 @@
 //!
 //! The predicates above are kept as the readable reference API
 //! ([`AsyncUnison::normal_step`] and friends, over
-//! [`CherryClock::d_k`]/[`CherryClock::le_local`]). The engine's guard,
-//! [`Protocol::enabled_rule`], evaluates all three in one division-free
-//! pass over the neighbors (`neighbor_term`) and picks the rule from a
-//! table; the lane-packed step ([`crate::packed`]) shares the same
-//! per-neighbor term and guard combination, so the paths cannot drift.
+//! [`CherryClock::d_k`]/[`CherryClock::le_local`]). The engine's guard is
+//! the summed form of [`Protocol::SUMMED_GUARD_MAX_DEGREE`]: each neighbor
+//! contributes one division-free term (`neighbor_term`) counting, in three
+//! 16-bit lanes, whether it breaks `allCorrect_v`, the `≤_l` conjunction
+//! and the `convergeStep_v` conjunction; [`Protocol::rule_from_sum`] picks
+//! the rule from which lanes are zero, and [`Protocol::enabled_rule`] is
+//! the same over the terms' bitwise or. The lane-packed step
+//! ([`crate::packed`]) shares the per-neighbor term and guard combination,
+//! so the paths cannot drift.
 
 use crate::clock::{CherryClock, ClockValue};
 use rand::rngs::StdRng;
@@ -115,6 +119,14 @@ pub(crate) fn guards<R: Register>(a: R, all_correct: bool, all_le: bool, conv: b
 const RULE_BY_GUARD: [Option<RuleId>; 4] =
     [None, Some(rules::NA), Some(rules::CA), Some(rules::RA)];
 
+/// Width of one counter lane of a guard term: a term counts `¬correct_v(u)`
+/// in bits 0–15, `¬(r_v ≤_l r_u)` in bits 16–31 and the negated
+/// `convergeStep_v` term in bits 32–47.
+const LANE_BITS: u32 = 16;
+
+/// One lane's mask; also the largest degree whose counts fit in a lane.
+const LANE_MASK: u64 = (1 << LANE_BITS) - 1;
+
 /// Rule indices of the unison protocol.
 pub mod rules {
     use specstab_kernel::protocol::RuleId;
@@ -197,21 +209,39 @@ impl Protocol for AsyncUnison {
     /// The first of NA, CA, RA whose guard holds, in one pass over the
     /// neighbors (equal to the [`AsyncUnison::normal_step`],
     /// [`AsyncUnison::converge_step`], [`AsyncUnison::reset_init`]
-    /// cascade; pinned on full state domains by the tests).
+    /// cascade; pinned on full state domains by the tests): the summed
+    /// guard over the terms' bitwise or, which has the same zero lanes as
+    /// their sum and cannot carry at any degree.
     #[inline]
     fn enabled_rule(&self, view: &View<'_, ClockValue>) -> Option<RuleId> {
-        let a = view.state().raw();
-        let k = self.clock.k();
-        debug_assert!(self.clock.contains(a), "register {a} outside {}", self.clock);
-        let (mut all_correct, mut all_le, mut conv) = (true, true, true);
-        for (_, ru) in view.neighbor_states() {
+        let own = view.state();
+        debug_assert!(self.clock.contains(own.raw()), "register {own} outside {}", self.clock);
+        let broken = view.neighbor_states().fold(0, |acc, (_, ru)| {
             debug_assert!(self.clock.contains(ru.raw()), "register {ru} outside {}", self.clock);
-            let term = neighbor_term(a, ru.raw(), k);
-            all_correct &= term.correct;
-            all_le &= term.le;
-            conv &= term.conv;
-        }
-        let [na, ca, ra] = guards(a, all_correct, all_le, conv);
+            acc | self.guard_term(own, ru)
+        });
+        self.rule_from_sum(own, broken)
+    }
+
+    /// Counts fit in a 16-bit lane up to degree 65,535.
+    const SUMMED_GUARD_MAX_DEGREE: Option<usize> = Some(LANE_MASK as usize);
+
+    /// `neighbor_term(r_v, r_u)` with each conjunct negated, one per lane.
+    #[inline]
+    fn guard_term(&self, own: &ClockValue, neighbor: &ClockValue) -> u64 {
+        let term = neighbor_term(own.raw(), neighbor.raw(), self.clock.k());
+        u64::from(!term.correct)
+            | u64::from(!term.le) << LANE_BITS
+            | u64::from(!term.conv) << (2 * LANE_BITS)
+    }
+
+    /// The NA/CA/RA guards from which lanes of `sum` are zero (a lane is
+    /// zero iff its conjunction holds), made exclusive in that priority
+    /// order and picked from a table.
+    #[inline]
+    fn rule_from_sum(&self, own: &ClockValue, sum: u64) -> Option<RuleId> {
+        let holds = |lane: u32| (sum >> (lane * LANE_BITS)) & LANE_MASK == 0;
+        let [na, ca, ra] = guards(own.raw(), holds(0), holds(1), holds(2));
         RULE_BY_GUARD[usize::from(na) + 2 * usize::from(ca) + 3 * usize::from(ra)]
     }
 
@@ -251,9 +281,10 @@ mod tests {
 
     #[test]
     fn guards_are_pairwise_exclusive_on_full_domain() {
-        // The one-pass table guard and the one-pass Γ1 check against their
-        // readable definitions, on every configuration of small graphs
-        // (isolated vertex, path, star, triangle) for two clocks.
+        // The table guard (over the or and over the sum of the guard
+        // terms) and the one-pass Γ1 check against their readable
+        // definitions, on every configuration of small graphs (isolated
+        // vertex, path, star, triangle) for two clocks.
         let graphs = [
             generators::path(1).unwrap(),
             generators::path(3).unwrap(),
@@ -287,6 +318,8 @@ mod tests {
                         };
                         assert_eq!(p.enabled_rule(&view), cascade, "enabled_rule: {what}");
                         let rv = *conf.get(v);
+                        let sum = view.neighbor_states().map(|(_, ru)| p.guard_term(&rv, ru)).sum();
+                        assert_eq!(p.rule_from_sum(&rv, sum), cascade, "rule_from_sum: {what}");
                         let by_definition = !x.is_stab(rv)
                             || g.neighbors(v).iter().any(|&u| {
                                 let ru = *conf.get(u);
