@@ -79,8 +79,7 @@ fn usage() -> ! {
          campaign merge [--json <path>] [--csv <path>] [--cells-in-json] [--trace <path>] \
          <partial.json>..\n\
          campaign serve --plan <path> [--listen <addr>] [--spool <dir>] [--lease-ms <n>] \
-         [--stop-after-uploads <n>] [--json <path>] [--csv <path>] [--cells-in-json] \
-         [--trace <path>] [--metrics <path>]\n\
+         [--json <path>] [--csv <path>] [--cells-in-json] [--trace <path>] [--metrics <path>]\n\
          campaign work  --coordinator <http://host:port> [--worker-id <id>] [--threads <n>] \
          [--lease-only]\n\
          \n\
@@ -169,8 +168,7 @@ const SUBCOMMANDS: [Subcommand; 6] = [
     },
     Subcommand {
         name: "serve",
-        values: "--plan --listen --spool --lease-ms --stop-after-uploads --json --csv --trace \
-                 --metrics",
+        values: "--plan --listen --spool --lease-ms --json --csv --trace --metrics",
         switches: "--cells-in-json",
         positional: false,
         body: cmd_serve,
@@ -529,7 +527,7 @@ fn cmd_run(flags: &Flags) -> ! {
         result.cells.len() as f64 / result.wall.as_secs_f64().max(1e-9),
     );
     if let Some(w) = trace.as_mut() {
-        emit_result_events(w, &result.cells, &result.groups).unwrap_or_else(|e| fail(&e));
+        emit_result_events(w, &result).unwrap_or_else(|e| fail(&e));
     }
     trace_emit(
         &mut trace,
@@ -749,16 +747,15 @@ fn cmd_serve(flags: &Flags) -> ! {
         lease_ms: flags.num("--lease-ms").unwrap_or(defaults.lease_ms),
         spool: flags.get("--spool").map_or(defaults.spool, PathBuf::from),
         trace_path: flags.get("--trace").map(PathBuf::from),
-        stop_after_uploads: flags.num("--stop-after-uploads"),
+        ..defaults
     };
     let listen = flags.get("--listen").unwrap_or("127.0.0.1:7177");
     let coordinator =
         Coordinator::bind(load_plan(plan_path), listen, options).unwrap_or_else(|e| fail(&e));
-    let outcome = coordinator.run().unwrap_or_else(|e| fail(&e));
-    let Some(result) = outcome else {
-        eprintln!("campaign: serve stopped before completion (fault injection)");
-        std::process::exit(3);
-    };
+    let result = coordinator
+        .run()
+        .and_then(|outcome| outcome.ok_or_else(|| "the coordinator stopped early".into()))
+        .unwrap_or_else(|e| fail(&e));
     write_metrics(flags);
     emit_result(&result, flags);
 }

@@ -11,10 +11,10 @@
 //! connected, its diameter swept by BFS) once per run before the workers
 //! start, and they share the result by reference. The main thread
 //! reassembles the cells in canonical order and derives every group's
-//! statistics from them with [`summarize_groups`] — the same function the
-//! merge of partial artifacts calls, so a campaign's statistics are a
-//! pure function of its canonically ordered cells, whichever process ran
-//! them.
+//! statistics from them with [`summarize_groups`], one ordered pass per
+//! group — the same function the merge of partial artifacts calls, so a
+//! campaign's statistics are a pure function of its canonically ordered
+//! cells, whichever process ran them.
 //!
 //! Every cell derives its RNG stream purely from its coordinates
 //! ([`Cell::cell_seed`]), and each group's statistics are fed in canonical
@@ -30,8 +30,8 @@ use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::{BoxedDaemon, DaemonClass};
 use specstab_kernel::engine::{Simulator, StepScratch};
 use specstab_kernel::fault::inject_faults_in_place;
-use specstab_kernel::harness::{HarnessError, HarnessState, ProtocolHarness};
-use specstab_kernel::measure::SpecMonitor;
+use specstab_kernel::harness::{HarnessError, HarnessState, ProtocolHarness, TheoremBound};
+use specstab_kernel::measure::{SpecMonitor, StabilizationReport};
 use specstab_kernel::protocol::{random_configuration, Protocol};
 use specstab_protocols::registry::{self, HarnessVisitor, ProtocolInfo};
 use specstab_telemetry::{Heartbeat, RunCounters, PATH_BATCHED, PATH_SCALAR, PATH_SCALAR_FALLBACK};
@@ -108,6 +108,22 @@ pub struct CellOutcome {
     pub violated_bound: bool,
 }
 
+impl CellOutcome {
+    /// The outcome of one measured run, checked against `bound` when one
+    /// applies. Both engine paths report their cells through it.
+    fn measured(report: &StabilizationReport, bound: Option<TheoremBound>) -> Self {
+        Self {
+            steps_run: report.steps_run,
+            stabilization_steps: report.stabilization_steps,
+            legitimacy_entry: report.legitimacy_entry,
+            moves: report.moves,
+            ended_legitimate: report.ended_legitimate,
+            bound: bound.map(|b| b.value),
+            violated_bound: bound.is_some_and(|b| b.violated_by(report)),
+        }
+    }
+}
+
 /// One cell plus its execution result.
 #[derive(Clone, Debug)]
 pub struct CellResult {
@@ -178,17 +194,18 @@ impl GroupSummary {
         self.class.map_or_else(String::new, |c| c.to_string())
     }
 
-    /// An empty summary seeded from the first cell of a group.
-    fn seeded_from(cr: &CellResult) -> Self {
-        Self {
-            key: cr.cell.group_key(),
-            topology: cr.cell.topology.clone(),
-            protocol: cr.cell.protocol.clone(),
-            daemon: cr.cell.daemon.clone(),
-            class: cr.class,
-            init: cr.cell.init,
-            n: cr.n,
-            diam: cr.diam,
+    /// The summary of one scenario group's cells, fed in order.
+    fn of_group(cells: &[CellResult]) -> Self {
+        let first = &cells[0];
+        let mut summary = Self {
+            key: first.cell.group_key(),
+            topology: first.cell.topology.clone(),
+            protocol: first.cell.protocol.clone(),
+            daemon: first.cell.daemon.clone(),
+            class: first.class,
+            init: first.cell.init,
+            n: first.n,
+            diam: first.diam,
             runs: 0,
             errors: 0,
             converged: 0,
@@ -197,35 +214,29 @@ impl GroupSummary {
             moves: OnlineStats::new(),
             bound: None,
             violations: 0,
-        }
-    }
-
-    /// Feeds one cell result into the streaming aggregates.
-    fn record(&mut self, cr: &CellResult) {
-        self.runs += 1;
-        if self.class.is_none() {
-            self.class = cr.class;
-        }
-        match &cr.outcome {
-            Ok(o) => {
-                self.stabilization.push(o.stabilization_steps as f64);
-                self.entry.push(o.legitimacy_entry as f64);
-                self.moves.push(o.moves as f64);
-                self.converged += u64::from(o.ended_legitimate);
-                self.bound = self.bound.or(o.bound);
-                self.violations += u64::from(o.violated_bound);
+        };
+        for cr in cells {
+            summary.runs += 1;
+            summary.class = summary.class.or(cr.class);
+            match &cr.outcome {
+                Ok(o) => {
+                    summary.stabilization.push(o.stabilization_steps as f64);
+                    summary.entry.push(o.legitimacy_entry as f64);
+                    summary.moves.push(o.moves as f64);
+                    summary.converged += u64::from(o.ended_legitimate);
+                    summary.bound = summary.bound.or(o.bound);
+                    summary.violations += u64::from(o.violated_bound);
+                }
+                Err(_) => summary.errors += 1,
             }
-            Err(_) => self.errors += 1,
         }
+        summary
     }
 
-    /// Merges another partial summary **of the same group** into this one,
-    /// as if `other`'s cells had been fed after `self`'s. Counters merge
-    /// exactly; streaming statistics merge via [`OnlineStats::merge`]
-    /// (exact when `self` is empty, approximate for the quantile sketches
-    /// otherwise). This is also the building block for combining campaign
-    /// artifacts across processes (each process sweeping a slice of the
-    /// seed axis).
+    /// Merges another summary **of the same group** into this one: the
+    /// result is exactly the summary of `self`'s cells followed by
+    /// `other`'s, because counters add and [`OnlineStats::merge`] appends
+    /// the observations.
     ///
     /// # Panics
     ///
@@ -236,9 +247,7 @@ impl GroupSummary {
         self.errors += other.errors;
         self.converged += other.converged;
         self.violations += other.violations;
-        if self.class.is_none() {
-            self.class = other.class;
-        }
+        self.class = self.class.or(other.class);
         self.bound = self.bound.or(other.bound);
         self.stabilization.merge(&other.stabilization);
         self.entry.merge(&other.entry);
@@ -276,27 +285,21 @@ impl CampaignResult {
     }
 }
 
-/// Cap on cells per work unit, and per statistics chunk. Groups at or
-/// below this size are aggregated in one piece — their statistics are
-/// **bit-identical** to a sequential canonical-order feed (the common
-/// case: every shipped matrix and the golden artifact use ≤ 32 seeds per
-/// group). Larger groups are split into deterministic,
-/// thread-count-independent chunks so seed-heavy campaigns (one group ×
-/// thousands of seeds) still parallelize; [`summarize_groups`] aggregates
-/// the same chunks and folds them with [`GroupSummary::merge`], which
-/// keeps count/min/max and the violation counters exact and merges
-/// mean/variance/quantiles with the documented parallel-combination
-/// accuracy.
+/// Cap on cells per work unit: seed-heavy groups (one group × thousands
+/// of seeds) split into chunks of this many cells so they still spread
+/// across the pool, and a batched chunk steps at most this many lanes.
+/// Statistics never see the chunks: [`summarize_groups`] reads each group
+/// whole.
 const MAX_RUN_CELLS: usize = 32;
 
 /// Splits the canonical cell order into contiguous runs of one scenario
-/// group — the executor's unit of work and statistics chunk — chunking
-/// oversized groups at [`MAX_RUN_CELLS`]. Chunk boundaries depend only on
-/// the cell coordinates, never on thread count, scheduling or sharding.
-fn group_runs<T>(items: &[T], cell: impl Fn(&T) -> &Cell) -> Vec<std::ops::Range<usize>> {
+/// group — the executor's units of work — chunking oversized groups at
+/// [`MAX_RUN_CELLS`]. Chunk boundaries depend only on the cell
+/// coordinates, never on thread count, scheduling or sharding.
+fn group_runs(cells: &[Cell]) -> Vec<std::ops::Range<usize>> {
     let mut runs = Vec::new();
     let mut start = 0;
-    for group in items.chunk_by(|a, b| cell(a).same_group(cell(b))) {
+    for group in cells.chunk_by(Cell::same_group) {
         let end = start + group.len();
         for lo in (start..end).step_by(MAX_RUN_CELLS) {
             runs.push(lo..(lo + MAX_RUN_CELLS).min(end));
@@ -390,41 +393,18 @@ fn execute_group_run(
     }
 }
 
-/// Derives every group's statistics from canonically ordered cell results:
-/// one [`GroupSummary`] per `group_runs` chunk, fed its cells in order,
-/// then the chunks folded with `fold_groups`. [`run_campaign`] calls it on
-/// its reassembled cells and [`crate::merge`] on the concatenated cells
-/// of a plan's partials, so both produce bit-identical statistics for the
-/// same cells however they were split.
+/// Derives every group's statistics from canonically ordered cell
+/// results: one [`GroupSummary`] per contiguous run of a scenario group,
+/// fed its cells in order, however many work units the group spanned.
+/// [`run_campaign`] calls it on its reassembled cells and [`crate::merge`]
+/// on the concatenated cells of a plan's partials, so both produce
+/// bit-identical statistics for the same cells however they were split.
+/// The summaries follow the runs, so a group whose cells form two
+/// separate runs gets two; plans and merges reject such cell lists
+/// ([`crate::plan::check_contiguous_groups`]).
 #[must_use]
 pub fn summarize_groups(cells: &[CellResult]) -> Vec<GroupSummary> {
-    let chunks = group_runs(cells, |cr| &cr.cell).into_iter().map(|run| {
-        let chunk = &cells[run];
-        let mut summary = GroupSummary::seeded_from(&chunk[0]);
-        for cr in chunk {
-            summary.record(cr);
-        }
-        summary
-    });
-    fold_groups(chunks)
-}
-
-/// Folds per-chunk summaries (in canonical order) into the final group
-/// list, merging same-group chunks with [`GroupSummary::merge`]. A group
-/// of at most [`MAX_RUN_CELLS`] cells is one chunk, so its statistics are
-/// bit-identical to sequential accumulation.
-fn fold_groups(partials: impl IntoIterator<Item = GroupSummary>) -> Vec<GroupSummary> {
-    let mut order: Vec<String> = Vec::new();
-    let mut by_key: HashMap<String, GroupSummary> = HashMap::new();
-    for partial in partials {
-        if let Some(existing) = by_key.get_mut(&partial.key) {
-            existing.merge(&partial);
-        } else {
-            order.push(partial.key.clone());
-            by_key.insert(partial.key.clone(), partial);
-        }
-    }
-    order.into_iter().map(|k| by_key.remove(&k).expect("group recorded")).collect()
+    cells.chunk_by(|a, b| a.cell.same_group(&b.cell)).map(GroupSummary::of_group).collect()
 }
 
 /// Runs every cell of `matrix` across a worker pool, aggregating group
@@ -451,7 +431,7 @@ pub fn run_campaign_with_progress(
 ) -> CampaignResult {
     let started = Instant::now();
     let cells = matrix.cells();
-    let runs = group_runs(cells, |c| c);
+    let runs = group_runs(cells);
     let threads = effective_threads(config.threads, runs.len());
     let topologies = resolve_topologies(cells);
     let cursor = AtomicUsize::new(0);
@@ -576,6 +556,12 @@ fn run_harness_group<H: ProtocolHarness>(
         _ => None,
     };
     let witness = witness.as_ref();
+    // The synchronous theorem bounds apply only when the chunk's shared
+    // daemon is "sync".
+    let bound = match &harness {
+        Ok(h) if first.daemon == "sync" => h.sync_bound(graph, diam),
+        _ => None,
+    };
     // Group keys include the daemon, so one shared check covers the chunk:
     // sync and dist:p groups of batch-capable protocols step all their
     // seed replicas lane-parallel through the packed engine. Any reason
@@ -589,7 +575,7 @@ fn run_harness_group<H: ProtocolHarness>(
         if let Some(mode) = BatchDaemon::from_spec(&first.daemon) {
             if batching_enabled() && h.supports_batch() {
                 if let Some(results) =
-                    run_batched_group(h, mode, cells, graph, diam, config, witness)
+                    run_batched_group(h, mode, cells, graph, diam, bound, config, witness)
                 {
                     return results;
                 }
@@ -603,7 +589,7 @@ fn run_harness_group<H: ProtocolHarness>(
             let started = Instant::now();
             let (class, counters, outcome) = match &harness {
                 Ok(h) => {
-                    run_harness_cell(h, cell, graph, diam, cell_seed, config, witness, scratch)
+                    run_harness_cell(h, cell, graph, cell_seed, bound, config, witness, scratch)
                 }
                 Err(e) => (None, RunCounters::default(), Err(e.to_string())),
             };
@@ -662,12 +648,14 @@ type GroupWitness<H> = Result<Configuration<HarnessState<H>>, HarnessError>;
 /// `wall_nanos` is the batch total split evenly across the lanes: lanes
 /// run fused, so no truer per-cell attribution exists (telemetry only,
 /// never an artifact input).
+#[allow(clippy::too_many_arguments)] // the chunk's cells plus the group's shared state
 fn run_batched_group<H: ProtocolHarness>(
     harness: &H,
     mode: BatchDaemon,
     cells: &[Cell],
     graph: &Graph,
     diam: u32,
+    bound: Option<TheoremBound>,
     config: &CampaignConfig,
     witness: Option<&GroupWitness<H>>,
 ) -> Option<Vec<CellResult>> {
@@ -696,9 +684,6 @@ fn run_batched_group<H: ProtocolHarness>(
         config.max_steps,
         config.early_stop_margin,
     )?;
-    // The chunk shares one daemon; the synchronous theorem bounds only
-    // apply to the lanes when that daemon is "sync".
-    let bound = (mode == BatchDaemon::Sync).then(|| harness.sync_bound(graph, diam)).flatten();
     let total_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let per_cell_nanos = total_nanos / cells.len().max(1) as u64;
     Some(
@@ -713,15 +698,7 @@ fn run_batched_group<H: ProtocolHarness>(
                 diam,
                 class: Some(class),
                 cell_seed,
-                outcome: Ok(CellOutcome {
-                    steps_run: report.steps_run,
-                    stabilization_steps: report.stabilization_steps,
-                    legitimacy_entry: report.legitimacy_entry,
-                    moves: report.moves,
-                    ended_legitimate: report.ended_legitimate,
-                    bound: bound.map(|b| b.value),
-                    violated_bound: bound.is_some_and(|b| b.violated_by(&report)),
-                }),
+                outcome: Ok(CellOutcome::measured(&report, bound)),
                 wall_nanos: per_cell_nanos,
                 counters: report.counters,
             })
@@ -779,8 +756,8 @@ fn cell_setup<H: ProtocolHarness>(
 }
 
 /// Runs one cell on an already-built harness: set it up ([`cell_setup`]),
-/// execute one measured run on pooled scratch buffers, and check the
-/// harness's synchronous theorem bound.
+/// execute one measured run on pooled scratch buffers, and check it
+/// against the group's theorem `bound`.
 ///
 /// The run is measured by the kernel's incremental [`SpecMonitor`] over
 /// the harness's specification: per step it re-evaluates only the
@@ -791,8 +768,8 @@ fn run_harness_cell<H: ProtocolHarness>(
     harness: &H,
     cell: &Cell,
     graph: &Graph,
-    diam: u32,
     cell_seed: u64,
+    bound: Option<TheoremBound>,
     config: &CampaignConfig,
     witness: Option<&GroupWitness<H>>,
     scratch: &mut ScratchPool,
@@ -811,20 +788,7 @@ fn run_harness_cell<H: ProtocolHarness>(
         config.max_steps,
         scratch.get::<HarnessState<H>>(),
     );
-    let bound = (cell.daemon == "sync").then(|| harness.sync_bound(graph, diam)).flatten();
-    (
-        class,
-        report.counters,
-        Ok(CellOutcome {
-            steps_run: report.steps_run,
-            stabilization_steps: report.stabilization_steps,
-            legitimacy_entry: report.legitimacy_entry,
-            moves: report.moves,
-            ended_legitimate: report.ended_legitimate,
-            bound: bound.map(|b| b.value),
-            violated_bound: bound.is_some_and(|b| b.violated_by(&report)),
-        }),
-    )
+    (class, report.counters, Ok(CellOutcome::measured(&report, bound)))
 }
 
 /// Builds the initial configuration for a burst-mode scenario: a full
@@ -963,7 +927,7 @@ mod tests {
             .fault_bursts([0])
             .seeds(0..80)
             .build();
-        assert_eq!(super::group_runs(m.cells(), |c| c).len(), 3);
+        assert_eq!(super::group_runs(m.cells()).len(), 3);
         let cfg = CampaignConfig { threads: 4, max_steps: 100_000, ..Default::default() };
         let par = run_campaign(&m, &cfg);
         let seq = run_campaign(&m, &CampaignConfig { threads: 1, ..cfg });
@@ -978,10 +942,9 @@ mod tests {
             crate::artifact::to_json(&seq, true),
             "chunked aggregation must stay thread-count invariant"
         );
-        // Independent reference for the chunk-merge path: recompute the
-        // group statistics naively from the per-cell outcomes (both runs
-        // share summarize_groups, so the par==seq check alone cannot catch
-        // a merge bug).
+        // Independent reference: recompute the group statistics naively
+        // from the per-cell outcomes (both runs share summarize_groups, so
+        // the par==seq check alone cannot catch an aggregation bug).
         let entries: Vec<f64> = par
             .cells
             .iter()
@@ -993,18 +956,45 @@ mod tests {
         assert_eq!(g.entry.count(), 80);
         assert_eq!(g.entry.min(), entries.iter().copied().fold(f64::INFINITY, f64::min));
         assert_eq!(g.entry.max(), entries.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-        assert!((g.entry.mean() - naive_mean).abs() < 1e-9, "merged mean drifted");
-        assert!((g.entry.variance() - naive_var).abs() < 1e-6, "merged variance drifted");
+        assert!((g.entry.mean() - naive_mean).abs() < 1e-9, "mean drifted");
+        assert!((g.entry.variance() - naive_var).abs() < 1e-6, "variance drifted");
         let mut sorted = entries;
         sorted.sort_by(f64::total_cmp);
         let exact_p50 = sorted[sorted.len() / 2];
         let spread = (g.entry.max() - g.entry.min()).max(1.0);
         assert!(
             (g.entry.p50() - exact_p50).abs() <= spread * 0.5,
-            "merged p50 {} too far from exact {exact_p50}",
+            "p50 {} too far from exact {exact_p50}",
             g.entry.p50()
         );
         assert!(g.entry.p50() >= g.entry.min() && g.entry.p50() <= g.entry.max());
+        // The work units never reach the statistics: each metric equals,
+        // bit for bit, a fresh accumulator fed the group's cells in order.
+        let sequential = |metric: fn(&CellOutcome) -> f64| {
+            let mut s = OnlineStats::new();
+            for c in &par.cells {
+                s.push(metric(c.outcome.as_ref().expect("no errors")));
+            }
+            s
+        };
+        let bits = |s: &OnlineStats| {
+            [s.min(), s.max(), s.mean(), s.variance(), s.p50(), s.p90(), s.p99()].map(f64::to_bits)
+        };
+        for (name, stats, replay) in [
+            ("stabilization", &g.stabilization, sequential(|o| o.stabilization_steps as f64)),
+            ("entry", &g.entry, sequential(|o| o.legitimacy_entry as f64)),
+            ("moves", &g.moves, sequential(|o| o.moves as f64)),
+        ] {
+            assert_eq!(stats.count(), 80, "{name}");
+            assert_eq!(bits(stats), bits(&replay), "{name}");
+            assert!(
+                stats.p50() <= stats.p90() && stats.p90() <= stats.p99(),
+                "{name}: p50 {} p90 {} p99 {}",
+                stats.p50(),
+                stats.p90(),
+                stats.p99()
+            );
+        }
     }
 
     #[test]

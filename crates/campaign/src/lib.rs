@@ -18,9 +18,10 @@
 //!   (one `fn` pointer per protocol, no `dyn` in the step loop), so any
 //!   registered protocol — SSME, Dijkstra's three token-passing
 //!   solutions, `min+1` BFS, maximal matching — joins the grid;
-//! * [`stats`] — streaming per-group statistics (count/mean/max via
-//!   Welford, p50/p90/p99 via the P² sketch) plus bound-violation counters
-//!   checked against `specstab_core::bounds`;
+//! * [`stats`] — per-group statistics, derived from each group's
+//!   observations in cell order (count/mean/max via Welford, p50/p90/p99
+//!   via the P² sketch), plus bound-violation counters checked against
+//!   `specstab_core::bounds`;
 //! * [`artifact`] — deterministic JSON and CSV writers, a strict JSON
 //!   reader, and the versioned [`artifact::PartialArtifact`];
 //! * [`report`] — speculation-profile tables (stabilization vs daemon

@@ -14,7 +14,9 @@
 //! describable as text — the substrate for sharding a matrix range
 //! across processes and machines.
 
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::Hash;
 
 /// How a cell builds its initial configuration.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
@@ -239,7 +241,9 @@ impl ScenarioMatrixBuilder {
     ///
     /// Axes left empty default to a single neutral value where that makes
     /// sense (`fault_bursts -> [0]`); empty topology/protocol/daemon axes
-    /// yield an empty matrix.
+    /// yield an empty matrix. A value repeated on an axis counts once: it
+    /// would only rerun the same cells, and split their scenario groups
+    /// into two runs.
     #[must_use]
     pub fn build(self) -> ScenarioMatrix {
         self.build_where(|_| true)
@@ -255,10 +259,12 @@ impl ScenarioMatrixBuilder {
     pub fn build_where(self, keep: impl Fn(&Cell) -> bool) -> ScenarioMatrix {
         let inits = if self.inits.is_empty() { vec![InitMode::Burst(0)] } else { self.inits };
         let seeds = if self.seeds.is_empty() { vec![0] } else { self.seeds };
+        let (topologies, protocols) = (distinct(self.topologies), distinct(self.protocols));
+        let (daemons, inits, seeds) = (distinct(self.daemons), distinct(inits), distinct(seeds));
         let mut cells = Vec::new();
-        for t in &self.topologies {
-            for p in &self.protocols {
-                for d in &self.daemons {
+        for t in &topologies {
+            for p in &protocols {
+                for d in &daemons {
                     for &init in &inits {
                         for &s in &seeds {
                             let cell = Cell {
@@ -278,6 +284,13 @@ impl ScenarioMatrixBuilder {
         }
         ScenarioMatrix { cells }
     }
+}
+
+/// `values` without repeats, each kept at its first occurrence.
+fn distinct<T: Clone + Eq + Hash>(mut values: Vec<T>) -> Vec<T> {
+    let mut seen = HashSet::new();
+    values.retain(|v| seen.insert(v.clone()));
+    values
 }
 
 #[cfg(test)]
@@ -343,6 +356,18 @@ mod tests {
             changes += usize::from(!same);
         }
         assert_eq!(changes, 2 * 2 * 2 * 3 - 1, "every group boundary is a pair");
+    }
+
+    #[test]
+    fn repeated_axis_values_count_once() {
+        let repeated = ScenarioMatrix::builder()
+            .topologies(["ring:6", "path:5", "ring:6"])
+            .protocols(["ssme", "dijkstra", "ssme"])
+            .daemons(["sync", "central-rr", "sync"])
+            .fault_bursts([0, 1, 0])
+            .seeds([0, 1, 2, 1])
+            .build();
+        assert_eq!(repeated.cells(), small().cells());
     }
 
     #[test]

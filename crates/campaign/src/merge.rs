@@ -8,21 +8,21 @@
 //! shard is acknowledged and dropped rather than double-counted.
 //! [`MergeAccumulator::finish`] checks the accepted set tiles the plan
 //! without gaps, sorts into canonical order, concatenates the per-cell
-//! results, checks them against the plan fingerprint and their own
-//! coordinates, and derives every group's statistics from them with
-//! [`summarize_groups`] — the executor's own aggregation, run once over
-//! the whole cell list. [`merge_partials`] is the batch wrapper over the
-//! same machinery.
+//! results, checks them against the plan fingerprint, their own
+//! coordinates and the one-run-per-group invariant, and derives every
+//! group's statistics from them with [`summarize_groups`] — the
+//! executor's own aggregation, one ordered pass over each group's cells.
+//! [`merge_partials`] is the batch wrapper over the same machinery.
 //!
 //! Partials carry no statistics, so where the shards were cut never
 //! matters: cut at group boundaries (the planner's invariant) or inside a
-//! group, even inside one of the executor's statistics chunks, the merged
+//! group, even inside one of the executor's work units, the merged
 //! artifact is **byte-identical** to a single-process run of the same
 //! plan.
 
 use crate::artifact::PartialArtifact;
 use crate::executor::{summarize_groups, CampaignResult};
-use crate::plan::cells_fingerprint;
+use crate::plan::{cells_fingerprint, check_contiguous_groups};
 use std::time::Duration;
 
 /// Outcome of feeding one partial to [`MergeAccumulator::accept`].
@@ -137,8 +137,9 @@ impl MergeAccumulator {
     ///
     /// Rejects an empty accumulator, accepted sets whose ranges leave
     /// gaps in the plan's cell range, merged cells whose coordinates do
-    /// not hash to the partials' plan fingerprint, and cells whose
-    /// `cell_seed` is not the one their coordinates derive.
+    /// not hash to the partials' plan fingerprint, cells whose
+    /// `cell_seed` is not the one their coordinates derive, and cell lists
+    /// that split a scenario group ([`check_contiguous_groups`]).
     pub fn finish(mut self) -> Result<CampaignResult, String> {
         let Some(first) = self.partials.first() else {
             return Err("nothing to merge: no partial artifacts supplied".into());
@@ -179,6 +180,7 @@ impl MergeAccumulator {
                 c.cell.cell_seed(config.seed)
             ));
         }
+        check_contiguous_groups(cells.iter().map(|c| &c.cell))?;
         Ok(CampaignResult {
             groups: summarize_groups(&cells),
             cells,
@@ -199,8 +201,9 @@ impl MergeAccumulator {
 /// (seed, step budget, early-stop margin), total cell counts, or plan
 /// matrix fingerprints (partials of two different campaigns never mix,
 /// even when their counts and configuration coincide), non-duplicate
-/// overlapping shard coverage, ranges that leave gaps, and cells that
-/// disagree with the plan fingerprint or their own seeds.
+/// overlapping shard coverage, ranges that leave gaps, cells that
+/// disagree with the plan fingerprint or their own seeds, and cell lists
+/// that split a scenario group.
 pub fn merge_partials(partials: Vec<PartialArtifact>) -> Result<CampaignResult, String> {
     let mut acc = MergeAccumulator::new();
     for p in partials {

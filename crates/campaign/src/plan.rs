@@ -22,6 +22,7 @@ use crate::artifact::{
 };
 use crate::executor::CampaignConfig;
 use crate::matrix::{Cell, ScenarioMatrix};
+use std::collections::HashSet;
 
 /// Schema identifier of the plan format. [`CampaignPlan::from_json`]
 /// rejects every other value.
@@ -148,8 +149,9 @@ impl CampaignPlan {
     /// # Errors
     ///
     /// Rejects invalid JSON, any schema other than [`PLAN_SCHEMA`],
-    /// missing/mistyped fields, shard ids out of order, and shard ranges
-    /// that fail to tile the cell range at group boundaries.
+    /// missing/mistyped fields, cell lists that split a scenario group
+    /// ([`check_contiguous_groups`]), shard ids out of order, and shard
+    /// ranges that fail to tile the cell range at group boundaries.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let root = Json::parse(text)?;
         let header = root.req("plan")?;
@@ -187,10 +189,11 @@ impl CampaignPlan {
         Ok(plan)
     }
 
-    /// Checks the structural invariants: ids are `0..n` in order, ranges
-    /// tile `0..cells.len()` without gaps or overlaps, and every cut is
-    /// group-aligned.
+    /// Checks the structural invariants: every scenario group is one run
+    /// of cells, ids are `0..n` in order, ranges tile `0..cells.len()`
+    /// without gaps or overlaps, and every cut is group-aligned.
     fn validate(&self) -> Result<(), String> {
+        check_contiguous_groups(&self.cells)?;
         let boundaries = group_boundaries(&self.cells);
         let mut expected_start = 0usize;
         for (i, s) in self.shards.iter().enumerate() {
@@ -241,6 +244,32 @@ pub fn cells_fingerprint<'a>(cells: impl IntoIterator<Item = &'a Cell>) -> u64 {
         eat(b"\n");
     }
     h
+}
+
+/// Checks that every scenario group of `cells` is one contiguous run, as
+/// in every matrix the builder enumerates: the planner's cuts, the
+/// executor's work units and the per-group statistics all read a group as
+/// one run of adjacent cells. Only a hand-edited plan or set of partials
+/// splits one.
+///
+/// # Errors
+///
+/// Names the split group and the cell index where it reappears.
+pub fn check_contiguous_groups<'a>(
+    cells: impl IntoIterator<Item = &'a Cell>,
+) -> Result<(), String> {
+    let mut seen = HashSet::new();
+    let mut prev: Option<&Cell> = None;
+    for (i, cell) in cells.into_iter().enumerate() {
+        if prev.is_none_or(|p| !p.same_group(cell)) && !seen.insert(cell.group_key()) {
+            return Err(format!(
+                "scenario group {} is split: cell {i} reopens it after other groups' cells",
+                cell.group_key()
+            ));
+        }
+        prev = Some(cell);
+    }
+    Ok(())
 }
 
 /// The sorted cut points between scenario groups in a canonical cell list:
@@ -327,6 +356,18 @@ mod tests {
             .replace(&format!("\"start\": {end}"), &format!("\"start\": {}", end - 1));
         assert!(CampaignPlan::from_json(&bad).is_err(), "mid-group cut must be rejected");
         assert!(CampaignPlan::from_json("{}").is_err());
+        // One group in two runs of cells (sync/rr/sync/rr), tiled by one
+        // shard: every cut is group-aligned, yet the group is split.
+        let m = ScenarioMatrix::builder()
+            .topologies(["ring:6"])
+            .protocols(["ssme"])
+            .daemons(["sync", "central-rr"])
+            .seeds(0..2)
+            .build();
+        let mut split = CampaignPlan::new(&m, &CampaignConfig::default(), 1);
+        split.cells.swap(1, 2);
+        let err = CampaignPlan::from_json(&split.to_json()).unwrap_err();
+        assert!(err.contains("ring:6|ssme|sync|f0 is split: cell 2"), "got {err}");
     }
 
     #[test]

@@ -55,9 +55,10 @@ pub struct ServeOptions {
     /// `specstab-events/v1` stream: the lease lifecycle, and the worker
     /// shard stream of every accepted partial.
     pub trace_path: Option<PathBuf>,
-    /// Fault-injection knob for tests and drills: stop serving
+    /// Fault-injection point for in-process tests: stop serving
     /// (simulating a coordinator crash) after accepting this many fresh
-    /// uploads over the network. Spool replays don't count.
+    /// uploads over the network. Spool replays don't count. No `campaign`
+    /// flag sets it.
     pub stop_after_uploads: Option<u64>,
 }
 

@@ -54,7 +54,7 @@ pub fn execute_shard_traced(
     let shard = plan.shards[shard_id];
     w.emit(EventKind::ShardStart { start: shard.start as u64, end: shard.end as u64 })?;
     let result = run_shard(plan, shard_id, threads)?;
-    emit_result_events(w, &result.cells, &result.groups)?;
+    emit_result_events(w, &result)?;
     w.emit(EventKind::ShardEnd {
         cells: result.cells.len() as u64,
         wall_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),

@@ -1,12 +1,14 @@
-//! Streaming (single-pass, O(1)-memory) statistics for campaign cells.
+//! Per-group statistics for campaign cells.
 //!
-//! Campaign grids can hold millions of runs, so per-group statistics are
-//! accumulated online: count / min / max, mean and variance via Welford's
-//! algorithm, and approximate quantiles via the P² sketch of Jain & Chlamtac
-//! (CACM 1985). Accumulation is deterministic: feeding the same values in
-//! the same order always yields the same state, which the campaign artifact
-//! tests rely on. Accumulators never leave the process: partial artifacts
-//! carry cells, and every merge site rebuilds the statistics from them.
+//! [`OnlineStats`] keeps a metric's observations in feed order and derives
+//! every statistic from them, read in that order: count / min / max, mean
+//! and variance via Welford's algorithm, and approximate quantiles via the
+//! P² sketch of Jain & Chlamtac (CACM 1985). Feeding the same values in the
+//! same order always yields the same numbers, which the campaign artifact
+//! tests rely on, and merging appends, so a merged accumulator is exactly
+//! the sequential one. Keeping the observations costs one `f64` per cell
+//! and metric: a campaign result already holds every cell, each far
+//! larger, so the statistics add no memory bound of their own.
 
 /// P² online estimator for a single quantile.
 ///
@@ -16,7 +18,8 @@
 #[derive(Clone, Debug)]
 pub struct P2Quantile {
     p: f64,
-    /// Marker heights (estimates of the quantile curve).
+    /// Marker heights (estimates of the quantile curve); while warming
+    /// up, the observations seen so far, sorted.
     q: [f64; 5],
     /// Marker positions, 1-based as in the paper.
     n: [f64; 5],
@@ -25,8 +28,6 @@ pub struct P2Quantile {
     /// Desired position increments per observation.
     dn: [f64; 5],
     count: u64,
-    /// First observations, sorted lazily until the sketch initializes.
-    warmup: Vec<f64>,
 }
 
 impl P2Quantile {
@@ -45,7 +46,6 @@ impl P2Quantile {
             np: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
             dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
             count: 0,
-            warmup: Vec::with_capacity(5),
         }
     }
 
@@ -65,11 +65,9 @@ impl P2Quantile {
     pub fn push(&mut self, x: f64) {
         self.count += 1;
         if self.count <= 5 {
-            self.warmup.push(x);
-            self.warmup.sort_by(f64::total_cmp);
-            if self.count == 5 {
-                self.q.copy_from_slice(&self.warmup);
-            }
+            let seen = self.count as usize;
+            self.q[seen - 1] = x;
+            self.q[..seen].sort_by(f64::total_cmp);
             return;
         }
         // Find the cell containing x, stretching the extreme markers.
@@ -114,279 +112,100 @@ impl P2Quantile {
         }
     }
 
-    /// Merges another sketch of the **same quantile** into this one.
-    ///
-    /// Exactness contract:
-    ///
-    /// * merging into an **empty** sketch copies `other` bit-for-bit;
-    /// * merging an **empty** sketch is a no-op;
-    /// * if either side is still warming up (≤ 5 observations), its raw
-    ///   observations are replayed into the other — exact equivalence with
-    ///   sequential feeding of those values.
-    ///
-    /// When both sketches are initialized the merge is the standard
-    /// **approximation**: each sketch is read as a piecewise-linear CDF
-    /// through its five markers, the two CDFs are mixed with weights
-    /// proportional to their counts, and the mixture is inverted at the
-    /// five desired marker fractions. Deterministic, `O(1)`, error
-    /// comparable to the P² estimation error itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sketches target different quantiles.
-    pub fn merge(&mut self, other: &Self) {
-        assert!(
-            (self.p - other.p).abs() < 1e-12,
-            "cannot merge sketches for different quantiles ({} vs {})",
-            self.p,
-            other.p
-        );
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        if other.count <= 5 {
-            for &x in &other.warmup {
-                self.push(x);
-            }
-            return;
-        }
-        if self.count <= 5 {
-            let mut merged = other.clone();
-            for &x in &self.warmup {
-                merged.push(x);
-            }
-            *self = merged;
-            return;
-        }
-        let total = self.count + other.count;
-        let p = self.p;
-        let fracs = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0];
-        let mut q_new = [0.0f64; 5];
-        for (i, &f) in fracs.iter().enumerate() {
-            q_new[i] = inverse_mixture_cdf(self, other, f);
-        }
-        // Markers must stay non-decreasing even under floating-point noise.
-        for i in 1..5 {
-            q_new[i] = q_new[i].max(q_new[i - 1]);
-        }
-        self.q = q_new;
-        self.count = total;
-        // Reset actual and desired positions to the canonical desired
-        // positions for `total` observations (the state a perfectly
-        // balanced sketch would be in).
-        let m = total as f64;
-        self.np = [
-            1.0,
-            (m - 1.0) * p / 2.0 + 1.0,
-            (m - 1.0) * p + 1.0,
-            (m - 1.0) * (1.0 + p) / 2.0 + 1.0,
-            m,
-        ];
-        self.n = self.np;
-    }
-
-    /// Cumulative fraction of this sketch's observations at or below `x`,
-    /// reading the five markers as a piecewise-linear CDF.
-    fn cdf(&self, x: f64) -> f64 {
-        debug_assert!(self.count > 5, "cdf only defined for initialized sketches");
-        if x <= self.q[0] {
-            return if x == self.q[0] { self.frac_at(0) } else { 0.0 };
-        }
-        if x >= self.q[4] {
-            return 1.0;
-        }
-        for i in 0..4 {
-            if x <= self.q[i + 1] {
-                let (f0, f1) = (self.frac_at(i), self.frac_at(i + 1));
-                if self.q[i + 1] <= self.q[i] {
-                    return f1;
-                }
-                return f0 + (f1 - f0) * (x - self.q[i]) / (self.q[i + 1] - self.q[i]);
-            }
-        }
-        1.0
-    }
-
-    /// Cumulative fraction represented by marker `i`.
-    fn frac_at(&self, i: usize) -> f64 {
-        if self.count <= 1 {
-            return 1.0;
-        }
-        ((self.n[i] - 1.0) / (self.count as f64 - 1.0)).clamp(0.0, 1.0)
-    }
-
     /// The current quantile estimate (`None` before any observation).
     #[must_use]
     pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count <= 5 {
+        match self.count {
+            0 => None,
             // Exact while warming up: nearest-rank on the sorted prefix.
-            let rank = (self.p * self.warmup.len() as f64).ceil() as usize;
-            return Some(self.warmup[rank.clamp(1, self.warmup.len()) - 1]);
-        }
-        Some(self.q[2])
-    }
-}
-
-/// Inverts the count-weighted mixture of two initialized sketches' CDFs at
-/// fraction `f`: the smallest `x` (up to linear interpolation between
-/// marker breakpoints) with `(ca·Fa(x) + cb·Fb(x)) / (ca + cb) >= f`.
-fn inverse_mixture_cdf(a: &P2Quantile, b: &P2Quantile, f: f64) -> f64 {
-    let (wa, wb) = (a.count as f64, b.count as f64);
-    let total = wa + wb;
-    let mix = |x: f64| (wa * a.cdf(x) + wb * b.cdf(x)) / total;
-    // The mixture is piecewise linear with breakpoints at both sketches'
-    // markers: walk the sorted breakpoints and interpolate inside the
-    // bracketing segment.
-    let mut xs: Vec<f64> = a.q.iter().chain(b.q.iter()).copied().collect();
-    xs.sort_by(f64::total_cmp);
-    if f <= 0.0 {
-        return xs[0];
-    }
-    let mut prev = xs[0];
-    let mut prev_f = mix(prev);
-    if prev_f >= f {
-        return prev;
-    }
-    for &x in &xs[1..] {
-        let fx = mix(x);
-        if fx >= f {
-            if fx <= prev_f {
-                return x;
+            1..=5 => {
+                let seen = self.count as usize;
+                let rank = (self.p * seen as f64).ceil() as usize;
+                Some(self.q[rank.clamp(1, seen) - 1])
             }
-            return prev + (x - prev) * (f - prev_f) / (fx - prev_f);
+            _ => Some(self.q[2]),
         }
-        prev = x;
-        prev_f = fx;
     }
-    *xs.last().expect("breakpoints nonempty")
 }
 
-/// Streaming summary of one scalar metric: count, min/max, mean/variance
-/// (Welford) and p50/p90/p99 sketches.
-#[derive(Clone, Debug)]
+/// Summary of one scalar metric: count, min/max, mean/variance (Welford)
+/// and p50/p90/p99 (P²), each derived from the observations in feed order.
+#[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
-    count: u64,
-    min: f64,
-    max: f64,
-    mean: f64,
-    m2: f64,
-    p50: P2Quantile,
-    p90: P2Quantile,
-    p99: P2Quantile,
-}
-
-impl Default for OnlineStats {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Every observation, in feed order.
+    values: Vec<f64>,
 }
 
 impl OnlineStats {
     /// An empty accumulator.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            mean: 0.0,
-            m2: 0.0,
-            p50: P2Quantile::new(0.5),
-            p90: P2Quantile::new(0.9),
-            p99: P2Quantile::new(0.99),
-        }
+        Self::default()
     }
 
     /// Feeds one observation.
     pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.p50.push(x);
-        self.p90.push(x);
-        self.p99.push(x);
+        self.values.push(x);
     }
 
-    /// Merges another accumulator into this one, as if `other`'s stream had
-    /// been appended to `self`'s.
-    ///
-    /// Count, min and max merge exactly. Mean and variance merge via the
-    /// parallel Welford combination (Chan et al.), numerically equivalent
-    /// to sequential accumulation up to floating-point rounding — and
-    /// **bit-for-bit exact when `self` is empty** (plain copy). Quantile
-    /// sketches merge via [`P2Quantile::merge`] (same exactness contract,
-    /// approximate when both sides are initialized). The campaign executor
-    /// merges only the fixed-size chunks of seed-heavy groups, so its
-    /// artifacts never depend on how a campaign was split.
+    /// Appends `other`'s observations to this accumulator's: every
+    /// statistic afterwards is, bit for bit, the one of feeding `self`'s
+    /// observations and then `other`'s.
     pub fn merge(&mut self, other: &Self) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let (n1, n2) = (self.count as f64, other.count as f64);
-        let delta = other.mean - self.mean;
-        self.mean += delta * n2 / (n1 + n2);
-        self.m2 += other.m2 + delta * delta * n1 * n2 / (n1 + n2);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.p50.merge(&other.p50);
-        self.p90.merge(&other.p90);
-        self.p99.merge(&other.p99);
+        self.values.extend_from_slice(&other.values);
     }
 
     /// Observations seen.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count
+        self.values.len() as u64
     }
 
     /// Smallest observation (0 when empty).
     #[must_use]
     pub fn min(&self) -> f64 {
-        if self.count == 0 {
+        if self.values.is_empty() {
             0.0
         } else {
-            self.min
+            self.values.iter().copied().fold(f64::INFINITY, f64::min)
         }
     }
 
     /// Largest observation (0 when empty).
     #[must_use]
     pub fn max(&self) -> f64 {
-        if self.count == 0 {
+        if self.values.is_empty() {
             0.0
         } else {
-            self.max
+            self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         }
+    }
+
+    /// Welford's mean and sum of squared deviations, updated in feed
+    /// order.
+    fn welford(&self) -> (f64, f64) {
+        let (mut mean, mut m2) = (0.0, 0.0);
+        for (seen, &x) in (1u64..).zip(&self.values) {
+            let delta = x - mean;
+            mean += delta / seen as f64;
+            m2 += delta * (x - mean);
+        }
+        (mean, m2)
     }
 
     /// Arithmetic mean (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
-        self.mean
+        self.welford().0
     }
 
     /// Population variance (0 for fewer than two observations).
     #[must_use]
     pub fn variance(&self) -> f64 {
-        if self.count < 2 {
+        if self.values.len() < 2 {
             0.0
         } else {
-            self.m2 / self.count as f64
+            self.welford().1 / self.values.len() as f64
         }
     }
 
@@ -396,22 +215,32 @@ impl OnlineStats {
         self.variance().sqrt()
     }
 
+    /// The P² estimate of the `p`-quantile, the sketch fed the
+    /// observations in order (0 when empty).
+    fn quantile(&self, p: f64) -> f64 {
+        let mut sketch = P2Quantile::new(p);
+        for &x in &self.values {
+            sketch.push(x);
+        }
+        sketch.estimate().unwrap_or(0.0)
+    }
+
     /// P² estimate of the median.
     #[must_use]
     pub fn p50(&self) -> f64 {
-        self.p50.estimate().unwrap_or(0.0)
+        self.quantile(0.5)
     }
 
     /// P² estimate of the 90th percentile.
     #[must_use]
     pub fn p90(&self) -> f64 {
-        self.p90.estimate().unwrap_or(0.0)
+        self.quantile(0.9)
     }
 
     /// P² estimate of the 99th percentile.
     #[must_use]
     pub fn p99(&self) -> f64 {
-        self.p99.estimate().unwrap_or(0.0)
+        self.quantile(0.99)
     }
 }
 
@@ -562,25 +391,35 @@ mod tests {
         assert!((a.p99() - exact(0.99)).abs() < 0.05, "p99 {} vs {}", a.p99(), exact(0.99));
     }
 
+    /// Every accessor's value, as bits.
+    fn bits(s: &OnlineStats) -> [u64; 9] {
+        [
+            s.count(),
+            s.min().to_bits(),
+            s.max().to_bits(),
+            s.mean().to_bits(),
+            s.variance().to_bits(),
+            s.stddev().to_bits(),
+            s.p50().to_bits(),
+            s.p90().to_bits(),
+            s.p99().to_bits(),
+        ]
+    }
+
     #[test]
-    fn merging_warmup_sketches_is_exact() {
-        // A sketch with <= 5 observations replays its raw values: merging is
-        // exactly sequential feeding.
-        let mut a = P2Quantile::new(0.5);
-        for x in [4.0, 1.0] {
-            a.push(x);
+    fn merge_equals_feeding_both_streams_in_order() {
+        // Empty sides, both sides inside P²'s five-observation warm-up,
+        // one side past it, and both past it.
+        for (len_a, len_b) in [(0, 0), (0, 7), (7, 0), (2, 3), (3, 9), (400, 900)] {
+            let (mut a, xs_a) = feed_stats(41, len_a, 0.0, 100.0);
+            let (b, xs_b) = feed_stats(42, len_b, 20.0, 180.0);
+            let mut sequential = OnlineStats::new();
+            for &x in xs_a.iter().chain(&xs_b) {
+                sequential.push(x);
+            }
+            a.merge(&b);
+            assert_eq!(bits(&a), bits(&sequential), "{len_a} then {len_b} observations");
         }
-        let mut b = P2Quantile::new(0.5);
-        for x in [9.0, 2.0, 7.0] {
-            b.push(x);
-        }
-        let mut seq = P2Quantile::new(0.5);
-        for x in [4.0, 1.0, 9.0, 2.0, 7.0] {
-            seq.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.estimate(), seq.estimate());
     }
 
     #[test]
@@ -592,12 +431,5 @@ mod tests {
             (a.mean(), a.variance(), a.p50(), a.p90(), a.p99())
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    #[should_panic(expected = "different quantiles")]
-    fn merge_rejects_mismatched_quantiles() {
-        let mut a = P2Quantile::new(0.5);
-        a.merge(&P2Quantile::new(0.9));
     }
 }

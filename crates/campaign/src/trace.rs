@@ -1,7 +1,7 @@
 //! Bridges campaigns into the `specstab-events/v1` stream: the events
-//! that open a campaign's trace, and the mapping from
-//! [`CellResult`]/[`GroupSummary`] to event payloads, shared by every
-//! `campaign` subcommand that takes `--trace`.
+//! that open a campaign's trace, and the mapping from [`CellResult`]/
+//! [`GroupSummary`](crate::executor::GroupSummary) to event payloads,
+//! shared by every `campaign` subcommand that takes `--trace`.
 //!
 //! Events are emitted **post-hoc** in canonical matrix order (cells of a
 //! group, then the group), not in completion order — the executor's
@@ -10,7 +10,7 @@
 //! event carries the wall clock its run actually took, and each group
 //! event the engine path its cells took ([`group_path`]).
 
-use crate::executor::{group_path, CampaignConfig, CellResult, GroupSummary};
+use crate::executor::{group_path, CampaignConfig, CampaignResult, CellResult};
 use crate::matrix::Cell;
 use crate::plan::{group_boundaries, CampaignPlan};
 use specstab_telemetry::event::{CellEvent, CellOutcomeEvent};
@@ -60,39 +60,35 @@ pub fn cell_event(cr: &CellResult) -> EventKind {
     })
 }
 
-/// Emits cell and group events for a slice of cells this process
-/// executed, in canonical order: every cell of a scenario group, then the
-/// group's summary, with the group wall clock summed over its cells and
-/// the engine path derived from them — one event per group, however many
-/// work chunks it spanned. `groups` is the matching aggregate list (a
-/// full result's or a shard's).
+/// Emits cell and group events for a result this process executed (a
+/// full campaign's or a shard's), in canonical order: every cell of a
+/// scenario group, then the group's summary, with the group wall clock
+/// summed over its cells and the engine path derived from them — one
+/// event per group, however many work chunks it spanned. The result's
+/// groups are its runs of same-group cells, in order
+/// ([`crate::executor::summarize_groups`]), so each run is paired with
+/// its summary by position.
 ///
 /// # Errors
 ///
 /// Returns the first trace-write failure.
-pub fn emit_result_events(
-    w: &mut TraceWriter,
-    cells: &[CellResult],
-    groups: &[GroupSummary],
-) -> Result<(), String> {
-    for group in cells.chunk_by(|a, b| a.cell.same_group(&b.cell)) {
+pub fn emit_result_events(w: &mut TraceWriter, result: &CampaignResult) -> Result<(), String> {
+    let runs = result.cells.chunk_by(|a, b| a.cell.same_group(&b.cell));
+    for (cells, g) in runs.zip(&result.groups) {
         let mut wall_us = 0u64;
-        for cr in group {
+        for cr in cells {
             wall_us += cr.wall_nanos / 1_000;
             w.emit(cell_event(cr))?;
         }
-        let key = group[0].cell.group_key();
-        if let Some(g) = groups.iter().find(|g| g.key == key) {
-            w.emit(EventKind::Group {
-                key,
-                runs: g.runs,
-                errors: g.errors,
-                converged: g.converged,
-                violations: g.violations,
-                wall_us,
-                path: group_path(group).into(),
-            })?;
-        }
+        w.emit(EventKind::Group {
+            key: g.key.clone(),
+            runs: g.runs,
+            errors: g.errors,
+            converged: g.converged,
+            violations: g.violations,
+            wall_us,
+            path: group_path(cells).into(),
+        })?;
     }
     Ok(())
 }
@@ -120,7 +116,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("specstab-trace-emit-{}.ndjson", std::process::id()));
         let mut w = TraceWriter::create(&path, None, "run").expect("create");
-        emit_result_events(&mut w, &result.cells, &result.groups).expect("emit");
+        emit_result_events(&mut w, &result).expect("emit");
         w.finish().expect("finish");
         let events = parse_ndjson(&std::fs::read_to_string(&path).expect("read")).expect("parse");
         let _ = std::fs::remove_file(&path);
@@ -153,7 +149,7 @@ mod tests {
             &CampaignConfig { max_steps: 100_000, ..CampaignConfig::default() },
         );
         let mut w = TraceWriter::in_memory(None, "run");
-        emit_result_events(&mut w, &result.cells, &result.groups).expect("emit");
+        emit_result_events(&mut w, &result).expect("emit");
         let events = w.into_events();
         let groups: Vec<_> = events
             .iter()

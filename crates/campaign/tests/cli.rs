@@ -75,6 +75,9 @@ fn unknown_flags_are_usage_errors_in_every_subcommand() {
     s.assert_usage(&["shard", "--plan", &missing, "--shard", "0", "--bogus", "1"]);
     s.assert_usage(&["merge", "--bogus", &missing]);
     s.assert_usage(&["serve", "--plan", &missing, "--bogus", "1"]);
+    // The coordinator's stop-after-uploads crash point is an in-process
+    // test hook (`ServeOptions::stop_after_uploads`), not a flag.
+    s.assert_usage(&["serve", "--plan", &missing, "--stop-after-uploads", "1"]);
     s.assert_usage(&["work", "--coordinator", "http://127.0.0.1:9", "--bogus", "1"]);
 }
 

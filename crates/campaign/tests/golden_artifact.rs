@@ -23,6 +23,17 @@
 //!          --cells-in-json --json campaign_golden_bfs.json
 //! ```
 //!
+//! `tests/golden/campaign_golden_heavy.json` (groups only: 40 seeds per
+//! group, past P²'s five-observation warm-up, each group spanning two of
+//! the executor's 32-cell work units):
+//!
+//! ```text
+//! campaign --topologies ring:8 --protocols ssme,dijkstra \
+//!          --daemons sync,central-rand,dist:0.5 --faults 0,2 \
+//!          --seeds 40 --seed 51966 --max-steps 500000 \
+//!          --json campaign_golden_heavy.json
+//! ```
+//!
 //! `tests/golden/plan_compat.json` (the compatibility filter: which
 //! (topology, protocol) pairs and witness cells `campaign plan` keeps —
 //! the Dijkstra harnesses only on rings or lines, the witness only for
@@ -48,6 +59,7 @@ use std::process::Command;
 
 const GOLDEN: &str = include_str!("golden/campaign_golden.json");
 const GOLDEN_BFS: &str = include_str!("golden/campaign_golden_bfs.json");
+const GOLDEN_HEAVY: &str = include_str!("golden/campaign_golden_heavy.json");
 const GOLDEN_PLAN_COMPAT: &str = include_str!("golden/plan_compat.json");
 
 fn golden_matrix() -> ScenarioMatrix {
@@ -103,6 +115,22 @@ fn bfs_campaign_json_matches_checked_in_golden() {
     assert_eq!(result.total_errors(), 0, "bfs golden matrix must be error-free");
     assert_eq!(result.total_violations(), 0);
     assert_matches_golden(&json, GOLDEN_BFS, "campaign_bfs.json");
+}
+
+#[test]
+fn seed_heavy_campaign_json_matches_checked_in_golden() {
+    let matrix = ScenarioMatrix::builder()
+        .topologies(["ring:8"])
+        .protocols(["ssme", "dijkstra"])
+        .daemons(["sync", "central-rand", "dist:0.5"])
+        .fault_bursts([0, 2])
+        .seeds(0..40)
+        .build();
+    let result = run_campaign(&matrix, &golden_config());
+    let json = to_json(&result, false);
+    assert_eq!(result.total_errors(), 0, "heavy golden matrix must be error-free");
+    assert_eq!(result.total_violations(), 0);
+    assert_matches_golden(&json, GOLDEN_HEAVY, "campaign_heavy.json");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! the process: HTTP requests ([`read_request`]), event streams
 //! ([`parse_ndjson`]), plans ([`CampaignPlan::from_json`]) and partial
 //! artifacts ([`PartialArtifact::from_json`], `telemetry` section
-//! included).
+//! included, and the merge of a set of them).
 //!
 //! Truncations, sampled byte mutations and, for HTTP, `Content-Length`
 //! values that disagree with the body must come back as `Err`s, never a
@@ -19,9 +19,10 @@ use rand::{Rng, SeedableRng};
 use specstab_campaign::artifact::PartialArtifact;
 use specstab_campaign::executor::CampaignConfig;
 use specstab_campaign::matrix::ScenarioMatrix;
-use specstab_campaign::plan::CampaignPlan;
+use specstab_campaign::merge::merge_partials;
+use specstab_campaign::plan::{CampaignPlan, ShardSpec};
 use specstab_campaign::serve::http::{read_request, MAX_BODY};
-use specstab_campaign::shard::execute_shard_traced;
+use specstab_campaign::shard::{execute_shard, execute_shard_traced};
 use specstab_telemetry::{parse_ndjson, TraceWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -182,6 +183,34 @@ fn partials_with_foreign_or_broken_telemetry_are_rejected() {
     }
     let empty = docs().partial.replacen("\"telemetry\": [", "\"telemetry\": [],\n  \"x\": [", 1);
     assert!(PartialArtifact::from_json(&empty).is_err(), "an empty stream is not a stream");
+}
+
+/// Partials whose cells, merged, hold one scenario group in two runs: a
+/// hand-edited plan reordered to sync/rr/sync/rr and cut into two shards,
+/// each of which alone keeps its groups whole. The merge rejects the cell
+/// list instead of summarizing the group twice.
+#[test]
+fn partials_that_split_a_scenario_group_are_rejected() {
+    let matrix = ScenarioMatrix::builder()
+        .topologies(["ring:6"])
+        .protocols(["ssme"])
+        .daemons(["sync", "central-rr"])
+        .fault_bursts([0])
+        .seeds(0..2)
+        .build();
+    let config = CampaignConfig { max_steps: 10_000, ..CampaignConfig::default() };
+    let mut plan = CampaignPlan::new(&matrix, &config, 1);
+    plan.cells.swap(1, 2);
+    plan.shards =
+        vec![ShardSpec { id: 0, start: 0, end: 2 }, ShardSpec { id: 1, start: 2, end: 4 }];
+    let partials: Vec<PartialArtifact> = (0..2)
+        .map(|id| {
+            let partial = execute_shard(&plan, id, 1).expect("the shard runs");
+            PartialArtifact::from_json(&partial.to_json()).expect("the partial parses")
+        })
+        .collect();
+    let err = merge_partials(partials).unwrap_err();
+    assert!(err.contains("ring:6|ssme|sync|f0 is split: cell 2"), "got {err}");
 }
 
 /// A well-formed request for `/upload` with `body`, claiming `claimed`

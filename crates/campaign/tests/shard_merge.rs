@@ -24,8 +24,9 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Seeds of the suite's one seed-heavy group: more than the executor's
-/// 32-cell statistics chunk, so its statistics fold two chunks and a cut
-/// can land inside a chunk.
+/// 32-cell work unit, so the group runs as two units and a cut can land
+/// inside one. Its statistics are one ordered pass over all 40 cells
+/// wherever the cuts fall.
 const HEAVY_SEEDS: u64 = 40;
 
 /// The suite's matrix: two protocols (one of which errors cleanly on
@@ -168,7 +169,7 @@ proptest! {
     }
 
     /// Cuts at arbitrary cell indices, inside groups too, plus one inside
-    /// the seed-heavy group's first 32-cell statistics chunk, merged in a
+    /// the seed-heavy group's first 32-cell work unit, merged in a
     /// shuffled order after a JSON round trip: still byte-identical JSON
     /// and CSV artifacts, because the merge derives every group's
     /// statistics from the whole cell list.

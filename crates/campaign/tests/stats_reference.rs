@@ -1,7 +1,9 @@
-//! Cross-check of the campaign's streaming statistics against a naive
-//! sequential reference on a small grid: the online accumulators must agree
-//! exactly on count/min/max/mean/variance and stay within P² tolerance on
-//! quantiles.
+//! Cross-check of the campaign's group statistics against a naive
+//! sequential reference on a small grid plus one 40-seed group (two of
+//! the executor's 32-cell work units): the accumulators must agree
+//! exactly on count/min/max/mean/variance, stay within P² tolerance on
+//! quantiles, and equal a fresh accumulator fed the group's cells in
+//! order, bit for bit.
 
 use specstab_campaign::executor::{run_campaign, CampaignConfig};
 use specstab_campaign::matrix::ScenarioMatrix;
@@ -14,13 +16,21 @@ fn exact_quantile(sorted: &[f64], p: f64) -> f64 {
 
 #[test]
 fn group_stats_match_a_naive_reference() {
-    let m = ScenarioMatrix::builder()
+    let grid = ScenarioMatrix::builder()
         .topologies(["ring:8", "tree:7"])
         .protocols(["ssme"])
         .daemons(["sync", "dist:0.5"])
         .fault_bursts([0, 1])
         .seeds(0..16)
         .build();
+    let heavy = ScenarioMatrix::builder()
+        .topologies(["ring:12"])
+        .protocols(["ssme"])
+        .daemons(["dist:0.5"])
+        .fault_bursts([2])
+        .seeds(0..40)
+        .build();
+    let m = ScenarioMatrix::from_cells(grid.cells().iter().chain(heavy.cells()).cloned().collect());
     let cfg = CampaignConfig { threads: 4, max_steps: 300_000, seed: 7, early_stop_margin: 3 };
     let result = run_campaign(&m, &cfg);
     assert_eq!(result.total_errors(), 0);
@@ -48,8 +58,9 @@ fn group_stats_match_a_naive_reference() {
         assert!((group.entry.mean() - mean).abs() < 1e-9, "{}", group.key);
         assert!((group.entry.variance() - var).abs() < 1e-6, "{}", group.key);
 
-        // Quantile sketches: exact up to 5 observations; on 16 observations
-        // P² must land within the observed range and near the exact value.
+        // Quantile sketches: exact up to 5 observations; on 16 or 40
+        // observations P² must land within the observed range and near the
+        // exact value.
         let mut sorted = entries.clone();
         sorted.sort_by(f64::total_cmp);
         let spread = (max - min).max(1.0);
